@@ -87,6 +87,21 @@ def _sha256(path):
     return h.hexdigest()
 
 
+class OutputDir:
+    """The output directory of one run.  `outdir / name` gives the path of
+    an artifact and records it, so the manifest lists exactly the files this
+    run wrote, not stale ones left by earlier runs."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.path.mkdir(parents=True, exist_ok=True)
+        self.written = set()
+
+    def __truediv__(self, name):
+        self.written.add(name)
+        return self.path / name
+
+
 # ---------------------------------------------------------------------------
 # Shared pipeline pieces
 # ---------------------------------------------------------------------------
@@ -310,11 +325,14 @@ def cmd_split(cfg, outdir):
 def cmd_tangency(cfg, outdir):
     family = _family(cfg)
     alpha = _alpha(cfg)
+    tc = cfg.get("tangency")
+    frame_cfg = tc.get("frame")
+    if frame_cfg is not None and not {"base", "direction"} <= frame_cfg.keys():
+        raise ConfigError("tangency.frame needs a base and a direction")
     orbit = _single_orbit(cfg, family, alpha, cfg.get("orbit.length"))
     cocycle = TangentCocycle.from_orbit(family, alpha, orbit)
     splitting = compute_clvs(cocycle, warmup=cfg.get("clv.warmup"))
     angles = splitting_angles(splitting)
-    tc = cfg.get("tangency")
     folds = tangency.detect_folds(splitting.points, angles,
                                   tc["angle_threshold"], chart=family.chart,
                                   cluster_radius=tc["cluster_radius"])
@@ -327,7 +345,6 @@ def cmd_tangency(cfg, outdir):
         "n_clusters": int(folds.representatives.shape[0]),
         "spectrum": _spectrum_payload(splitting.spectrum),
     }
-    frame_cfg = tc.get("frame")
     if frame_cfg is not None and folds.points.shape[0] >= 100:
         frame = tangency.TransversalFrame(tuple(frame_cfg["base"]),
                                           tuple(frame_cfg["direction"]))
@@ -345,12 +362,29 @@ def cmd_tangency(cfg, outdir):
     return {"points": int(angles.size)}
 
 
+# synthetic.sigma keys each kind takes; atoms needs both of its keys
+_SIGMA_KEYS = {"uniform": set(), "cantor": {"ratio", "level"},
+               "atoms": {"positions", "weights"}}
+
+
 def _sigma_from_cfg(scfg):
-    kind = scfg["kind"]
+    kind = scfg.get("kind")
     kwargs = {k: v for k, v in scfg.items() if k != "kind"}
+    if kind not in _SIGMA_KEYS:
+        raise ConfigError(f"unknown synthetic.sigma.kind {kind!r}")
+    extra = sorted(set(kwargs) - _SIGMA_KEYS[kind])
+    if extra:
+        raise ConfigError(f"synthetic.sigma keys {extra} do not apply to "
+                          f"kind {kind!r}")
     if kind == "atoms":
-        kwargs = {"positions": tuple(kwargs["positions"]),
-                  "weights": tuple(kwargs["weights"])}
+        missing = sorted(_SIGMA_KEYS[kind] - set(kwargs))
+        if missing:
+            raise ConfigError(
+                f"synthetic.sigma of kind 'atoms' needs {missing}")
+        if len(kwargs["positions"]) != len(kwargs["weights"]):
+            raise ConfigError("synthetic.sigma positions and weights differ "
+                              "in length")
+        kwargs = {k: tuple(v) for k, v in kwargs.items()}
     return tangency.make_sigma(kind, **kwargs)
 
 
@@ -379,6 +413,9 @@ def cmd_fold_synthetic(cfg, outdir):
 
 def cmd_conjecture_report(cfg, outdir):
     systems = cfg.require("report.systems")
+    for i, entry in enumerate(systems):
+        if not (isinstance(entry, dict) and {"name", "alpha"} <= entry.keys()):
+            raise ConfigError(f"report.systems[{i}] needs a name and an alpha")
     rows = []
     for i, entry in enumerate(systems):
         sub = ExperimentConfig({**{k: v for k, v in cfg.resolved().items()
@@ -415,6 +452,7 @@ def cmd_conjecture_report(cfg, outdir):
         row["radius"] = est.value
         row["radius_ci"] = est.ci
         row["radius_indeterminate"] = est.indeterminate
+        row["radius_flag"] = est.flag
         psi_one, psi_err = series.truncated_sum(1.0)
         row["psi_one"] = psi_one
         row["psi_one_err"] = psi_err
@@ -447,10 +485,9 @@ def run(subcommand, config_path, output_dir=None):
         if subcommand not in COMMANDS:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
         cfg = ExperimentConfig.load(config_path)
-        outdir = Path(output_dir
-                      or os.environ.get("SRBLAB_OUTPUT_DIR")
-                      or cfg.get("output_dir"))
-        outdir.mkdir(parents=True, exist_ok=True)
+        outdir = OutputDir(output_dir
+                           or os.environ.get("SRBLAB_OUTPUT_DIR")
+                           or cfg.get("output_dir"))
         cfg.dump_resolved(outdir / "resolved_config.json")
         counts = COMMANDS[subcommand](cfg, outdir)
     except SrbLabError as exc:
@@ -470,11 +507,8 @@ def run(subcommand, config_path, output_dir=None):
             pass
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return code
-    outputs = []
-    for p in sorted(outdir.iterdir()):
-        if p.name == "manifest.json" or not p.is_file():
-            continue
-        outputs.append({"path": p.name, "sha256": _sha256(p)})
+    outputs = [{"path": name, "sha256": _sha256(outdir.path / name)}
+               for name in sorted(outdir.written)]
     write_json(outdir / "manifest.json", {
         "artifact_version": "0.1.0",
         "subcommand": subcommand,

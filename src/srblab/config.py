@@ -77,7 +77,9 @@ def _validate(data, schema, path=""):
             _validate(value, spec, where)
         else:
             types = spec if isinstance(spec, tuple) else (spec,)
-            if not isinstance(value, types):
+            # bool subclasses int, but `seed: true` is not a seed
+            if (not isinstance(value, types)
+                    or isinstance(value, bool) and bool not in types):
                 names = "/".join(t.__name__ for t in types)
                 raise ConfigError(
                     f"{where} must be of type {names}, "

@@ -521,10 +521,6 @@ class PerturbationField:
         orbit = np.asarray(orbit)
         return self.family.param_derivative(self.alpha, orbit[..., :-1, :])
 
-    @property
-    def has_closed_form(self):
-        return self.family.inverse is not None
-
     def at_points(self, y):
         if self.family.inverse is None:
             raise ParameterError(
@@ -559,10 +555,6 @@ class ExplicitField:
         orbit = np.asarray(orbit)
         return self.fn(orbit[..., 1:, :])
 
-    @property
-    def has_closed_form(self):
-        return True
-
     def at_points(self, y):
         return self.fn(np.asarray(y, dtype=float))
 
@@ -576,15 +568,3 @@ class ExplicitField:
             e[i] = step
             out += (self.fn(y + e)[..., i] - self.fn(y - e)[..., i]) / (2 * step)
         return out
-
-
-def zero_field(family, alpha=0.0):
-    """X identically zero (useful baseline)."""
-
-    def d_alpha(a, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    fam = MapFamily(family.name + "_frozen", family.dimension, family.chart,
-                    family.step, family.jacobian, d_alpha, family.inverse,
-                    family.volume_preserving, family.escape_radius, dict(family.params))
-    return PerturbationField(fam, alpha)

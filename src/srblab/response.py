@@ -13,10 +13,9 @@ import numpy as np
 from . import measure as measure_mod
 from .errors import (InsufficientDataError, ParameterError,
                      UnsupportedDimensionError)
-from .pade import PadeApproximant, robust_pade
+from .pade import robust_pade
 from .stats import batch_means, linear_fit, masked_batch_means
-from .tangent import _clv_sweep, _group_exponents
-from .stats import batch_means_series
+from .tangent import _clv_sweep
 
 
 @dataclass
@@ -44,8 +43,7 @@ def _contributions_mean(c, mask, n_batches):
     return masked_batch_means(c, mask, n_batches=n_batches)
 
 
-def _kappa_series(orbits, jacobians, V0, grads, N, j0, mask=None,
-                  n_batches=25):
+def _kappa_series(jacobians, V0, grads, N, j0, mask=None, n_batches=25):
     """Cocycle-propagated series: coefficient n is the average over samples
     of V0(x_j) . (T_{x_j} f^n)^T grad(x_{j+n}), with V0 given at orbit
     indices j0 .. j0+S-1.
@@ -86,8 +84,8 @@ def susceptibility_coefficients(measure, X, obs, N, n_batches=25):
     jac = measure.family.jacobian(measure.alpha, orbits[:, :-1])
     Xall = X.along_orbit(orbits)          # X at orbit indices 1..L-1
     grads = obs.gradient(orbits)
-    coeffs, errs, trunc = _kappa_series(orbits, jac, Xall[:, :S], grads, N,
-                                        j0=1, n_batches=n_batches)
+    coeffs, errs, trunc = _kappa_series(jac, Xall[:, :S], grads, N, j0=1,
+                                        n_batches=n_batches)
     meta = {
         "system": measure.family.name,
         "alpha": measure.alpha,
@@ -483,13 +481,8 @@ def stable_unstable_split(measure, X, obs, N, clv_warmup=1000, backsteps=15,
         raise UnsupportedDimensionError(
             "stable/unstable split implemented for 2-dimensional phase space")
     jac = family.jacobian(alpha, orbits[:, :-1])
-    clvs, logs, lo = _clv_sweep(jac, warmup=clv_warmup)
-    n_steps = logs.shape[1] * logs.shape[0]
-    means, ses = batch_means_series(
-        logs.transpose(2, 0, 1).reshape(d, 1, -1), n_batches=20)
-    order = np.argsort(means)[::-1]
-    vals = means[order]
-    n_unstable = int(np.sum(vals > 0))
+    clvs, spectrum, lo = _clv_sweep(jac, warmup=clv_warmup)
+    n_unstable = int(np.sum(spectrum.all_exponents > 0))
     if n_unstable != 1:
         raise UnsupportedDimensionError(
             f"split requires one unstable direction, found {n_unstable}")

@@ -242,31 +242,6 @@ class SigmaAtoms:
         return np.empty((0, 3)), atoms
 
 
-@dataclass(frozen=True)
-class SigmaMixture:
-    components: tuple   # ((weight, spec), ...)
-
-    @property
-    def dimension(self):
-        return max(spec.dimension for _, spec in self.components)
-
-    def cells(self):
-        cell_list, atom_list = [], []
-        for wgt, spec in self.components:
-            cells, atoms = spec.cells()
-            if cells.size:
-                cells = cells.copy()
-                cells[:, 2] *= wgt
-                cell_list.append(cells)
-            if atoms.size:
-                atoms = atoms.copy()
-                atoms[:, 1] *= wgt
-                atom_list.append(atoms)
-        cells = np.concatenate(cell_list) if cell_list else np.empty((0, 3))
-        atoms = np.concatenate(atom_list) if atom_list else np.empty((0, 2))
-        return cells, atoms
-
-
 def make_sigma(kind, **kwargs):
     kinds = {"uniform": SigmaUniform, "cantor": SigmaCantor,
              "atoms": SigmaAtoms}

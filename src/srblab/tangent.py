@@ -54,7 +54,13 @@ def _qr_pos(A):
 
 @dataclass
 class LyapunovSpectrum:
-    """Exponents in nats per iteration, sorted descending."""
+    """Exponents in nats per iteration, sorted descending.
+
+    n_windows is the number of windows the QR sweep ran side by side (1 for
+    the sequential sweep) and boundary_residual the largest frame mismatch
+    measured where windows hand over; above _MAX_RESIDUAL the sweep was
+    rerun as one window.
+    """
 
     all_exponents: np.ndarray     # (d,) one per tangent direction
     all_stderr: np.ndarray
@@ -63,6 +69,8 @@ class LyapunovSpectrum:
     stderr: np.ndarray            # per distinct value
     n_steps: int
     mean_log_det: float
+    n_windows: int = 1
+    boundary_residual: float = 0.0
 
     @property
     def dimension(self):
@@ -99,6 +107,20 @@ def _group_exponents(vals, ses):
     return np.array(ex), np.array(mult, dtype=int), np.array(se)
 
 
+def _spectrum(logs, interval, n_batches, n_windows, residual):
+    """Spectrum from the log stretches logs (B, n, d) of blocks of
+    `interval` steps, the B members pooled."""
+    d = logs.shape[-1]
+    used = logs.shape[0] * logs.shape[1] * interval
+    per_step = logs.transpose(2, 0, 1).reshape(d, 1, -1) / interval
+    means, ses = batch_means_series(per_step, n_batches=n_batches)
+    order = np.argsort(means)[::-1]
+    vals, errs = means[order], ses[order]
+    ex, mult, se = _group_exponents(vals, errs)
+    return LyapunovSpectrum(vals, errs, ex, mult, se, used,
+                            float(logs.sum() / used), n_windows, residual)
+
+
 def _block_products(J, interval):
     """Products of `interval` consecutive jacobians: (nb, d, d)."""
     n = J.shape[0]
@@ -108,6 +130,120 @@ def _block_products(J, interval):
     for i in range(1, interval):
         P = B[:, i] @ P
     return P, nb
+
+
+# Windowed sweeps.  A QR frame and a Ginelli backward vector forget where
+# they started at the rate of the exponent gap (Ginelli et al., PRL 99,
+# 130601, 2007; Kuptsov & Parlitz, J. Nonlinear Sci. 22, 2012), so a sweep
+# over n steps is cut into windows of _CORE steps that each start _OVERLAP
+# steps early and run side by side on the batch axis.  Window k runs steps
+# k*core .. k*core + core + overlap - 1 (cut at n); it writes every step,
+# and since window k - 1 reaches the same steps later, each stored value
+# comes from a window that has run at least `overlap` steps, or from window
+# 0, which starts at the true initial condition.
+_CORE = 256
+_OVERLAP = 64
+_MAX_RESIDUAL = 1e-12
+
+
+def _windows(n, core, overlap):
+    """(count, core, overlap) of the windows over n steps; one window is
+    the sequential sweep, (1, n, 0)."""
+    K = max(1, -(-(n - overlap) // core))
+    return (K, core, overlap) if K > 1 else (1, n, 0)
+
+
+def _windowed(sweep, n):
+    """Run sweep(core, overlap) -> (result, boundary residual) on windows;
+    rerun it as one window, the sequential sweep, if the residual exceeds
+    _MAX_RESIDUAL.  Returns (result, n_windows, residual)."""
+    result, residual = sweep(_CORE, _OVERLAP)
+    if residual <= _MAX_RESIDUAL:
+        return result, _windows(n, _CORE, _OVERLAP)[0], residual
+    result, _ = sweep(n, 0)
+    return result, 1, residual
+
+
+def _forward_qr(J, q0, core, overlap, interval=1):
+    """Windowed QR sweep of a batch of cocycles J (B, n, d, d).
+
+    Returns ((Qs (B, n+1, d, d), Rs (B, n, d, d), logs (B, n, d)), residual)
+    with Qs[:, j+1] Rs[:, j] = J[:, j] Qs[:, j] and Qs[:, 0] = q0 (identity
+    by default).  Windows other than 0 start from the identity, so their
+    column signs are arbitrary; they are chained across the hand-over
+    frames (Q <- Q S, R <- S R S).  The residual is the largest mismatch of
+    aligned hand-over frames.  Rank loss raises with the global step index,
+    counted in units of `interval` steps.
+    """
+    B, n, d, _ = J.shape
+    K, core, overlap = _windows(n, core, overlap)
+    span = K * core
+    Q = np.broadcast_to(np.eye(d), (B, K, d, d)).copy()
+    if q0 is not None:
+        Q[:, 0] = q0
+    Qs = np.zeros((B, span + overlap + 1, d, d))
+    Rs = np.zeros((B, span + overlap, d, d))
+    Qs[:, 0] = Q[:, 0]
+    hand = Q
+    for t in range(core + overlap):
+        P = J[:, t:t + span:core]
+        m = P.shape[1]
+        Q[:, :m], R = _qr_pos(P @ Q[:, :m])
+        Qs[:, t + 1:t + 1 + m * core:core] = Q[:, :m]
+        Rs[:, t:t + m * core:core] = R
+        if t == overlap - 1:
+            hand = Q.copy()
+    # window k's stored values: frames k*core + overlap + 1 .. + core
+    S = np.ones((B, K, d))
+    S[:, 1:] = np.cumprod(np.where(
+        np.einsum("bkij,bkij->bkj", Q[:, :-1], hand[:, 1:]) < 0, -1.0, 1.0),
+        axis=1)
+    mismatch = Q[:, :-1] * S[:, :-1, None, :] - hand[:, 1:] * S[:, 1:, None, :]
+    residual = float(np.abs(mismatch).max(initial=0.0))
+    S = S[:, :, None]
+    Qs[:, overlap + 1:].reshape(B, K, core, d, d)[...] *= S[..., None, :]
+    Rs[:, overlap:].reshape(B, K, core, d, d)[...] *= (
+        S[..., :, None] * S[..., None, :])
+    Qs, Rs = Qs[:, :n + 1], Rs[:, :n]
+    diag = np.diagonal(Rs, axis1=-2, axis2=-1)
+    bad = ~(np.isfinite(diag) & (diag > 0.0))
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=(0, 2)))) * interval
+        raise NumericalDegeneracyError(f"QR rank loss at step {j}", step=j)
+    return (Qs, Rs, np.log(diag)), residual
+
+
+def _backward_clv(Qs, Rs, lo, hi, core, overlap):
+    """Windowed Ginelli backward pass: CLVs (B, hi - lo, d, d) at frames
+    lo .. hi - 1, and the residual of the hand-over coefficients.
+
+    Windows run down from frame n - k*core, each from the triangular
+    initial condition; the triangular coefficients keep a positive
+    diagonal, so no sign alignment is needed.
+    """
+    B, n, d, _ = Rs.shape
+    K, core, overlap = _windows(n, core, overlap)
+    span = K * core
+    # windows count steps down from the top: index u is step and frame
+    # n - 1 - u of these reversed views
+    As = np.zeros((B, n, d, d))
+    Rrev, Arev = Rs[:, ::-1], As[:, ::-1]
+    A = np.broadcast_to(np.triu(np.ones((d, d))), (B, K, d, d)).copy()
+    A = A / np.linalg.norm(A, axis=-2, keepdims=True)
+    hand = A
+    for t in range(core + overlap):
+        R = Rrev[:, t:t + span:core]
+        m = R.shape[1]
+        Am = np.linalg.solve(R, A[:, :m])
+        A[:, :m] = Am / np.linalg.norm(Am, axis=-2, keepdims=True)
+        Arev[:, t:t + m * core:core] = A[:, :m]
+        if t == overlap - 1:
+            hand = A.copy()
+    residual = float(np.abs(A[:, :-1] - hand[:, 1:]).max(initial=0.0))
+    V = As[:, lo:hi]                     # CLVs in place of their coefficients
+    V[...] = Qs[:, lo:hi] @ V
+    V /= np.linalg.norm(V, axis=-2, keepdims=True)
+    return V, residual
 
 
 def benettin_spectrum(cocycle, steps=None, reorth_interval=1, n_batches=20,
@@ -121,31 +257,14 @@ def benettin_spectrum(cocycle, steps=None, reorth_interval=1, n_batches=20,
         raise ParameterError("reorth_interval must be >= 1")
     J = cocycle.jacobians
     n = J.shape[0] if steps is None else min(steps, J.shape[0])
-    d = cocycle.dimension
     if n < reorth_interval:
         raise ParameterError("steps must be >= reorth_interval")
     P, nb = _block_products(J[:n], reorth_interval)
-    Q = np.eye(d) if q0 is None else np.array(q0, dtype=float)
-    logs = np.empty((nb, d))
-    for i in range(nb):
-        Q, R = _qr_pos(P[i] @ Q)
-        diag = np.diagonal(R)
-        if not np.all(np.isfinite(diag)) or np.any(diag <= 0.0):
-            raise NumericalDegeneracyError(
-                f"QR rank loss at step {i * reorth_interval}",
-                step=i * reorth_interval)
-        logs[i] = np.log(diag)
-    used = nb * reorth_interval
-    per_step = logs.T / reorth_interval          # (d, nb)
-    means, ses = batch_means_series(per_step[:, None, :], n_batches=n_batches)
-    order = np.argsort(means)[::-1]
-    vals = means[order]
-    errs = ses[order]
-    ex, mult, se = _group_exponents(vals, errs)
-    return LyapunovSpectrum(
-        all_exponents=vals, all_stderr=errs,
-        exponents=ex, multiplicities=mult, stderr=se,
-        n_steps=used, mean_log_det=float(logs.sum() / used))
+    q0 = None if q0 is None else np.array(q0, dtype=float)
+    (_, _, logs), n_windows, residual = _windowed(
+        lambda core, overlap: _forward_qr(P[None], q0, core, overlap,
+                                          reorth_interval), nb)
+    return _spectrum(logs, reorth_interval, n_batches, n_windows, residual)
 
 
 @dataclass
@@ -168,6 +287,14 @@ class OseledetsSplitting:
     def n_stable(self):
         return self.clvs.shape[2] - self.n_unstable
 
+    @property
+    def n_windows(self):
+        return self.spectrum.n_windows
+
+    @property
+    def boundary_residual(self):
+        return self.spectrum.boundary_residual
+
     def basis(self, which):
         """Orthonormal per-point basis of E^u ('u') or E^s ('s')."""
         if which not in self._bases:
@@ -178,39 +305,25 @@ class OseledetsSplitting:
         return self._bases[which]
 
 
-def _clv_sweep(J, warmup, q0=None):
+def _clv_sweep(J, warmup, q0=None, n_batches=20):
     """Ginelli forward/backward sweep for a batch of cocycles.
 
-    J has shape (B, n, d, d); returns (clvs (B, w, d, d), logs (B, n, d),
-    window start) with w = n + 1 - 2*warmup.
+    J has shape (B, n, d, d); returns (clvs (B, w, d, d), spectrum of the
+    pooled members, window start) with w = n + 1 - 2*warmup.  The boundary
+    residual covers both passes.
     """
     B, n, d, _ = J.shape
     if n + 1 <= 2 * warmup:
         raise ParameterError("orbit shorter than twice the CLV warmup")
-    Qs = np.empty((B, n + 1, d, d))
-    Rs = np.empty((B, n, d, d))
-    logs = np.empty((B, n, d))
-    Q = np.broadcast_to(np.eye(d), (B, d, d)).copy() if q0 is None else q0
-    Qs[:, 0] = Q
-    for j in range(n):
-        Q, R = _qr_pos(J[:, j] @ Q)
-        diag = np.diagonal(R, axis1=-2, axis2=-1)
-        if not np.all(np.isfinite(diag)) or np.any(diag <= 0.0):
-            raise NumericalDegeneracyError(f"QR rank loss at step {j}", step=j)
-        Qs[:, j + 1] = Q
-        Rs[:, j] = R
-        logs[:, j] = np.log(diag)
     lo, hi = warmup, n + 1 - warmup     # window of converged CLVs
-    clvs = np.empty((B, hi - lo, d, d))
-    A = np.broadcast_to(np.triu(np.ones((d, d))), (B, d, d)).copy()
-    A = A / np.linalg.norm(A, axis=1, keepdims=True)
-    for j in range(n - 1, -1, -1):
-        A = np.linalg.solve(Rs[:, j], A)
-        A = A / np.linalg.norm(A, axis=1, keepdims=True)
-        if lo <= j < hi:
-            V = Qs[:, j] @ A
-            clvs[:, j - lo] = V / np.linalg.norm(V, axis=1, keepdims=True)
-    return clvs, logs, lo
+
+    def sweep(core, overlap):
+        (Qs, Rs, logs), res_f = _forward_qr(J, q0, core, overlap)
+        clvs, res_b = _backward_clv(Qs, Rs, lo, hi, core, overlap)
+        return (clvs, logs), max(res_f, res_b)
+
+    (clvs, logs), n_windows, residual = _windowed(sweep, n)
+    return clvs, _spectrum(logs, 1, n_batches, n_windows, residual), lo
 
 
 def compute_clvs(cocycle, warmup=1000, eps0=None, n_batches=20):
@@ -219,15 +332,9 @@ def compute_clvs(cocycle, warmup=1000, eps0=None, n_batches=20):
     Requires a hyperbolic spectrum: raises HyperbolicityError if any exponent
     is within eps0 (default 10x its standard error) of zero.
     """
-    J = cocycle.jacobians[None]
-    clvs, logs, lo = _clv_sweep(J, warmup)
-    n = logs.shape[1]
-    means, ses = batch_means_series(logs[0].T[:, None, :], n_batches=n_batches)
-    order = np.argsort(means)[::-1]
-    vals, errs = means[order], ses[order]
-    ex, mult, se = _group_exponents(vals, errs)
-    spectrum = LyapunovSpectrum(vals, errs, ex, mult, se, n,
-                                float(logs.sum() / n))
+    clvs, spectrum, lo = _clv_sweep(cocycle.jacobians[None], warmup,
+                                    n_batches=n_batches)
+    vals = spectrum.all_exponents
     threshold = eps0 if eps0 is not None else spectrum.zero_threshold()
     if np.any(np.abs(vals) <= threshold):
         raise HyperbolicityError(
@@ -237,19 +344,6 @@ def compute_clvs(cocycle, warmup=1000, eps0=None, n_batches=20):
     return OseledetsSplitting(
         points=cocycle.orbit[lo:lo + w].copy(),
         clvs=clvs[0], n_unstable=n_unstable, offset=lo, spectrum=spectrum)
-
-
-def principal_angle(bu, bs):
-    """Minimal principal angle (radians in [0, pi/2]) between two subspaces
-    given by orthonormal column bases."""
-    bu = np.atleast_2d(np.asarray(bu, dtype=float))
-    bs = np.atleast_2d(np.asarray(bs, dtype=float))
-    if bu.shape[0] == 1:
-        bu = bu.T
-    if bs.shape[0] == 1:
-        bs = bs.T
-    s = np.linalg.svd(bu.T @ bs, compute_uv=False)
-    return float(np.arccos(np.clip(s.max(initial=0.0), 0.0, 1.0)))
 
 
 def splitting_angles(splitting):

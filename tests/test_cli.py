@@ -156,3 +156,65 @@ def test_csv_full_precision(tmp_path):
     value = float(lines[1].split(",")[1])
     spec = json.loads((out / "spectrum.json").read_text())
     assert value == spec["exponents"][0]
+
+
+FOLD_UNIFORM = {
+    "synthetic": {"sigma": {"kind": "uniform"}, "grid": 4096,
+                  "side": "one", "domain": [0.0, 1.0]},
+}
+
+
+def test_manifest_lists_only_this_runs_files(tmp_path):
+    cfg = _write_cfg(tmp_path, FOLD_UNIFORM)
+    out = tmp_path / "out"
+    assert cli.run("fold-synthetic", cfg, out) == 0
+    (out / "stale.txt").touch()
+    assert cli.run("fold-synthetic", cfg, out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = [e["path"] for e in manifest["outputs"]]
+    assert listed == ["profile.csv", "resolved_config.json", "synthetic.json"]
+
+
+@pytest.mark.parametrize("sigma", [
+    {"kind": "atoms", "positions": [0.2, 0.7]},
+    {"kind": "atoms", "positions": [0.2, 0.7], "weights": [1.0]},
+    {"kind": "uniform", "ratio": 0.3},
+    {"kind": "cantor", "weights": [1.0]},
+])
+def test_bad_sigma_is_a_config_error(tmp_path, sigma):
+    cfg = _write_cfg(tmp_path, {"synthetic": {**FOLD_UNIFORM["synthetic"],
+                                              "sigma": sigma}})
+    out = tmp_path / "out"
+    assert cli.run("fold-synthetic", cfg, out) == cli.EXIT_CONFIG
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["error_type"] == "ConfigError"
+
+
+def test_conjecture_report_carries_radius_flag(tmp_path):
+    cfg = _write_cfg(tmp_path, {
+        "seed": 2,
+        "orbit": {"transient": 200, "length": 3000, "ensemble": 4},
+        "spectrum": {"steps": 4000, "reorth_interval": 4},
+        "susceptibility": {"n_max": 8},
+        "correlation": {"n_max": 8},
+        "report": {"systems": [{"name": "cat_shear", "alpha": 0.25}]},
+    })
+    out = tmp_path / "out"
+    assert cli.run("conjecture-report", cfg, out) == 0
+    row = json.loads((out / "report.json").read_text())["systems"][0]
+    assert "radius_flag" in row
+    assert row["radius_flag"] in (None, "lower-bound-tail-below-noise",
+                                  "noise-dominated", "zero-series")
+
+
+@pytest.mark.parametrize("subcommand,payload", [
+    ("conjecture-report", {"report": {"systems": [{"name": "cat_shear"}]}}),
+    ("tangency", {"system": {"name": "henon"}, "alpha": 1.4,
+                  "tangency": {"frame": {"direction": [1.0, 0.0]}}}),
+])
+def test_incomplete_entries_are_config_errors(tmp_path, subcommand, payload):
+    cfg = _write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.run(subcommand, cfg, out) == cli.EXIT_CONFIG
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["error_type"] == "ConfigError"

@@ -36,6 +36,11 @@ def test_type_errors_rejected():
         ExperimentConfig({"alpha": "big"})
     with pytest.raises(ConfigError, match="orbit.length must be of type"):
         ExperimentConfig({"orbit": {"length": "100"}})
+    # bool subclasses int; the schema must still refuse it
+    with pytest.raises(ConfigError, match="seed must be of type int"):
+        ExperimentConfig({"seed": True})
+    with pytest.raises(ConfigError, match="synthetic.grid must be of type"):
+        ExperimentConfig({"synthetic": {"grid": True}})
 
 
 def test_system_params_free_form():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from srblab import maps, tangent
-from srblab.errors import HyperbolicityError, ParameterError
+from srblab import maps, measure, tangent
+from srblab.errors import (HyperbolicityError, NumericalDegeneracyError,
+                           ParameterError)
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
 CAT_LAMBDA = np.log((3.0 + np.sqrt(5.0)) / 2.0)
@@ -146,3 +147,114 @@ def test_unstable_segment_rejects_bad_width(henon_family, henon_splitting):
     with pytest.raises(ParameterError):
         tangent.unstable_segment(henon_family, 1.4, sp.points[0],
                                  sp.clvs[0][:, 0], half_width=0.0, refine=8)
+
+
+# The windowed sweeps against their one-window run, which is the sequential
+# sweep: a core longer than any orbit leaves a single window.
+
+
+def _one_window(monkeypatch, fn, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(tangent, "_CORE", 10**9)
+        return fn(*args, **kwargs)
+
+
+def _assert_same_spectrum(a, b):
+    for name in ("all_exponents", "all_stderr", "exponents", "stderr"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.mean_log_det == b.mean_log_det
+    assert a.n_steps == b.n_steps
+
+
+def test_windowed_clvs_bitwise_on_henon(monkeypatch, henon_family,
+                                        henon_orbit):
+    # det Df = -0.3: windows started from the identity come out with flipped
+    # column signs, which the alignment must undo exactly
+    coc = tangent.TangentCocycle.from_orbit(henon_family, 1.4,
+                                            henon_orbit[:30_001])
+    windowed = tangent.compute_clvs(coc, warmup=1000)
+    single = _one_window(monkeypatch, tangent.compute_clvs, coc, warmup=1000)
+    assert windowed.n_windows > 100 and single.n_windows == 1
+    assert windowed.boundary_residual == 0.0
+    assert np.array_equal(windowed.clvs, single.clvs)
+    _assert_same_spectrum(windowed.spectrum, single.spectrum)
+
+
+def test_windowed_batched_sweep_bitwise_on_cat_shear(monkeypatch):
+    fam = maps.get_family("cat_shear")
+    emp = measure.srb_sample(fam, 0.25, transient=200, length=6000,
+                             ensemble=16, seed=5)
+    J = fam.jacobian(0.25, emp.orbits[:, :-1])
+    clvs, spec, lo = tangent._clv_sweep(J, 500)
+    clvs1, spec1, lo1 = _one_window(monkeypatch, tangent._clv_sweep, J, 500)
+    assert J.shape[0] == 16 and spec.n_windows > 1 and lo == lo1
+    assert np.array_equal(clvs, clvs1)
+    _assert_same_spectrum(spec, spec1)
+
+
+@pytest.mark.parametrize("reorth_interval", [1, 8])
+def test_windowed_benettin_bitwise(monkeypatch, reorth_interval):
+    _, _, coc = _cat_cocycle(20_000, alpha=0.2, name="cat_shear")
+    a = tangent.benettin_spectrum(coc, reorth_interval=reorth_interval)
+    b = _one_window(monkeypatch, tangent.benettin_spectrum, coc,
+                    reorth_interval=reorth_interval)
+    assert a.n_windows > 1 and b.n_windows == 1
+    _assert_same_spectrum(a, b)
+
+
+def test_q0_seeds_first_window(monkeypatch):
+    _, _, coc = _cat_cocycle(20_000, alpha=0.2, name="cat_shear")
+    q0, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))
+    a = tangent.benettin_spectrum(coc, q0=q0)
+    b = _one_window(monkeypatch, tangent.benettin_spectrum, coc, q0=q0)
+    _assert_same_spectrum(a, b)
+    # the seed enters through window 0 only, but it does enter
+    c = tangent.benettin_spectrum(coc)
+    assert not np.array_equal(a.all_exponents, c.all_exponents)
+    (Qs, Rs, _), _ = tangent._forward_qr(coc.jacobians[None], q0, 256, 64)
+    assert np.array_equal(Qs[0, 0], q0)
+    assert np.allclose(Qs[0, 1] @ Rs[0, 0], coc.jacobians[0] @ q0)
+
+
+@pytest.mark.parametrize("steps", [300, 321, 5077])
+def test_windowed_sweep_any_length(monkeypatch, steps):
+    # 300 fits one window; 321 leaves the second window a single step
+    _, _, coc = _cat_cocycle(6000, alpha=0.2, name="cat_shear")
+    a = tangent.benettin_spectrum(coc, steps=steps)
+    b = _one_window(monkeypatch, tangent.benettin_spectrum, coc, steps=steps)
+    assert a.n_steps == steps
+    _assert_same_spectrum(a, b)
+    J = coc.jacobians[None, :steps]
+    clvs, spec, _ = tangent._clv_sweep(J, 100)
+    clvs1, spec1, _ = _one_window(monkeypatch, tangent._clv_sweep, J, 100)
+    assert np.array_equal(clvs, clvs1)
+    _assert_same_spectrum(spec, spec1)
+
+
+def test_window_fallback_on_near_integrable_map(monkeypatch):
+    fam = maps.get_family("standard_map")
+    orbit = maps.iterate(fam, 0.05, np.array([0.38, 0.12]), 20_000)
+    coc = tangent.TangentCocycle.from_orbit(fam, 0.05, orbit)
+    spec = tangent.benettin_spectrum(coc)
+    # frames do not converge across the overlap: rerun as one window
+    assert spec.boundary_residual > tangent._MAX_RESIDUAL
+    assert spec.n_windows == 1
+    _assert_same_spectrum(spec, _one_window(
+        monkeypatch, tangent.benettin_spectrum, coc))
+    _, sweep_spec, _ = tangent._clv_sweep(coc.jacobians[None], 500)
+    assert sweep_spec.n_windows == 1
+    assert sweep_spec.boundary_residual > tangent._MAX_RESIDUAL
+
+
+@pytest.mark.parametrize("reorth_interval", [1, 4])
+def test_rank_loss_reports_global_step(reorth_interval):
+    _, orbit, coc = _cat_cocycle(4000)
+    J = coc.jacobians.copy()
+    J[1000] = 0.0                        # inside the fourth window's core
+    bad = tangent.TangentCocycle(orbit, J)
+    with pytest.raises(NumericalDegeneracyError) as exc:
+        tangent.benettin_spectrum(bad, reorth_interval=reorth_interval)
+    assert exc.value.step == 1000
+    with pytest.raises(NumericalDegeneracyError) as exc:
+        tangent.compute_clvs(bad, warmup=500)
+    assert exc.value.step == 1000
