@@ -302,7 +302,6 @@ def cmd_split(cfg, outdir):
     sp = cfg.get("split")
     result = response.stable_unstable_split(
         emp, field, phi, sp["n_max"], clv_warmup=cfg.get("clv.warmup"),
-        backsteps=sp["backsteps"], final_halfwidth=sp["final_halfwidth"],
         angle_threshold=sp["angle_threshold"])
     sig = result.reconstruction_sigma()
     rows = []
@@ -480,14 +479,17 @@ COMMANDS = {
 
 
 def run(subcommand, config_path, output_dir=None):
-    """Run one subcommand; returns the exit code."""
+    """Run one subcommand; returns the exit code.
+
+    diagnostics.json goes to the run's output directory, or to out/ if the
+    config did not load and no directory was given."""
+    outpath = output_dir or os.environ.get("SRBLAB_OUTPUT_DIR")
     try:
         if subcommand not in COMMANDS:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
         cfg = ExperimentConfig.load(config_path)
-        outdir = OutputDir(output_dir
-                           or os.environ.get("SRBLAB_OUTPUT_DIR")
-                           or cfg.get("output_dir"))
+        outpath = outpath or cfg.get("output_dir")
+        outdir = OutputDir(outpath)
         cfg.dump_resolved(outdir / "resolved_config.json")
         counts = COMMANDS[subcommand](cfg, outdir)
     except SrbLabError as exc:
@@ -499,8 +501,7 @@ def run(subcommand, config_path, output_dir=None):
         diag = {"error_type": type(exc).__name__, "message": str(exc),
                 "subcommand": subcommand}
         try:
-            outdir = Path(output_dir
-                          or os.environ.get("SRBLAB_OUTPUT_DIR") or "out")
+            outdir = Path(outpath or "out")
             outdir.mkdir(parents=True, exist_ok=True)
             write_json(outdir / "diagnostics.json", diag)
         except OSError:

@@ -29,9 +29,7 @@ SCHEMA = {
     "susceptibility": {"n_max": int},
     "radius": {"method": str},
     "response": {"h": (int, float), "richardson": bool},
-    "split": {"n_max": int, "backsteps": int,
-              "final_halfwidth": (int, float),
-              "angle_threshold": (int, float)},
+    "split": {"n_max": int, "angle_threshold": (int, float)},
     "tangency": {"angle_threshold": (int, float),
                  "cluster_radius": (int, float),
                  "bandwidth": (int, float),
@@ -55,8 +53,7 @@ DEFAULTS = {
     "susceptibility": {"n_max": 12},
     "radius": {"method": "root-test"},
     "response": {"h": 0.05, "richardson": False},
-    "split": {"n_max": 10, "backsteps": 15, "final_halfwidth": 1e-4,
-              "angle_threshold": 1e-3},
+    "split": {"n_max": 10, "angle_threshold": 1e-3},
     "tangency": {"angle_threshold": 0.01, "cluster_radius": 0.02,
                  "bandwidth": 0.01, "min_projection_angle": 1e-3},
     "synthetic": {"grid": 8192, "side": "two", "domain": [0.0, 1.0]},

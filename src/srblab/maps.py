@@ -71,7 +71,10 @@ class MapFamily:
 
     step, jacobian and param_derivative take (alpha, x) with x of shape
     (..., d).  inverse, when present, satisfies step(alpha, inverse(alpha, y))
-    == y to 1e-10.
+    == y to 1e-10.  hessian(alpha, x, a, b), when present, is the second
+    derivative D^2 f(x)[a, b] of shape (..., d), and param_jacobian(alpha, x)
+    the mixed derivative d/dalpha Df(x) of shape (..., d, d); the
+    stable/unstable split needs both.
     """
 
     name: str
@@ -84,6 +87,8 @@ class MapFamily:
     volume_preserving: bool = False
     escape_radius: float = 100.0
     params: dict = field(default_factory=dict)
+    hessian: Optional[Callable] = None
+    param_jacobian: Optional[Callable] = None
 
     def escaped(self, x):
         """Boolean mask over leading dims: non-finite or out of the basin."""
@@ -144,6 +149,18 @@ CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
 CAT_INV = np.array([[1.0, -1.0], [-1.0, 2.0]])
 
 
+def _vectors(x, a, b):
+    """Zero vectors over the broadcast leading shape of x, a and b."""
+    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a),
+                                        np.shape(b)))
+
+
+def _matrices(x):
+    """Zero (d, d) matrices over the leading shape of the points x."""
+    x = np.asarray(x)
+    return np.zeros(x.shape + x.shape[-1:])
+
+
 def cat_translate(v=(1.0, 0.0)):
     """Arnold cat map composed with a translation alpha*v on the 2-torus.
 
@@ -166,8 +183,15 @@ def cat_translate(v=(1.0, 0.0)):
     def inverse(a, y):
         return chart.reduce((np.asarray(y) - a * v) @ CAT_INV.T)
 
+    def hessian(a, x, u, w):
+        return _vectors(x, u, w)
+
+    def d_jac(a, x):
+        return _matrices(x)
+
     return MapFamily("cat_translate", 2, chart, step, jac, d_alpha, inverse,
-                     volume_preserving=True, params={"v": tuple(v)})
+                     volume_preserving=True, params={"v": tuple(v)},
+                     hessian=hessian, param_jacobian=d_jac)
 
 
 def cat_shear():
@@ -205,7 +229,21 @@ def cat_shear():
             x = x_new
         return x
 
-    return MapFamily("cat_shear", 2, chart, step, jac, d_alpha, inverse)
+    def hessian(a, x, u, w):
+        x, u, w = np.asarray(x), np.asarray(u), np.asarray(w)
+        out = _vectors(x, u, w)
+        out[..., 0] = (-TWO_PI * a * np.sin(TWO_PI * x[..., 1])
+                       * u[..., 1] * w[..., 1])
+        return out
+
+    def d_jac(a, x):
+        x = np.asarray(x)
+        out = _matrices(x)
+        out[..., 0, 1] = np.cos(TWO_PI * x[..., 1])
+        return out
+
+    return MapFamily("cat_shear", 2, chart, step, jac, d_alpha, inverse,
+                     hessian=hessian, param_jacobian=d_jac)
 
 
 def henon(b=0.3):
@@ -240,8 +278,20 @@ def henon(b=0.3):
         out[..., 1] = y[..., 0] - 1.0 + a * (y[..., 1] / b) ** 2
         return out
 
+    def hessian(a, x, u, w):
+        u, w = np.asarray(u), np.asarray(w)
+        out = _vectors(x, u, w)
+        out[..., 0] = -2.0 * a * u[..., 0] * w[..., 0]
+        return out
+
+    def d_jac(a, x):
+        x = np.asarray(x)
+        out = _matrices(x)
+        out[..., 0, 0] = -2.0 * x[..., 0]
+        return out
+
     return MapFamily("henon", 2, chart, step, jac, d_alpha, inverse,
-                     params={"b": b})
+                     params={"b": b}, hessian=hessian, param_jacobian=d_jac)
 
 
 def standard_map():
@@ -280,8 +330,24 @@ def standard_map():
         p = y[..., 0] - a / TWO_PI * np.sin(TWO_PI * t)
         return chart.reduce(np.stack([p, t], axis=-1))
 
+    def hessian(a, x, u, w):
+        x, u, w = np.asarray(x), np.asarray(u), np.asarray(w)
+        out = _vectors(x, u, w)
+        out[...] = (-TWO_PI * a * np.sin(TWO_PI * x[..., 1])
+                    * u[..., 1] * w[..., 1])[..., None]
+        return out
+
+    def d_jac(a, x):
+        x = np.asarray(x)
+        out = _matrices(x)
+        c = np.cos(TWO_PI * x[..., 1])
+        out[..., 0, 1] = c
+        out[..., 1, 1] = c
+        return out
+
     return MapFamily("standard_map", 2, chart, step, jac, d_alpha, inverse,
-                     volume_preserving=True)
+                     volume_preserving=True, hessian=hessian,
+                     param_jacobian=d_jac)
 
 
 def coupled_henon(b=0.3, c=0.3):

@@ -11,11 +11,12 @@ from typing import Optional
 import numpy as np
 
 from . import measure as measure_mod
-from .errors import (InsufficientDataError, ParameterError,
-                     UnsupportedDimensionError)
+from .errors import (InsufficientDataError, NumericalDegeneracyError,
+                     ParameterError, UnsupportedDimensionError)
+from .maps import PerturbationField
 from .pade import robust_pade
 from .stats import batch_means, linear_fit, masked_batch_means
-from .tangent import _clv_sweep
+from .tangent import _OVERLAP, _affine_recurrence, _clv_sweep
 
 
 @dataclass
@@ -43,6 +44,19 @@ def _contributions_mean(c, mask, n_batches):
     return masked_batch_means(c, mask, n_batches=n_batches)
 
 
+def _matvec(J, V):
+    """J @ V over leading axes, one row at a time: einsum is slow on strided
+    slices, and this adds the terms in the same order with temporaries of
+    one row."""
+    out = np.empty(V.shape)
+    for a in range(V.shape[-1]):
+        row = out[..., a]
+        np.multiply(J[..., a, 0], V[..., 0], out=row)
+        for b in range(1, V.shape[-1]):
+            row += J[..., a, b] * V[..., b]
+    return out
+
+
 def _kappa_series(jacobians, V0, grads, N, j0, mask=None, n_batches=25):
     """Cocycle-propagated series: coefficient n is the average over samples
     of V0(x_j) . (T_{x_j} f^n)^T grad(x_{j+n}), with V0 given at orbit
@@ -55,7 +69,7 @@ def _kappa_series(jacobians, V0, grads, N, j0, mask=None, n_batches=25):
     truncated_at = None
     for n in range(N + 1):
         if n > 0:
-            V = np.einsum("msab,msb->msa", jacobians[:, j0 + n - 1:j0 + n - 1 + S], V)
+            V = _matvec(jacobians[:, j0 + n - 1:j0 + n - 1 + S], V)
             if not np.all(np.isfinite(V)) or np.abs(V).max() > 1e150:
                 truncated_at = n
                 coeffs = coeffs[:n]
@@ -460,85 +474,89 @@ class SplitResult:
         return np.abs(diff) / np.where(den > 0, den, np.inf)
 
 
-def stable_unstable_split(measure, X, obs, N, clv_warmup=1000, backsteps=15,
-                          final_halfwidth=1e-4, angle_threshold=1e-3,
-                          n_batches=25):
+def stable_unstable_split(measure, X, obs, N, clv_warmup=1000,
+                          angle_threshold=1e-3, n_batches=25):
     """Decompose the susceptibility series along X = X^s + X^u.
 
-    The stable term propagates X^s through the cocycle; the unstable term is
-    -rho(div^u X^u . phi o f^n) with div^u estimated by differencing the
-    unstable component of X along a short pushed-forward unstable segment
-    through each sample point (the pushforward parametrization carries the
-    natural conditional measure, so the estimate includes the density factor).
-    Near-tangency points (angle below angle_threshold) are excluded and the
-    excluded mass reported.
+    X must be the family's PerturbationField.  The stable term propagates
+    X^s through the cocycle; the unstable term is -rho(div^u X^u . phi o f^n)
+    with div^u X^u = d_v u + u g, where X^u = u v along the unit unstable
+    CLV v and g is the log-derivative of the conditional SRB density along
+    v.  Both come from the recurrences of _manifold_recurrences along the
+    orbit, using the family's analytic second derivatives; no point is
+    pushed forward.  Samples are the frames of the converged CLV window;
+    the CLVs reach one window overlap further on each side, over which the
+    recurrences converge.  Near-tangency points (angle below
+    angle_threshold) are excluded and the excluded mass reported.
     """
     family = measure.family
     alpha = measure.alpha
+    if not (isinstance(X, PerturbationField) and X.alpha == alpha
+            and X.family.name == family.name):
+        raise ParameterError(
+            "the split needs the PerturbationField of the sampled family "
+            "and alpha")
+    if family.hessian is None or family.param_jacobian is None:
+        raise ParameterError(
+            f"family {family.name} has no hessian/param_jacobian")
     orbits = measure.orbits
     m, L, d = orbits.shape
     if d != 2:
         raise UnsupportedDimensionError(
             "stable/unstable split implemented for 2-dimensional phase space")
     jac = family.jacobian(alpha, orbits[:, :-1])
-    clvs, spectrum, lo = _clv_sweep(jac, warmup=clv_warmup)
+    clvs, spectrum, lo = _clv_sweep(
+        jac, warmup=clv_warmup - min(_OVERLAP, clv_warmup))
     n_unstable = int(np.sum(spectrum.all_exponents > 0))
     if n_unstable != 1:
         raise UnsupportedDimensionError(
             f"split requires one unstable direction, found {n_unstable}")
     w = clvs.shape[1]
-    e_u = clvs[:, :, :, 0]
-    e_s = clvs[:, :, :, 1]
-    # sample orbit indices: CLVs available at [lo, lo+w), need backsteps of
-    # CLV history behind each sample and N steps of orbit ahead
-    j_lo = lo + backsteps
-    j_hi = min(lo + w - 1, L - 1 - N)
+    j_lo = lo + _OVERLAP
+    j_hi = min(lo + w - _OVERLAP, L - 1 - N)
     if j_hi - j_lo < 10 * n_batches:
         raise InsufficientDataError("orbit too short for split estimation")
-    js = np.arange(j_lo, j_hi)
-    S = js.size
-    widx = js - lo
+    S = j_hi - j_lo
+    frames = slice(j_lo - lo, j_hi - lo)
+    prev = slice(j_lo - lo - 1, j_hi - lo - 1)
 
-    Xall = X.along_orbit(orbits)                    # X at orbit index 1..L-1
-    Xj = Xall[:, js - 1]                            # (m, S, 2)
-    eu = e_u[:, widx]
-    es = e_s[:, widx]
-    det = eu[..., 0] * es[..., 1] - eu[..., 1] * es[..., 0]
-    angles = np.arccos(np.clip(np.abs(np.einsum("msd,msd->ms", eu, es)),
-                               0.0, 1.0))
+    V, E = clvs[..., 0], clvs[..., 1]
+    xs = orbits[:, lo:lo + w - 1]
+    r, k, g, b = _manifold_recurrences(family, alpha, xs,
+                                       jac[:, lo:lo + w - 1], V, E)
+    Xj = X.along_orbit(orbits)[:, j_lo - 1:j_hi - 1]     # X at x_j
+    eu, es = V[:, frames], E[:, frames]
+    det = _cross(eu, es)
+    angles = np.arccos(np.clip(np.abs(_dot(eu, es)), 0.0, 1.0))
     mask = angles >= angle_threshold
     excluded = 1.0 - mask.mean()
-    u = (Xj[..., 0] * es[..., 1] - Xj[..., 1] * es[..., 0]) / det
-    wcoef = (eu[..., 0] * Xj[..., 1] - eu[..., 1] * Xj[..., 0]) / det
-    Xs = wcoef[..., None] * es
+    u = _cross(Xj, es) / det
+    Xs = (_cross(eu, Xj) / det)[..., None] * es
+    # d_v X(x_j) = d_alpha Df(x_{j-1}) v_{j-1} / r_{j-1}; with p = rot90(e),
+    # d_v u = (d_v X x e + b X.e + u (k - b) v.e) / (v x e) from
+    # n x e = -v.e, v x p = v.e and X x p = X.e
+    dX = _matvec(family.param_jacobian(alpha, xs[:, prev]),
+                 V[:, prev]) / r[:, prev, None]
+    kj, bj = k[:, frames], b[:, frames]
+    du = (_cross(dX, es) + bj * _dot(Xj, es)
+          + u * (kj - bj) * _dot(eu, es)) / det
+    div_u = du + u * g[:, frames]
+    if not np.all(np.isfinite(div_u[mask])):
+        raise NumericalDegeneracyError("non-finite unstable divergence")
 
     grads = obs.gradient(orbits)
+    direct_c, direct_e, trunc_d = _kappa_series(jac, Xj, grads, N, j_lo,
+                                                mask, n_batches)
+    stable_c, stable_e, trunc_s = _kappa_series(jac, Xs, grads, N, j_lo,
+                                                mask, n_batches)
+    if trunc_d is not None or trunc_s is not None:
+        raise NumericalDegeneracyError(
+            "tangent vectors overflowed in the split's cocycle propagation")
     phiv = obs.value(orbits)
-
-    # direct and stable series on the identical (masked) sample set
-    def masked_series(V0):
-        V = np.array(V0)
-        coeffs = np.empty(N + 1)
-        errs = np.empty(N + 1)
-        for n in range(N + 1):
-            if n > 0:
-                V = np.einsum("msab,msb->msa",
-                              jac[np.arange(m)[:, None], js + n - 1], V)
-            c = np.einsum("msd,msd->ms", V,
-                          grads[np.arange(m)[:, None], js + n])
-            coeffs[n], errs[n] = masked_batch_means(c, mask,
-                                                    n_batches=n_batches)
-        return coeffs, errs
-
-    direct_c, direct_e = masked_series(Xj)
-    stable_c, stable_e = masked_series(Xs)
-
-    div_u = _unstable_divergence(family, alpha, orbits, jac, clvs, lo, js,
-                                 e_s, backsteps, final_halfwidth)
     unst_c = np.empty(N + 1)
     unst_e = np.empty(N + 1)
     for n in range(N + 1):
-        c = -div_u * phiv[np.arange(m)[:, None], js + n]
+        c = -div_u * phiv[:, j_lo + n:j_lo + n + S]
         unst_c[n], unst_e[n] = masked_batch_means(c, mask, n_batches=n_batches)
 
     meta = {"system": family.name, "alpha": alpha, "observable": obs.name,
@@ -552,76 +570,53 @@ def stable_unstable_split(measure, X, obs, N, clv_warmup=1000, backsteps=15,
         min_angle=float(angles.min()))
 
 
-def _unstable_divergence(family, alpha, orbits, jac, clvs, lo, js, e_s,
-                         backsteps, final_halfwidth):
-    """div^u X^u at the sample points js.
+def _dot(a, b):
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
-    Seeds five points along the unstable direction at the preimage
-    f^{-backsteps}(x_j), pushes them forward, and differences the unstable
-    component of X divided by the pushforward stretching (the natural-measure
-    density along the segment).
+
+def _cross(a, b):
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _rot90(a):
+    return np.stack([-a[..., 1], a[..., 0]], axis=-1)
+
+
+def _manifold_recurrences(family, alpha, xs, J, V, E):
+    """Geometry of the unstable manifolds along a 2-D orbit, from its unit
+    CLVs V (unstable) and E (stable), shape (m, w, 2), the points xs and
+    jacobians J at frames 0 .. w-2 and the family's hessian H = D^2 f.
+
+    With n = rot90(v), p = rot90(e), r_j = v_{j+1}.J_j v_j and
+    s_j = e_{j+1}.J_j e_j, returns (r (m, w-1), k, g, b (m, w)):
+      curvature, dv/dv = k n:
+        k_{j+1} = n_{j+1}.(H_j[v_j, v_j] + k_j J_j n_j) / r_j^2
+      log-derivative of the conditional SRB density along v:
+        g_{j+1} = (g_j - r'_j / r_j) / r_j,
+        r'_j = v_{j+1}.(H_j[v_j, v_j] + k_j J_j n_j)
+      turn of the stable direction, de/dv = b p:
+        b_j = p_j.J_j^-1 (s_j r_j b_{j+1} p_{j+1} - H_j[v_j, e_j])
+    (Chandramoorthy & Wang, SIAM J. Appl. Dyn. Syst. 21, 2022).  Each is a
+    scalar affine recurrence that contracts on average, k and g forward
+    from frame 0 and b backward from frame w-1; values within one window
+    overlap of the start have not converged.
     """
-    m, L, d = orbits.shape
-    S = js.size
-    e_u = clvs[:, :, :, 0]
-    # per-step unstable stretch factors on the CLV window
-    w = clvs.shape[1]
-    Ju = np.einsum("mwab,mwb->mwa", jac[:, lo:lo + w - 1], e_u[:, :w - 1])
-    log_ru = np.log(np.linalg.norm(Ju, axis=-1))          # (m, w-1)
-    cum = np.concatenate([np.zeros((m, 1)), np.cumsum(log_ru, axis=1)], axis=1)
-    widx = js - lo
-    # total stretch over [j - backsteps, j - 1]
-    stretch = cum[:, widx] - cum[:, widx - backsteps]
-    delta = final_halfwidth * np.exp(-stretch)            # (m, S)
-
-    base = orbits[np.arange(m)[:, None], js - backsteps]  # (m, S, 2)
-    eub = e_u[:, widx - backsteps]
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    seeds = base[:, :, None, :] + (offsets[None, None, :, None]
-                                   * delta[..., None, None] * eub[:, :, None, :])
-    pts = family.chart.reduce(seeds.reshape(-1, d))
-    prev = None
-    for _ in range(backsteps):
-        prev = pts
-        pts = family.step(alpha, pts)
-    Xfin = family.param_derivative(alpha, prev).reshape(m, S, 5, d)
-    gamma = pts.reshape(m, S, 5, d)
-    # tangent (d gamma / d parameter) at the +/-1 nodes by central difference
-    tan = family.chart.difference(gamma[:, :, 2:, :], gamma[:, :, :-2, :])
-    dgam = tan / (2.0 * delta[..., None, None])           # at nodes -1, 0, +1
-    speed = np.linalg.norm(dgam, axis=-1)                 # (m, S, 3)
-    tu = dgam / speed[..., None]
-    # stable directions at the +/-1 nodes themselves: the splitting varies
-    # along the curve, and freezing e_s at the center biases the derivative
-    es_nodes = _stable_at(family, alpha, gamma[:, :, (1, 3), :], backsteps)
-    g = np.empty((m, S, 2))
-    # (gamma node, tangent node) pairs for the -1 and +1 offsets
-    for k, (gnode, tnode) in enumerate(((1, 0), (3, 2))):
-        tun = tu[:, :, tnode]
-        Xn = Xfin[:, :, gnode]
-        esn = es_nodes[:, :, k]
-        det = tun[..., 0] * esn[..., 1] - tun[..., 1] * esn[..., 0]
-        un = (Xn[..., 0] * esn[..., 1] - Xn[..., 1] * esn[..., 0]) / det
-        g[:, :, k] = un / speed[:, :, tnode]
-    return (g[:, :, 1] - g[:, :, 0]) / (2.0 * delta)
-
-
-def _stable_at(family, alpha, points, n_steps):
-    """Unit stable directions at arbitrary points by backward alignment: a
-    generic covector pulled through the inverse transposed cocycle over the
-    next n_steps forward iterates converges onto E^s."""
-    shape = points.shape
-    q = points.reshape(-1, shape[-1])
-    jacs = []
-    for _ in range(n_steps):
-        jacs.append(family.jacobian(alpha, q))
-        q = family.chart.reduce(family.step(alpha, q))
-    w = np.broadcast_to(np.array([0.31622776601683794, 0.9486832980505138]),
-                        (q.shape[0], 2)).copy()
-    for J in reversed(jacs):
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        w = np.stack([(J[:, 1, 1] * w[:, 0] - J[:, 0, 1] * w[:, 1]) / det,
-                      (-J[:, 1, 0] * w[:, 0] + J[:, 0, 0] * w[:, 1]) / det],
-                     axis=-1)
-        w /= np.linalg.norm(w, axis=-1, keepdims=True)
-    return w.reshape(shape)
+    Nv, P = _rot90(V), _rot90(E)
+    Vj, Ej, Nj, Pj = V[:, :-1], E[:, :-1], Nv[:, :-1], P[:, :-1]
+    JN = _matvec(J, Nj)
+    r = _dot(V[:, 1:], _matvec(J, Vj))
+    s = _dot(E[:, 1:], _matvec(J, Ej))
+    Hvv = family.hessian(alpha, xs, Vj, Vj)
+    k = _affine_recurrence(_dot(Nv[:, 1:], JN) / r**2,
+                           _dot(Nv[:, 1:], Hvv) / r**2)
+    dr = _dot(V[:, 1:], Hvv + k[:, :-1, None] * JN)
+    g = _affine_recurrence(1.0 / r, -dr / r**2)
+    # p_j.J_j^-1 y = q_j.y with q_j = J_j^-T p_j
+    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    q = np.stack([J[..., 1, 1] * Pj[..., 0] - J[..., 1, 0] * Pj[..., 1],
+                  J[..., 0, 0] * Pj[..., 1] - J[..., 0, 1] * Pj[..., 0]],
+                 axis=-1) / detJ[..., None]
+    Hve = family.hessian(alpha, xs, Vj, Ej)
+    b = _affine_recurrence((s * r * _dot(q, P[:, 1:]))[:, ::-1],
+                           -_dot(q, Hve)[:, ::-1])[:, ::-1]
+    return r, k, g, b

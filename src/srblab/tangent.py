@@ -164,6 +164,39 @@ def _windowed(sweep, n):
     return result, 1, residual
 
 
+def _affine_recurrence(c, d):
+    """y (B, n+1) with y[:, 0] = 0 and y[:, t+1] = c[:, t] y[:, t] + d[:, t]
+    for coefficients c, d of shape (B, n).
+
+    A contracting recurrence forgets its start like a QR frame, so it runs
+    on the windows of _forward_qr, each from 0, and is rerun as one window
+    when the mismatch of hand-over values, relative to the largest |y|,
+    exceeds _MAX_RESIDUAL.  Values within _OVERLAP steps of the start have
+    not converged.
+    """
+    B, n = c.shape
+
+    def sweep(core, overlap):
+        K, core, overlap = _windows(n, core, overlap)
+        span = K * core
+        y = np.zeros((B, K))
+        ys = np.zeros((B, span + overlap + 1))
+        hand = y
+        for t in range(core + overlap):
+            ct, dt = c[:, t:t + span:core], d[:, t:t + span:core]
+            m = ct.shape[1]
+            y[:, :m] = ct * y[:, :m] + dt
+            ys[:, t + 1:t + 1 + m * core:core] = y[:, :m]
+            if t == overlap - 1:
+                hand = y.copy()
+        ys = ys[:, :n + 1]
+        scale = np.abs(ys).max(initial=0.0)
+        mismatch = np.abs(y[:, :-1] - hand[:, 1:]).max(initial=0.0)
+        return ys, (mismatch / scale if scale > 0 else mismatch)
+
+    return _windowed(sweep, n)[0]
+
+
 def _forward_qr(J, q0, core, overlap, interval=1):
     """Windowed QR sweep of a batch of cocycles J (B, n, d, d).
 

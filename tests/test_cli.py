@@ -124,6 +124,21 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert (target / "manifest.json").exists()
 
 
+def test_diagnostics_follow_config_output_dir(tmp_path, monkeypatch):
+    monkeypatch.delenv("SRBLAB_OUTPUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "from_config"
+    cfg = _write_cfg(tmp_path, {
+        "output_dir": str(target),
+        "synthetic": {"sigma": {"kind": "atoms", "positions": [0.5]}},
+    })
+    assert cli.run("fold-synthetic", cfg) == cli.EXIT_CONFIG
+    assert (target / "resolved_config.json").exists()
+    diag = json.loads((target / "diagnostics.json").read_text())
+    assert diag["error_type"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
+
+
 def test_fold_synthetic_pipeline(tmp_path):
     cfg = _write_cfg(tmp_path, {
         "synthetic": {"sigma": {"kind": "uniform"}, "grid": 4096,

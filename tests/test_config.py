@@ -90,3 +90,9 @@ def test_resolved_is_a_deep_copy():
     cfg = ExperimentConfig({})
     cfg.resolved()["orbit"]["length"] = -1
     assert cfg.get("orbit.length") == DEFAULTS["orbit"]["length"]
+
+
+@pytest.mark.parametrize("key", ["backsteps", "final_halfwidth"])
+def test_removed_split_keys_rejected(key):
+    with pytest.raises(ConfigError, match=f"split.{key}"):
+        ExperimentConfig({"split": {key: 15}})

@@ -48,6 +48,27 @@ def test_param_derivative_matches_finite_differences(name):
     assert np.abs(X - fd).max() < 1e-5
 
 
+@pytest.mark.parametrize("name", sorted(set(ALPHAS) - {"coupled_henon"}))
+def test_second_derivatives_match_finite_differences(name):
+    """hessian is D^2 f[a, b] and param_jacobian d/dalpha Df, both against
+    central differences of the jacobian."""
+    fam = maps.get_family(name)
+    alpha = ALPHAS[name]
+    rng = np.random.default_rng(12)
+    pts = _random_points(fam, rng, 50)
+    a, b = rng.standard_normal((2, 50, 2))
+    h = 1e-5
+    H = fam.hessian(alpha, pts, a, b)
+    dJ = fam.jacobian(alpha, pts + h * b) - fam.jacobian(alpha, pts - h * b)
+    fd = np.einsum("sij,sj->si", dJ, a) / (2 * h)
+    assert H.shape == pts.shape
+    assert np.abs(H - fd).max() <= 1e-6 * np.abs(fd).max()
+    dJa = fam.param_jacobian(alpha, pts)
+    fd = (fam.jacobian(alpha + h, pts) - fam.jacobian(alpha - h, pts)) / (2 * h)
+    assert dJa.shape == pts.shape + (2,)
+    assert np.abs(dJa - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
 @pytest.mark.parametrize("name", sorted(ALPHAS))
 def test_inverse_roundtrip(name):
     fam = maps.get_family(name)

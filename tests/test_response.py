@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srblab import maps, measure, response
-from srblab.errors import InsufficientDataError, ParameterError
+from srblab import maps, measure, response, tangent
+from srblab.errors import (InsufficientDataError, NumericalDegeneracyError,
+                           ParameterError)
 from srblab.response import SusceptibilitySeries
 
 
@@ -248,3 +251,145 @@ def test_split_unstable_divergence_vanishes_for_translate():
     res = response.stable_unstable_split(emp, X, phi, 6)
     # constant field, linear map: the unstable divergence term is zero
     assert np.abs(res.unstable.coeffs).max() < 1e-4
+
+
+@pytest.fixture(scope="module")
+def small_catshear():
+    fam = maps.get_family("cat_shear")
+    emp = measure.srb_sample(fam, 0.25, transient=300, length=3000,
+                             ensemble=2, seed=4)
+    return fam, emp
+
+
+def test_split_rejects_fields_other_than_the_perturbation(small_catshear):
+    fam, emp = small_catshear
+    phi = maps.get_observable("bump", 2)
+    const = maps.ExplicitField(
+        lambda x: np.broadcast_to([1.0, 0.0], x.shape).copy(), 2)
+    for X in (const, maps.PerturbationField(fam, 0.3),
+              maps.PerturbationField(maps.get_family("henon"), 0.25)):
+        with pytest.raises(ParameterError):
+            response.stable_unstable_split(emp, X, phi, 4)
+
+
+@pytest.mark.parametrize("missing", ["hessian", "param_jacobian"])
+def test_split_needs_second_derivatives(small_catshear, missing):
+    fam, emp = small_catshear
+    bare = dataclasses.replace(fam, **{missing: None})
+    emp = dataclasses.replace(emp, family=bare)
+    with pytest.raises(ParameterError):
+        response.stable_unstable_split(emp, maps.PerturbationField(bare, 0.25),
+                                       maps.get_observable("bump", 2), 4)
+
+
+def test_split_non_finite_divergence_raises(small_catshear):
+    fam, emp = small_catshear
+    broken = dataclasses.replace(
+        fam, hessian=lambda a, x, u, w: np.full(np.shape(x), np.nan))
+    emp = dataclasses.replace(emp, family=broken)
+    with pytest.raises(NumericalDegeneracyError):
+        response.stable_unstable_split(
+            emp, maps.PerturbationField(broken, 0.25),
+            maps.get_observable("bump", 2), 4)
+
+
+def test_kappa_series_slices_bitwise_equal_gathers(small_catshear):
+    """The cocycle propagator on contiguous slices gives the same bits as
+    gathering the jacobians and gradients at the sample indices."""
+    fam, emp = small_catshear
+    orbits = emp.orbits
+    m = orbits.shape[0]
+    jac = fam.jacobian(0.25, orbits[:, :-1])
+    grads = maps.get_observable("bump", 2).gradient(orbits)
+    js = np.arange(700, 2400)
+    rng = np.random.default_rng(0)
+    mask = rng.random((m, js.size)) > 0.1
+    rows = np.arange(m)[:, None]
+    for V0 in (maps.PerturbationField(fam, 0.25).along_orbit(orbits)[:, js - 1],
+               rng.standard_normal((m, js.size, 2))):
+        V = V0.copy()
+        ref_c, ref_e = np.empty(9), np.empty(9)
+        for n in range(9):
+            if n > 0:
+                V = np.einsum("msab,msb->msa", jac[rows, js + n - 1], V)
+            c = np.einsum("msd,msd->ms", V, grads[rows, js + n])
+            ref_c[n], ref_e[n] = response.masked_batch_means(c, mask, 25)
+        c, e, trunc = response._kappa_series(jac, V0, grads, 8, js[0], mask, 25)
+        assert trunc is None
+        assert np.array_equal(c, ref_c) and np.array_equal(e, ref_e)
+
+
+def _stable_direction(fam, alpha, x, n_steps=30):
+    """Unit stable direction at x: a generic vector pulled back through the
+    inverse cocycle of the next n_steps iterates aligns with E^s."""
+    jacs = []
+    for _ in range(n_steps):
+        jacs.append(fam.jacobian(alpha, x))
+        x = fam.step(alpha, x)
+    w = np.array([0.31622776601683794, 0.9486832980505138])
+    for J in reversed(jacs):
+        w = np.linalg.solve(J, w)
+        w /= np.linalg.norm(w)
+    return w
+
+
+def _push_offsets(alpha, orbit, i, offsets, steps):
+    """Offsets from orbit[i + steps] of the images of orbit[i] + offsets
+    under `steps` cat_shear steps.  The shear's increment is written as a
+    product, sin(a + h) - sin(a) = 2 cos(a + h/2) sin(h/2), so offsets far
+    below the coordinates' rounding keep their relative precision."""
+    two_pi = 2 * np.pi
+    cat = np.array([[2.0, 1.0], [1.0, 1.0]])
+    d = np.array(offsets, dtype=float)
+    for x in orbit[i:i + steps]:
+        shear = (np.cos(two_pi * x[1] + np.pi * d[:, 1])
+                 * np.sin(np.pi * d[:, 1]) / np.pi)
+        d = d @ cat.T + alpha * np.stack([shear, np.zeros_like(shear)], -1)
+    return d
+
+
+def test_manifold_recurrences_match_pushed_segments():
+    """Curvature k, density log-derivative g and stable turn b against
+    finite differences of short segments seeded along v and pushed forward
+    12 steps onto the unstable manifold of the sample point."""
+    fam = maps.get_family("cat_shear")
+    alpha, back = 0.25, 12
+    x0 = maps.iterate(fam, alpha, np.array([0.3, 0.6]), 300)[-1]
+    orbit = maps.iterate(fam, alpha, x0, 2000)
+    jac = fam.jacobian(alpha, orbit[:-1])
+    clvs, _, lo = tangent._clv_sweep(jac[None], warmup=300)
+    w = clvs.shape[1]
+    V, E = clvs[..., 0], clvs[..., 1]
+    r, k, g, b = response._manifold_recurrences(
+        fam, alpha, orbit[None, lo:lo + w - 1], jac[None, lo:lo + w - 1],
+        V, E)
+
+    def segment(t, halfwidth, nodes):
+        """Offsets from x_t of points about nodes x halfwidth along the
+        unstable manifold, and the seed spacing."""
+        delta = halfwidth / np.prod(r[0, t - back:t])
+        seeds = np.outer(nodes, delta * V[0, t - back])
+        return _push_offsets(alpha, orbit, lo + t - back, seeds, back), delta
+
+    for t in (200, 400, 600, 800, 1000):
+        (dm, dp), delta = segment(t, 1e-4, [-1.0, 1.0])
+        d1 = (dp - dm) / (2 * delta)
+        d2 = (dp + dm) / delta**2
+        speed = np.linalg.norm(d1)
+        k_ref = (d1[0] * d2[1] - d1[1] * d2[0]) / speed**3
+        assert abs(k[0, t] - k_ref) < 1e-5 * abs(k_ref)
+        # the log conditional density is minus the log speed of the pushed
+        # segment, up to the density at the seeds: g there, shrunk by the
+        # stretch over the 12 steps, is about 1e-5 of g's size
+        g_ref = -2.0 * (np.log(np.linalg.norm(dp))
+                        - np.log(np.linalg.norm(dm))) / np.linalg.norm(dp - dm)
+        g_ref += g[0, t - back] / np.prod(r[0, t - back:t])
+        assert abs(g[0, t] - g_ref) < 1e-4 * abs(g_ref)
+
+        (ym, yp), _ = segment(t, 1e-5, [-1.0, 1.0])
+        es = [_stable_direction(fam, alpha, orbit[lo + t] + y)
+              for y in (ym, yp)]
+        es = [e * np.sign(e @ E[0, t]) for e in es]
+        p = np.array([-E[0, t, 1], E[0, t, 0]])
+        b_ref = p @ (es[1] - es[0]) / np.linalg.norm(yp - ym)
+        assert abs(b[0, t] - b_ref) < 1e-3 * abs(b_ref)

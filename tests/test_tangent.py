@@ -258,3 +258,21 @@ def test_rank_loss_reports_global_step(reorth_interval):
     with pytest.raises(NumericalDegeneracyError) as exc:
         tangent.compute_clvs(bad, warmup=500)
     assert exc.value.step == 1000
+
+
+def test_affine_recurrence_windows_match_sequential_loop():
+    rng = np.random.default_rng(5)
+    c = rng.uniform(-0.6, 0.6, (3, 1500))
+    d = rng.standard_normal((3, 1500))
+    y = np.zeros((3, 1501))
+    for t in range(1500):
+        y[:, t + 1] = c[:, t] * y[:, t] + d[:, t]
+    out = tangent._affine_recurrence(c, d)
+    # window 0 starts where the loop does; the others forget their start
+    # over the overlap
+    assert np.abs(out - y).max() < 1e-12 * np.abs(y).max()
+    # no contraction: the windows disagree and the one-window rerun is the
+    # sequential sum
+    ones = np.ones((3, 1500))
+    assert np.array_equal(tangent._affine_recurrence(ones, d)[:, 1:],
+                          np.cumsum(d, axis=1))
