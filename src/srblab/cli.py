@@ -94,7 +94,11 @@ class OutputDir:
 
     def __init__(self, path):
         self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
+        try:
+            self.path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path!r}: "
+                              f"{exc.strerror}") from exc
         self.written = set()
 
     def __truediv__(self, name):
@@ -143,6 +147,14 @@ def _single_orbit(cfg, family, alpha, length, seed_shift=0):
     return maps.iterate(family, alpha, x0, length)
 
 
+def _dimensions(spec):
+    """Dimension estimates of a spectrum, None when it is not hyperbolic."""
+    try:
+        return measure.dimension_estimates(spec)
+    except HyperbolicityError:
+        return None
+
+
 def _spectrum_payload(spec):
     payload = {
         "exponents": spec.all_exponents,
@@ -152,15 +164,12 @@ def _spectrum_payload(spec):
         "sum": spec.sum(),
         "mean_log_det": spec.mean_log_det,
         "n_steps": spec.n_steps,
+        "d_s_method": "non-hyperbolic",
     }
-    try:
-        dims = measure.dimension_estimates(spec)
-        payload["kaplan_yorke"] = dims.kaplan_yorke
-        payload["d_s"] = dims.d_s
-        payload["d_s_interval"] = dims.d_s_interval
-        payload["d_s_method"] = dims.method
-    except HyperbolicityError:
-        payload["d_s_method"] = "non-hyperbolic"
+    dims = _dimensions(spec)
+    if dims is not None:
+        payload.update(kaplan_yorke=dims.kaplan_yorke, d_s=dims.d_s,
+                       d_s_interval=dims.d_s_interval, d_s_method=dims.method)
     return payload
 
 
@@ -244,11 +253,15 @@ def _susceptibility_series(cfg, family, alpha):
         emp, field, phi, cfg.get("susceptibility.n_max")), emp, phi
 
 
-def cmd_susceptibility(cfg, outdir):
-    series, _, _ = _susceptibility_series(cfg, _family(cfg), _alpha(cfg))
+def _write_series(outdir, series):
     write_csv(outdir / "susceptibility.csv", ["n", "kappa", "stderr"],
               [(n, series.coeffs[n], series.stderr[n])
                for n in range(series.coeffs.size)])
+
+
+def cmd_susceptibility(cfg, outdir):
+    series, _, _ = _susceptibility_series(cfg, _family(cfg), _alpha(cfg))
+    _write_series(outdir, series)
     write_json(outdir / "susceptibility.json", series.meta)
     return {"coefficients": int(series.coeffs.size)}
 
@@ -256,9 +269,7 @@ def cmd_susceptibility(cfg, outdir):
 def cmd_radius(cfg, outdir):
     series, _, _ = _susceptibility_series(cfg, _family(cfg), _alpha(cfg))
     est = response.radius_estimate(series, method=cfg.get("radius.method"))
-    write_csv(outdir / "susceptibility.csv", ["n", "kappa", "stderr"],
-              [(n, series.coeffs[n], series.stderr[n])
-               for n in range(series.coeffs.size)])
+    _write_series(outdir, series)
     write_json(outdir / "radius.json", {
         "method": est.method, "value": est.value, "ci": est.ci,
         "fit_window": est.fit_window, "indeterminate": est.indeterminate,
@@ -430,13 +441,9 @@ def cmd_conjecture_report(cfg, outdir):
         cocycle = TangentCocycle.from_orbit(family, alpha, orbit)
         spec = benettin_spectrum(
             cocycle, reorth_interval=sub.get("spectrum.reorth_interval"))
-        try:
-            dims = measure.dimension_estimates(spec)
-            row["d_s"] = dims.d_s
-            row["d_s_method"] = dims.method
-        except HyperbolicityError:
-            row["d_s"] = None
-            row["d_s_method"] = "non-hyperbolic"
+        dims = _dimensions(spec)
+        row["d_s"] = None if dims is None else dims.d_s
+        row["d_s_method"] = "non-hyperbolic" if dims is None else dims.method
         emp = _srb(sub, family, alpha, seed_shift=200 + i)
         phi = _observable(sub, family)
         corr = measure.correlation(emp, phi, phi,

@@ -99,46 +99,50 @@ class MapFamily:
         return bad
 
 
+def _orbit(family, alpha, x, n):
+    """The one orbit loop: histories (..., n+1, d) of the points x
+    (..., d) under n steps, and the escaped mask (..., n+1) of every stored
+    point.
+
+    Escape is found after the loop: non-finite values propagate, so a
+    vectorized scan recovers it without per-step checks.  Points are
+    stepped row by row, so an escaping point leaves the others' bits alone.
+    """
+    x = family.chart.reduce(np.asarray(x, dtype=float))
+    hist = np.empty(x.shape[:-1] + (n + 1, x.shape[-1]))
+    steps = np.moveaxis(hist, -2, 0)
+    steps[0] = x
+    step = family.step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            x = step(alpha, x)
+            steps[k + 1] = x
+    return hist, family.escaped(hist)
+
+
 def iterate(family, alpha, x0, n):
     """Orbit [x0, f(x0), ..., f^n(x0)] as an (n+1, d) array."""
     if n < 0:
         raise ParameterError("n must be >= 0")
-    x = family.chart.reduce(np.asarray(x0, dtype=float))
-    if x.shape != (family.dimension,):
+    if np.shape(x0) != (family.dimension,):
         raise ParameterError(f"x0 must have shape ({family.dimension},)")
-    orbit = np.empty((n + 1, family.dimension))
-    orbit[0] = x
-    step = family.step
-    # escape is detected after the loop: non-finite values propagate, so a
-    # vectorized scan recovers the first bad step without per-step checks
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            x = step(alpha, x)
-            orbit[k + 1] = x
-    bad = family.escaped(orbit)
+    orbit, bad = _orbit(family, alpha, x0, n)
     if bad.any():
         raise OrbitEscapeError(int(np.argmax(bad)))
     return orbit
 
 
-def iterate_batch(family, alpha, x, n, out=None):
+def iterate_batch(family, alpha, x, n):
     """Advance a batch of points n steps; returns (n+1, m, d) history.
 
-    Escaped members are frozen at nan from the escape step onward.
+    Escaped members are nan from the escape step onward; the first row is
+    the input, even for a member that starts escaped.
     """
-    x = family.chart.reduce(np.asarray(x, dtype=float))
-    m, d = x.shape
-    hist = out if out is not None else np.empty((n + 1, m, d))
-    hist[0] = x
-    alive = ~family.escaped(x)
-    for k in range(n):
-        x = np.where(alive[:, None], family.step(alpha, np.where(alive[:, None], x, 0.0)), np.nan)
-        newly = alive & family.escaped(x)
-        if newly.any():
-            alive = alive & ~newly
-            x[~alive] = np.nan
-        hist[k + 1] = x
-    return hist
+    hist, bad = _orbit(family, alpha, x, n)
+    dead = np.logical_or.accumulate(bad, axis=-1)
+    dead[..., 0] = False
+    hist[dead] = np.nan
+    return np.moveaxis(hist, -2, 0)
 
 
 # ---------------------------------------------------------------------------

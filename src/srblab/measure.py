@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import (BasinEscapeError, HyperbolicityError,
                      InsufficientDataError, ParameterError)
-from .stats import batch_means, batch_means_series, linear_fit
+from .maps import _orbit
+from .stats import batch_means, linear_fit
 
 
 @dataclass(frozen=True)
@@ -91,20 +92,10 @@ def srb_sample(family, alpha, sampler=None, transient=10_000, length=100_000,
     if sampler is None:
         sampler = default_sampler(family)
     rng = np.random.default_rng(seed)
-    x = family.chart.reduce(sampler.draw(rng, ensemble))
-    d = family.dimension
-    alive = ~family.escaped(x)
-    for _ in range(transient):
-        nxt = family.step(alpha, np.where(alive[:, None], x, 0.0))
-        x = np.where(alive[:, None], nxt, x)
-        alive &= ~family.escaped(x)
-    orbits = np.empty((ensemble, length, d))
-    orbits[:, 0] = x
-    for k in range(1, length):
-        nxt = family.step(alpha, np.where(alive[:, None], x, 0.0))
-        x = np.where(alive[:, None], nxt, x)
-        alive &= ~family.escaped(x)
-        orbits[:, k] = x
+    head, bad_head = _orbit(family, alpha, sampler.draw(rng, ensemble),
+                            transient)
+    orbits, bad = _orbit(family, alpha, head[:, -1], length - 1)
+    alive = ~(bad_head.any(axis=-1) | bad.any(axis=-1))
     n_escaped = int(ensemble - alive.sum())
     if n_escaped * 2 > ensemble:
         raise BasinEscapeError(

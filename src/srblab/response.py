@@ -12,10 +12,11 @@ import numpy as np
 
 from . import measure as measure_mod
 from .errors import (InsufficientDataError, NumericalDegeneracyError,
-                     ParameterError, UnsupportedDimensionError)
+                     PadeDegeneracyError, ParameterError,
+                     UnsupportedDimensionError)
 from .maps import PerturbationField
 from .pade import robust_pade
-from .stats import batch_means, linear_fit, masked_batch_means
+from .stats import batch_means, linear_fit
 from .tangent import _OVERLAP, _affine_recurrence, _clv_sweep
 
 
@@ -36,12 +37,6 @@ class SusceptibilitySeries:
         val = np.sum(self.coeffs * zs)
         err = float(np.sqrt(np.sum((self.stderr * np.abs(zs)) ** 2)))
         return val, err
-
-
-def _contributions_mean(c, mask, n_batches):
-    if mask is None:
-        return batch_means(c, n_batches=n_batches)
-    return masked_batch_means(c, mask, n_batches=n_batches)
 
 
 def _matvec(J, V):
@@ -76,7 +71,7 @@ def _kappa_series(jacobians, V0, grads, N, j0, mask=None, n_batches=25):
                 errs = errs[:n]
                 break
         c = np.einsum("msd,msd->ms", V, grads[:, j0 + n:j0 + n + S])
-        coeffs[n], errs[n] = _contributions_mean(c, mask, n_batches)
+        coeffs[n], errs[n] = batch_means(c, n_batches, mask)
     return coeffs, errs, truncated_at
 
 
@@ -131,6 +126,10 @@ def kappa_adjoint(measure, X, obs, N):
     return out
 
 
+# a bootstrap or Monte Carlo draw whose Pade fit fails is dropped
+_PADE_FAILURES = (PadeDegeneracyError, np.linalg.LinAlgError)
+
+
 @dataclass
 class PsiEval:
     value: complex
@@ -162,7 +161,7 @@ def psi_eval(series, z, mode="truncated", n_mc=64, seed=0):
             c = series.coeffs + rng.standard_normal(series.coeffs.size) * series.stderr
             try:
                 draws.append(robust_pade(c, L, M)(z))
-            except Exception:
+            except _PADE_FAILURES:
                 continue
         if len(draws) > 1:
             err = float(np.std(draws, ddof=1))
@@ -302,7 +301,7 @@ def radius_estimate(series, method="root-test", window=None, n_boot=400,
                 c = coeffs + rng.standard_normal(coeffs.size) * sd
                 try:
                     st, _ = _stable_poles(c, M, noise=noise)
-                except Exception:
+                except _PADE_FAILURES:
                     continue
                 if st:
                     boots.append(min(abs(p) for p in st))
@@ -350,10 +349,7 @@ def finite_difference_response(family, alpha0, h, obs, sampling,
             family, alpha, sampler=sampling.sampler,
             transient=sampling.transient, length=sampling.length,
             ensemble=sampling.ensemble, seed=seed)
-        return birkhoff(m, obs)
-
-    def birkhoff(m, o):
-        return measure_mod.birkhoff_average(m, o)
+        return measure_mod.birkhoff_average(m, obs)
 
     base = int(sampling.seed)
     mp, sp = side(alpha0 + h, base * 8 + 1)
@@ -557,7 +553,7 @@ def stable_unstable_split(measure, X, obs, N, clv_warmup=1000,
     unst_e = np.empty(N + 1)
     for n in range(N + 1):
         c = -div_u * phiv[:, j_lo + n:j_lo + n + S]
-        unst_c[n], unst_e[n] = masked_batch_means(c, mask, n_batches=n_batches)
+        unst_c[n], unst_e[n] = batch_means(c, n_batches, mask)
 
     meta = {"system": family.name, "alpha": alpha, "observable": obs.name,
             "N": N, "n_samples": int(mask.sum()), "ensemble": m,

@@ -1,4 +1,12 @@
-"""Error bars for correlated time series via non-overlapping batch means."""
+"""Error bars for correlated time series by non-overlapping batch means,
+and least-squares line fits.
+
+batch_means is the one accumulator behind every error bar in srblab:
+Birkhoff averages and correlations, Lyapunov exponents, the susceptibility
+coefficients kappa_n (optionally masked, for the split's excluded
+near-tangency samples) and the split's unstable term.  All callers share
+one batch layout, computed by reshape-sums without a loop over batches.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -6,79 +14,45 @@ import numpy as np
 from .errors import InsufficientDataError
 
 
-def batch_means(x, n_batches=20):
-    """Mean and standard error of a correlated series.
+def batch_means(x, n_batches=20, mask=None):
+    """Mean and standard error of correlated series by batch means.
 
-    x is 1-D (single series) or 2-D (members, time); each member is split
-    into contiguous batches so that at least n_batches batch means enter the
-    dispersion estimate.
+    x has shape (..., members, time), or (time,) for a single series; mask,
+    of shape (members, time) or (time,), marks the entries that enter.  Each
+    member is cut into per_member = min(time, ceil(n_batches / members))
+    contiguous batches of time // per_member samples; the remainder enters
+    the mean but no batch mean, and a batch with no entry in the mask is
+    dropped.  Returns (mean, se) of shape (...), plain floats when that is
+    0-d; se is nan with fewer than two batch means.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
-    m, L = x.shape
-    if m * L == 0:
-        raise InsufficientDataError("empty series")
-    per_member = max(1, int(np.ceil(n_batches / m)))
-    if L < per_member:
-        per_member = L
+    m, L = x.shape[-2:]
+    lead = x.shape[:-2]
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool).reshape(m, L)
+        x = np.where(mask, x, 0.0)
+    count = m * L if mask is None else int(mask.sum())
+    if count == 0:
+        raise InsufficientDataError("no samples to average")
+    per_member = min(L, max(1, int(np.ceil(n_batches / m))))
     b = L // per_member
-    means = x[:, : per_member * b].reshape(m, per_member, b).mean(axis=2)
-    means = means.ravel()
-    mu = float(x.mean())
-    if means.size < 2:
-        return mu, float("nan")
-    se = float(means.std(ddof=1) / np.sqrt(means.size))
-    return mu, se
-
-
-def batch_means_series(x, n_batches=20):
-    """Vectorized batch means over the last axis.
-
-    x has shape (..., members, time); returns (mean, se) with shape (...).
-    """
-    x = np.asarray(x, dtype=float)
-    m, L = x.shape[-2], x.shape[-1]
-    per_member = max(1, int(np.ceil(n_batches / m)))
-    if L < per_member:
-        per_member = L
-    b = L // per_member
-    trimmed = x[..., : per_member * b].reshape(x.shape[:-1] + (per_member, b))
-    means = trimmed.mean(axis=-1).reshape(x.shape[:-2] + (m * per_member,))
-    mu = x.mean(axis=(-2, -1))
-    n = means.shape[-1]
-    if n < 2:
-        return mu, np.full(mu.shape, np.nan)
-    se = means.std(axis=-1, ddof=1) / np.sqrt(n)
-    return mu, se
-
-
-def masked_batch_means(x, mask, n_batches=20):
-    """Batch means over a (members, time) array where mask marks the entries
-    that enter the average (contiguous batches, excluded entries dropped)."""
-    x = np.asarray(x, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    if x.ndim == 1:
-        x = x[None, :]
-        mask = mask[None, :]
-    m, L = x.shape
-    total = int(mask.sum())
-    if total == 0:
-        raise InsufficientDataError("all samples excluded")
-    mu = float(x[mask].mean())
-    per_member = max(1, int(np.ceil(n_batches / m)))
-    b = max(1, L // per_member)
-    means = []
-    for i in range(m):
-        for k in range(per_member):
-            sl = slice(k * b, (k + 1) * b if k < per_member - 1 else L)
-            mk = mask[i, sl]
-            if mk.any():
-                means.append(x[i, sl][mk].mean())
-    means = np.asarray(means)
-    if means.size < 2:
-        return mu, float("nan")
-    se = float(means.std(ddof=1) / np.sqrt(means.size))
+    mu = x.sum(axis=(-2, -1)) / count
+    batches = (m * per_member, b)
+    sums = x[..., : per_member * b].reshape(lead + batches).sum(axis=-1)
+    if mask is None:
+        means = sums / b
+    else:
+        counts = mask[:, : per_member * b].reshape(batches).sum(axis=-1)
+        full = np.flatnonzero(counts)
+        means = sums.take(full, axis=-1) / counts[full]
+    if means.shape[-1] < 2:
+        se = np.full(lead, np.nan)
+    else:
+        se = means.std(axis=-1, ddof=1) / np.sqrt(means.shape[-1])
+    if not lead:
+        return float(mu), float(se)
     return mu, se
 
 

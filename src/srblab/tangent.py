@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (HyperbolicityError, NumericalDegeneracyError,
                      ParameterError, UnsupportedDimensionError)
-from .stats import batch_means_series
+from .stats import batch_means
 
 
 @dataclass
@@ -113,7 +113,7 @@ def _spectrum(logs, interval, n_batches, n_windows, residual):
     d = logs.shape[-1]
     used = logs.shape[0] * logs.shape[1] * interval
     per_step = logs.transpose(2, 0, 1).reshape(d, 1, -1) / interval
-    means, ses = batch_means_series(per_step, n_batches=n_batches)
+    means, ses = batch_means(per_step, n_batches=n_batches)
     order = np.argsort(means)[::-1]
     vals, errs = means[order], ses[order]
     ex, mult, se = _group_exponents(vals, errs)

@@ -116,6 +116,19 @@ def test_insufficient_data_exit_code(tmp_path):
     assert code != cli.EXIT_OK
 
 
+def test_output_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {
+        "synthetic": {"sigma": {"kind": "uniform"}, "grid": 4096,
+                      "side": "one", "domain": [0.0, 1.0]},
+    })
+    afile = tmp_path / "afile"
+    afile.touch()
+    assert cli.run("fold-synthetic", cfg, afile) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error [ConfigError]") and str(afile) in err[0]
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     cfg = _write_cfg(tmp_path, SMALL_LYAPUNOV)
     target = tmp_path / "env_out"

@@ -137,10 +137,18 @@ def test_iterate_rejects_negative_count():
 
 def test_iterate_batch_freezes_escapees():
     fam = maps.get_family("henon")
-    x = np.array([[0.0, 0.0], [80.0, 80.0]])
-    hist = maps.iterate_batch(fam, 1.4, x, 20)
-    assert np.all(np.isfinite(hist[:, 0]))
-    assert np.all(np.isnan(hist[-1, 1]))
+    x = np.array([[0.1, 0.1], [80.0, 80.0], [1.5, 0.5]])
+    hist = maps.iterate_batch(fam, 1.4, x, 30)
+    assert hist.shape == (31, 3, 2)
+    assert np.array_equal(hist[:, 0], maps.iterate(fam, 1.4, x[0], 30))
+    # a member that starts escaped keeps its input in the first row
+    assert np.array_equal(hist[0, 1], x[1])
+    assert np.all(np.isnan(hist[1:, 1]))
+    with pytest.raises(OrbitEscapeError) as exc:
+        maps.iterate(fam, 1.4, x[2], 30)
+    step = exc.value.step
+    assert step > 1 and np.all(np.isfinite(hist[:step, 2]))
+    assert np.all(np.isnan(hist[step:, 2]))
 
 
 def test_catalog_contents():

@@ -3,7 +3,7 @@ import pytest
 
 from srblab import maps, measure, tangent
 from srblab.errors import (BasinEscapeError, HyperbolicityError,
-                           ParameterError)
+                           OrbitEscapeError, ParameterError)
 
 
 def test_cat_srb_is_uniform_ks():
@@ -45,6 +45,28 @@ def test_srb_sample_basin_error(henon_family):
     with pytest.raises(BasinEscapeError):
         measure.srb_sample(henon_family, 1.4, sampler=sampler, transient=100,
                            length=100, ensemble=4, seed=0)
+
+
+def test_srb_sample_drops_members_escaping_in_either_segment(henon_family):
+    sampler = measure.BoxSampler((-1.5, -0.5), (1.5, 0.5))
+    transient, length, ensemble, seed = 4, 50, 64, 0
+    emp = measure.srb_sample(henon_family, 1.4, sampler=sampler,
+                             transient=transient, length=length,
+                             ensemble=ensemble, seed=seed)
+    starts = sampler.draw(np.random.default_rng(seed), ensemble)
+    survivors, escape_steps = [], []
+    for x0 in starts:
+        try:
+            orbit = maps.iterate(henon_family, 1.4, x0,
+                                 transient + length - 1)
+        except OrbitEscapeError as exc:
+            escape_steps.append(exc.step)
+        else:
+            survivors.append(orbit[transient:])
+    # both the transient and the stored segment lose members
+    assert min(escape_steps) <= transient < max(escape_steps)
+    assert emp.n_escaped == len(escape_steps)
+    assert np.array_equal(emp.orbits, np.array(survivors))
 
 
 def test_birkhoff_constant_observable(henon_measure):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srblab import maps, measure, response, tangent
+from srblab import maps, measure, pade, response, stats, tangent
 from srblab.errors import (InsufficientDataError, NumericalDegeneracyError,
-                           ParameterError)
+                           PadeDegeneracyError, ParameterError)
 from srblab.response import SusceptibilitySeries
 
 
@@ -169,6 +169,50 @@ def test_psi_eval_truncated_and_pade():
     assert np.min(np.abs(p.poles)) == pytest.approx(2.0, rel=1e-6)
 
 
+def _failing_pade(monkeypatch, exc, exact, every):
+    """Make robust_pade raise exc on every `every`-th call after the first
+    `exact` calls, which fit the unperturbed coefficients."""
+    real = pade.robust_pade
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > exact and len(calls) % every == 0:
+            raise exc("draw failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(response, "robust_pade", fake)
+    return calls
+
+
+def test_psi_eval_drops_degenerate_draws_only(monkeypatch):
+    n = np.arange(16)
+    ser = SusceptibilitySeries(0.5 ** n, np.full(16, 1e-9), {})
+    calls = _failing_pade(monkeypatch, PadeDegeneracyError, 1, 2)
+    p = response.psi_eval(ser, 1.0, mode=("pade", 3, 3))
+    assert len(calls) == 65
+    assert p.value == pytest.approx(2.0, abs=1e-6)
+    assert 0 < p.error < 1e-6
+    _failing_pade(monkeypatch, TypeError, 1, 2)
+    with pytest.raises(TypeError):
+        response.psi_eval(ser, 1.0, mode=("pade", 3, 3))
+
+
+def test_pade_pole_bootstrap_drops_degenerate_draws_only(monkeypatch):
+    n = np.arange(16)
+    ser = SusceptibilitySeries(2.0 * 1.2 ** (-n.astype(float)),
+                               np.full(16, 1e-10), {})
+    ref = response.radius_estimate(ser, method="pade-pole")
+    # every fit after the point estimate's two fails: all draws dropped
+    _failing_pade(monkeypatch, PadeDegeneracyError, 2, 1)
+    est = response.radius_estimate(ser, method="pade-pole")
+    assert est.value == ref.value
+    assert est.ci == (est.value, est.value)
+    _failing_pade(monkeypatch, TypeError, 2, 1)
+    with pytest.raises(TypeError):
+        response.radius_estimate(ser, method="pade-pole")
+
+
 def test_finite_difference_translate_family_zero_response():
     """Affine torus family: the invariant measure never moves, so both the
     derivative and the truncated series sum vanish within errors."""
@@ -313,7 +357,7 @@ def test_kappa_series_slices_bitwise_equal_gathers(small_catshear):
             if n > 0:
                 V = np.einsum("msab,msb->msa", jac[rows, js + n - 1], V)
             c = np.einsum("msd,msd->ms", V, grads[rows, js + n])
-            ref_c[n], ref_e[n] = response.masked_batch_means(c, mask, 25)
+            ref_c[n], ref_e[n] = stats.batch_means(c, 25, mask)
         c, e, trunc = response._kappa_series(jac, V0, grads, 8, js[0], mask, 25)
         assert trunc is None
         assert np.array_equal(c, ref_c) and np.array_equal(e, ref_e)
