@@ -2,7 +2,7 @@
 """Tabulate Holder exponents of fold-convolved densities for a family of
 transverse measures, against the predicted value (dimension - 1/2).
 
-Usage: python scripts/fold_profiles.py [--grid N]
+Usage: python scripts/fold_profiles.py [--grid N]   (N >= 1024)
 """
 import argparse
 
@@ -15,6 +15,9 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--grid", type=int, default=8192)
     args = ap.parse_args()
+    if args.grid < 2**10:
+        ap.error("--grid must be at least 1024: the fold convolution needs "
+                 "2^10 grid points")
     cases = [("uniform", tangency.make_sigma("uniform"))]
     for ratio in (1.0 / 3.0, 0.25, 0.4):
         cases.append((f"cantor r={ratio:.3f}",

@@ -111,48 +111,66 @@ class OutputDir:
 # ---------------------------------------------------------------------------
 
 
-def _family(cfg):
+def _system(cfg):
     sysc = cfg.require("system")
-    return maps.get_family(sysc["name"], sysc.get("params"))
+    return (maps.get_family(sysc["name"], sysc.get("params")),
+            float(cfg.require("alpha")))
 
 
-def _alpha(cfg):
-    return float(cfg.require("alpha"))
+def _observable(cfg, family):
+    return maps.get_observable(cfg.require("observable"), family.dimension)
 
 
-def _sampler(cfg, family):
-    sc = cfg.get("sampler")
-    if sc is None:
-        return measure.default_sampler(family)
-    return measure.BoxSampler(tuple(sc["low"]), tuple(sc["high"]))
-
-
-def _observable(cfg, family, key="observable"):
-    return maps.get_observable(cfg.require(key), family.dimension)
+def _sampling(cfg, family, seed_shift=0):
+    """The sampling settings of a run: orbit.*, sampler and the seed."""
+    oc, sc = cfg.get("orbit"), cfg.get("sampler")
+    sampler = (measure.default_sampler(family) if sc is None else
+               measure.BoxSampler(tuple(sc["low"]), tuple(sc["high"])))
+    return response.SamplingConfig(
+        transient=oc["transient"], length=oc["length"],
+        ensemble=oc["ensemble"], sampler=sampler,
+        seed=int(cfg.get("seed")) + seed_shift)
 
 
 def _srb(cfg, family, alpha, seed_shift=0):
-    oc = cfg.get("orbit")
-    return measure.srb_sample(
-        family, alpha, sampler=_sampler(cfg, family),
-        transient=oc["transient"], length=oc["length"],
-        ensemble=oc["ensemble"], seed=int(cfg.get("seed")) + seed_shift)
+    return measure.srb_sample(family, alpha,
+                              **vars(_sampling(cfg, family, seed_shift)))
 
 
-def _single_orbit(cfg, family, alpha, length, seed_shift=0):
-    rng = np.random.default_rng(int(cfg.get("seed")) + seed_shift)
-    x0 = _sampler(cfg, family).draw(rng, 1)[0]
-    transient = cfg.get("orbit.transient")
-    x0 = maps.iterate(family, alpha, x0, transient)[-1]
-    return maps.iterate(family, alpha, x0, length)
+def _cocycle(cfg, family, alpha, length, seed_shift=0):
+    """Tangent cocycle along one post-transient orbit of `length` steps."""
+    s = _sampling(cfg, family, seed_shift)
+    x0 = s.sampler.draw(np.random.default_rng(s.seed), 1)[0]
+    x0 = maps.iterate(family, alpha, x0, s.transient)[-1]
+    orbit = maps.iterate(family, alpha, x0, length)
+    return TangentCocycle.from_orbit(family, alpha, orbit)
 
 
-def _dimensions(spec):
-    """Dimension estimates of a spectrum, None when it is not hyperbolic."""
-    try:
-        return measure.dimension_estimates(spec)
-    except HyperbolicityError:
-        return None
+def _spectrum(cfg, family, alpha, seed_shift=0):
+    sc = cfg.get("spectrum")
+    cocycle = _cocycle(cfg, family, alpha, sc["steps"], seed_shift)
+    return benettin_spectrum(cocycle, reorth_interval=sc["reorth_interval"])
+
+
+def _splitting(cfg, family, alpha):
+    """(cocycle, CLV splitting, splitting angles) along one orbit."""
+    cocycle = _cocycle(cfg, family, alpha, cfg.get("orbit.length"))
+    splitting = compute_clvs(cocycle, warmup=cfg.get("clv.warmup"))
+    return cocycle, splitting, splitting_angles(splitting)
+
+
+def _series(cfg, family, alpha, seed_shift=0):
+    """(kappa_n series, the SRB sample, the observable)."""
+    emp = _srb(cfg, family, alpha, seed_shift)
+    phi = _observable(cfg, family)
+    series = response.susceptibility_coefficients(
+        emp, maps.PerturbationField(family, alpha), phi,
+        cfg.get("susceptibility.n_max"))
+    return series, emp, phi
+
+
+def _radius(cfg, series):
+    return response.radius_estimate(series, method=cfg.get("radius.method"))
 
 
 def _spectrum_payload(spec):
@@ -166,11 +184,19 @@ def _spectrum_payload(spec):
         "n_steps": spec.n_steps,
         "d_s_method": "non-hyperbolic",
     }
-    dims = _dimensions(spec)
-    if dims is not None:
-        payload.update(kaplan_yorke=dims.kaplan_yorke, d_s=dims.d_s,
-                       d_s_interval=dims.d_s_interval, d_s_method=dims.method)
+    try:
+        dims = measure.dimension_estimates(spec)
+    except HyperbolicityError:
+        return payload
+    payload.update(kaplan_yorke=dims.kaplan_yorke, d_s=dims.d_s,
+                   d_s_interval=dims.d_s_interval, d_s_method=dims.method)
     return payload
+
+
+def _write_series(outdir, series):
+    write_csv(outdir / "susceptibility.csv", ["n", "kappa", "stderr"],
+              [(n, series.coeffs[n], series.stderr[n])
+               for n in range(series.coeffs.size)])
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +205,7 @@ def _spectrum_payload(spec):
 
 
 def cmd_lyapunov(cfg, outdir):
-    family = _family(cfg)
-    alpha = _alpha(cfg)
-    sc = cfg.get("spectrum")
-    orbit = _single_orbit(cfg, family, alpha, sc["steps"])
-    cocycle = TangentCocycle.from_orbit(family, alpha, orbit)
-    spec = benettin_spectrum(cocycle, reorth_interval=sc["reorth_interval"])
+    spec = _spectrum(cfg, *_system(cfg))
     write_csv(outdir / "spectrum.csv", ["index", "exponent", "stderr"],
               [(i, spec.all_exponents[i], spec.all_stderr[i])
                for i in range(spec.dimension)])
@@ -193,12 +214,7 @@ def cmd_lyapunov(cfg, outdir):
 
 
 def cmd_clv(cfg, outdir):
-    family = _family(cfg)
-    alpha = _alpha(cfg)
-    orbit = _single_orbit(cfg, family, alpha, cfg.get("orbit.length"))
-    cocycle = TangentCocycle.from_orbit(family, alpha, orbit)
-    splitting = compute_clvs(cocycle, warmup=cfg.get("clv.warmup"))
-    angles = splitting_angles(splitting)
+    cocycle, splitting, angles = _splitting(cfg, *_system(cfg))
     res_u, res_s = covariance_residuals(splitting, cocycle)
     write_csv(outdir / "angles.csv", ["step", "angle"],
               [(splitting.offset + i, a) for i, a in enumerate(angles)])
@@ -213,8 +229,7 @@ def cmd_clv(cfg, outdir):
 
 
 def cmd_srb(cfg, outdir):
-    family = _family(cfg)
-    alpha = _alpha(cfg)
+    family, alpha = _system(cfg)
     emp = _srb(cfg, family, alpha)
     header = [f"x{i}" for i in range(family.dimension)]
     write_csv(outdir / "points.csv", header, emp.points)
@@ -226,8 +241,7 @@ def cmd_srb(cfg, outdir):
 
 
 def cmd_correlate(cfg, outdir):
-    family = _family(cfg)
-    alpha = _alpha(cfg)
+    family, alpha = _system(cfg)
     emp = _srb(cfg, family, alpha)
     phi = _observable(cfg, family)
     psi = (maps.get_observable(cfg.get("observable2"), family.dimension)
@@ -245,30 +259,16 @@ def cmd_correlate(cfg, outdir):
     return {"lags": int(series.lags.size)}
 
 
-def _susceptibility_series(cfg, family, alpha):
-    emp = _srb(cfg, family, alpha)
-    phi = _observable(cfg, family)
-    field = maps.PerturbationField(family, alpha)
-    return response.susceptibility_coefficients(
-        emp, field, phi, cfg.get("susceptibility.n_max")), emp, phi
-
-
-def _write_series(outdir, series):
-    write_csv(outdir / "susceptibility.csv", ["n", "kappa", "stderr"],
-              [(n, series.coeffs[n], series.stderr[n])
-               for n in range(series.coeffs.size)])
-
-
 def cmd_susceptibility(cfg, outdir):
-    series, _, _ = _susceptibility_series(cfg, _family(cfg), _alpha(cfg))
+    series, _, _ = _series(cfg, *_system(cfg))
     _write_series(outdir, series)
     write_json(outdir / "susceptibility.json", series.meta)
     return {"coefficients": int(series.coeffs.size)}
 
 
 def cmd_radius(cfg, outdir):
-    series, _, _ = _susceptibility_series(cfg, _family(cfg), _alpha(cfg))
-    est = response.radius_estimate(series, method=cfg.get("radius.method"))
+    series, _, _ = _series(cfg, *_system(cfg))
+    est = _radius(cfg, series)
     _write_series(outdir, series)
     write_json(outdir / "radius.json", {
         "method": est.method, "value": est.value, "ci": est.ci,
@@ -280,17 +280,12 @@ def cmd_radius(cfg, outdir):
 
 
 def cmd_response_check(cfg, outdir):
-    family = _family(cfg)
-    alpha = _alpha(cfg)
-    series, _, phi = _susceptibility_series(cfg, family, alpha)
+    family, alpha = _system(cfg)
+    series, _, phi = _series(cfg, family, alpha)
     psi_one, psi_err = series.truncated_sum(1.0)
-    oc = cfg.get("orbit")
-    sampling = response.SamplingConfig(
-        transient=oc["transient"], length=oc["length"],
-        ensemble=oc["ensemble"], sampler=_sampler(cfg, family),
-        seed=int(cfg.get("seed")) + 1)
     fd = response.finite_difference_response(
-        family, alpha, cfg.get("response.h"), phi, sampling,
+        family, alpha, cfg.get("response.h"), phi,
+        _sampling(cfg, family, seed_shift=1),
         richardson=cfg.get("response.richardson"))
     cmp = response.ResponseComparison(psi_one, psi_err,
                                       fd.derivative, fd.stderr)
@@ -305,8 +300,7 @@ def cmd_response_check(cfg, outdir):
 
 
 def cmd_split(cfg, outdir):
-    family = _family(cfg)
-    alpha = _alpha(cfg)
+    family, alpha = _system(cfg)
     emp = _srb(cfg, family, alpha)
     phi = _observable(cfg, family)
     field = maps.PerturbationField(family, alpha)
@@ -333,16 +327,12 @@ def cmd_split(cfg, outdir):
 
 
 def cmd_tangency(cfg, outdir):
-    family = _family(cfg)
-    alpha = _alpha(cfg)
+    family, alpha = _system(cfg)
     tc = cfg.get("tangency")
     frame_cfg = tc.get("frame")
     if frame_cfg is not None and not {"base", "direction"} <= frame_cfg.keys():
         raise ConfigError("tangency.frame needs a base and a direction")
-    orbit = _single_orbit(cfg, family, alpha, cfg.get("orbit.length"))
-    cocycle = TangentCocycle.from_orbit(family, alpha, orbit)
-    splitting = compute_clvs(cocycle, warmup=cfg.get("clv.warmup"))
-    angles = splitting_angles(splitting)
+    _, splitting, angles = _splitting(cfg, family, alpha)
     folds = tangency.detect_folds(splitting.points, angles,
                                   tc["angle_threshold"], chart=family.chart,
                                   cluster_radius=tc["cluster_radius"])
@@ -422,6 +412,9 @@ def cmd_fold_synthetic(cfg, outdir):
 
 
 def cmd_conjecture_report(cfg, outdir):
+    """One row per system: the spectrum at seed + 100 + i and the series at
+    seed + 200 + i, so row i reproduces `lyapunov` and `susceptibility`/
+    `radius` run at those seeds."""
     systems = cfg.require("report.systems")
     for i, entry in enumerate(systems):
         if not (isinstance(entry, dict) and {"name", "alpha"} <= entry.keys()):
@@ -433,39 +426,25 @@ def cmd_conjecture_report(cfg, outdir):
                                 "system": {"name": entry["name"],
                                            "params": entry.get("params", {})},
                                 "alpha": entry["alpha"]})
-        family = _family(sub)
-        alpha = float(entry["alpha"])
-        row = {"system": entry["name"], "alpha": alpha}
-        orbit = _single_orbit(sub, family, alpha, sub.get("spectrum.steps"),
-                              seed_shift=100 + i)
-        cocycle = TangentCocycle.from_orbit(family, alpha, orbit)
-        spec = benettin_spectrum(
-            cocycle, reorth_interval=sub.get("spectrum.reorth_interval"))
-        dims = _dimensions(spec)
-        row["d_s"] = None if dims is None else dims.d_s
-        row["d_s_method"] = "non-hyperbolic" if dims is None else dims.method
-        emp = _srb(sub, family, alpha, seed_shift=200 + i)
-        phi = _observable(sub, family)
+        family, alpha = _system(sub)
+        spec = _spectrum_payload(_spectrum(sub, family, alpha, 100 + i))
+        series, emp, phi = _series(sub, family, alpha, 200 + i)
         corr = measure.correlation(emp, phi, phi,
                                    sub.get("correlation.n_max"))
-        row["mixing_rate"] = corr.decay_rate
-        row["mixing_fit_undefined"] = corr.fit_undefined
-        field = maps.PerturbationField(family, alpha)
-        series = response.susceptibility_coefficients(
-            emp, field, phi, sub.get("susceptibility.n_max"))
-        est = response.radius_estimate(series,
-                                       method=sub.get("radius.method"))
-        row["radius"] = est.value
-        row["radius_ci"] = est.ci
-        row["radius_indeterminate"] = est.indeterminate
-        row["radius_flag"] = est.flag
+        est = _radius(sub, series)
         psi_one, psi_err = series.truncated_sum(1.0)
-        row["psi_one"] = psi_one
-        row["psi_one_err"] = psi_err
-        row["psi_one_status"] = ("resolved"
-                                 if abs(psi_one) > 3 * psi_err
-                                 else "consistent-with-zero")
-        rows.append(row)
+        rows.append({
+            "system": entry["name"], "alpha": alpha,
+            "d_s": spec.get("d_s"), "d_s_method": spec["d_s_method"],
+            "mixing_rate": corr.decay_rate,
+            "mixing_fit_undefined": corr.fit_undefined,
+            "radius": est.value, "radius_ci": est.ci,
+            "radius_indeterminate": est.indeterminate,
+            "radius_flag": est.flag,
+            "psi_one": psi_one, "psi_one_err": psi_err,
+            "psi_one_status": ("resolved" if abs(psi_one) > 3 * psi_err
+                               else "consistent-with-zero"),
+        })
     write_json(outdir / "report.json", {"systems": rows})
     return {"systems": len(rows)}
 

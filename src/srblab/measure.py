@@ -4,7 +4,7 @@ fits, and Lyapunov-based dimension estimates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,16 +40,6 @@ def default_sampler(family):
     return BoxSampler((-0.1, -0.1), (0.1, 0.1))
 
 
-@dataclass(frozen=True)
-class Provenance:
-    family_name: str
-    alpha: float
-    transient: int
-    length: int
-    ensemble: int
-    seed: int
-
-
 @dataclass
 class EmpiricalMeasure:
     """Consecutive post-transient orbit points from an ensemble of
@@ -58,7 +48,6 @@ class EmpiricalMeasure:
     family: object
     alpha: float
     orbits: np.ndarray          # (members, length, d)
-    provenance: Provenance
     n_escaped: int = 0
 
     @property
@@ -103,8 +92,6 @@ def srb_sample(family, alpha, sampler=None, transient=10_000, length=100_000,
             "initial density support is mischosen")
     return EmpiricalMeasure(
         family=family, alpha=alpha, orbits=orbits[alive],
-        provenance=Provenance(family.name, float(alpha), transient, length,
-                              ensemble, seed),
         n_escaped=n_escaped)
 
 
@@ -185,7 +172,9 @@ def dimension_estimates(spectrum, eps0=None):
 
     d_s uses the entropy-over-stable-exponent ratio h / |lambda^s| with
     h the sum of positive exponents (SRB entropy); for more than one stable
-    direction only a bracketing interval is available.
+    direction only a bracketing interval is available, from h over the
+    strongest stable rate up to the Kaplan-Yorke stable dimension KY - n_u
+    (never above h over the weakest rate, and at most n_s).
     """
     lam = spectrum.all_exponents
     se = spectrum.all_stderr
@@ -209,6 +198,6 @@ def dimension_estimates(spectrum, eps0=None):
         return DimensionEstimate(ky, d_s, (d_s - unc, d_s + unc),
                                  "entropy-ratio", float(unc))
     lo = h / float(neg_abs.max())
-    hi = h / float(neg_abs.min())
+    hi = ky - int(pos.sum())
     return DimensionEstimate(ky, 0.5 * (lo + hi), (lo, hi),
                              "entropy-ratio-bracket", 0.5 * (hi - lo))

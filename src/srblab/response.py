@@ -109,20 +109,21 @@ def susceptibility_coefficients(measure, X, obs, N, n_batches=25):
 
 def kappa_adjoint(measure, X, obs, N):
     """Adjoint-route kappa_n: back-propagate gradients by transposed
-    Jacobians before dotting with X.  Pure linear-algebra dual of
-    susceptibility_coefficients on the same sample set (no error bars)."""
+    Jacobians, W_n(x_j) = J_j^T W_{n-1}(x_{j+1}) with W_0 = grad phi, before
+    dotting with X.  Pure linear-algebra dual of susceptibility_coefficients
+    on the same sample set (no error bars)."""
     orbits = measure.orbits
     m, L, d = orbits.shape
     S = L - 1 - N
-    jac = measure.family.jacobian(measure.alpha, orbits[:, :-1])
-    Xall = X.along_orbit(orbits)
-    grads = obs.gradient(orbits)
+    jacT = measure.family.jacobian(measure.alpha,
+                                   orbits[:, 1:-1]).swapaxes(-1, -2)
+    Xs = X.along_orbit(orbits)[:, :S]
+    W = obs.gradient(orbits)[:, 1:]       # W_n at orbit indices 1..L-1-n
     out = np.empty(N + 1)
     for n in range(N + 1):
-        W = grads[:, 1 + n:1 + n + S].copy()
-        for k in range(n, 0, -1):
-            W = np.einsum("msba,msb->msa", jac[:, k:k + S], W)
-        out[n] = np.einsum("msd,msd->ms", Xall[:, :S], W).mean()
+        if n > 0:
+            W = _matvec(jacT[:, :W.shape[1] - 1], W[:, 1:])
+        out[n] = np.einsum("msd,msd->ms", Xs, W[:, :S]).mean()
     return out
 
 

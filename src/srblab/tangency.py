@@ -373,7 +373,7 @@ class CountingFunction:
         return padded[idx]
 
 
-def counting_function(theta, weights=None, min_points=100, n_scales=None):
+def counting_function(theta, weights=None, min_points=100):
     """Weighted empirical CDF of fold parameters with a scaling-exponent
     estimate from the dyadic maximal increments max_t psi(t+delta) - psi(t)."""
     theta = np.asarray(theta, dtype=float)

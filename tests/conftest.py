@@ -1,9 +1,22 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from srblab import maps, measure, response, tangent
 
 HENON_A = 1.4
+
+
+@pytest.fixture
+def src_env():
+    """The environment with src/ on PYTHONPATH, for a child interpreter."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -164,13 +164,13 @@ def test_fold_synthetic_pipeline(tmp_path):
     assert abs(payload["holder_exponent"] - 0.5) < 0.05
 
 
-def test_console_entry_point(tmp_path):
+def test_console_entry_point(tmp_path, src_env):
     cfg = _write_cfg(tmp_path, SMALL_LYAPUNOV)
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "srblab.cli", "lyapunov", str(cfg),
          "--output-dir", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0, proc.stderr
     assert (out / "spectrum.json").exists()
 
@@ -233,6 +233,40 @@ def test_conjecture_report_carries_radius_flag(tmp_path):
     assert "radius_flag" in row
     assert row["radius_flag"] in (None, "lower-bound-tail-below-noise",
                                   "noise-dominated", "zero-series")
+
+
+def test_conjecture_report_rows_reproduce_single_runs(tmp_path):
+    """Report row 0 at seed s holds the d_s of `lyapunov` at seed s + 100
+    and the radius of `radius` at seed s + 200, on the same settings."""
+    common = {
+        "observable": "bump",
+        "orbit": {"transient": 200, "length": 3000, "ensemble": 4},
+        "spectrum": {"steps": 4000, "reorth_interval": 4},
+        "susceptibility": {"n_max": 8},
+        "correlation": {"n_max": 8},
+    }
+    report = _write_cfg(tmp_path, {
+        **common, "seed": 3,
+        "report": {"systems": [{"name": "cat_shear", "alpha": 0.25}]},
+    }, "report.yaml")
+    assert cli.run("conjecture-report", report, tmp_path / "report") == 0
+    row = json.loads((tmp_path / "report" / "report.json").read_text())
+    row = row["systems"][0]
+
+    def single(subcommand, seed, artifact):
+        cfg = _write_cfg(tmp_path, {
+            **common, "seed": seed, "system": {"name": "cat_shear"},
+            "alpha": 0.25}, f"{subcommand}.yaml")
+        assert cli.run(subcommand, cfg, tmp_path / subcommand) == 0
+        return json.loads((tmp_path / subcommand / artifact).read_text())
+
+    spectrum = single("lyapunov", 103, "spectrum.json")
+    assert row["d_s"] == spectrum["d_s"]
+    assert row["d_s_method"] == spectrum["d_s_method"] == "entropy-ratio"
+    radius = single("radius", 203, "radius.json")
+    assert row["radius"] == radius["value"]
+    assert row["radius_ci"] == radius["ci"]
+    assert row["radius_flag"] == radius["flag"]
 
 
 @pytest.mark.parametrize("subcommand,payload", [

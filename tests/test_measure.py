@@ -156,6 +156,20 @@ def test_dimension_estimates_bracket_for_two_stable_directions():
     assert dims.method == "entropy-ratio-bracket"
 
 
+def test_dimension_bracket_capped_at_kaplan_yorke_stable_dimension():
+    lam = np.array([0.418, -0.029, -1.621, -2.068])
+    se = np.full(4, 1e-3)
+    spec = tangent.LyapunovSpectrum(lam, se, lam, np.ones(4, dtype=int), se,
+                                    n_steps=100_000, mean_log_det=lam.sum())
+    dims = measure.dimension_estimates(spec)
+    lo, hi = dims.d_s_interval
+    assert dims.method == "entropy-ratio-bracket"
+    assert lo == pytest.approx(0.418 / 2.068)
+    assert hi == pytest.approx(dims.kaplan_yorke - 1.0)
+    assert hi == pytest.approx(1.0 + 0.389 / 1.621)
+    assert lo <= dims.d_s <= hi <= 3
+
+
 def test_kaplan_yorke_known_values():
     assert measure.kaplan_yorke(np.array([0.9624, -0.9624])) == pytest.approx(2.0)
     assert measure.kaplan_yorke(np.array([0.419, -1.623])) == pytest.approx(

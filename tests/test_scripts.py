@@ -1,6 +1,5 @@
 """Smoke tests: each driver script in scripts/ runs to completion on small
 inputs."""
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,12 +14,20 @@ ROOT = Path(__file__).resolve().parents[1]
     ("response_scan.py", ["--length", "3000", "--alphas", "0.25"]),
     ("fold_profiles.py", ["--grid", "1024"]),
 ])
-def test_script_runs(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
-                           *args], capture_output=True, text=True, env=env,
-                          timeout=300)
+def test_script_runs(src_env, script, args):
+    proc = _run(src_env, script, args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_fold_profiles_rejects_a_coarse_grid(src_env):
+    proc = _run(src_env, "fold_profiles.py", ["--grid", "256"])
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _run(env, script, args):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                           *args], capture_output=True, text=True, env=env,
+                          timeout=300)
