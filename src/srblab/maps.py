@@ -1,13 +1,29 @@
 """Phase spaces, built-in diffeomorphism families, observables and
 perturbation vector fields.
 
-All map callables are vectorized: they accept points of shape (..., d) and
-return arrays with matching leading dimensions.  Torus coordinates are kept
-reduced to [0, 1) by floor subtraction after every step.
+Each built-in family writes its map once, in component form
+formula(m, a, x0, ..., x{d-1}) -> (y0, ..., y{d-1}), where m is the module
+that supplies sin and floor.  The family's step(alpha, x) runs the formula
+on numpy arrays: it accepts points of shape (..., d) and returns an array
+with matching leading dimensions, like every other map callable.  The
+formula rides on step as `step.formula`, and the orbit loop runs it on
+Python floats, with m = math, when it steps a single point of shape (d,);
+at the first value math refuses (sin or floor of a non-finite number) the
+loop hands the rest of the orbit over to step.  Both paths do the same
+IEEE operations in the same order, so they give the same bits as long as
+math.sin and numpy.sin agree, which the tests check on every family.
+
+Torus coordinates are reduced by floor subtraction u - floor(u) after every
+step.  The result lies in [0, 1] rather than [0, 1): a tiny negative u, such
+as -1e-17, gives exactly 1.0, because u + 1 rounds to 1.
 """
 from __future__ import annotations
 
+import inspect
+import math
+from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +53,8 @@ class Chart:
         return any(self.wrap)
 
     def reduce(self, x):
+        """x with wrapped coordinates replaced by u - floor(u), which lies
+        in [0, 1]: exactly 1.0 for u in (-2**-54, 0)."""
         x = np.asarray(x, dtype=float)
         if not self.any_wrap:
             return x
@@ -70,11 +88,14 @@ class MapFamily:
     """A parametrized diffeomorphism family alpha -> f_alpha.
 
     step, jacobian and param_derivative take (alpha, x) with x of shape
-    (..., d).  inverse, when present, satisfies step(alpha, inverse(alpha, y))
-    == y to 1e-10.  hessian(alpha, x, a, b), when present, is the second
-    derivative D^2 f(x)[a, b] of shape (..., d), and param_jacobian(alpha, x)
-    the mixed derivative d/dalpha Df(x) of shape (..., d, d); the
-    stable/unstable split needs both.
+    (..., d).  A built-in step carries its component-form formula as
+    step.formula (see the module docstring); a step without one is run on
+    arrays only.  inverse, when present, satisfies
+    step(alpha, inverse(alpha, y)) == y to 1e-10.  hessian(alpha, x, a, b),
+    when present, is the second derivative D^2 f(x)[a, b] of shape
+    (..., d), and param_jacobian(alpha, x) the mixed derivative
+    d/dalpha Df(x) of shape (..., d, d); the stable/unstable split needs
+    both.
     """
 
     name: str
@@ -99,22 +120,81 @@ class MapFamily:
         return bad
 
 
+def _component_step(formula):
+    """The array step(alpha, x) of a component-form formula of d >= 2
+    coordinates, carrying the formula as `step.formula` for the float path
+    of `_orbit`."""
+    d = len(inspect.signature(formula).parameters) - 2
+    coords = [(Ellipsis, i) for i in range(d)]
+    components = itemgetter(*coords)      # x -> (x[..., 0], x[..., 1], ...)
+
+    def step(a, x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        for i, y in zip(coords, formula(np, a, *components(x))):
+            out[i] = y
+        return out
+
+    step.formula = formula
+    return step
+
+
+# the float path buffers at most this many steps before copying them into
+# the history, so a long orbit is not held twice
+FLOAT_CHUNK = 4096
+
+
+def _float_steps(formula, a, x, n, hist):
+    """Step the single point x n times through formula on Python floats,
+    writing rows 1.. of hist (n+1, d); return the number of steps done.
+
+    The loop stops early when sin or floor meets a non-finite value, which
+    math refuses by raising; the caller finishes the orbit on numpy.  Other
+    non-finite values propagate as they do in numpy, since +, - and * on
+    Python floats are the same IEEE operations.
+    """
+    d = hist.shape[-1]
+    x = x.tolist()
+    done = 0
+    while done < n:
+        buf = array("d")
+        push = buf.extend
+        try:
+            for _ in range(min(FLOAT_CHUNK, n - done)):
+                x = formula(math, a, *x)
+                push(x)
+        except (ValueError, OverflowError):
+            n = done + len(buf) // d      # copy what was done, then stop
+        k = len(buf) // d
+        hist[done + 1:done + k + 1] = np.frombuffer(buf).reshape(k, d)
+        done += k
+    return done
+
+
 def _orbit(family, alpha, x, n):
     """The one orbit loop: histories (..., n+1, d) of the points x
     (..., d) under n steps, and the escaped mask (..., n+1) of every stored
     point.
 
+    A single point of shape (d,) is stepped on Python floats when the
+    family's step carries its component-form formula; batches, and the
+    rest of an orbit the float path hands over, run through step itself.
     Escape is found after the loop: non-finite values propagate, so a
     vectorized scan recovers it without per-step checks.  Points are
     stepped row by row, so an escaping point leaves the others' bits alone.
     """
-    x = family.chart.reduce(np.asarray(x, dtype=float))
-    hist = np.empty(x.shape[:-1] + (n + 1, x.shape[-1]))
-    steps = np.moveaxis(hist, -2, 0)
-    steps[0] = x
-    step = family.step
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
+        x = family.chart.reduce(np.asarray(x, dtype=float))
+        hist = np.empty(x.shape[:-1] + (n + 1, x.shape[-1]))
+        steps = np.moveaxis(hist, -2, 0)
+        steps[0] = x
+        done = 0
+        formula = getattr(family.step, "formula", None)
+        if formula is not None and x.ndim == 1:
+            done = _float_steps(formula, float(alpha), x, n, hist)
+            x = hist[done]
+        step = family.step
+        for k in range(done, n):
             x = step(alpha, x)
             steps[k + 1] = x
     return hist, family.escaped(hist)
@@ -171,10 +251,14 @@ def cat_translate(v=(1.0, 0.0)):
     Lebesgue measure is invariant for every alpha.
     """
     v = np.asarray(v, dtype=float)
+    v0, v1 = v.tolist()
     chart = torus(2)
 
-    def step(a, x):
-        return chart.reduce(np.asarray(x) @ CAT.T + a * v)
+    @_component_step
+    def step(m, a, x0, x1):
+        y0 = 2.0 * x0 + x1 + a * v0
+        y1 = x0 + x1 + a * v1
+        return y0 - m.floor(y0), y1 - m.floor(y1)
 
     def jac(a, x):
         x = np.asarray(x)
@@ -211,8 +295,11 @@ def cat_shear():
         out[..., 0] = np.sin(TWO_PI * x[..., 1]) / TWO_PI
         return out
 
-    def step(a, x):
-        return chart.reduce(np.asarray(x) @ CAT.T + a * g(x))
+    @_component_step
+    def step(m, a, x0, x1):
+        y0 = 2.0 * x0 + x1 + a * (m.sin(TWO_PI * x1) / TWO_PI)
+        y1 = x0 + x1 + a * 0.0
+        return y0 - m.floor(y0), y1 - m.floor(y1)
 
     def jac(a, x):
         x = np.asarray(x)
@@ -254,12 +341,10 @@ def henon(b=0.3):
     """Henon family (x, y) -> (1 + y - a x^2, b x); alpha is the a parameter."""
     chart = flat(2)
 
-    def step(a, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        out[..., 0] = 1.0 + x[..., 1] - a * x[..., 0] ** 2
-        out[..., 1] = b * x[..., 0]
-        return out
+    @_component_step
+    def step(m, a, x0, x1):
+        # x0 * x0, as numpy squares; Python's x0 ** 2 rounds differently
+        return 1.0 + x1 - a * (x0 * x0), b * x0
 
     def jac(a, x):
         x = np.asarray(x, dtype=float)
@@ -305,13 +390,11 @@ def standard_map():
     """
     chart = torus(2)
 
-    def step(a, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        p1 = x[..., 0] + a / TWO_PI * np.sin(TWO_PI * x[..., 1])
-        out[..., 0] = p1
-        out[..., 1] = x[..., 1] + p1
-        return chart.reduce(out)
+    @_component_step
+    def step(m, a, x0, x1):
+        p1 = x0 + a / TWO_PI * m.sin(TWO_PI * x1)
+        t1 = x1 + p1
+        return p1 - m.floor(p1), t1 - m.floor(t1)
 
     def jac(a, x):
         x = np.asarray(x, dtype=float)
@@ -368,19 +451,12 @@ def coupled_henon(b=0.3, c=0.3):
         raise ParameterError("coupling c = 1/2 makes the exchange singular")
     chart = flat(4)
 
-    def _henon_image(a, xc, yc):
-        return 1.0 + yc - a * xc**2, b * xc
-
-    def step(a, x):
-        x = np.asarray(x, dtype=float)
-        f1x, f1y = _henon_image(a, x[..., 0], x[..., 1])
-        f2x, f2y = _henon_image(a, x[..., 2], x[..., 3])
-        out = np.empty_like(x)
-        out[..., 0] = (1.0 - c) * f1x + c * f2x
-        out[..., 1] = (1.0 - c) * f1y + c * f2y
-        out[..., 2] = (1.0 - c) * f2x + c * f1x
-        out[..., 3] = (1.0 - c) * f2y + c * f1y
-        return out
+    @_component_step
+    def step(m, a, x0, x1, x2, x3):
+        f1x, f1y = 1.0 + x1 - a * (x0 * x0), b * x0
+        f2x, f2y = 1.0 + x3 - a * (x2 * x2), b * x2
+        return ((1.0 - c) * f1x + c * f2x, (1.0 - c) * f1y + c * f2y,
+                (1.0 - c) * f2x + c * f1x, (1.0 - c) * f2y + c * f1y)
 
     def jac(a, x):
         x = np.asarray(x, dtype=float)

@@ -14,6 +14,11 @@ from .errors import (BasinEscapeError, HyperbolicityError,
 from .maps import _orbit
 from .stats import batch_means, linear_fit
 
+# srb_sample runs the transient in chunks of this many steps, keeping only
+# each member's last point and whether it escaped, so the transient's
+# memory does not grow with its length
+TRANSIENT_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class BoxSampler:
@@ -81,10 +86,15 @@ def srb_sample(family, alpha, sampler=None, transient=10_000, length=100_000,
     if sampler is None:
         sampler = default_sampler(family)
     rng = np.random.default_rng(seed)
-    head, bad_head = _orbit(family, alpha, sampler.draw(rng, ensemble),
-                            transient)
-    orbits, bad = _orbit(family, alpha, head[:, -1], length - 1)
-    alive = ~(bad_head.any(axis=-1) | bad.any(axis=-1))
+    x = sampler.draw(rng, ensemble)
+    gone = np.zeros(ensemble, dtype=bool)
+    for done in range(0, transient, TRANSIENT_CHUNK):
+        head, bad = _orbit(family, alpha, x,
+                           min(TRANSIENT_CHUNK, transient - done))
+        gone |= bad.any(axis=-1)
+        x = head[:, -1]
+    orbits, bad = _orbit(family, alpha, x, length - 1)
+    alive = ~(gone | bad.any(axis=-1))
     n_escaped = int(ensemble - alive.sum())
     if n_escaped * 2 > ensemble:
         raise BasinEscapeError(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,109 @@ def test_iterate_batch_freezes_escapees():
     step = exc.value.step
     assert step > 1 and np.all(np.isfinite(hist[:step, 2]))
     assert np.all(np.isnan(hist[step:, 2]))
+
+
+def _array_orbit(fam, alpha, x, n):
+    """History and escaped mask of x through step itself: a batch of one
+    row, which the float path never takes."""
+    hist, bad = maps._orbit(fam, alpha, np.asarray(x, dtype=float)[None], n)
+    return hist[0], bad[0]
+
+
+def _escape_step(fam, alpha, x, n):
+    try:
+        maps.iterate(fam, alpha, x, n)
+    except OrbitEscapeError as exc:
+        return exc.step
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(ALPHAS))
+def test_float_path_bitwise_equals_array_path(name):
+    fam = maps.get_family(name)
+    rng = np.random.default_rng(21)
+    for x in _random_points(fam, rng, 3):
+        orbit = maps.iterate(fam, ALPHAS[name], x, 10_000)
+        ref, bad = _array_orbit(fam, ALPHAS[name], x, 10_000)
+        assert not bad.any()
+        assert orbit.tobytes() == ref.tobytes()
+
+
+def test_float_path_escape_index_matches_array_path():
+    fam = maps.get_family("henon")
+    starts = np.random.default_rng(22).uniform(-2.5, 2.5, (60, 2))
+    escaped = 0
+    for x in starts:
+        hist, bad = maps._orbit(fam, 1.4, x, 200)
+        ref, ref_bad = _array_orbit(fam, 1.4, x, 200)
+        assert np.array_equal(bad, ref_bad)
+        k = int(np.argmax(ref_bad)) if ref_bad.any() else None
+        assert _escape_step(fam, 1.4, x, 200) == k
+        if k is not None:
+            escaped += 1
+            assert hist[:k + 1].tobytes() == ref[:k + 1].tobytes()
+    assert 10 < escaped < 60
+
+
+@pytest.mark.parametrize("name", sorted(ALPHAS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_start_escapes_at_step_zero(name, bad):
+    """math.sin and math.floor refuse non-finite values; the float path
+    hands over to numpy instead of raising ValueError or OverflowError."""
+    fam = maps.get_family(name)
+    x = np.full(fam.dimension, 0.05)
+    x[-1] = bad
+    assert _escape_step(fam, ALPHAS[name], x, 20) == 0
+    hist = maps.iterate_batch(fam, ALPHAS[name], x[None], 20)
+    assert np.all(np.isnan(hist[1:]))
+
+
+@pytest.mark.parametrize("chunk", [64, maps.FLOAT_CHUNK])
+def test_float_path_hands_over_mid_orbit(monkeypatch, chunk):
+    """A formula that reaches inf after about 300 steps: math.sin raises
+    there and numpy finishes the orbit, with the same bits as step."""
+    monkeypatch.setattr(maps, "FLOAT_CHUNK", chunk)
+    step = maps._component_step(lambda m, a, x0, x1: (a * x0, m.sin(a * x0)))
+    fam = maps.MapFamily("blowup", 2, maps.flat(2), step, None, None,
+                         escape_radius=1e150)
+    x = np.array([1.0, 0.0])
+    hist, bad = maps._orbit(fam, 10.0, x, 400)
+    ref, ref_bad = _array_orbit(fam, 10.0, x, 400)
+    assert np.isinf(hist[-1, 0]) and np.isnan(hist[-1, 1])
+    assert hist.tobytes() == ref.tobytes()
+    assert np.array_equal(bad, ref_bad)
+    assert _escape_step(fam, 10.0, x, 400) == int(np.argmax(ref_bad))
+
+
+@pytest.mark.parametrize("name", sorted(ALPHAS))
+def test_float_path_alpha_types_give_the_same_bits(name):
+    fam = maps.get_family(name)
+    x = _random_points(fam, np.random.default_rng(23), 1)[0]
+    for alphas in ((1, 1.0, np.float64(1.0)),
+                   (ALPHAS[name], np.float64(ALPHAS[name]))):
+        ref, _ = _array_orbit(fam, alphas[0], x, 2000)
+        for alpha in alphas:
+            orbit = maps.iterate(fam, alpha, x, 2000)
+            assert orbit.tobytes() == ref.tobytes()
+
+
+def test_swapped_step_runs_instead_of_the_formula():
+    fam = maps.get_family("henon")
+    halve = dataclasses.replace(fam, step=lambda a, x: 0.5 * np.asarray(x))
+    orbit = maps.iterate(halve, 1.4, np.array([1.0, -2.0]), 10)
+    assert np.array_equal(orbit[:, 0], 0.5 ** np.arange(11))
+    assert np.array_equal(orbit[:, 1], -2.0 * 0.5 ** np.arange(11))
+
+
+def test_torus_reduction_of_a_tiny_negative_gives_one():
+    """u - floor(u) is 1.0, not in [0, 1), for u in (-2**-54, 0)."""
+    assert np.array_equal(maps.torus(2).reduce([-1e-17, 0.5]), [1.0, 0.5])
+    fam = maps.get_family("cat_translate")
+    # (0, 0) -> (alpha, alpha * 0) with alpha = -1e-17
+    orbit = maps.iterate(fam, -1e-17, np.array([0.0, 0.0]), 1)
+    ref, _ = _array_orbit(fam, -1e-17, [0.0, 0.0], 1)
+    assert np.array_equal(orbit[1], [1.0, 0.0])
+    assert orbit.tobytes() == ref.tobytes()
 
 
 def test_catalog_contents():

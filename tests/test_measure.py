@@ -48,6 +48,17 @@ def test_srb_sample_basin_error(henon_family):
 
 
 def test_srb_sample_drops_members_escaping_in_either_segment(henon_family):
+    _check_escapes_against_iterate(henon_family)
+
+
+def test_srb_sample_transient_chunks_change_nothing(henon_family,
+                                                    monkeypatch):
+    # chunks of 3 cut the 4-step transient into 3 steps and 1
+    monkeypatch.setattr(measure, "TRANSIENT_CHUNK", 3)
+    _check_escapes_against_iterate(henon_family)
+
+
+def _check_escapes_against_iterate(henon_family):
     sampler = measure.BoxSampler((-1.5, -0.5), (1.5, 0.5))
     transient, length, ensemble, seed = 4, 50, 64, 0
     emp = measure.srb_sample(henon_family, 1.4, sampler=sampler,
