@@ -182,6 +182,8 @@ def _spectrum_payload(spec):
         "sum": spec.sum(),
         "mean_log_det": spec.mean_log_det,
         "n_steps": spec.n_steps,
+        "n_windows": spec.n_windows,
+        "boundary_residual": spec.boundary_residual,
         "d_s_method": "non-hyperbolic",
     }
     try:
@@ -322,6 +324,8 @@ def cmd_split(cfg, outdir):
         "excluded_fraction": result.excluded_fraction,
         "min_angle": result.min_angle,
         "max_reconstruction_sigma": float(np.max(sig)),
+        "n_windows": result.n_windows,
+        "boundary_residual": result.boundary_residual,
     })
     return {"coefficients": int(result.direct.coeffs.size)}
 

@@ -450,6 +450,8 @@ class SplitResult:
     direct: SusceptibilitySeries
     excluded_fraction: float
     min_angle: float
+    n_windows: int             # of the CLV sweep, as on LyapunovSpectrum
+    boundary_residual: float
 
     def combined(self):
         """Reconstructed series stable + unstable with combined errors.
@@ -524,7 +526,7 @@ def stable_unstable_split(measure, X, obs, N, clv_warmup=1000,
     Xj = X.along_orbit(orbits)[:, j_lo - 1:j_hi - 1]     # X at x_j
     eu, es = V[:, frames], E[:, frames]
     det = _cross(eu, es)
-    angles = np.arccos(np.clip(np.abs(_dot(eu, es)), 0.0, 1.0))
+    angles = _line_angle(eu, es)
     mask = angles >= angle_threshold
     excluded = 1.0 - mask.mean()
     u = _cross(Xj, es) / det
@@ -564,7 +566,9 @@ def stable_unstable_split(measure, X, obs, N, clv_warmup=1000,
         unstable=SusceptibilitySeries(unst_c, unst_e, dict(meta, term="unstable")),
         direct=SusceptibilitySeries(direct_c, direct_e, dict(meta, term="direct")),
         excluded_fraction=float(excluded),
-        min_angle=float(angles.min()))
+        min_angle=float(angles.min()),
+        n_windows=spectrum.n_windows,
+        boundary_residual=spectrum.boundary_residual)
 
 
 def _dot(a, b):
@@ -573,6 +577,13 @@ def _dot(a, b):
 
 def _cross(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _line_angle(a, b):
+    """Angle in [0, pi/2] between the lines of 2-D vectors a and b, as
+    atan2(|a x b|, |a . b|): the cross product keeps the digits of a small
+    angle, of which arccos of the normalised dot product keeps about half."""
+    return np.arctan2(np.abs(_cross(a, b)), np.abs(_dot(a, b)))
 
 
 def _rot90(a):

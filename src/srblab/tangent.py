@@ -42,14 +42,83 @@ class TangentCocycle:
         return P
 
 
+# Small-matrix kernels.  The sweeps factor thousands of d x d matrices per
+# step, so these loop over the d rows and columns and act elementwise on all
+# leading axes at once, where a LAPACK routine would be called once per
+# matrix.  Only + - * / and sqrt touch the entries, each correctly rounded, so
+# a matrix's result does not depend on the stack it sits in, which the
+# bitwise equality of windowed and sequential sweeps relies on.
+
+
+def _dot(u, v):
+    """Sum over i of u[i] * v[i], in order, for sequences of arrays."""
+    s = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        s = s + a * b
+    return s
+
+
 def _qr_pos(A):
-    """Batched QR with positive diagonal of R."""
-    Q, R = np.linalg.qr(A)
-    diag = np.diagonal(R, axis1=-2, axis2=-1)
-    s = np.where(diag < 0, -1.0, 1.0)
-    Q = Q * s[..., None, :]
-    R = R * s[..., :, None]
+    """QR with positive diagonal of a stack A (..., m, k), m >= k.
+
+    Returns Q (..., m, k) with orthonormal columns and R (..., k, k) upper
+    triangular with R[j, j] >= 0, A = Q R.  Classical Gram-Schmidt run twice
+    on each column: two passes keep Q orthonormal to working precision while
+    cond(A) stays well below 1/eps (Giraud, Langou, Rozloznik & van den
+    Eshof, Numer. Math. 101, 2005), where one pass loses orthogonality with
+    the condition number; Benettin's 8-step block products reach about 1e7.
+    The diagonal is a norm, so it is positive without sign fixing.
+
+    A rank-deficient or non-finite matrix gives a zero or non-finite
+    diagonal entry and no warning; callers check the diagonal.  Columns
+    dependent to working precision (cond(A) beyond 1/eps) can also give an
+    exact zero, where a Householder QR returns a diagonal entry made of
+    rounding errors.  The squared norms overflow for entries beyond about
+    1e154; with |det A| <= 1, as on the shipped families' cocycles, cond(A)
+    is then beyond 1/eps as well.
+    """
+    m, k = A.shape[-2:]
+    Q = np.empty(A.shape)
+    R = np.zeros(A.shape[:-2] + (k, k))
+    q = []                              # columns of Q as lists of rows
+    with np.errstate(all="ignore"):
+        for j in range(k):
+            v = [A[..., i, j] for i in range(m)]
+            for _ in range(2):
+                r = [_dot(q[l], v) for l in range(j)]
+                for l in range(j):
+                    v = [a - r[l] * b for a, b in zip(v, q[l])]
+                    R[..., l, j] += r[l]
+            norm = np.sqrt(_dot(v, v))
+            R[..., j, j] = norm
+            q.append([a / norm for a in v])
+            for i in range(m):
+                Q[..., i, j] = q[j][i]
     return Q, R
+
+
+def _back_substitute(R, C):
+    """R^-1 C for stacks of upper-triangular R and C (..., d, d) with
+    R[i, i] != 0; the result is upper triangular.  Column c of C has rows
+    0 .. c only, so back substitution runs over those."""
+    d = R.shape[-1]
+    X = np.zeros(C.shape)
+    for c in range(d):
+        for i in range(c, -1, -1):
+            s = C[..., i, c]
+            for l in range(i + 1, c + 1):
+                s = s - R[..., i, l] * X[..., l, c]
+            X[..., i, c] = s / R[..., i, i]
+    return X
+
+
+def _unit_columns(X):
+    """X (..., d, k) with each column scaled to unit norm, in place."""
+    d, k = X.shape[-2:]
+    for c in range(k):
+        col = [X[..., i, c] for i in range(d)]
+        X[..., c] /= np.sqrt(_dot(col, col))[..., None]
+    return X
 
 
 @dataclass
@@ -251,8 +320,9 @@ def _backward_clv(Qs, Rs, lo, hi, core, overlap):
     lo .. hi - 1, and the residual of the hand-over coefficients.
 
     Windows run down from frame n - k*core, each from the triangular
-    initial condition; the triangular coefficients keep a positive
-    diagonal, so no sign alignment is needed.
+    initial condition.  Each step takes the upper-triangular coefficients
+    A <- R^-1 A by back substitution and scales A's columns to unit norm;
+    they keep a positive diagonal, so no sign alignment is needed.
     """
     B, n, d, _ = Rs.shape
     K, core, overlap = _windows(n, core, overlap)
@@ -262,21 +332,19 @@ def _backward_clv(Qs, Rs, lo, hi, core, overlap):
     As = np.zeros((B, n, d, d))
     Rrev, Arev = Rs[:, ::-1], As[:, ::-1]
     A = np.broadcast_to(np.triu(np.ones((d, d))), (B, K, d, d)).copy()
-    A = A / np.linalg.norm(A, axis=-2, keepdims=True)
+    A = _unit_columns(A)
     hand = A
     for t in range(core + overlap):
         R = Rrev[:, t:t + span:core]
         m = R.shape[1]
-        Am = np.linalg.solve(R, A[:, :m])
-        A[:, :m] = Am / np.linalg.norm(Am, axis=-2, keepdims=True)
+        A[:, :m] = _unit_columns(_back_substitute(R, A[:, :m]))
         Arev[:, t:t + m * core:core] = A[:, :m]
         if t == overlap - 1:
             hand = A.copy()
     residual = float(np.abs(A[:, :-1] - hand[:, 1:]).max(initial=0.0))
     V = As[:, lo:hi]                     # CLVs in place of their coefficients
     V[...] = Qs[:, lo:hi] @ V
-    V /= np.linalg.norm(V, axis=-2, keepdims=True)
-    return V, residual
+    return _unit_columns(V), residual
 
 
 def benettin_spectrum(cocycle, steps=None, reorth_interval=1, n_batches=20,
@@ -380,13 +448,27 @@ def compute_clvs(cocycle, warmup=1000, eps0=None, n_batches=20):
 
 
 def splitting_angles(splitting):
-    """Per-point minimal principal angle between E^s and E^u."""
-    bu = splitting.basis("u")
-    bs = splitting.basis("s")
-    M = np.swapaxes(bu, -2, -1) @ bs
-    s = np.linalg.svd(M, compute_uv=False)
-    smax = s[..., 0] if s.ndim > 1 else s
-    return np.arccos(np.clip(smax, 0.0, 1.0))
+    """Per-point minimal principal angle between E^s and E^u.
+
+    theta = atan2(sin, cos) with cos the largest singular value of B_a^T B_b
+    and sin the smallest of (I - B_b B_b^T) B_a, for orthonormal bases B_a of
+    the lower-dimensional subspace and B_b of the other (Knyazev & Argentati,
+    SIAM J. Sci. Comput. 23, 2002).  arccos(cos) alone keeps only about half
+    the digits of a small angle.  When B_a is one column, both singular values
+    are column norms.
+    """
+    a, b = splitting.basis("u"), splitting.basis("s")
+    if a.shape[-1] > b.shape[-1]:
+        a, b = b, a
+    C = np.swapaxes(b, -2, -1) @ a
+    S = a - b @ C
+    if a.shape[-1] == 1:
+        cos = np.linalg.norm(C[..., 0], axis=-1)
+        sin = np.linalg.norm(S[..., 0], axis=-1)
+    else:
+        cos = np.linalg.svd(C, compute_uv=False)[..., 0]
+        sin = np.linalg.svd(S, compute_uv=False)[..., -1]
+    return np.arctan2(sin, cos)
 
 
 def covariance_residuals(splitting, cocycle):

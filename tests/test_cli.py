@@ -42,6 +42,8 @@ def test_lyapunov_outputs_and_manifest(tmp_path):
         assert digest == entry["sha256"]
     spec = json.loads((out / "spectrum.json").read_text())
     assert spec["exponents"][0] > 0 > spec["exponents"][1]
+    # 750 blocks of 4 steps: three windows, whose frames agree
+    assert spec["n_windows"] == 3 and 0.0 <= spec["boundary_residual"] < 1e-12
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -162,6 +164,22 @@ def test_fold_synthetic_pipeline(tmp_path):
     payload = json.loads((out / "synthetic.json").read_text())
     assert payload["predicted_exponent"] == pytest.approx(0.5)
     assert abs(payload["holder_exponent"] - 0.5) < 0.05
+
+
+def test_split_reports_its_sweep(tmp_path):
+    cfg = _write_cfg(tmp_path, {
+        "system": {"name": "cat_shear"}, "alpha": 0.25, "seed": 3,
+        "observable": "cos_1_0",
+        "orbit": {"transient": 200, "length": 3000, "ensemble": 2},
+        "clv": {"warmup": 300}, "split": {"n_max": 4},
+    })
+    out = tmp_path / "out"
+    assert cli.run("split", cfg, out) == cli.EXIT_OK
+    payload = json.loads((out / "split.json").read_text())
+    # 3000 steps in cores of 256, the first 64 overlapping: twelve windows,
+    # whose frames agree
+    assert payload["n_windows"] == 12
+    assert 0.0 <= payload["boundary_residual"] < 1e-12
 
 
 def test_console_entry_point(tmp_path, src_env):

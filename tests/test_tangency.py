@@ -23,6 +23,20 @@ def test_convolution_nonnegative_and_mass_consistent():
     assert prof.values.min() >= 0.0
 
 
+@pytest.mark.parametrize("sigma, side", [
+    (tangency.make_sigma("cantor", ratio=1.0 / 3.0, level=5), "one"),
+    (tangency.make_sigma("atoms", positions=(0.2, 0.55, 0.9),
+                         weights=(0.5, 0.3, 0.2)), "two"),
+])
+def test_convolution_blocks_change_nothing(monkeypatch, sigma, side):
+    # one block of all 1500 rows against blocks of 7 rows, the last of 2
+    whole = tangency.synthetic_fold_convolution(sigma, 1500, side=side)
+    n = max(len(part) for part in sigma.cells())
+    monkeypatch.setattr(tangency, "_FOLD_BLOCK", 7 * n)
+    blocked = tangency.synthetic_fold_convolution(sigma, 1500, side=side)
+    assert np.allclose(blocked.values, whole.values, rtol=1e-14, atol=0.0)
+
+
 def test_holder_exponent_uniform_and_cantor():
     for sigma, expect in [(tangency.make_sigma("uniform"), 0.5),
                           (tangency.make_sigma("cantor", ratio=1.0 / 3.0,

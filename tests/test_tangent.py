@@ -1,7 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from srblab import maps, measure, tangent
+from srblab import maps, measure, response, tangent
 from srblab.errors import (HyperbolicityError, NumericalDegeneracyError,
                            ParameterError)
 
@@ -276,3 +282,124 @@ def test_affine_recurrence_windows_match_sequential_loop():
     ones = np.ones((3, 1500))
     assert np.array_equal(tangent._affine_recurrence(ones, d)[:, 1:],
                           np.cumsum(d, axis=1))
+
+
+# The small-matrix kernels against LAPACK, and their independence of the
+# stack a matrix sits in.  Matrices are U diag(s) V^T with singular values
+# down to 10^-log_cond, up to the ~1e7 of Benettin's 8-step block products.
+
+EPS = np.finfo(float).eps
+
+
+def _conditioned(seed, n, m, k, log_cond):
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((n, m, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, k, k)))[0]
+    s = np.logspace(0.0, -log_cond, k) * rng.uniform(0.5, 2.0, (n, 1))
+    return (U * s[:, None, :]) @ V
+
+
+def _lapack_qr_pos(A):
+    Q, R = np.linalg.qr(A)
+    sign = np.where(np.diagonal(R, axis1=-2, axis2=-1) < 0, -1.0, 1.0)
+    return Q * sign[..., None, :], R * sign[..., :, None]
+
+
+def _same_bits_alone_and_strided(kernel, *stacks):
+    """kernel on the stack gives the bits it gives on each matrix alone and
+    on every other row of a stack twice as tall."""
+    def run(*args):
+        out = kernel(*args)
+        return out if isinstance(out, tuple) else (out,)
+
+    whole = run(*stacks)
+    for i in range(stacks[0].shape[0]):
+        for w, a in zip(whole, run(*(x[i] for x in stacks))):
+            assert np.array_equal(w[i], a)
+    tall = []
+    for x in stacks:
+        t = np.full((2 * x.shape[0],) + x.shape[1:], np.nan)
+        t[::2] = x
+        tall.append(t)
+    for w, t in zip(whole, run(*tall)):
+        assert np.array_equal(w, t[::2])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 6), st.floats(0.0, 7.0))
+@settings(max_examples=60, deadline=None)
+def test_qr_kernel_properties(seed, d, k, n, log_cond):
+    k = min(k, d)                      # square, or tall as for basis()
+    A = _conditioned(seed, n, d, k, log_cond)
+    cond = np.linalg.cond(A).max()
+    Q, R = tangent._qr_pos(A)
+    assert Q.shape == (n, d, k) and R.shape == (n, k, k)
+    gram = np.swapaxes(Q, -2, -1) @ Q
+    assert np.abs(gram - np.eye(k)).max() <= 1e-14
+    assert np.all(np.tril(R, -1) == 0.0)
+    assert np.all(np.diagonal(R, axis1=-2, axis2=-1) > 0.0)
+    scale = np.abs(A).max()
+    assert np.abs(Q @ R - A).max() <= 1e-14 * scale
+    # forward error of a backward-stable QR: cond * eps
+    Q0, R0 = _lapack_qr_pos(A)
+    assert np.abs(Q - Q0).max() <= 20 * cond * EPS
+    assert np.abs(R - R0).max() <= 20 * cond * EPS * scale
+    _same_bits_alone_and_strided(tangent._qr_pos, A)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6),
+       st.floats(0.0, 7.0))
+@settings(max_examples=60, deadline=None)
+def test_back_substitution_properties(seed, d, n, log_cond):
+    _, R = tangent._qr_pos(_conditioned(seed, n, d, d, log_cond))
+    rng = np.random.default_rng(seed + 1)
+    C = np.triu(rng.uniform(-1.0, 1.0, (n, d, d)))
+    X = tangent._back_substitute(R, C)
+    assert np.all(np.tril(X, -1) == 0.0)
+    X0 = np.linalg.solve(R, C)
+    cond = np.linalg.cond(R).max()
+    assert np.abs(X - X0).max() <= 20 * cond * EPS * np.abs(X0).max()
+    _same_bits_alone_and_strided(tangent._back_substitute, R, C)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 1499),
+       st.sampled_from([1, 3]))
+@settings(max_examples=20, deadline=None)
+def test_rank_loss_step_without_warnings(seed, d, step, reorth_interval):
+    rng = np.random.default_rng(seed)
+    J = rng.standard_normal((1500, d, d))
+    J[step] = 0.0
+    coc = tangent.TangentCocycle(np.zeros((1501, d)), J)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalDegeneracyError) as exc:
+            tangent.benettin_spectrum(coc, reorth_interval=reorth_interval)
+        assert exc.value.step == step // reorth_interval * reorth_interval
+        with pytest.raises(NumericalDegeneracyError) as exc:
+            tangent.compute_clvs(coc, warmup=100)
+        assert exc.value.step == step
+
+
+def test_splitting_angle_keeps_its_digits():
+    # the exact angle of (cos t, sin t) is t to within a few ulps, and
+    # arccos(cos t) carries the rounding of cos t near 1, about 1e-2 of t
+    theta = 1e-7
+    c, s = math.cos(theta), math.sin(theta)
+    sp = tangent.OseledetsSplitting(
+        points=np.zeros((1, 2)), clvs=np.array([[[1.0, c], [0.0, s]]]),
+        n_unstable=1, offset=0, spectrum=None)
+    assert abs(tangent.splitting_angles(sp)[0] - theta) <= 1e-14 * theta
+    line = response._line_angle(np.array([1.0, 0.0]), np.array([c, s]))
+    assert abs(line - theta) <= 1e-14 * theta
+
+
+@pytest.mark.parametrize("n_unstable", [1, 2, 3])
+def test_splitting_angles_match_scipy(n_unstable):
+    clvs = np.random.default_rng(n_unstable).standard_normal((20, 4, 4))
+    sp = tangent.OseledetsSplitting(
+        points=np.zeros((20, 4)), clvs=clvs, n_unstable=n_unstable,
+        offset=0, spectrum=None)
+    ref = [scipy.linalg.subspace_angles(V[:, :n_unstable],
+                                        V[:, n_unstable:]).min()
+           for V in clvs]
+    assert np.abs(tangent.splitting_angles(sp) - ref).max() <= 1e-12
