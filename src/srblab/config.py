@@ -32,7 +32,6 @@ SCHEMA = {
     "split": {"n_max": int, "angle_threshold": (int, float)},
     "tangency": {"angle_threshold": (int, float),
                  "cluster_radius": (int, float),
-                 "bandwidth": (int, float),
                  "min_projection_angle": (int, float),
                  "frame": {"base": list, "direction": list}},
     "synthetic": {"sigma": {"kind": str, "ratio": (int, float),
@@ -55,7 +54,7 @@ DEFAULTS = {
     "response": {"h": 0.05, "richardson": False},
     "split": {"n_max": 10, "angle_threshold": 1e-3},
     "tangency": {"angle_threshold": 0.01, "cluster_radius": 0.02,
-                 "bandwidth": 0.01, "min_projection_angle": 1e-3},
+                 "min_projection_angle": 1e-3},
     "synthetic": {"grid": 8192, "side": "two", "domain": [0.0, 1.0]},
 }
 

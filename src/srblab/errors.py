@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package.
 
-Each class maps to one CLI exit code, see cli.EXIT_CODES.
+Each class maps to one CLI exit code, see cli._ERROR_CODES.
 """
 
 

@@ -35,52 +35,29 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class Chart:
-    """Per-coordinate wrap flags.  wrap[i] True means coordinate i lives on
-    the unit circle and is reduced mod 1."""
+    """A flat chart, or a torus whose every coordinate lives on the unit
+    circle and is reduced mod 1 (any_wrap True)."""
 
-    wrap: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "_mask", np.array(self.wrap, dtype=bool))
-        object.__setattr__(self, "_all_wrap", all(self.wrap))
-
-    @property
-    def dimension(self):
-        return len(self.wrap)
-
-    @property
-    def any_wrap(self):
-        return any(self.wrap)
+    any_wrap: bool
 
     def reduce(self, x):
         """x with wrapped coordinates replaced by u - floor(u), which lies
         in [0, 1]: exactly 1.0 for u in (-2**-54, 0)."""
         x = np.asarray(x, dtype=float)
-        if not self.any_wrap:
-            return x
-        if self._all_wrap:
-            return x - np.floor(x)
-        out = x.copy()
-        out[..., self._mask] -= np.floor(out[..., self._mask])
-        return out
+        return x - np.floor(x) if self.any_wrap else x
 
     def difference(self, a, b):
         """Minimal-image a - b (wrapped coordinates mapped to [-1/2, 1/2))."""
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        if not self.any_wrap:
-            return d
-        if self._all_wrap:
-            return d - np.round(d)
-        d[..., self._mask] -= np.round(d[..., self._mask])
-        return d
+        return d - np.round(d) if self.any_wrap else d
 
 
-def flat(d):
-    return Chart(wrap=(False,) * d)
+def flat():
+    return Chart(any_wrap=False)
 
 
-def torus(d):
-    return Chart(wrap=(True,) * d)
+def torus():
+    return Chart(any_wrap=True)
 
 
 @dataclass(frozen=True)
@@ -252,7 +229,7 @@ def cat_translate(v=(1.0, 0.0)):
     """
     v = np.asarray(v, dtype=float)
     v0, v1 = v.tolist()
-    chart = torus(2)
+    chart = torus()
 
     @_component_step
     def step(m, a, x0, x1):
@@ -288,7 +265,7 @@ def cat_shear():
     Uniformly hyperbolic for |alpha| well below 1; not volume preserving
     for alpha != 0.
     """
-    chart = torus(2)
+    chart = torus()
 
     def g(x):
         out = np.zeros_like(np.asarray(x, dtype=float))
@@ -339,7 +316,7 @@ def cat_shear():
 
 def henon(b=0.3):
     """Henon family (x, y) -> (1 + y - a x^2, b x); alpha is the a parameter."""
-    chart = flat(2)
+    chart = flat()
 
     @_component_step
     def step(m, a, x0, x1):
@@ -388,7 +365,7 @@ def standard_map():
 
     (p, t) -> (p + (K/2pi) sin(2 pi t), t + p') mod 1.  Area preserving.
     """
-    chart = torus(2)
+    chart = torus()
 
     @_component_step
     def step(m, a, x0, x1):
@@ -449,7 +426,7 @@ def coupled_henon(b=0.3, c=0.3):
     """
     if abs(1.0 - 2.0 * c) < 1e-10:
         raise ParameterError("coupling c = 1/2 makes the exchange singular")
-    chart = flat(4)
+    chart = flat()
 
     @_component_step
     def step(m, a, x0, x1, x2, x3):

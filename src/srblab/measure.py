@@ -162,7 +162,6 @@ class DimensionEstimate:
     d_s: float
     d_s_interval: tuple
     method: str
-    uncertainty: float
 
 
 def kaplan_yorke(exponents):
@@ -197,7 +196,7 @@ def dimension_estimates(spectrum, eps0=None):
     neg = lam < 0
     h = float(lam[pos].sum())
     if not pos.any():
-        return DimensionEstimate(ky, 0.0, (0.0, 0.0), "trivial-attractor", 0.0)
+        return DimensionEstimate(ky, 0.0, (0.0, 0.0), "trivial-attractor")
     h_se = float(np.sqrt(np.sum(se[pos] ** 2)))
     neg_abs = np.abs(lam[neg])
     if neg_abs.size == 1:
@@ -206,8 +205,8 @@ def dimension_estimates(spectrum, eps0=None):
         d_s = h / lam_s
         unc = d_s * np.sqrt((h_se / h) ** 2 + (lam_s_se / lam_s) ** 2)
         return DimensionEstimate(ky, d_s, (d_s - unc, d_s + unc),
-                                 "entropy-ratio", float(unc))
+                                 "entropy-ratio")
     lo = h / float(neg_abs.max())
     hi = ky - int(pos.sum())
     return DimensionEstimate(ky, 0.5 * (lo + hi), (lo, hi),
-                             "entropy-ratio-bracket", 0.5 * (hi - lo))
+                             "entropy-ratio-bracket")

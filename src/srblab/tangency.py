@@ -1,7 +1,7 @@
 """Fold geometry on transversal lines: fold detection, projection along
-stable directions, projected densities, the fold counting function, Holder
-exponent estimation, and a synthetic fold-convolution oracle with exact
-square-root-kernel cell weights.
+stable directions, the fold counting function, Holder exponent estimation,
+and a synthetic fold-convolution oracle with exact square-root-kernel cell
+weights.
 """
 from __future__ import annotations
 
@@ -25,8 +25,6 @@ class FoldSet:
     points: np.ndarray          # all sub-threshold points
     angles: np.ndarray
     representatives: np.ndarray  # per-cluster minimal-angle point
-    rep_angles: np.ndarray
-    rep_weights: np.ndarray      # cluster population fraction
 
 
 def detect_folds(points, angles, angle_threshold, chart=None,
@@ -39,11 +37,10 @@ def detect_folds(points, angles, angle_threshold, chart=None,
     pts = points[sel]
     ang = angles[sel]
     if pts.shape[0] == 0:
-        return FoldSet(pts, ang, pts.copy(), ang.copy(), np.empty(0))
-    order = np.argsort(ang)
-    reps, rep_ang, counts = [], [], []
+        return FoldSet(pts, ang, pts.copy())
+    reps = []
     assigned = np.zeros(pts.shape[0], dtype=bool)
-    for i in order:
+    for i in np.argsort(ang):
         if assigned[i]:
             continue
         if chart is not None:
@@ -53,11 +50,7 @@ def detect_folds(points, angles, angle_threshold, chart=None,
         members = (dist < cluster_radius) & ~assigned
         assigned |= members
         reps.append(pts[i])
-        rep_ang.append(ang[i])
-        counts.append(int(members.sum()))
-    counts = np.asarray(counts, dtype=float)
-    return FoldSet(pts, ang, np.asarray(reps), np.asarray(rep_ang),
-                   counts / counts.sum())
+    return FoldSet(pts, ang, np.asarray(reps))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +114,7 @@ def project_along_stable(points, stable_dirs, frame, weights=None,
 
 
 # ---------------------------------------------------------------------------
-# Density profiles
+# Synthetic measures and the fold-convolution oracle
 # ---------------------------------------------------------------------------
 
 
@@ -129,49 +122,7 @@ def project_along_stable(points, stable_dirs, frame, weights=None,
 class DensityProfile:
     grid: np.ndarray
     values: np.ndarray
-    stderr: Optional[np.ndarray] = None
-    bandwidth: Optional[float] = None
     meta: dict = field(default_factory=dict)
-
-    @property
-    def mass(self):
-        return float(np.sum(self.values) * (self.grid[1] - self.grid[0]))
-
-
-def density_profile(projection, bandwidth, grid=None, n_batches=20):
-    """Histogram estimate of the projected density with batch-means errors
-    over contiguous sample chunks."""
-    if bandwidth <= 0:
-        raise ParameterError("bandwidth must be positive")
-    theta = np.asarray(projection.theta, dtype=float)
-    weights = np.asarray(projection.weights, dtype=float)
-    if theta.size < 1000:
-        raise InsufficientDataError("need at least 1e3 projected samples")
-    if grid is None:
-        lo, hi = theta.min(), theta.max()
-        nbins = max(1, int(np.ceil((hi - lo) / bandwidth)))
-        edges = lo + bandwidth * np.arange(nbins + 1)
-    else:
-        edges = np.asarray(grid, dtype=float)
-        bandwidth = float(edges[1] - edges[0])
-    hist, _ = np.histogram(theta, bins=edges, weights=weights)
-    values = hist / bandwidth
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    chunks = np.array_split(np.arange(theta.size), n_batches)
-    per = np.empty((n_batches, centers.size))
-    for i, idx in enumerate(chunks):
-        h, _ = np.histogram(theta[idx], bins=edges, weights=weights[idx])
-        per[i] = h * (theta.size / max(idx.size, 1)) / bandwidth
-    se = per.std(axis=0, ddof=1) / np.sqrt(n_batches)
-    return DensityProfile(grid=centers, values=values, stderr=se,
-                          bandwidth=bandwidth,
-                          meta={"n_samples": int(theta.size),
-                                "excluded_weight": projection.excluded_weight})
-
-
-# ---------------------------------------------------------------------------
-# Synthetic measures and the fold-convolution oracle
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -311,9 +262,7 @@ def synthetic_fold_convolution(sigma, grid_size, side="two", domain=(0.0, 1.0)):
 @dataclass
 class HolderEstimate:
     exponent: float
-    intercept: float
     fit_range: tuple
-    residual: float
     ci: tuple
     reliable: bool = True
     flag: Optional[str] = None
@@ -340,23 +289,20 @@ def holder_exponent(values, spacing, min_decades=1.5, max_fraction=0.25,
     strides = np.asarray(strides, dtype=float)
     mods = np.asarray(mods)
     if mods.max() < floor * scale:
-        return HolderEstimate(1.0, 0.0, (spacing, spacing * strides[-1]),
-                              0.0, (1.0, 1.0), reliable=False,
+        return HolderEstimate(1.0, (spacing, spacing * strides[-1]),
+                              (1.0, 1.0), reliable=False,
                               flag="modulus-at-noise-floor")
     deltas = spacing * strides
     decades = np.log10(deltas[-1] / deltas[0])
-    a, b, se_b, r2 = linear_fit(np.log(deltas), np.log(mods))
-    resid = float(np.sqrt(np.mean(
-        (np.log(mods) - (a + b * np.log(deltas))) ** 2)))
+    _, b, se_b, _ = linear_fit(np.log(deltas), np.log(mods))
     reliable = decades >= min_decades
     flag = None if reliable else "fit-range-below-1.5-decades"
     # modulus should be nondecreasing in delta up to tolerance
     if np.any(mods[1:] < 0.9 * np.maximum.accumulate(mods)[:-1]):
         reliable = False
         flag = "non-monotone-modulus"
-    return HolderEstimate(float(b), float(a),
-                          (float(deltas[0]), float(deltas[-1])),
-                          resid, (b - 1.96 * se_b, b + 1.96 * se_b),
+    return HolderEstimate(float(b), (float(deltas[0]), float(deltas[-1])),
+                          (b - 1.96 * se_b, b + 1.96 * se_b),
                           reliable=reliable, flag=flag)
 
 
@@ -373,11 +319,6 @@ class CountingFunction:
     exponent_ci: tuple
     holder_constant: float
     flag: Optional[str] = None
-
-    def psi(self, tau):
-        idx = np.searchsorted(self.positions, np.asarray(tau), side="right")
-        padded = np.concatenate([[0.0], self.cumulative])
-        return padded[idx]
 
 
 def counting_function(theta, weights=None, min_points=100):

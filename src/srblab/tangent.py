@@ -30,9 +30,6 @@ class TangentCocycle:
     def dimension(self):
         return self.orbit.shape[1]
 
-    def __len__(self):
-        return self.jacobians.shape[0]
-
     def product(self, start, n):
         """T_{x_start} f^n by chained multiplication."""
         d = self.dimension
@@ -311,7 +308,10 @@ def _forward_qr(J, q0, core, overlap, interval=1):
     bad = ~(np.isfinite(diag) & (diag > 0.0))
     if bad.any():
         j = int(np.argmax(bad.any(axis=(0, 2)))) * interval
-        raise NumericalDegeneracyError(f"QR rank loss at step {j}", step=j)
+        cause = ("" if interval == 1 else f": block products of "
+                 f"reorth_interval = {interval} steps lost rank")
+        raise NumericalDegeneracyError(f"QR rank loss at step {j}{cause}",
+                                       step=j)
     return (Qs, Rs, np.log(diag)), residual
 
 
@@ -383,10 +383,6 @@ class OseledetsSplitting:
     offset: int
     spectrum: LyapunovSpectrum
     _bases: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def n_stable(self):
-        return self.clvs.shape[2] - self.n_unstable
 
     @property
     def n_windows(self):

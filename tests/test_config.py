@@ -1,9 +1,12 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
-from srblab.config import DEFAULTS, ExperimentConfig
+from srblab import cli
+from srblab.config import DEFAULTS, SCHEMA, ExperimentConfig
 from srblab.errors import ConfigError
 
 
@@ -92,7 +95,31 @@ def test_resolved_is_a_deep_copy():
     assert cfg.get("orbit.length") == DEFAULTS["orbit"]["length"]
 
 
-@pytest.mark.parametrize("key", ["backsteps", "final_halfwidth"])
-def test_removed_split_keys_rejected(key):
-    with pytest.raises(ConfigError, match=f"split.{key}"):
-        ExperimentConfig({"split": {key: 15}})
+@pytest.mark.parametrize("section, key", [
+    ("split", "backsteps"), ("split", "final_halfwidth"),
+    ("tangency", "bandwidth")], ids=["backsteps", "final_halfwidth",
+                                    "tangency_bandwidth"])
+def test_removed_split_keys_rejected(section, key):
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        ExperimentConfig({section: {key: 15}})
+
+
+def _leaves(schema, path=""):
+    for key, spec in schema.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(spec, dict):
+            yield from _leaves(spec, where)
+        else:
+            yield where
+
+
+def test_every_accepted_key_is_read():
+    # a key the CLI never names is validated and defaulted for nothing
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    unread = [leaf for leaf in _leaves(SCHEMA)
+              if leaf.rsplit(".", 1)[-1] not in names]
+    assert unread == []

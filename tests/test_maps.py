@@ -214,7 +214,7 @@ def test_float_path_hands_over_mid_orbit(monkeypatch, chunk):
     there and numpy finishes the orbit, with the same bits as step."""
     monkeypatch.setattr(maps, "FLOAT_CHUNK", chunk)
     step = maps._component_step(lambda m, a, x0, x1: (a * x0, m.sin(a * x0)))
-    fam = maps.MapFamily("blowup", 2, maps.flat(2), step, None, None,
+    fam = maps.MapFamily("blowup", 2, maps.flat(), step, None, None,
                          escape_radius=1e150)
     x = np.array([1.0, 0.0])
     hist, bad = maps._orbit(fam, 10.0, x, 400)
@@ -247,7 +247,7 @@ def test_swapped_step_runs_instead_of_the_formula():
 
 def test_torus_reduction_of_a_tiny_negative_gives_one():
     """u - floor(u) is 1.0, not in [0, 1), for u in (-2**-54, 0)."""
-    assert np.array_equal(maps.torus(2).reduce([-1e-17, 0.5]), [1.0, 0.5])
+    assert np.array_equal(maps.torus().reduce([-1e-17, 0.5]), [1.0, 0.5])
     fam = maps.get_family("cat_translate")
     # (0, 0) -> (alpha, alpha * 0) with alpha = -1e-17
     orbit = maps.iterate(fam, -1e-17, np.array([0.0, 0.0]), 1)

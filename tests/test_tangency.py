@@ -136,7 +136,7 @@ def test_detect_folds_clusters(henon_splitting):
     _, sp = henon_splitting
     ang = tangent.splitting_angles(sp)
     folds = tangency.detect_folds(sp.points, ang, 0.01,
-                                  chart=maps.flat(2), cluster_radius=0.05)
+                                  chart=maps.flat(), cluster_radius=0.05)
     assert folds.points.shape[0] >= 1
     assert np.all(folds.angles < 0.01)
     assert folds.representatives.shape[0] <= folds.points.shape[0]
@@ -150,7 +150,7 @@ def test_project_along_stable_recovers_line_geometry():
     s = np.array([0.0, 1.0])
     frame = tangency.TransversalFrame((0.0, 0.0), (1.0, 0.0))
     proj = tangency.project_along_stable(pts, np.tile(s, (200, 1)), frame,
-                                         min_angle=1e-3, chart=maps.flat(2))
+                                         min_angle=1e-3, chart=maps.flat())
     assert np.abs(proj.theta - theta).max() < 1e-12
 
 
@@ -160,27 +160,7 @@ def test_project_along_stable_rejects_parallel_frame():
     frame = tangency.TransversalFrame((0.0, 0.0), (1.0, 0.0))
     with pytest.raises(FrameMisalignmentError):
         tangency.project_along_stable(pts, s, frame, min_angle=1e-3,
-                                      chart=maps.flat(2))
-
-
-def test_density_profile_mass_conservation():
-    rng = np.random.default_rng(5)
-    theta = rng.random(20_000)
-    proj = tangency.Projection(theta=theta,
-                               weights=np.full(theta.size, 1.0 / theta.size),
-                               excluded_weight=0.0, n_excluded=0)
-    prof = tangency.density_profile(proj, bandwidth=0.02)
-    assert prof.mass == pytest.approx(1.0, rel=1e-10)
-    assert np.all(prof.values >= 0)
-    assert np.all(prof.stderr >= 0)
-
-
-def test_density_profile_needs_samples():
-    proj = tangency.Projection(theta=np.linspace(0, 1, 100),
-                               weights=np.full(100, 0.01),
-                               excluded_weight=0.0, n_excluded=0)
-    with pytest.raises(InsufficientDataError):
-        tangency.density_profile(proj, bandwidth=0.05)
+                                      chart=maps.flat())
 
 
 def test_make_sigma_rejects_unknown_kind():

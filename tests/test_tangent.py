@@ -362,6 +362,18 @@ def test_back_substitution_properties(seed, d, n, log_cond):
     _same_bits_alone_and_strided(tangent._back_substitute, R, C)
 
 
+def test_rank_loss_names_the_reorth_interval(henon_family, henon_orbit):
+    # Henon's exponent gap of about 2 squeezes the second column of a
+    # 50-step block product by about e^-100, below working precision
+    coc = tangent.TangentCocycle.from_orbit(henon_family, 1.4,
+                                            henon_orbit[:20_001])
+    with pytest.raises(NumericalDegeneracyError,
+                       match="block products of reorth_interval = 50 "
+                             "steps lost rank") as exc:
+        tangent.benettin_spectrum(coc, reorth_interval=50)
+    assert exc.value.step % 50 == 0
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 1499),
        st.sampled_from([1, 3]))
 @settings(max_examples=20, deadline=None)
