@@ -22,7 +22,7 @@ from .response import (finite_difference_response, psi_eval, radius_estimate,
                        stable_unstable_split, susceptibility_coefficients,
                        volume_preserving_identity)
 from .tangent import (TangentCocycle, benettin_spectrum, compute_clvs,
-                      splitting_angles, unstable_segment)
+                      splitting_angles)
 from .tangency import (counting_function, detect_folds, holder_exponent,
                        make_sigma, project_along_stable,
                        synthetic_fold_convolution)
@@ -44,6 +44,5 @@ __all__ = [
     "observable_catalog", "project_along_stable", "psi_eval",
     "radius_estimate", "robust_pade", "srb_sample", "stable_unstable_split",
     "splitting_angles", "susceptibility_coefficients",
-    "synthetic_fold_convolution", "unstable_segment",
-    "volume_preserving_identity",
+    "synthetic_fold_convolution", "volume_preserving_identity",
 ]

@@ -124,6 +124,10 @@ def _observable(cfg, family):
 def _sampling(cfg, family, seed_shift=0):
     """The sampling settings of a run: orbit.*, sampler and the seed."""
     oc, sc = cfg.get("orbit"), cfg.get("sampler")
+    if sc is not None and any(len(sc.get(k, ())) != family.dimension
+                              for k in ("low", "high")):
+        raise ConfigError(f"sampler.low and sampler.high need "
+                          f"{family.dimension} entries each")
     sampler = (measure.default_sampler(family) if sc is None else
                measure.BoxSampler(tuple(sc["low"]), tuple(sc["high"])))
     return response.SamplingConfig(
@@ -334,8 +338,12 @@ def cmd_tangency(cfg, outdir):
     family, alpha = _system(cfg)
     tc = cfg.get("tangency")
     frame_cfg = tc.get("frame")
-    if frame_cfg is not None and not {"base", "direction"} <= frame_cfg.keys():
-        raise ConfigError("tangency.frame needs a base and a direction")
+    if frame_cfg is not None and not (
+            {"base", "direction"} <= frame_cfg.keys()
+            and len(frame_cfg["base"]) == len(frame_cfg["direction"]) == 2
+            and any(frame_cfg["direction"])):
+        raise ConfigError("tangency.frame needs a base and a nonzero "
+                          "direction of 2 entries each")
     _, splitting, angles = _splitting(cfg, family, alpha)
     folds = tangency.detect_folds(splitting.points, angles,
                                   tc["angle_threshold"], chart=family.chart,
@@ -349,7 +357,8 @@ def cmd_tangency(cfg, outdir):
         "n_clusters": int(folds.representatives.shape[0]),
         "spectrum": _spectrum_payload(splitting.spectrum),
     }
-    if frame_cfg is not None and folds.points.shape[0] >= 100:
+    if (frame_cfg is not None
+            and folds.points.shape[0] >= tangency.MIN_FOLD_POINTS):
         frame = tangency.TransversalFrame(tuple(frame_cfg["base"]),
                                           tuple(frame_cfg["direction"]))
         sel = angles < tc["angle_threshold"]
@@ -380,6 +389,8 @@ def _sigma_from_cfg(scfg):
     if extra:
         raise ConfigError(f"synthetic.sigma keys {extra} do not apply to "
                           f"kind {kind!r}")
+    if kind == "cantor" and not 0.0 < kwargs.get("ratio", 1.0 / 3.0) <= 0.5:
+        raise ConfigError("synthetic.sigma.ratio must lie in (0, 1/2]")
     if kind == "atoms":
         missing = sorted(_SIGMA_KEYS[kind] - set(kwargs))
         if missing:
@@ -397,8 +408,11 @@ def cmd_fold_synthetic(cfg, outdir):
     if "sigma" not in syn:
         raise ConfigError("missing required configuration key: synthetic.sigma")
     sigma = _sigma_from_cfg(syn["sigma"])
+    domain = syn["domain"]
+    if not (len(domain) == 2 and domain[0] < domain[1]):
+        raise ConfigError("synthetic.domain needs 2 entries lo < hi")
     profile = tangency.synthetic_fold_convolution(
-        sigma, syn["grid"], side=syn["side"], domain=tuple(syn["domain"]))
+        sigma, syn["grid"], side=syn["side"], domain=tuple(domain))
     spacing = profile.grid[1] - profile.grid[0]
     est = tangency.holder_exponent(profile.values, spacing)
     write_csv(outdir / "profile.csv", ["theta", "value"],

@@ -67,12 +67,11 @@ class MapFamily:
     step, jacobian and param_derivative take (alpha, x) with x of shape
     (..., d).  A built-in step carries its component-form formula as
     step.formula (see the module docstring); a step without one is run on
-    arrays only.  inverse, when present, satisfies
-    step(alpha, inverse(alpha, y)) == y to 1e-10.  hessian(alpha, x, a, b),
-    when present, is the second derivative D^2 f(x)[a, b] of shape
-    (..., d), and param_jacobian(alpha, x) the mixed derivative
-    d/dalpha Df(x) of shape (..., d, d); the stable/unstable split needs
-    both.
+    arrays only.  A family maps forward only; nothing steps an orbit
+    backward.  hessian(alpha, x, a, b), when present, is the second
+    derivative D^2 f(x)[a, b] of shape (..., d), and param_jacobian(alpha, x)
+    the mixed derivative d/dalpha Df(x) of shape (..., d, d); the
+    stable/unstable split needs both.
     """
 
     name: str
@@ -81,7 +80,6 @@ class MapFamily:
     step: Callable
     jacobian: Callable
     param_derivative: Callable
-    inverse: Optional[Callable] = None
     volume_preserving: bool = False
     escape_radius: float = 100.0
     params: dict = field(default_factory=dict)
@@ -207,7 +205,6 @@ def iterate_batch(family, alpha, x, n):
 # ---------------------------------------------------------------------------
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
-CAT_INV = np.array([[1.0, -1.0], [-1.0, 2.0]])
 
 
 def _vectors(x, a, b):
@@ -245,16 +242,13 @@ def cat_translate(v=(1.0, 0.0)):
         x = np.asarray(x)
         return np.broadcast_to(v, x.shape).copy()
 
-    def inverse(a, y):
-        return chart.reduce((np.asarray(y) - a * v) @ CAT_INV.T)
-
     def hessian(a, x, u, w):
         return _vectors(x, u, w)
 
     def d_jac(a, x):
         return _matrices(x)
 
-    return MapFamily("cat_translate", 2, chart, step, jac, d_alpha, inverse,
+    return MapFamily("cat_translate", 2, chart, step, jac, d_alpha,
                      volume_preserving=True, params={"v": tuple(v)},
                      hessian=hessian, param_jacobian=d_jac)
 
@@ -287,16 +281,6 @@ def cat_shear():
     def d_alpha(a, x):
         return g(np.asarray(x, dtype=float))
 
-    def inverse(a, y, tol=1e-14, maxit=200):
-        y = np.asarray(y, dtype=float)
-        x = chart.reduce(y @ CAT_INV.T)
-        for _ in range(maxit):
-            x_new = chart.reduce((y - a * g(x)) @ CAT_INV.T)
-            if np.max(np.abs(chart.difference(x_new, x))) < tol:
-                return x_new
-            x = x_new
-        return x
-
     def hessian(a, x, u, w):
         x, u, w = np.asarray(x), np.asarray(u), np.asarray(w)
         out = _vectors(x, u, w)
@@ -310,7 +294,7 @@ def cat_shear():
         out[..., 0, 1] = np.cos(TWO_PI * x[..., 1])
         return out
 
-    return MapFamily("cat_shear", 2, chart, step, jac, d_alpha, inverse,
+    return MapFamily("cat_shear", 2, chart, step, jac, d_alpha,
                      hessian=hessian, param_jacobian=d_jac)
 
 
@@ -337,13 +321,6 @@ def henon(b=0.3):
         out[..., 0] = -(x[..., 0] ** 2)
         return out
 
-    def inverse(a, y):
-        y = np.asarray(y, dtype=float)
-        out = np.empty_like(y)
-        out[..., 0] = y[..., 1] / b
-        out[..., 1] = y[..., 0] - 1.0 + a * (y[..., 1] / b) ** 2
-        return out
-
     def hessian(a, x, u, w):
         u, w = np.asarray(u), np.asarray(w)
         out = _vectors(x, u, w)
@@ -356,7 +333,7 @@ def henon(b=0.3):
         out[..., 0, 0] = -2.0 * x[..., 0]
         return out
 
-    return MapFamily("henon", 2, chart, step, jac, d_alpha, inverse,
+    return MapFamily("henon", 2, chart, step, jac, d_alpha,
                      params={"b": b}, hessian=hessian, param_jacobian=d_jac)
 
 
@@ -388,12 +365,6 @@ def standard_map():
         s = np.sin(TWO_PI * x[..., 1]) / TWO_PI
         return np.stack([s, s], axis=-1)
 
-    def inverse(a, y):
-        y = np.asarray(y, dtype=float)
-        t = y[..., 1] - y[..., 0]
-        p = y[..., 0] - a / TWO_PI * np.sin(TWO_PI * t)
-        return chart.reduce(np.stack([p, t], axis=-1))
-
     def hessian(a, x, u, w):
         x, u, w = np.asarray(x), np.asarray(u), np.asarray(w)
         out = _vectors(x, u, w)
@@ -409,7 +380,7 @@ def standard_map():
         out[..., 1, 1] = c
         return out
 
-    return MapFamily("standard_map", 2, chart, step, jac, d_alpha, inverse,
+    return MapFamily("standard_map", 2, chart, step, jac, d_alpha,
                      volume_preserving=True, hessian=hessian,
                      param_jacobian=d_jac)
 
@@ -463,22 +434,7 @@ def coupled_henon(b=0.3, c=0.3):
         out[..., 2] = (1.0 - c) * s2 + c * s1
         return out
 
-    def inverse(a, y):
-        y = np.asarray(y, dtype=float)
-        den = 1.0 - 2.0 * c
-        # unmix the exchanged images, then invert each Henon factor
-        a1x = ((1.0 - c) * y[..., 0] - c * y[..., 2]) / den
-        a1y = ((1.0 - c) * y[..., 1] - c * y[..., 3]) / den
-        a2x = ((1.0 - c) * y[..., 2] - c * y[..., 0]) / den
-        a2y = ((1.0 - c) * y[..., 3] - c * y[..., 1]) / den
-        out = np.empty_like(y)
-        out[..., 0] = a1y / b
-        out[..., 1] = a1x - 1.0 + a * (a1y / b) ** 2
-        out[..., 2] = a2y / b
-        out[..., 3] = a2x - 1.0 + a * (a2y / b) ** 2
-        return out
-
-    return MapFamily("coupled_henon", 4, chart, step, jac, d_alpha, inverse,
+    return MapFamily("coupled_henon", 4, chart, step, jac, d_alpha,
                      params={"b": b, "c": c})
 
 
@@ -633,8 +589,9 @@ def get_observable(name, dimension):
 class PerturbationField:
     """The vector field X with X(f x) = d f_alpha(x) / d alpha.
 
-    along_orbit evaluates X at orbit[1:] using the preimages supplied by the
-    orbit; at_points uses the family inverse when available.
+    along_orbit evaluates X at orbit[1:] from the preimages the orbit
+    supplies.  X is known only along orbits, so it has no divergence; the
+    volume identity takes an ExplicitField.
     """
 
     family: MapFamily
@@ -644,30 +601,13 @@ class PerturbationField:
         orbit = np.asarray(orbit)
         return self.family.param_derivative(self.alpha, orbit[..., :-1, :])
 
-    def at_points(self, y):
-        if self.family.inverse is None:
-            raise ParameterError(
-                f"family {self.family.name} has no inverse; use along_orbit")
-        y = self.family.chart.reduce(np.asarray(y, dtype=float))
-        return self.family.param_derivative(self.alpha, self.family.inverse(self.alpha, y))
-
-    def divergence(self, y, step=1e-6):
-        """div X by central differences of the closed-form evaluator."""
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape[:-1])
-        for i in range(self.family.dimension):
-            e = np.zeros(self.family.dimension)
-            e[i] = step
-            out += (self.at_points(y + e)[..., i] - self.at_points(y - e)[..., i]) / (2 * step)
-        return out
-
 
 @dataclass(frozen=True)
 class ExplicitField:
     """A vector field given in closed form, x -> X(x).
 
     div_fn, when supplied, is the analytic divergence; otherwise the
-    divergence falls back to central differences.
+    divergence falls back to central differences with step 1e-6.
     """
 
     fn: Callable
@@ -678,13 +618,11 @@ class ExplicitField:
         orbit = np.asarray(orbit)
         return self.fn(orbit[..., 1:, :])
 
-    def at_points(self, y):
-        return self.fn(np.asarray(y, dtype=float))
-
-    def divergence(self, y, step=1e-6):
+    def divergence(self, y):
         y = np.asarray(y, dtype=float)
         if self.div_fn is not None:
             return self.div_fn(y)
+        step = 1e-6
         out = np.zeros(y.shape[:-1])
         for i in range(self.dimension):
             e = np.zeros(self.dimension)

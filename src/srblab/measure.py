@@ -9,8 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (BasinEscapeError, HyperbolicityError,
-                     InsufficientDataError, ParameterError)
+from .errors import BasinEscapeError, InsufficientDataError, ParameterError
 from .maps import _orbit
 from .stats import batch_means, linear_fit
 
@@ -18,6 +17,8 @@ from .stats import batch_means, linear_fit
 # each member's last point and whether it escaped, so the transient's
 # memory does not grow with its length
 TRANSIENT_CHUNK = 1024
+
+N_BATCHES = 20
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,12 @@ def srb_sample(family, alpha, sampler=None, transient=10_000, length=100_000,
         n_escaped=n_escaped)
 
 
-def birkhoff_average(measure, obs, n_batches=20):
+def birkhoff_average(measure, obs):
     """Ergodic average of an observable with batch-means standard error."""
     if len(measure) == 0:
         raise InsufficientDataError("empty measure")
     vals = obs.value(measure.orbits)
-    return batch_means(vals, n_batches=n_batches)
+    return batch_means(vals, n_batches=N_BATCHES)
 
 
 @dataclass
@@ -125,10 +126,10 @@ class CorrelationSeries:
     fit_undefined: bool = False
 
 
-def correlation(measure, psi, phi, n_max, n_batches=20, noise_factor=2.0):
+def correlation(measure, psi, phi, n_max):
     """Centered cross-correlations C_n = rho((psi - <psi>)(phi o f^n - <phi>))
     for lags 0..n_max, with an exponential decay fit over the lags that sit
-    above the noise floor."""
+    above the noise floor of twice their standard error."""
     if measure.length <= n_max:
         raise InsufficientDataError("orbit shorter than requested max lag")
     a = psi.value(measure.orbits)
@@ -141,9 +142,9 @@ def correlation(measure, psi, phi, n_max, n_batches=20, noise_factor=2.0):
     errs = np.empty(n_max + 1)
     for n in lags:
         prod = a[:, : L - n] * b[:, n:]
-        vals[n], errs[n] = batch_means(prod, n_batches=n_batches)
+        vals[n], errs[n] = batch_means(prod, n_batches=N_BATCHES)
     series = CorrelationSeries(lags=lags, values=vals, stderr=errs)
-    above = np.abs(vals[1:]) > noise_factor * errs[1:]
+    above = np.abs(vals[1:]) > 2.0 * errs[1:]
     idx = lags[1:][above]
     if idx.size < 3:
         series.fit_undefined = True
@@ -176,21 +177,19 @@ def kaplan_yorke(exponents):
     return float(k + c[k - 1] / abs(lam[k]))
 
 
-def dimension_estimates(spectrum, eps0=None):
+def dimension_estimates(spectrum):
     """Kaplan-Yorke dimension and the stable dimension d_s.
 
     d_s uses the entropy-over-stable-exponent ratio h / |lambda^s| with
     h the sum of positive exponents (SRB entropy); for more than one stable
     direction only a bracketing interval is available, from h over the
     strongest stable rate up to the Kaplan-Yorke stable dimension KY - n_u
-    (never above h over the weakest rate, and at most n_s).
+    (never above h over the weakest rate, and at most n_s).  Requires a
+    hyperbolic spectrum (LyapunovSpectrum.require_hyperbolic).
     """
+    spectrum.require_hyperbolic()
     lam = spectrum.all_exponents
     se = spectrum.all_stderr
-    threshold = eps0 if eps0 is not None else spectrum.zero_threshold()
-    if np.any(np.abs(lam) <= threshold):
-        raise HyperbolicityError(
-            f"exponent within {threshold:.3g} of zero: {lam}")
     ky = kaplan_yorke(lam)
     pos = lam > 0
     neg = lam < 0

@@ -14,10 +14,13 @@ from . import measure as measure_mod
 from .errors import (InsufficientDataError, NumericalDegeneracyError,
                      PadeDegeneracyError, ParameterError,
                      UnsupportedDimensionError)
-from .maps import PerturbationField
+from .maps import ExplicitField, PerturbationField
 from .pade import robust_pade
 from .stats import batch_means, linear_fit
 from .tangent import _OVERLAP, _affine_recurrence, _clv_sweep
+
+N_BATCHES = 25
+NOISE_FACTOR = 2.0
 
 
 @dataclass
@@ -52,7 +55,8 @@ def _matvec(J, V):
     return out
 
 
-def _kappa_series(jacobians, V0, grads, N, j0, mask=None, n_batches=25):
+def _kappa_series(jacobians, V0, grads, N, j0, mask=None,
+                  n_batches=N_BATCHES):
     """Cocycle-propagated series: coefficient n is the average over samples
     of V0(x_j) . (T_{x_j} f^n)^T grad(x_{j+n}), with V0 given at orbit
     indices j0 .. j0+S-1.
@@ -75,7 +79,7 @@ def _kappa_series(jacobians, V0, grads, N, j0, mask=None, n_batches=25):
     return coeffs, errs, truncated_at
 
 
-def susceptibility_coefficients(measure, X, obs, N, n_batches=25):
+def susceptibility_coefficients(measure, X, obs, N):
     """Estimate kappa_n for n = 0..N from consecutive-orbit samples.
 
     Tangent vectors are propagated by the exact cocycle (never by orbit
@@ -88,13 +92,12 @@ def susceptibility_coefficients(measure, X, obs, N, n_batches=25):
     orbits = measure.orbits
     m, L, d = orbits.shape
     S = L - 1 - N
-    if S < n_batches:
+    if S < N_BATCHES:
         raise InsufficientDataError("orbit too short for requested N")
     jac = measure.family.jacobian(measure.alpha, orbits[:, :-1])
     Xall = X.along_orbit(orbits)          # X at orbit indices 1..L-1
     grads = obs.gradient(orbits)
-    coeffs, errs, trunc = _kappa_series(jac, Xall[:, :S], grads, N, j0=1,
-                                        n_batches=n_batches)
+    coeffs, errs, trunc = _kappa_series(jac, Xall[:, :S], grads, N, j0=1)
     meta = {
         "system": measure.family.name,
         "alpha": measure.alpha,
@@ -139,12 +142,13 @@ class PsiEval:
     poles: Optional[np.ndarray] = None
 
 
-def psi_eval(series, z, mode="truncated", n_mc=64, seed=0):
+def psi_eval(series, z, mode="truncated"):
     """Evaluate Psi(z) from a coefficient series.
 
     mode is "truncated" or a tuple ("pade", L, M).  The Pade mode reports
     the rational approximant value together with its pole set; its error is
-    propagated by Monte Carlo over the coefficient error bars.
+    propagated by Monte Carlo over the coefficient error bars, 64 draws
+    from seed 0.
     """
     if mode == "truncated":
         val, err = series.truncated_sum(z)
@@ -156,9 +160,9 @@ def psi_eval(series, z, mode="truncated", n_mc=64, seed=0):
     val = approx(z)
     err = 0.0
     if np.any(series.stderr > 0):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         draws = []
-        for _ in range(n_mc):
+        for _ in range(64):
             c = series.coeffs + rng.standard_normal(series.coeffs.size) * series.stderr
             try:
                 draws.append(robust_pade(c, L, M)(z))
@@ -182,9 +186,9 @@ class RadiusEstimate:
     screened_poles: Optional[list] = None
 
 
-def _above_noise(series, noise_factor):
+def _above_noise(series):
     sd = np.where(np.isfinite(series.stderr), series.stderr, 0.0)
-    return np.abs(series.coeffs) > noise_factor * sd
+    return np.abs(series.coeffs) > NOISE_FACTOR * sd
 
 
 def _root_test_radius(coeffs, window):
@@ -192,8 +196,9 @@ def _root_test_radius(coeffs, window):
     return float(np.exp(-slope))
 
 
-def _stable_poles(coeffs, M, rel_tol=0.05, noise=0.0):
-    """Poles of the order-M approximant that persist at order M-1.
+def _stable_poles(coeffs, M, noise=0.0):
+    """Poles of the order-M approximant that persist at order M-1, within
+    5% of their modulus.
 
     Spurious pole-zero doublets carry residues at the noise level, so poles
     with negligible residue are screened out as well as poles that move
@@ -209,7 +214,7 @@ def _stable_poles(coeffs, M, rel_tol=0.05, noise=0.0):
     res_floor = 1e-8 * res.max() if res.size else 0.0
     stable, screened = [], []
     for p, r in zip(ph, res):
-        persists = pl.size and np.min(np.abs(pl - p)) <= rel_tol * abs(p)
+        persists = pl.size and np.min(np.abs(pl - p)) <= 0.05 * abs(p)
         if persists and r > res_floor:
             stable.append(p)
         else:
@@ -217,15 +222,15 @@ def _stable_poles(coeffs, M, rel_tol=0.05, noise=0.0):
     return stable, screened
 
 
-def radius_estimate(series, method="root-test", window=None, n_boot=400,
-                    seed=0, noise_factor=2.0):
+def radius_estimate(series, method="root-test"):
     """Radius of convergence of sum kappa_n z^n.
 
-    root-test fits ln|kappa_n| against n over the window (default: the upper
-    half of the coefficients that sit above their noise floor) and returns
-    exp(-slope); pade-pole returns the modulus of the nearest pole that is
-    stable across adjacent Pade orders.  Confidence intervals by bootstrap
-    over the coefficient error bars.
+    root-test fits ln|kappa_n| against n over the upper half of the
+    coefficients above NOISE_FACTOR = 2 standard errors (all of them when
+    that half has fewer than 3) and returns exp(-slope); pade-pole returns the
+    modulus of the nearest pole that is stable across adjacent Pade orders.
+    Confidence intervals come from a bootstrap over the coefficient error
+    bars from seed 0: 400 draws, 100 for pade-pole.
     """
     if series.n_max < 8:
         raise ParameterError("radius fit requires N >= 8")
@@ -233,16 +238,16 @@ def radius_estimate(series, method="root-test", window=None, n_boot=400,
     if np.all(coeffs == 0.0):
         return RadiusEstimate(method, float("inf"), (float("inf"), float("inf")),
                               flag="zero-series")
-    above = _above_noise(series, noise_factor)
+    above = _above_noise(series)
     n_all = np.arange(coeffs.size)
     usable = n_all[(n_all >= 1) & above]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     sd = np.where(np.isfinite(series.stderr), series.stderr, 0.0)
     if usable.size < coeffs.size // 2:
         # Head resolved but the tail sits at the measurement floor: the data
         # only support an envelope lower bound.  The best provable geometric
         # ratio runs from the largest resolved coefficient to the tightest
-        # later magnitude bound b_m = max(|kappa_m|, noise_factor sigma_m).
+        # later magnitude bound b_m = max(|kappa_m|, NOISE_FACTOR sigma_m).
         tail_zero = np.all(np.abs(coeffs[~above]) <= 3.0 * sd[~above] + 1e-300)
         if usable.size >= 1 and tail_zero:
             def envelope(c):
@@ -250,12 +255,12 @@ def radius_estimate(series, method="root-test", window=None, n_boot=400,
                 if peak >= coeffs.size - 1:
                     return float("nan")
                 m = np.arange(peak + 1, coeffs.size)
-                b = np.maximum(np.abs(c[m]), noise_factor * sd[m])
+                b = np.maximum(np.abs(c[m]), NOISE_FACTOR * sd[m])
                 return float(np.max((np.abs(c[peak]) / b) ** (1.0 / (m - peak))))
             value = envelope(coeffs)
             if np.isfinite(value):
                 boots = [envelope(coeffs + rng.standard_normal(coeffs.size) * sd)
-                         for _ in range(n_boot)]
+                         for _ in range(400)]
                 boots = [b for b in boots if np.isfinite(b)]
                 lo = float(np.percentile(boots, 2.5)) if boots else value
                 return RadiusEstimate(method, value, (lo, float("inf")),
@@ -264,17 +269,13 @@ def radius_estimate(series, method="root-test", window=None, n_boot=400,
                               indeterminate=True, flag="noise-dominated")
 
     if method == "root-test":
-        if window is None:
-            cut = usable.max() / 2.0
-            window = usable[usable >= cut]
-            if window.size < 3:
-                window = usable
-        else:
-            window = np.asarray(window, dtype=int)
+        window = usable[usable >= usable.max() / 2.0]
+        if window.size < 3:
+            window = usable
         value = _root_test_radius(coeffs, window)
         if np.any(sd > 0):
             boots = []
-            for _ in range(n_boot):
+            for _ in range(400):
                 c = coeffs + rng.standard_normal(coeffs.size) * sd
                 if np.any(np.abs(c[window]) == 0.0):
                     continue
@@ -298,7 +299,7 @@ def radius_estimate(series, method="root-test", window=None, n_boot=400,
         value = float(min(abs(p) for p in stable))
         if np.any(sd > 0):
             boots = []
-            for _ in range(min(n_boot, 100)):
+            for _ in range(100):
                 c = coeffs + rng.standard_normal(coeffs.size) * sd
                 try:
                     st, _ = _stable_poles(c, M, noise=noise)
@@ -411,28 +412,30 @@ class VolumeIdentityReport:
         return all(r.sigma_units < 3.0 for r in self.rows)
 
 
-def volume_preserving_identity(measure, X, obs, N, div=None, n_batches=25):
+def volume_preserving_identity(measure, X, obs, N):
     """Check kappa_n + rho(div X . phi o f^n) = 0 per n on a
     volume-preserving system.
 
-    div may be an analytic divergence callable (points -> values); by
-    default it is computed by finite differences of the closed-form X.
+    X must be an ExplicitField, the field type with a divergence.
     """
     if not measure.family.volume_preserving:
         raise ParameterError(
             f"family {measure.family.name} is not flagged volume-preserving")
-    direct = susceptibility_coefficients(measure, X, obs, N,
-                                         n_batches=n_batches)
+    if not isinstance(X, ExplicitField):
+        raise ParameterError(
+            "the volume identity needs an ExplicitField, whose divergence "
+            "it reads")
+    direct = susceptibility_coefficients(measure, X, obs, N)
     orbits = measure.orbits
     m, L, d = orbits.shape
     S = L - 1 - N
     pts = orbits[:, 1:1 + S].reshape(-1, d)
-    divv = (div(pts) if div is not None else X.divergence(pts)).reshape(m, S)
+    divv = X.divergence(pts).reshape(m, S)
     phiv = obs.value(orbits)
     rows = []
     for n in range(direct.coeffs.size):
         c = divv * phiv[:, 1 + n:1 + n + S]
-        mu, se = batch_means(c, n_batches=n_batches)
+        mu, se = batch_means(c, n_batches=N_BATCHES)
         rows.append(IdentityRow(n, float(direct.coeffs[n]),
                                 float(direct.stderr[n]), float(mu), float(se)))
     return VolumeIdentityReport(rows)
@@ -474,7 +477,7 @@ class SplitResult:
 
 
 def stable_unstable_split(measure, X, obs, N, clv_warmup=1000,
-                          angle_threshold=1e-3, n_batches=25):
+                          angle_threshold=1e-3):
     """Decompose the susceptibility series along X = X^s + X^u.
 
     X must be the family's PerturbationField.  The stable term propagates
@@ -513,7 +516,7 @@ def stable_unstable_split(measure, X, obs, N, clv_warmup=1000,
     w = clvs.shape[1]
     j_lo = lo + _OVERLAP
     j_hi = min(lo + w - _OVERLAP, L - 1 - N)
-    if j_hi - j_lo < 10 * n_batches:
+    if j_hi - j_lo < 10 * N_BATCHES:
         raise InsufficientDataError("orbit too short for split estimation")
     S = j_hi - j_lo
     frames = slice(j_lo - lo, j_hi - lo)
@@ -544,10 +547,8 @@ def stable_unstable_split(measure, X, obs, N, clv_warmup=1000,
         raise NumericalDegeneracyError("non-finite unstable divergence")
 
     grads = obs.gradient(orbits)
-    direct_c, direct_e, trunc_d = _kappa_series(jac, Xj, grads, N, j_lo,
-                                                mask, n_batches)
-    stable_c, stable_e, trunc_s = _kappa_series(jac, Xs, grads, N, j_lo,
-                                                mask, n_batches)
+    direct_c, direct_e, trunc_d = _kappa_series(jac, Xj, grads, N, j_lo, mask)
+    stable_c, stable_e, trunc_s = _kappa_series(jac, Xs, grads, N, j_lo, mask)
     if trunc_d is not None or trunc_s is not None:
         raise NumericalDegeneracyError(
             "tangent vectors overflowed in the split's cocycle propagation")
@@ -556,7 +557,7 @@ def stable_unstable_split(measure, X, obs, N, clv_warmup=1000,
     unst_e = np.empty(N + 1)
     for n in range(N + 1):
         c = -div_u * phiv[:, j_lo + n:j_lo + n + S]
-        unst_c[n], unst_e[n] = batch_means(c, n_batches, mask)
+        unst_c[n], unst_e[n] = batch_means(c, N_BATCHES, mask)
 
     meta = {"system": family.name, "alpha": alpha, "observable": obs.name,
             "N": N, "n_samples": int(mask.sum()), "ensemble": m,

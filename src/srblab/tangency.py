@@ -14,6 +14,9 @@ from .errors import (FrameMisalignmentError, InsufficientDataError,
                      ParameterError)
 from .stats import linear_fit
 
+MAX_EXCLUDED = 0.2       # share of the mass project_along_stable may exclude
+MIN_FOLD_POINTS = 100    # fewest fold parameters counting_function accepts
+
 
 # ---------------------------------------------------------------------------
 # Fold detection
@@ -79,22 +82,21 @@ class Projection:
     n_excluded: int
 
 
-def project_along_stable(points, stable_dirs, frame, weights=None,
-                         min_angle=1e-3, max_excluded=0.2, chart=None):
+def project_along_stable(points, stable_dirs, frame, min_angle=1e-3,
+                         chart=None):
     """First-order projection of each sample along its local stable line
-    onto the frame line; returns theta coordinates with original weights.
+    onto the frame line; returns theta coordinates with the samples' equal
+    weights.
 
     Samples whose stable line is nearly parallel to the frame are excluded
-    and counted; more than max_excluded of the mass excluded raises
+    and counted; more than MAX_EXCLUDED of the mass excluded raises
     FrameMisalignmentError.
     """
     points = np.asarray(points, dtype=float)
     s = np.asarray(stable_dirs, dtype=float)
     if points.shape[1] != 2:
         raise ParameterError("projection implemented for the planar case")
-    if weights is None:
-        weights = np.full(points.shape[0], 1.0 / points.shape[0])
-    weights = np.asarray(weights, dtype=float)
+    weights = np.full(points.shape[0], 1.0 / points.shape[0])
     ell = frame.unit()
     base = np.asarray(frame.base, dtype=float)
     s = s / np.linalg.norm(s, axis=1, keepdims=True)
@@ -103,7 +105,7 @@ def project_along_stable(points, stable_dirs, frame, weights=None,
     det = -s[:, 0] * ell[1] + s[:, 1] * ell[0]
     ok = np.abs(det) >= np.sin(min_angle)
     excluded_weight = float(weights[~ok].sum())
-    if excluded_weight > max_excluded * weights.sum():
+    if excluded_weight > MAX_EXCLUDED * weights.sum():
         raise FrameMisalignmentError(
             f"{excluded_weight:.1%} of the mass has stable direction nearly "
             "parallel to the frame line")
@@ -268,34 +270,36 @@ class HolderEstimate:
     flag: Optional[str] = None
 
 
-def holder_exponent(values, spacing, min_decades=1.5, max_fraction=0.25,
-                    min_stride=16, floor=1e-12):
+def holder_exponent(values, spacing):
     """Holder exponent from the dyadic modulus of continuity.
 
-    Computes M(delta) = max |f(t + delta) - f(t)| over dyadic delta and fits
-    log M against log delta; the slope is the exponent.  Lags below
-    min_stride grid cells are excluded: there the discrete modulus is
-    contaminated by the grid offset and biases the slope."""
+    Computes M(delta) = max |f(t + delta) - f(t)| over dyadic delta from 16
+    grid cells to a quarter of the grid and fits log M against log delta;
+    the slope is the exponent.  Lags below 16 cells are excluded: there the
+    discrete modulus is contaminated by the grid offset and biases the
+    slope.  A fit over less than 1.5 decades is flagged unreliable, and a
+    modulus below 1e-12 of the values' scale (at least 1) gives the
+    exponent 1, flagged."""
     v = np.asarray(values, dtype=float)
     if v.size < 16:
         raise InsufficientDataError("too few samples for a modulus fit")
     scale = max(float(np.abs(v).max()), 1.0)
     strides, mods = [], []
-    s = max(1, int(min_stride))
-    while s < max_fraction * v.size:
+    s = 16
+    while s < 0.25 * v.size:
         mods.append(float(np.abs(v[s:] - v[:-s]).max()))
         strides.append(s)
         s *= 2
     strides = np.asarray(strides, dtype=float)
     mods = np.asarray(mods)
-    if mods.max() < floor * scale:
+    if mods.max() < 1e-12 * scale:
         return HolderEstimate(1.0, (spacing, spacing * strides[-1]),
                               (1.0, 1.0), reliable=False,
                               flag="modulus-at-noise-floor")
     deltas = spacing * strides
     decades = np.log10(deltas[-1] / deltas[0])
     _, b, se_b, _ = linear_fit(np.log(deltas), np.log(mods))
-    reliable = decades >= min_decades
+    reliable = decades >= 1.5
     flag = None if reliable else "fit-range-below-1.5-decades"
     # modulus should be nondecreasing in delta up to tolerance
     if np.any(mods[1:] < 0.9 * np.maximum.accumulate(mods)[:-1]):
@@ -321,13 +325,14 @@ class CountingFunction:
     flag: Optional[str] = None
 
 
-def counting_function(theta, weights=None, min_points=100):
+def counting_function(theta, weights=None):
     """Weighted empirical CDF of fold parameters with a scaling-exponent
     estimate from the dyadic maximal increments max_t psi(t+delta) - psi(t)."""
     theta = np.asarray(theta, dtype=float)
-    if theta.size < min_points:
+    if theta.size < MIN_FOLD_POINTS:
         raise InsufficientDataError(
-            f"need at least {min_points} fold parameters, got {theta.size}")
+            f"need at least {MIN_FOLD_POINTS} fold parameters, "
+            f"got {theta.size}")
     if weights is None:
         weights = np.full(theta.size, 1.0 / theta.size)
     weights = np.asarray(weights, dtype=float)

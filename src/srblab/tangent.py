@@ -1,17 +1,20 @@
 """Tangent-cocycle computations along orbits: Lyapunov spectra (QR method),
-covariant Lyapunov vectors (forward/backward sweep), splitting angles and
-local unstable-manifold segments.
+covariant Lyapunov vectors (forward/backward sweep) and splitting angles.
+
+Every spectrum takes its standard errors from N_BATCHES = 20 batch means,
+and the CLV sweep starts its QR frame at the identity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .errors import (HyperbolicityError, NumericalDegeneracyError,
-                     ParameterError, UnsupportedDimensionError)
+                     ParameterError)
 from .stats import batch_means
+
+N_BATCHES = 20
 
 
 @dataclass
@@ -145,12 +148,14 @@ class LyapunovSpectrum:
     def sum(self):
         return float(self.all_exponents.sum())
 
-    def zero_threshold(self, factor=10.0, floor=1e-6):
-        return max(floor, factor * float(np.nanmax(self.all_stderr)))
-
-    def is_hyperbolic(self, eps0=None):
-        eps0 = eps0 if eps0 is not None else self.zero_threshold()
-        return bool(np.all(np.abs(self.all_exponents) > eps0))
+    def require_hyperbolic(self):
+        """Raise HyperbolicityError if an exponent lies within
+        max(1e-6, 10 x the largest standard error) of zero."""
+        vals = self.all_exponents
+        threshold = max(1e-6, 10.0 * float(np.nanmax(self.all_stderr)))
+        if np.any(np.abs(vals) <= threshold):
+            raise HyperbolicityError(
+                f"Lyapunov exponent within {threshold:.3g} of zero: {vals}")
 
 
 def _group_exponents(vals, ses):
@@ -173,13 +178,13 @@ def _group_exponents(vals, ses):
     return np.array(ex), np.array(mult, dtype=int), np.array(se)
 
 
-def _spectrum(logs, interval, n_batches, n_windows, residual):
+def _spectrum(logs, interval, n_windows, residual):
     """Spectrum from the log stretches logs (B, n, d) of blocks of
     `interval` steps, the B members pooled."""
     d = logs.shape[-1]
     used = logs.shape[0] * logs.shape[1] * interval
     per_step = logs.transpose(2, 0, 1).reshape(d, 1, -1) / interval
-    means, ses = batch_means(per_step, n_batches=n_batches)
+    means, ses = batch_means(per_step, n_batches=N_BATCHES)
     order = np.argsort(means)[::-1]
     vals, errs = means[order], ses[order]
     ex, mult, se = _group_exponents(vals, errs)
@@ -347,12 +352,11 @@ def _backward_clv(Qs, Rs, lo, hi, core, overlap):
     return _unit_columns(V), residual
 
 
-def benettin_spectrum(cocycle, steps=None, reorth_interval=1, n_batches=20,
-                      q0=None):
+def benettin_spectrum(cocycle, steps=None, reorth_interval=1, q0=None):
     """Lyapunov spectrum by QR reorthonormalization.
 
     Standard errors come from batch means over the per-block stretch series
-    (at least n_batches batches).
+    (at least N_BATCHES batches).
     """
     if reorth_interval < 1:
         raise ParameterError("reorth_interval must be >= 1")
@@ -365,7 +369,7 @@ def benettin_spectrum(cocycle, steps=None, reorth_interval=1, n_batches=20,
     (_, _, logs), n_windows, residual = _windowed(
         lambda core, overlap: _forward_qr(P[None], q0, core, overlap,
                                           reorth_interval), nb)
-    return _spectrum(logs, reorth_interval, n_batches, n_windows, residual)
+    return _spectrum(logs, reorth_interval, n_windows, residual)
 
 
 @dataclass
@@ -402,7 +406,7 @@ class OseledetsSplitting:
         return self._bases[which]
 
 
-def _clv_sweep(J, warmup, q0=None, n_batches=20):
+def _clv_sweep(J, warmup):
     """Ginelli forward/backward sweep for a batch of cocycles.
 
     J has shape (B, n, d, d); returns (clvs (B, w, d, d), spectrum of the
@@ -415,28 +419,22 @@ def _clv_sweep(J, warmup, q0=None, n_batches=20):
     lo, hi = warmup, n + 1 - warmup     # window of converged CLVs
 
     def sweep(core, overlap):
-        (Qs, Rs, logs), res_f = _forward_qr(J, q0, core, overlap)
+        (Qs, Rs, logs), res_f = _forward_qr(J, None, core, overlap)
         clvs, res_b = _backward_clv(Qs, Rs, lo, hi, core, overlap)
         return (clvs, logs), max(res_f, res_b)
 
     (clvs, logs), n_windows, residual = _windowed(sweep, n)
-    return clvs, _spectrum(logs, 1, n_batches, n_windows, residual), lo
+    return clvs, _spectrum(logs, 1, n_windows, residual), lo
 
 
-def compute_clvs(cocycle, warmup=1000, eps0=None, n_batches=20):
+def compute_clvs(cocycle, warmup=1000):
     """Covariant Lyapunov vectors and the Oseledets splitting they induce.
 
-    Requires a hyperbolic spectrum: raises HyperbolicityError if any exponent
-    is within eps0 (default 10x its standard error) of zero.
+    Requires a hyperbolic spectrum (LyapunovSpectrum.require_hyperbolic).
     """
-    clvs, spectrum, lo = _clv_sweep(cocycle.jacobians[None], warmup,
-                                    n_batches=n_batches)
-    vals = spectrum.all_exponents
-    threshold = eps0 if eps0 is not None else spectrum.zero_threshold()
-    if np.any(np.abs(vals) <= threshold):
-        raise HyperbolicityError(
-            f"Lyapunov exponent within {threshold:.3g} of zero: {vals}")
-    n_unstable = int(np.sum(vals > 0))
+    clvs, spectrum, lo = _clv_sweep(cocycle.jacobians[None], warmup)
+    spectrum.require_hyperbolic()
+    n_unstable = int(np.sum(spectrum.all_exponents > 0))
     w = clvs.shape[1]
     return OseledetsSplitting(
         points=cocycle.orbit[lo:lo + w].copy(),
@@ -488,79 +486,3 @@ def covariance_residuals(splitting, cocycle):
         out.append(num / den)
     return out[0], out[1]
 
-
-def _lift(chart, poly):
-    """Continuous lift of a torus polyline."""
-    diffs = chart.difference(poly[1:], poly[:-1])
-    lift = np.empty_like(poly)
-    lift[0] = poly[0]
-    np.cumsum(diffs, axis=0, out=lift[1:])
-    lift[1:] += poly[0]
-    return lift
-
-
-def _resample(chart, poly, max_spacing):
-    lift = _lift(chart, poly)
-    seg = np.linalg.norm(np.diff(lift, axis=0), axis=1)
-    if not np.any(seg > max_spacing):
-        return poly
-    pieces = [lift[:1]]
-    for i in range(len(seg)):
-        k = int(np.ceil(seg[i] / max_spacing))
-        t = np.linspace(0.0, 1.0, k + 1)[1:, None]
-        pieces.append(lift[i] + t * (lift[i + 1] - lift[i]))
-    return chart.reduce(np.concatenate(pieces, axis=0))
-
-
-def unstable_segment(family, alpha, x, e_u, half_width, refine,
-                     max_spacing=None, seed_points=17, max_points=20000):
-    """Polyline approximating the local unstable manifold through x.
-
-    Seeds a short segment along the pulled-back unstable direction `refine`
-    steps in the past and pushes it forward, resampling to bounded spacing.
-    """
-    e_u = np.asarray(e_u, dtype=float)
-    if e_u.ndim != 1:
-        raise UnsupportedDimensionError(
-            "unstable_segment requires a one-dimensional unstable direction")
-    if half_width <= 0:
-        raise ParameterError("half_width must be positive")
-    if family.inverse is None:
-        raise ParameterError(f"family {family.name} has no inverse")
-    if max_spacing is None:
-        max_spacing = half_width / 32.0
-    x = family.chart.reduce(np.asarray(x, dtype=float))
-    # backward orbit and pulled-back unstable direction
-    past = [x]
-    for _ in range(refine):
-        past.append(family.inverse(alpha, past[-1]))
-    v = e_u / np.linalg.norm(e_u)
-    growth = 1.0
-    vs = [v]
-    for k in range(refine):
-        Jb = family.jacobian(alpha, past[k + 1])
-        v = np.linalg.solve(Jb, vs[-1])
-        v = v / np.linalg.norm(v)
-        vs.append(v)
-    # forward expansion along the chain fixes the seed width
-    for k in range(refine):
-        Jf = family.jacobian(alpha, past[refine - k])
-        w = Jf @ vs[refine - k]
-        growth *= np.linalg.norm(w)
-    w0 = half_width / max(growth, 1e-300)
-    t = np.linspace(-1.0, 1.0, seed_points)[:, None]
-    poly = family.chart.reduce(past[refine] + t * (w0 * vs[refine]))
-    for _ in range(refine):
-        poly = family.step(alpha, poly)
-        poly = _resample(family.chart, poly, max_spacing)
-        if poly.shape[0] > max_points:
-            raise NumericalDegeneracyError(
-                "unstable segment refinement exceeded max_points")
-    # trim to arclength half_width around the image of the center seed
-    lift = _lift(family.chart, poly)
-    dist = np.linalg.norm(family.chart.difference(poly, x), axis=1)
-    i0 = int(np.argmin(dist))
-    seg = np.linalg.norm(np.diff(lift, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    keep = np.abs(s - s[i0]) <= half_width
-    return poly[keep]

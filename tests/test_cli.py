@@ -226,6 +226,8 @@ def test_manifest_lists_only_this_runs_files(tmp_path):
     {"kind": "atoms", "positions": [0.2, 0.7], "weights": [1.0]},
     {"kind": "uniform", "ratio": 0.3},
     {"kind": "cantor", "weights": [1.0]},
+    {"kind": "cantor", "ratio": 0.0},
+    {"kind": "cantor", "ratio": 0.7},
 ])
 def test_bad_sigma_is_a_config_error(tmp_path, sigma):
     cfg = _write_cfg(tmp_path, {"synthetic": {**FOLD_UNIFORM["synthetic"],
@@ -287,10 +289,26 @@ def test_conjecture_report_rows_reproduce_single_runs(tmp_path):
     assert row["radius_flag"] == radius["flag"]
 
 
+SHORT_HENON = {"system": {"name": "henon"}, "alpha": 1.4,
+               "orbit": {"transient": 200, "length": 3000, "ensemble": 1}}
+SMALL_SRB = {"system": {"name": "cat_shear"}, "alpha": 0.2,
+             "orbit": {"transient": 10, "length": 100, "ensemble": 2}}
+
+
 @pytest.mark.parametrize("subcommand,payload", [
     ("conjecture-report", {"report": {"systems": [{"name": "cat_shear"}]}}),
     ("tangency", {"system": {"name": "henon"}, "alpha": 1.4,
                   "tangency": {"frame": {"direction": [1.0, 0.0]}}}),
+    ("tangency", {**SHORT_HENON, "tangency": {"frame": {
+        "base": [0.0, 0.2, 0.0], "direction": [1.0, 0.0]}}}),
+    ("tangency", {**SHORT_HENON, "tangency": {"frame": {
+        "base": [0.0, 0.2], "direction": [0.0, 0.0]}}}),
+    ("fold-synthetic", {"synthetic": {**FOLD_UNIFORM["synthetic"],
+                                      "domain": [0.0, 0.5, 1.0]}}),
+    ("fold-synthetic", {"synthetic": {**FOLD_UNIFORM["synthetic"],
+                                      "domain": [1.0, 0.0]}}),
+    ("srb", {**SMALL_SRB, "sampler": {"low": [0, 0, 0], "high": [1, 1, 1]}}),
+    ("srb", {**SMALL_SRB, "sampler": {"low": [0, 0], "high": [1, 1, 1]}}),
 ])
 def test_incomplete_entries_are_config_errors(tmp_path, subcommand, payload):
     cfg = _write_cfg(tmp_path, payload)

@@ -2,8 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from srblab import maps
 from srblab.errors import OrbitEscapeError, ParameterError
@@ -69,18 +67,6 @@ def test_second_derivatives_match_finite_differences(name):
     fd = (fam.jacobian(alpha + h, pts) - fam.jacobian(alpha - h, pts)) / (2 * h)
     assert dJa.shape == pts.shape + (2,)
     assert np.abs(dJa - fd).max() <= 1e-6 * np.abs(fd).max()
-
-
-@pytest.mark.parametrize("name", sorted(ALPHAS))
-def test_inverse_roundtrip(name):
-    fam = maps.get_family(name)
-    if fam.inverse is None:
-        pytest.skip("no inverse")
-    alpha = ALPHAS[name]
-    rng = np.random.default_rng(9)
-    y = _random_points(fam, rng, 50)
-    back = fam.step(alpha, fam.inverse(alpha, y))
-    assert np.abs(fam.chart.difference(back, y)).max() < 1e-10
 
 
 def test_jacobian_determinant_nonzero_everywhere():
@@ -265,16 +251,6 @@ def test_catalog_contents():
         maps.get_family("no_such_system")
 
 
-@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-       st.floats(-0.5, 0.5))
-@settings(max_examples=50, deadline=None)
-def test_cat_shear_inverse_property(x1, x2, alpha):
-    fam = maps.get_family("cat_shear")
-    y = np.array([x1 % 1.0, x2 % 1.0])
-    back = fam.step(alpha, fam.inverse(alpha, y))
-    assert np.abs(fam.chart.difference(back, y)).max() < 1e-9
-
-
 def test_observable_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     pts = rng.random((100, 2))
@@ -291,16 +267,6 @@ def test_observable_gradient_matches_finite_differences():
 def test_observable_catalog_rejects_low_dimension():
     with pytest.raises(ParameterError):
         maps.observable_catalog(1)
-
-
-def test_perturbation_field_consistency_along_orbit():
-    """along_orbit and at_points agree where the inverse exists."""
-    fam = maps.get_family("cat_shear")
-    orbit = maps.iterate(fam, 0.2, np.array([0.3, 0.7]), 200)
-    X = maps.PerturbationField(fam, 0.2)
-    a = X.along_orbit(orbit)
-    b = X.at_points(orbit[1:])
-    assert np.abs(a - b).max() < 1e-10
 
 
 def test_explicit_field_divergence_analytic_vs_numeric():

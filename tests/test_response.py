@@ -274,6 +274,16 @@ def test_volume_identity_rejects_dissipative_family(henon_measure):
         response.volume_preserving_identity(henon_measure, X, phi, 5)
 
 
+def test_volume_identity_needs_a_field_with_a_divergence():
+    fam = maps.get_family("standard_map")
+    emp = measure.srb_sample(fam, 0.5, transient=10, length=200,
+                             ensemble=2, seed=0)
+    with pytest.raises(ParameterError, match="ExplicitField"):
+        response.volume_preserving_identity(
+            emp, maps.PerturbationField(fam, 0.5),
+            maps.get_observable("cos_1_0", 2), 5)
+
+
 def test_split_reconstruction_and_stable_decay(catshear_split):
     fam, alpha, phi, split = catshear_split
     assert np.all(split.reconstruction_sigma()[:11] < 3.0)

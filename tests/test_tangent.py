@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srblab import maps, measure, response, tangent
-from srblab.errors import (HyperbolicityError, NumericalDegeneracyError,
-                           ParameterError)
+from srblab.errors import HyperbolicityError, NumericalDegeneracyError
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
 CAT_LAMBDA = np.log((3.0 + np.sqrt(5.0)) / 2.0)
@@ -39,7 +38,7 @@ def test_cat_spectrum_matches_eigenvalues():
     # finite-orbit alignment transient decays like 1/n; 2e4 steps -> ~1e-5
     assert abs(spec.all_exponents[0] - CAT_LAMBDA) < 1e-4
     assert abs(spec.all_exponents[1] + CAT_LAMBDA) < 1e-4
-    assert spec.is_hyperbolic()
+    spec.require_hyperbolic()
 
 
 def test_spectrum_sorted_descending():
@@ -121,38 +120,6 @@ def test_compute_clvs_rejects_near_zero_exponent():
     coc = tangent.TangentCocycle.from_orbit(fam, 0.05, orbit)
     with pytest.raises(HyperbolicityError):
         tangent.compute_clvs(coc, warmup=500)
-
-
-def test_unstable_segment_linear_is_straight():
-    fam, orbit, coc = _cat_cocycle(4000, alpha=0.1)
-    sp = tangent.compute_clvs(coc, warmup=500)
-    i = 1000
-    e_u = sp.clvs[i][:, 0]
-    seg = tangent.unstable_segment(fam, 0.1, sp.points[i], e_u,
-                                   half_width=0.01, refine=9)
-    t = fam.chart.difference(seg, sp.points[i])
-    off = t - (t @ e_u)[:, None] * e_u
-    assert np.abs(off).max() < 1e-10
-
-
-def test_unstable_segment_henon_bounded(henon_family, henon_splitting):
-    _, sp = henon_splitting
-    i = 5000
-    seg = tangent.unstable_segment(henon_family, 1.4, sp.points[i],
-                                   sp.clvs[i][:, 0], half_width=0.05,
-                                   refine=8)
-    assert np.all(np.abs(seg[:, 0]) <= 1.5)
-    assert np.all(np.abs(seg[:, 1]) <= 0.45)
-    # finite curvature: second differences bounded
-    d2 = np.diff(seg, n=2, axis=0)
-    assert np.all(np.isfinite(d2))
-
-
-def test_unstable_segment_rejects_bad_width(henon_family, henon_splitting):
-    _, sp = henon_splitting
-    with pytest.raises(ParameterError):
-        tangent.unstable_segment(henon_family, 1.4, sp.points[0],
-                                 sp.clvs[0][:, 0], half_width=0.0, refine=8)
 
 
 # The windowed sweeps against their one-window run, which is the sequential
