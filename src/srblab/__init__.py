@@ -13,12 +13,12 @@ from .errors import (BasinEscapeError, ConfigError, FrameMisalignmentError,
                      PadeDegeneracyError, ParameterError, SrbLabError,
                      UnsupportedDimensionError)
 from .maps import (ExplicitField, MapFamily, Observable,
-                   PerturbationField, builtin_catalog, get_family,
-                   get_observable, observable_catalog)
+                   PerturbationField, get_family, get_observable,
+                   observable_catalog)
 from .measure import (EmpiricalMeasure, birkhoff_average, correlation,
                       dimension_estimates, kaplan_yorke, srb_sample)
 from .pade import PadeApproximant, robust_pade
-from .response import (finite_difference_response, psi_eval, radius_estimate,
+from .response import (finite_difference_response, radius_estimate,
                        stable_unstable_split, susceptibility_coefficients,
                        volume_preserving_identity)
 from .tangent import (TangentCocycle, benettin_spectrum, compute_clvs,
@@ -30,19 +30,17 @@ from .tangency import (counting_function, detect_folds, holder_exponent,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasinEscapeError", "ConfigError", "EmpiricalMeasure",
-    "ExperimentConfig", "ExplicitField", "FrameMisalignmentError",
-    "HyperbolicityError",
+    "BasinEscapeError", "ConfigError", "EmpiricalMeasure", "ExperimentConfig",
+    "ExplicitField", "FrameMisalignmentError", "HyperbolicityError",
     "InsufficientDataError", "MapFamily", "NumericalDegeneracyError",
-    "Observable", "OrbitEscapeError", "PadeApproximant",
-    "PadeDegeneracyError", "ParameterError", "PerturbationField",
-    "SrbLabError", "TangentCocycle", "UnsupportedDimensionError",
-    "benettin_spectrum", "birkhoff_average", "builtin_catalog",
+    "Observable", "OrbitEscapeError", "PadeApproximant", "PadeDegeneracyError",
+    "ParameterError", "PerturbationField", "SrbLabError", "TangentCocycle",
+    "UnsupportedDimensionError", "benettin_spectrum", "birkhoff_average",
     "compute_clvs", "correlation", "counting_function", "detect_folds",
     "dimension_estimates", "finite_difference_response", "get_family",
     "get_observable", "holder_exponent", "kaplan_yorke", "make_sigma",
-    "observable_catalog", "project_along_stable", "psi_eval",
-    "radius_estimate", "robust_pade", "srb_sample", "stable_unstable_split",
-    "splitting_angles", "susceptibility_coefficients",
-    "synthetic_fold_convolution", "volume_preserving_identity",
+    "observable_catalog", "project_along_stable", "radius_estimate",
+    "robust_pade", "srb_sample", "stable_unstable_split", "splitting_angles",
+    "susceptibility_coefficients", "synthetic_fold_convolution",
+    "volume_preserving_identity",
 ]

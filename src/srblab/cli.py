@@ -293,14 +293,15 @@ def cmd_response_check(cfg, outdir):
         family, alpha, cfg.get("response.h"), phi,
         _sampling(cfg, family, seed_shift=1),
         richardson=cfg.get("response.richardson"))
-    cmp = response.ResponseComparison(psi_one, psi_err,
-                                      fd.derivative, fd.stderr)
+    den = np.sqrt(psi_err**2 + fd.stderr**2)
+    sigma = (float(abs(psi_one - fd.derivative) / den) if den > 0
+             else float("inf"))
     write_json(outdir / "response.json", {
-        "psi_one": cmp.psi_one, "psi_one_err": cmp.psi_one_err,
-        "derivative": cmp.derivative, "derivative_err": cmp.derivative_err,
-        "discrepancy_sigma": cmp.discrepancy_sigma,
+        "psi_one": psi_one, "psi_one_err": psi_err,
+        "derivative": fd.derivative, "derivative_err": fd.stderr,
+        "discrepancy_sigma": sigma,
         "h": cfg.get("response.h"),
-        "agrees_3sigma": cmp.discrepancy_sigma < 3.0,
+        "agrees_3sigma": sigma < 3.0,
     })
     return {"coefficients": int(series.coeffs.size)}
 
@@ -351,14 +352,19 @@ def cmd_tangency(cfg, outdir):
     write_csv(outdir / "folds.csv",
               [f"x{i}" for i in range(family.dimension)] + ["angle"],
               [tuple(p) + (a,) for p, a in zip(folds.points, folds.angles)])
+    n_folds = folds.points.shape[0]
     payload = {
         "min_angle": float(angles.min()),
-        "n_fold_points": int(folds.points.shape[0]),
+        "n_fold_points": n_folds,
         "n_clusters": int(folds.representatives.shape[0]),
         "spectrum": _spectrum_payload(splitting.spectrum),
     }
-    if (frame_cfg is not None
-            and folds.points.shape[0] >= tangency.MIN_FOLD_POINTS):
+    if frame_cfg is not None and n_folds < tangency.MIN_FOLD_POINTS:
+        payload["frame_used"] = False
+        payload["frame_reason"] = (
+            f"{n_folds} fold points, fewer than the "
+            f"{tangency.MIN_FOLD_POINTS} the counting function needs")
+    elif frame_cfg is not None:
         frame = tangency.TransversalFrame(tuple(frame_cfg["base"]),
                                           tuple(frame_cfg["direction"]))
         sel = angles < tc["angle_threshold"]

@@ -12,8 +12,11 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
+from .maps import _finite
 
-# key -> (type | sub-schema). A tuple of types means any of them.
+NUMBERS = "a list of finite numbers"
+
+# key -> (type | sub-schema | NUMBERS). A tuple of types means any of them.
 SCHEMA = {
     "system": {"name": str, "params": dict},
     "alpha": (int, float),
@@ -21,7 +24,7 @@ SCHEMA = {
     "output_dir": str,
     "observable": str,
     "observable2": str,
-    "sampler": {"low": list, "high": list},
+    "sampler": {"low": NUMBERS, "high": NUMBERS},
     "orbit": {"transient": int, "length": int, "ensemble": int},
     "spectrum": {"steps": int, "reorth_interval": int},
     "clv": {"warmup": int},
@@ -33,11 +36,11 @@ SCHEMA = {
     "tangency": {"angle_threshold": (int, float),
                  "cluster_radius": (int, float),
                  "min_projection_angle": (int, float),
-                 "frame": {"base": list, "direction": list}},
+                 "frame": {"base": NUMBERS, "direction": NUMBERS}},
     "synthetic": {"sigma": {"kind": str, "ratio": (int, float),
-                            "level": int, "positions": list,
-                            "weights": list},
-                  "grid": int, "side": str, "domain": list},
+                            "level": int, "positions": NUMBERS,
+                            "weights": NUMBERS},
+                  "grid": int, "side": str, "domain": NUMBERS},
     "report": {"systems": list},
 }
 
@@ -71,6 +74,9 @@ def _validate(data, schema, path=""):
             if key == "params" or spec is dict:
                 continue
             _validate(value, spec, where)
+        elif spec is NUMBERS:
+            if not (isinstance(value, list) and _finite(value)):
+                raise ConfigError(f"{where} must be {NUMBERS}")
         else:
             types = spec if isinstance(spec, tuple) else (spec,)
             # bool subclasses int, but `seed: true` is not a seed

@@ -22,7 +22,7 @@ from __future__ import annotations
 import inspect
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional
 
@@ -82,7 +82,6 @@ class MapFamily:
     param_derivative: Callable
     volume_preserving: bool = False
     escape_radius: float = 100.0
-    params: dict = field(default_factory=dict)
     hessian: Optional[Callable] = None
     param_jacobian: Optional[Callable] = None
 
@@ -225,6 +224,8 @@ def cat_translate(v=(1.0, 0.0)):
     Lebesgue measure is invariant for every alpha.
     """
     v = np.asarray(v, dtype=float)
+    if v.shape != (2,):
+        raise ParameterError("cat_translate's v needs 2 entries")
     v0, v1 = v.tolist()
     chart = torus()
 
@@ -249,8 +250,8 @@ def cat_translate(v=(1.0, 0.0)):
         return _matrices(x)
 
     return MapFamily("cat_translate", 2, chart, step, jac, d_alpha,
-                     volume_preserving=True, params={"v": tuple(v)},
-                     hessian=hessian, param_jacobian=d_jac)
+                     volume_preserving=True, hessian=hessian,
+                     param_jacobian=d_jac)
 
 
 def cat_shear():
@@ -334,7 +335,7 @@ def henon(b=0.3):
         return out
 
     return MapFamily("henon", 2, chart, step, jac, d_alpha,
-                     params={"b": b}, hessian=hessian, param_jacobian=d_jac)
+                     hessian=hessian, param_jacobian=d_jac)
 
 
 def standard_map():
@@ -434,8 +435,7 @@ def coupled_henon(b=0.3, c=0.3):
         out[..., 2] = (1.0 - c) * s2 + c * s1
         return out
 
-    return MapFamily("coupled_henon", 4, chart, step, jac, d_alpha,
-                     params={"b": b, "c": c})
+    return MapFamily("coupled_henon", 4, chart, step, jac, d_alpha)
 
 
 _FACTORIES = {
@@ -447,16 +447,30 @@ _FACTORIES = {
 }
 
 
-def builtin_catalog():
-    """All built-in families with default parameters."""
-    return [factory() for factory in _FACTORIES.values()]
+def _finite(value):
+    """True for a finite int or float (bool excluded) or a list or tuple of
+    them."""
+    values = value if isinstance(value, (list, tuple)) else [value]
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               and math.isfinite(v) for v in values)
 
 
 def get_family(name, params=None):
+    """The built-in family `name`, its factory called with `params`: finite
+    numbers, or lists of them, under names the factory takes."""
     if name not in _FACTORIES:
         raise ParameterError(f"unknown map family {name!r}; "
                              f"known: {sorted(_FACTORIES)}")
-    return _FACTORIES[name](**(params or {}))
+    factory, params = _FACTORIES[name], params or {}
+    accepted = inspect.signature(factory).parameters
+    for key, value in params.items():
+        if key not in accepted:
+            raise ParameterError(f"map family {name!r} has no parameter "
+                                 f"{key!r}; it takes {sorted(accepted)}")
+        if not _finite(value):
+            raise ParameterError(f"parameter {key!r} of map family {name!r} "
+                                 f"must be a finite number or a list of them")
+    return factory(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -604,28 +618,15 @@ class PerturbationField:
 
 @dataclass(frozen=True)
 class ExplicitField:
-    """A vector field given in closed form, x -> X(x).
-
-    div_fn, when supplied, is the analytic divergence; otherwise the
-    divergence falls back to central differences with step 1e-6.
-    """
+    """A vector field given in closed form, x -> X(x), with its analytic
+    divergence div_fn."""
 
     fn: Callable
-    dimension: int
-    div_fn: Optional[Callable] = None
+    div_fn: Callable
 
     def along_orbit(self, orbit):
         orbit = np.asarray(orbit)
         return self.fn(orbit[..., 1:, :])
 
     def divergence(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.div_fn is not None:
-            return self.div_fn(y)
-        step = 1e-6
-        out = np.zeros(y.shape[:-1])
-        for i in range(self.dimension):
-            e = np.zeros(self.dimension)
-            e[i] = step
-            out += (self.fn(y + e)[..., i] - self.fn(y - e)[..., i]) / (2 * step)
-        return out
+        return self.div_fn(np.asarray(y, dtype=float))

@@ -20,7 +20,6 @@ class PadeApproximant:
 
     numerator: np.ndarray
     denominator: np.ndarray
-    order: tuple
 
     def __call__(self, z):
         p = np.polyval(self.numerator[::-1], z)
@@ -63,10 +62,10 @@ def robust_pade(coeffs, m, n, tol=1e-14):
     c = c[: m + n + 1]
     norm_c = np.linalg.norm(c)
     if norm_c == 0.0:
-        return PadeApproximant(np.zeros(1), np.ones(1), (0, 0))
+        return PadeApproximant(np.zeros(1), np.ones(1))
     ts = tol * norm_c
     if np.max(np.abs(c[: m + 1])) <= tol * np.max(np.abs(c)):
-        return PadeApproximant(np.zeros(1), np.ones(1), (0, 0))
+        return PadeApproximant(np.zeros(1), np.ones(1))
     while True:
         if n == 0:
             a = c[: m + 1].copy()
@@ -113,4 +112,4 @@ def robust_pade(coeffs, m, n, tol=1e-14):
             a[k] = np.dot(b[: jmax + 1], c[k - np.arange(jmax + 1)])
         a = a / b[0]
         b = b / b[0]
-    return PadeApproximant(a, b, (m, n))
+    return PadeApproximant(a, b)

@@ -1,7 +1,6 @@
-"""Susceptibility coefficients, series evaluation and resummation, radius of
-convergence estimation, the finite-difference linear-response oracle, the
-volume-preserving identity, and the stable/unstable decomposition of the
-response series.
+"""Susceptibility coefficients, radius of convergence estimation, the
+finite-difference linear-response oracle, the volume-preserving identity,
+and the stable/unstable decomposition of the response series.
 """
 from __future__ import annotations
 
@@ -110,68 +109,8 @@ def susceptibility_coefficients(measure, X, obs, N):
     return SusceptibilitySeries(coeffs, errs, meta)
 
 
-def kappa_adjoint(measure, X, obs, N):
-    """Adjoint-route kappa_n: back-propagate gradients by transposed
-    Jacobians, W_n(x_j) = J_j^T W_{n-1}(x_{j+1}) with W_0 = grad phi, before
-    dotting with X.  Pure linear-algebra dual of susceptibility_coefficients
-    on the same sample set (no error bars)."""
-    orbits = measure.orbits
-    m, L, d = orbits.shape
-    S = L - 1 - N
-    jacT = measure.family.jacobian(measure.alpha,
-                                   orbits[:, 1:-1]).swapaxes(-1, -2)
-    Xs = X.along_orbit(orbits)[:, :S]
-    W = obs.gradient(orbits)[:, 1:]       # W_n at orbit indices 1..L-1-n
-    out = np.empty(N + 1)
-    for n in range(N + 1):
-        if n > 0:
-            W = _matvec(jacT[:, :W.shape[1] - 1], W[:, 1:])
-        out[n] = np.einsum("msd,msd->ms", Xs, W[:, :S]).mean()
-    return out
-
-
-# a bootstrap or Monte Carlo draw whose Pade fit fails is dropped
+# a bootstrap draw whose Pade fit fails is dropped
 _PADE_FAILURES = (PadeDegeneracyError, np.linalg.LinAlgError)
-
-
-@dataclass
-class PsiEval:
-    value: complex
-    error: float
-    mode: str
-    poles: Optional[np.ndarray] = None
-
-
-def psi_eval(series, z, mode="truncated"):
-    """Evaluate Psi(z) from a coefficient series.
-
-    mode is "truncated" or a tuple ("pade", L, M).  The Pade mode reports
-    the rational approximant value together with its pole set; its error is
-    propagated by Monte Carlo over the coefficient error bars, 64 draws
-    from seed 0.
-    """
-    if mode == "truncated":
-        val, err = series.truncated_sum(z)
-        return PsiEval(value=val, error=err, mode="truncated")
-    if not (isinstance(mode, tuple) and mode[0] == "pade"):
-        raise ParameterError(f"unknown psi_eval mode {mode!r}")
-    _, L, M = mode
-    approx = robust_pade(series.coeffs, L, M)
-    val = approx(z)
-    err = 0.0
-    if np.any(series.stderr > 0):
-        rng = np.random.default_rng(0)
-        draws = []
-        for _ in range(64):
-            c = series.coeffs + rng.standard_normal(series.coeffs.size) * series.stderr
-            try:
-                draws.append(robust_pade(c, L, M)(z))
-            except _PADE_FAILURES:
-                continue
-        if len(draws) > 1:
-            err = float(np.std(draws, ddof=1))
-    return PsiEval(value=val, error=err, mode=f"pade({L},{M})",
-                   poles=approx.poles())
 
 
 @dataclass
@@ -336,7 +275,6 @@ class SamplingConfig:
 class ResponseEstimate:
     derivative: float
     stderr: float
-    details: dict = field(default_factory=dict)
 
 
 def finite_difference_response(family, alpha0, h, obs, sampling,
@@ -358,30 +296,15 @@ def finite_difference_response(family, alpha0, h, obs, sampling,
     mm, sm = side(alpha0 - h, base * 8 + 2)
     deriv = (mp - mm) / (2.0 * h)
     err = float(np.sqrt(sp**2 + sm**2) / (2.0 * h))
-    details = {"h": h, "plus": (mp, sp), "minus": (mm, sm)}
     if not richardson:
-        return ResponseEstimate(deriv, err, details)
+        return ResponseEstimate(deriv, err)
     mp2, sp2 = side(alpha0 + h / 2, base * 8 + 3)
     mm2, sm2 = side(alpha0 - h / 2, base * 8 + 4)
     deriv2 = (mp2 - mm2) / h
     err2 = float(np.sqrt(sp2**2 + sm2**2) / h)
     extrap = (4.0 * deriv2 - deriv) / 3.0
     err_ex = float(np.sqrt((4.0 / 3.0 * err2) ** 2 + (err / 3.0) ** 2))
-    details["pair"] = {"h": (deriv, err), "h/2": (deriv2, err2)}
-    return ResponseEstimate(extrap, err_ex, details)
-
-
-@dataclass
-class ResponseComparison:
-    psi_one: float
-    psi_one_err: float
-    derivative: float
-    derivative_err: float
-
-    @property
-    def discrepancy_sigma(self):
-        den = np.sqrt(self.psi_one_err**2 + self.derivative_err**2)
-        return float(abs(self.psi_one - self.derivative) / den) if den > 0 else float("inf")
+    return ResponseEstimate(extrap, err_ex)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +314,6 @@ class ResponseComparison:
 
 @dataclass
 class IdentityRow:
-    n: int
     kappa: float
     kappa_se: float
     vp_term: float
@@ -436,7 +358,7 @@ def volume_preserving_identity(measure, X, obs, N):
     for n in range(direct.coeffs.size):
         c = divv * phiv[:, 1 + n:1 + n + S]
         mu, se = batch_means(c, n_batches=N_BATCHES)
-        rows.append(IdentityRow(n, float(direct.coeffs[n]),
+        rows.append(IdentityRow(float(direct.coeffs[n]),
                                 float(direct.stderr[n]), float(mu), float(se)))
     return VolumeIdentityReport(rows)
 
@@ -459,9 +381,12 @@ class SplitResult:
     def combined(self):
         """Reconstructed series stable + unstable with combined errors.
 
-        Unlike the direct estimator, whose variance grows with the unstable
-        multiplier at each order, both split terms have controlled errors,
-        so this series is the better input for radius estimation."""
+        The direct estimator's variance grows with the unstable multiplier
+        at each order; the split terms avoid that growth where the unstable
+        term has a mean, as on the uniformly hyperbolic cat_shear.  On maps
+        with tangencies (henon, standard_map) div^u X^u has a tail of index
+        about 1/2, so the unstable term has no mean and its standard errors
+        do not measure its error."""
         return SusceptibilitySeries(
             self.stable.coeffs + self.unstable.coeffs,
             np.hypot(self.stable.stderr, self.unstable.stderr),

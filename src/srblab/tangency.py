@@ -5,7 +5,7 @@ weights.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,8 +78,6 @@ class TransversalFrame:
 class Projection:
     theta: np.ndarray
     weights: np.ndarray
-    excluded_weight: float
-    n_excluded: int
 
 
 def project_along_stable(points, stable_dirs, frame, min_angle=1e-3,
@@ -110,9 +108,7 @@ def project_along_stable(points, stable_dirs, frame, min_angle=1e-3,
             f"{excluded_weight:.1%} of the mass has stable direction nearly "
             "parallel to the frame line")
     theta = (s[ok, 0] * rhs[ok, 1] - s[ok, 1] * rhs[ok, 0]) / det[ok]
-    return Projection(theta=theta, weights=weights[ok].copy(),
-                      excluded_weight=excluded_weight,
-                      n_excluded=int((~ok).sum()))
+    return Projection(theta=theta, weights=weights[ok].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +120,6 @@ def project_along_stable(points, stable_dirs, frame, min_angle=1e-3,
 class DensityProfile:
     grid: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -165,19 +160,6 @@ class SigmaCantor:
             intervals = intervals[np.argsort(intervals[:, 0])]
         mass = np.full(intervals.shape[0], 1.0 / intervals.shape[0])
         return np.concatenate([intervals, mass[:, None]], axis=1), np.empty((0, 2))
-
-    def sample(self, rng, size):
-        """Exact draws via random base-2 digit choices."""
-        x = np.full(size, float(self.lo))
-        span = self.hi - self.lo
-        scale = span
-        for _ in range(60):
-            right = rng.random(size) < 0.5
-            x = x + right * (scale * (1.0 - self.ratio))
-            scale *= self.ratio
-            if scale < 1e-18 * span:
-                break
-        return x
 
 
 @dataclass(frozen=True)
@@ -252,8 +234,7 @@ def synthetic_fold_convolution(sigma, grid_size, side="two", domain=(0.0, 1.0)):
             else:
                 kern = 1.0 / np.sqrt(np.abs(diff))
             values[start:start + rows] += kern @ wgt
-    return DensityProfile(grid=grid, values=values,
-                          meta={"sigma": repr(sigma), "side": side})
+    return DensityProfile(grid=grid, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +298,6 @@ def holder_exponent(values, spacing):
 
 @dataclass
 class CountingFunction:
-    positions: np.ndarray       # sorted fold parameters
-    cumulative: np.ndarray      # psi values after each position
     exponent: float             # scaling exponent d-bar
     exponent_ci: tuple
     holder_constant: float
@@ -326,8 +305,9 @@ class CountingFunction:
 
 
 def counting_function(theta, weights=None):
-    """Weighted empirical CDF of fold parameters with a scaling-exponent
-    estimate from the dyadic maximal increments max_t psi(t+delta) - psi(t)."""
+    """Scaling exponent of the weighted empirical CDF psi of fold
+    parameters, from the dyadic maximal increments max_t psi(t+delta) -
+    psi(t)."""
     theta = np.asarray(theta, dtype=float)
     if theta.size < MIN_FOLD_POINTS:
         raise InsufficientDataError(
@@ -341,8 +321,8 @@ def counting_function(theta, weights=None):
     cum = np.cumsum(weights[order])
     span = pos[-1] - pos[0]
     if span == 0.0:
-        return CountingFunction(pos, cum, 0.0, (0.0, 0.0),
-                                float(cum[-1]), flag="atomic-measure")
+        return CountingFunction(0.0, (0.0, 0.0), float(cum[-1]),
+                                flag="atomic-measure")
     padded = np.concatenate([[0.0], cum])
     deltas, incs = [], []
     delta = span / 2.0 ** 12
@@ -364,8 +344,8 @@ def counting_function(theta, weights=None):
     if ok.sum() < 3:
         # atomic-dominated or too-coarse sample
         if np.all(incs >= 0.5 * total):
-            return CountingFunction(pos, cum, 0.0, (0.0, 0.0),
-                                    float(total), flag="atomic-measure")
+            return CountingFunction(0.0, (0.0, 0.0), float(total),
+                                    flag="atomic-measure")
         ok = incs > 0
         flag = "short-fit-range"
     _, slope, se_b, _ = linear_fit(np.log(deltas[ok]), np.log(incs[ok]))
@@ -373,6 +353,6 @@ def counting_function(theta, weights=None):
     if slope > 1.0 or slope < 0.0:
         flag = flag or "exponent-clipped"
     C = float(np.max(incs[ok] / deltas[ok] ** exponent))
-    return CountingFunction(pos, cum, exponent,
+    return CountingFunction(exponent,
                             (slope - 1.96 * se_b, slope + 1.96 * se_b),
                             C, flag=flag)

@@ -2,7 +2,7 @@
 covariant Lyapunov vectors (forward/backward sweep) and splitting angles.
 
 Every spectrum takes its standard errors from N_BATCHES = 20 batch means,
-and the CLV sweep starts its QR frame at the identity.
+and every QR sweep starts its frame at the identity.
 """
 from __future__ import annotations
 
@@ -28,18 +28,6 @@ class TangentCocycle:
     def from_orbit(cls, family, alpha, orbit):
         orbit = np.asarray(orbit, dtype=float)
         return cls(orbit=orbit, jacobians=family.jacobian(alpha, orbit[:-1]))
-
-    @property
-    def dimension(self):
-        return self.orbit.shape[1]
-
-    def product(self, start, n):
-        """T_{x_start} f^n by chained multiplication."""
-        d = self.dimension
-        P = np.eye(d)
-        for j in range(start, start + n):
-            P = self.jacobians[j] @ P
-        return P
 
 
 # Small-matrix kernels.  The sweeps factor thousands of d x d matrices per
@@ -268,13 +256,13 @@ def _affine_recurrence(c, d):
     return _windowed(sweep, n)[0]
 
 
-def _forward_qr(J, q0, core, overlap, interval=1):
+def _forward_qr(J, core, overlap, interval=1):
     """Windowed QR sweep of a batch of cocycles J (B, n, d, d).
 
     Returns ((Qs (B, n+1, d, d), Rs (B, n, d, d), logs (B, n, d)), residual)
-    with Qs[:, j+1] Rs[:, j] = J[:, j] Qs[:, j] and Qs[:, 0] = q0 (identity
-    by default).  Windows other than 0 start from the identity, so their
-    column signs are arbitrary; they are chained across the hand-over
+    with Qs[:, j+1] Rs[:, j] = J[:, j] Qs[:, j] and Qs[:, 0] the identity.
+    Every window starts from the identity, so the column signs of windows
+    other than 0 are arbitrary; they are chained across the hand-over
     frames (Q <- Q S, R <- S R S).  The residual is the largest mismatch of
     aligned hand-over frames.  Rank loss raises with the global step index,
     counted in units of `interval` steps.
@@ -283,8 +271,6 @@ def _forward_qr(J, q0, core, overlap, interval=1):
     K, core, overlap = _windows(n, core, overlap)
     span = K * core
     Q = np.broadcast_to(np.eye(d), (B, K, d, d)).copy()
-    if q0 is not None:
-        Q[:, 0] = q0
     Qs = np.zeros((B, span + overlap + 1, d, d))
     Rs = np.zeros((B, span + overlap, d, d))
     Qs[:, 0] = Q[:, 0]
@@ -352,7 +338,7 @@ def _backward_clv(Qs, Rs, lo, hi, core, overlap):
     return _unit_columns(V), residual
 
 
-def benettin_spectrum(cocycle, steps=None, reorth_interval=1, q0=None):
+def benettin_spectrum(cocycle, reorth_interval=1):
     """Lyapunov spectrum by QR reorthonormalization.
 
     Standard errors come from batch means over the per-block stretch series
@@ -361,13 +347,11 @@ def benettin_spectrum(cocycle, steps=None, reorth_interval=1, q0=None):
     if reorth_interval < 1:
         raise ParameterError("reorth_interval must be >= 1")
     J = cocycle.jacobians
-    n = J.shape[0] if steps is None else min(steps, J.shape[0])
-    if n < reorth_interval:
+    if J.shape[0] < reorth_interval:
         raise ParameterError("steps must be >= reorth_interval")
-    P, nb = _block_products(J[:n], reorth_interval)
-    q0 = None if q0 is None else np.array(q0, dtype=float)
+    P, nb = _block_products(J, reorth_interval)
     (_, _, logs), n_windows, residual = _windowed(
-        lambda core, overlap: _forward_qr(P[None], q0, core, overlap,
+        lambda core, overlap: _forward_qr(P[None], core, overlap,
                                           reorth_interval), nb)
     return _spectrum(logs, reorth_interval, n_windows, residual)
 
@@ -387,14 +371,6 @@ class OseledetsSplitting:
     offset: int
     spectrum: LyapunovSpectrum
     _bases: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def n_windows(self):
-        return self.spectrum.n_windows
-
-    @property
-    def boundary_residual(self):
-        return self.spectrum.boundary_residual
 
     def basis(self, which):
         """Orthonormal per-point basis of E^u ('u') or E^s ('s')."""
@@ -419,7 +395,7 @@ def _clv_sweep(J, warmup):
     lo, hi = warmup, n + 1 - warmup     # window of converged CLVs
 
     def sweep(core, overlap):
-        (Qs, Rs, logs), res_f = _forward_qr(J, None, core, overlap)
+        (Qs, Rs, logs), res_f = _forward_qr(J, core, overlap)
         clvs, res_b = _backward_clv(Qs, Rs, lo, hi, core, overlap)
         return (clvs, logs), max(res_f, res_b)
 

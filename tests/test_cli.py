@@ -228,6 +228,7 @@ def test_manifest_lists_only_this_runs_files(tmp_path):
     {"kind": "cantor", "weights": [1.0]},
     {"kind": "cantor", "ratio": 0.0},
     {"kind": "cantor", "ratio": 0.7},
+    {"kind": "atoms", "positions": ["a"], "weights": [1.0]},
 ])
 def test_bad_sigma_is_a_config_error(tmp_path, sigma):
     cfg = _write_cfg(tmp_path, {"synthetic": {**FOLD_UNIFORM["synthetic"],
@@ -309,6 +310,13 @@ SMALL_SRB = {"system": {"name": "cat_shear"}, "alpha": 0.2,
                                       "domain": [1.0, 0.0]}}),
     ("srb", {**SMALL_SRB, "sampler": {"low": [0, 0, 0], "high": [1, 1, 1]}}),
     ("srb", {**SMALL_SRB, "sampler": {"low": [0, 0], "high": [1, 1, 1]}}),
+    ("fold-synthetic", {"synthetic": {**FOLD_UNIFORM["synthetic"],
+                                      "domain": ["a", "b"]}}),
+    ("srb", {**SMALL_SRB, "sampler": {"low": ["a", 0], "high": [1, 1]}}),
+    ("srb", {**SMALL_SRB, "sampler": {"low": [0, 0],
+                                      "high": [1, float("inf")]}}),
+    ("tangency", {**SHORT_HENON, "tangency": {"frame": {
+        "base": ["a", 0.2], "direction": [1.0, 0.0]}}}),
 ])
 def test_incomplete_entries_are_config_errors(tmp_path, subcommand, payload):
     cfg = _write_cfg(tmp_path, payload)
@@ -316,3 +324,32 @@ def test_incomplete_entries_are_config_errors(tmp_path, subcommand, payload):
     assert cli.run(subcommand, cfg, out) == cli.EXIT_CONFIG
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["error_type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("subcommand,payload", [
+    ("lyapunov", {**SMALL_LYAPUNOV, "system": {"name": "henon",
+                                               "params": {"c": 1}}}),
+    ("lyapunov", {**SMALL_LYAPUNOV, "system": {"name": "henon",
+                                               "params": {"b": "x"}}}),
+    ("conjecture-report", {"report": {"systems": [
+        {"name": "henon", "alpha": 1.4, "params": {"b": "x"}}]}}),
+])
+def test_bad_family_parameters_exit_2(tmp_path, subcommand, payload):
+    cfg = _write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.run(subcommand, cfg, out) == cli.EXIT_CONFIG
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["error_type"] == "ParameterError"
+
+
+def test_tangency_says_when_its_frame_goes_unused(tmp_path):
+    cfg = _write_cfg(tmp_path, {**SHORT_HENON, "tangency": {"frame": {
+        "base": [0.0, 0.2], "direction": [1.0, 0.0]}}})
+    out = tmp_path / "out"
+    assert cli.run("tangency", cfg, out) == cli.EXIT_OK
+    payload = json.loads((out / "tangency.json").read_text())
+    assert payload["n_fold_points"] < 100
+    assert payload["frame_used"] is False
+    assert payload["frame_reason"].startswith(
+        f"{payload['n_fold_points']} fold points")
+    assert "d_bar" not in payload
