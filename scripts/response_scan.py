@@ -32,7 +32,7 @@ def main():
         X = maps.PerturbationField(fam, alpha)
         split = response.stable_unstable_split(emp, X, phi, args.n_max)
         ser = split.combined()
-        psi, perr = ser.truncated_sum(1.0)
+        psi, perr = ser.truncated_sum()
         sampling = response.SamplingConfig(
             transient=500, length=args.length, ensemble=2 * args.ensemble,
             seed=args.seed + 72)

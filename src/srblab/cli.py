@@ -121,7 +121,7 @@ def _observable(cfg, family):
     return maps.get_observable(cfg.require("observable"), family.dimension)
 
 
-def _sampling(cfg, family, seed_shift=0):
+def _sampling(cfg, family, seed_shift):
     """The sampling settings of a run: orbit.*, sampler and the seed."""
     oc, sc = cfg.get("orbit"), cfg.get("sampler")
     if sc is not None and any(len(sc.get(k, ())) != family.dimension
@@ -288,7 +288,7 @@ def cmd_radius(cfg, outdir):
 def cmd_response_check(cfg, outdir):
     family, alpha = _system(cfg)
     series, _, phi = _series(cfg, family, alpha)
-    psi_one, psi_err = series.truncated_sum(1.0)
+    psi_one, psi_err = series.truncated_sum()
     fd = response.finite_difference_response(
         family, alpha, cfg.get("response.h"), phi,
         _sampling(cfg, family, seed_shift=1),
@@ -395,7 +395,7 @@ def _sigma_from_cfg(scfg):
     if extra:
         raise ConfigError(f"synthetic.sigma keys {extra} do not apply to "
                           f"kind {kind!r}")
-    if kind == "cantor" and not 0.0 < kwargs.get("ratio", 1.0 / 3.0) <= 0.5:
+    if "ratio" in kwargs and not 0.0 < kwargs["ratio"] <= 0.5:
         raise ConfigError("synthetic.sigma.ratio must lie in (0, 1/2]")
     if kind == "atoms":
         missing = sorted(_SIGMA_KEYS[kind] - set(kwargs))
@@ -456,7 +456,7 @@ def cmd_conjecture_report(cfg, outdir):
         corr = measure.correlation(emp, phi, phi,
                                    sub.get("correlation.n_max"))
         est = _radius(sub, series)
-        psi_one, psi_err = series.truncated_sum(1.0)
+        psi_one, psi_err = series.truncated_sum()
         rows.append({
             "system": entry["name"], "alpha": alpha,
             "d_s": spec.get("d_s"), "d_s_method": spec["d_s_method"],
@@ -488,7 +488,7 @@ COMMANDS = {
 }
 
 
-def run(subcommand, config_path, output_dir=None):
+def run(subcommand, config_path, output_dir):
     """Run one subcommand; returns the exit code.
 
     diagnostics.json goes to the run's output directory, or to out/ if the
@@ -530,7 +530,7 @@ def run(subcommand, config_path, output_dir=None):
     return EXIT_OK
 
 
-def main(argv=None):
+def main():
     parser = argparse.ArgumentParser(
         prog="srblab",
         description="Linear-response numerics for chaotic diffeomorphisms")
@@ -539,7 +539,7 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to the YAML experiment config")
         p.add_argument("--output-dir", default=None)
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     return run(args.subcommand, args.config, args.output_dir)
 
 

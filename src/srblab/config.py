@@ -71,8 +71,6 @@ def _validate(data, schema, path=""):
             raise ConfigError(f"unknown configuration key: {where}")
         spec = schema[key]
         if isinstance(spec, dict):
-            if key == "params" or spec is dict:
-                continue
             _validate(value, spec, where)
         elif spec is NUMBERS:
             if not (isinstance(value, list) and _finite(value)):
@@ -118,11 +116,11 @@ class ExperimentConfig:
             raise ConfigError(f"cannot parse config: {exc}") from exc
         return cls(raw)
 
-    def get(self, dotted, default=None):
+    def get(self, dotted):
         node = self.data
         for part in dotted.split("."):
             if not isinstance(node, dict) or part not in node:
-                return default
+                return None
             node = node[part]
         return node
 

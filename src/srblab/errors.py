@@ -19,9 +19,9 @@ class ParameterError(SrbLabError):
 class OrbitEscapeError(SrbLabError):
     """An orbit left the basin (non-finite or beyond the escape radius)."""
 
-    def __init__(self, step, message=None):
+    def __init__(self, step):
         self.step = step
-        super().__init__(message or f"orbit escaped at step {step}")
+        super().__init__(f"orbit escaped at step {step}")
 
 
 class BasinEscapeError(SrbLabError):

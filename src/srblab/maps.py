@@ -32,6 +32,9 @@ from .errors import OrbitEscapeError, ParameterError
 
 TWO_PI = 2.0 * np.pi
 
+# a point of a flat chart farther than this from the origin left the basin
+ESCAPE_RADIUS = 100.0
+
 
 @dataclass(frozen=True)
 class Chart:
@@ -81,7 +84,6 @@ class MapFamily:
     jacobian: Callable
     param_derivative: Callable
     volume_preserving: bool = False
-    escape_radius: float = 100.0
     hessian: Optional[Callable] = None
     param_jacobian: Optional[Callable] = None
 
@@ -90,7 +92,7 @@ class MapFamily:
         x = np.asarray(x)
         bad = ~np.all(np.isfinite(x), axis=-1)
         if not self.chart.any_wrap:
-            bad |= np.einsum("...i,...i->...", x, x) > self.escape_radius**2
+            bad |= np.einsum("...i,...i->...", x, x) > ESCAPE_RADIUS**2
         return bad
 
 
@@ -501,7 +503,7 @@ def fourier_mode(p):
     return Observable(f"cos_{tag}", value, gradient)
 
 
-def coordinate(i, d):
+def coordinate(i):
     def value(x):
         return np.asarray(x)[..., i]
 
@@ -555,10 +557,10 @@ def bump(center, width):
     return Observable("bump", value, gradient)
 
 
-def constant(c=1.0):
+def constant():
     def value(x):
         x = np.asarray(x)
-        return np.full(x.shape[:-1], c)
+        return np.ones(x.shape[:-1])
 
     def gradient(x):
         x = np.asarray(x)
@@ -578,8 +580,8 @@ def observable_catalog(dimension):
     obs = [
         fourier_mode(p1),
         fourier_mode(p11),
-        coordinate(0, dimension),
-        coordinate(1, dimension),
+        coordinate(0),
+        coordinate(1),
         product_x1x2(),
         bump(np.full(dimension, 0.5), 0.4),
         constant(),

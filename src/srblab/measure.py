@@ -54,7 +54,7 @@ class EmpiricalMeasure:
     family: object
     alpha: float
     orbits: np.ndarray          # (members, length, d)
-    n_escaped: int = 0
+    n_escaped: int
 
     @property
     def points(self):
@@ -72,8 +72,8 @@ class EmpiricalMeasure:
         return self.orbits.shape[0] * self.orbits.shape[1]
 
 
-def srb_sample(family, alpha, sampler=None, transient=10_000, length=100_000,
-               ensemble=1, seed=0):
+def srb_sample(family, alpha, transient, length, ensemble, seed,
+               sampler=None):
     """Push an ensemble of smooth-density draws forward and keep the
     post-transient orbit segments.
 
@@ -119,11 +119,11 @@ class CorrelationSeries:
     lags: np.ndarray
     values: np.ndarray
     stderr: np.ndarray
-    decay_rate: Optional[float] = None
-    decay_rate_ci: Optional[tuple] = None
-    fit_r2: Optional[float] = None
-    fit_window: Optional[tuple] = None
-    fit_undefined: bool = False
+    decay_rate: Optional[float]
+    decay_rate_ci: Optional[tuple]
+    fit_r2: Optional[float]
+    fit_window: Optional[tuple]
+    fit_undefined: bool
 
 
 def correlation(measure, psi, phi, n_max):
@@ -143,18 +143,17 @@ def correlation(measure, psi, phi, n_max):
     for n in lags:
         prod = a[:, : L - n] * b[:, n:]
         vals[n], errs[n] = batch_means(prod, n_batches=N_BATCHES)
-    series = CorrelationSeries(lags=lags, values=vals, stderr=errs)
     above = np.abs(vals[1:]) > 2.0 * errs[1:]
     idx = lags[1:][above]
     if idx.size < 3:
-        series.fit_undefined = True
-        return series
+        return CorrelationSeries(lags, vals, errs, None, None, None, None,
+                                 fit_undefined=True)
     _, slope, se_b, r2 = linear_fit(idx, np.log(np.abs(vals[idx])))
-    series.decay_rate = -slope
-    series.decay_rate_ci = (-slope - 1.96 * se_b, -slope + 1.96 * se_b)
-    series.fit_r2 = r2
-    series.fit_window = (int(idx.min()), int(idx.max()))
-    return series
+    return CorrelationSeries(
+        lags, vals, errs, decay_rate=-slope,
+        decay_rate_ci=(-slope - 1.96 * se_b, -slope + 1.96 * se_b),
+        fit_r2=r2, fit_window=(int(idx.min()), int(idx.max())),
+        fit_undefined=False)
 
 
 @dataclass

@@ -48,7 +48,7 @@ class PadeApproximant:
         return np.array(res, dtype=complex)
 
 
-def robust_pade(coeffs, m, n, tol=1e-14):
+def robust_pade(coeffs, m, n, tol):
     """(m, n) Pade approximant to sum coeffs[k] z^k with SVD rank reduction.
 
     Returns a PadeApproximant whose effective order may be lower than

@@ -4,7 +4,7 @@ and the stable/unstable decomposition of the response series.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,17 +28,15 @@ class SusceptibilitySeries:
 
     coeffs: np.ndarray
     stderr: np.ndarray
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     @property
     def n_max(self):
         return self.coeffs.size - 1
 
-    def truncated_sum(self, z=1.0):
-        zs = z ** np.arange(self.coeffs.size)
-        val = np.sum(self.coeffs * zs)
-        err = float(np.sqrt(np.sum((self.stderr * np.abs(zs)) ** 2)))
-        return val, err
+    def truncated_sum(self):
+        """Psi(1) = sum of kappa_n over n = 0..N, with its standard error."""
+        return np.sum(self.coeffs), float(np.sqrt(np.sum(self.stderr ** 2)))
 
 
 def _matvec(J, V):
@@ -54,8 +52,7 @@ def _matvec(J, V):
     return out
 
 
-def _kappa_series(jacobians, V0, grads, N, j0, mask=None,
-                  n_batches=N_BATCHES):
+def _kappa_series(jacobians, V0, grads, N, j0, mask=None):
     """Cocycle-propagated series: coefficient n is the average over samples
     of V0(x_j) . (T_{x_j} f^n)^T grad(x_{j+n}), with V0 given at orbit
     indices j0 .. j0+S-1.
@@ -74,7 +71,7 @@ def _kappa_series(jacobians, V0, grads, N, j0, mask=None,
                 errs = errs[:n]
                 break
         c = np.einsum("msd,msd->ms", V, grads[:, j0 + n:j0 + n + S])
-        coeffs[n], errs[n] = batch_means(c, n_batches, mask)
+        coeffs[n], errs[n] = batch_means(c, N_BATCHES, mask)
     return coeffs, errs, truncated_at
 
 
@@ -135,7 +132,7 @@ def _root_test_radius(coeffs, window):
     return float(np.exp(-slope))
 
 
-def _stable_poles(coeffs, M, noise=0.0):
+def _stable_poles(coeffs, M, noise):
     """Poles of the order-M approximant that persist at order M-1, within
     5% of their modulus.
 
@@ -173,6 +170,8 @@ def radius_estimate(series, method="root-test"):
     """
     if series.n_max < 8:
         raise ParameterError("radius fit requires N >= 8")
+    if method not in ("root-test", "pade-pole"):
+        raise ParameterError(f"unknown radius method {method!r}")
     coeffs = series.coeffs
     if np.all(coeffs == 0.0):
         return RadiusEstimate(method, float("inf"), (float("inf"), float("inf")),
@@ -226,35 +225,32 @@ def radius_estimate(series, method="root-test"):
         return RadiusEstimate("root-test", value, ci,
                               fit_window=(int(window.min()), int(window.max())))
 
-    if method == "pade-pole":
-        M = coeffs.size // 2
-        noise = float(np.median(sd))
-        stable, screened = _stable_poles(coeffs, M, noise=noise)
-        if not stable:
-            return RadiusEstimate("pade-pole", float("nan"),
-                                  (float("nan"), float("nan")),
-                                  indeterminate=True, flag="no-stable-pole",
-                                  screened_poles=[complex(p) for p in screened])
-        value = float(min(abs(p) for p in stable))
-        if np.any(sd > 0):
-            boots = []
-            for _ in range(100):
-                c = coeffs + rng.standard_normal(coeffs.size) * sd
-                try:
-                    st, _ = _stable_poles(c, M, noise=noise)
-                except _PADE_FAILURES:
-                    continue
-                if st:
-                    boots.append(min(abs(p) for p in st))
-            ci = (float(np.percentile(boots, 2.5)),
-                  float(np.percentile(boots, 97.5))) if boots else (value, value)
-        else:
-            ci = (value, value)
-        return RadiusEstimate("pade-pole", value, ci,
-                              poles=[complex(p) for p in stable],
+    M = coeffs.size // 2
+    noise = float(np.median(sd))
+    stable, screened = _stable_poles(coeffs, M, noise=noise)
+    if not stable:
+        return RadiusEstimate("pade-pole", float("nan"),
+                              (float("nan"), float("nan")),
+                              indeterminate=True, flag="no-stable-pole",
                               screened_poles=[complex(p) for p in screened])
-
-    raise ParameterError(f"unknown radius method {method!r}")
+    value = float(min(abs(p) for p in stable))
+    if np.any(sd > 0):
+        boots = []
+        for _ in range(100):
+            c = coeffs + rng.standard_normal(coeffs.size) * sd
+            try:
+                st, _ = _stable_poles(c, M, noise=noise)
+            except _PADE_FAILURES:
+                continue
+            if st:
+                boots.append(min(abs(p) for p in st))
+        ci = (float(np.percentile(boots, 2.5)),
+              float(np.percentile(boots, 97.5))) if boots else (value, value)
+    else:
+        ci = (value, value)
+    return RadiusEstimate("pade-pole", value, ci,
+                          poles=[complex(p) for p in stable],
+                          screened_poles=[complex(p) for p in screened])
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +260,11 @@ def radius_estimate(series, method="root-test"):
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    transient: int = 10_000
-    length: int = 100_000
-    ensemble: int = 8
+    transient: int
+    length: int
+    ensemble: int
+    seed: int
     sampler: Optional[object] = None
-    seed: int = 0
 
 
 @dataclass
@@ -411,10 +407,11 @@ def stable_unstable_split(measure, X, obs, N, clv_warmup=1000,
     CLV v and g is the log-derivative of the conditional SRB density along
     v.  Both come from the recurrences of _manifold_recurrences along the
     orbit, using the family's analytic second derivatives; no point is
-    pushed forward.  Samples are the frames of the converged CLV window;
-    the CLVs reach one window overlap further on each side, over which the
-    recurrences converge.  Near-tangency points (angle below
-    angle_threshold) are excluded and the excluded mass reported.
+    pushed forward.  Samples are the frames of the converged CLV window,
+    from frame max(clv_warmup, 65) (clv_warmup >= 1); the CLVs reach one
+    window overlap further on each side, over which the recurrences
+    converge.  Near-tangency points (angle below angle_threshold) are
+    excluded and the excluded mass reported.
     """
     family = measure.family
     alpha = measure.alpha
@@ -431,9 +428,10 @@ def stable_unstable_split(measure, X, obs, N, clv_warmup=1000,
     if d != 2:
         raise UnsupportedDimensionError(
             "stable/unstable split implemented for 2-dimensional phase space")
+    if clv_warmup < 1:
+        raise ParameterError("the CLV warmup must be at least 1 step")
     jac = family.jacobian(alpha, orbits[:, :-1])
-    clvs, spectrum, lo = _clv_sweep(
-        jac, warmup=clv_warmup - min(_OVERLAP, clv_warmup))
+    clvs, spectrum, lo = _clv_sweep(jac, max(1, clv_warmup - _OVERLAP))
     n_unstable = int(np.sum(spectrum.all_exponents > 0))
     if n_unstable != 1:
         raise UnsupportedDimensionError(

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InsufficientDataError
 
 
-def batch_means(x, n_batches=20, mask=None):
+def batch_means(x, n_batches, mask=None):
     """Mean and standard error of correlated series by batch means.
 
     x has shape (..., members, time), or (time,) for a single series; mask,

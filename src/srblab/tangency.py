@@ -30,8 +30,7 @@ class FoldSet:
     representatives: np.ndarray  # per-cluster minimal-angle point
 
 
-def detect_folds(points, angles, angle_threshold, chart=None,
-                 cluster_radius=0.02):
+def detect_folds(points, angles, angle_threshold, chart, cluster_radius):
     """Attractor points whose splitting angle is below the threshold,
     clustered by proximity (greedy, in order of increasing angle)."""
     points = np.asarray(points, dtype=float)
@@ -46,10 +45,7 @@ def detect_folds(points, angles, angle_threshold, chart=None,
     for i in np.argsort(ang):
         if assigned[i]:
             continue
-        if chart is not None:
-            dist = np.linalg.norm(chart.difference(pts, pts[i]), axis=1)
-        else:
-            dist = np.linalg.norm(pts - pts[i], axis=1)
+        dist = np.linalg.norm(chart.difference(pts, pts[i]), axis=1)
         members = (dist < cluster_radius) & ~assigned
         assigned |= members
         reps.append(pts[i])
@@ -80,8 +76,7 @@ class Projection:
     weights: np.ndarray
 
 
-def project_along_stable(points, stable_dirs, frame, min_angle=1e-3,
-                         chart=None):
+def project_along_stable(points, stable_dirs, frame, min_angle, chart):
     """First-order projection of each sample along its local stable line
     onto the frame line; returns theta coordinates with the samples' equal
     weights.
@@ -99,7 +94,7 @@ def project_along_stable(points, stable_dirs, frame, min_angle=1e-3,
     base = np.asarray(frame.base, dtype=float)
     s = s / np.linalg.norm(s, axis=1, keepdims=True)
     # x + t s = base + theta ell  =>  [s, -ell] [t, theta]^T = base - x
-    rhs = base - points if chart is None else -chart.difference(points, base)
+    rhs = -chart.difference(points, base)
     det = -s[:, 0] * ell[1] + s[:, 1] * ell[0]
     ok = np.abs(det) >= np.sin(min_angle)
     excluded_weight = float(weights[~ok].sum())
@@ -124,33 +119,30 @@ class DensityProfile:
 
 @dataclass(frozen=True)
 class SigmaUniform:
-    lo: float = 0.0
-    hi: float = 1.0
+    """Lebesgue measure on [0, 1]."""
 
     @property
     def dimension(self):
         return 1.0
 
     def cells(self):
-        return np.array([[self.lo, self.hi, 1.0]]), np.empty((0, 2))
+        return np.array([[0.0, 1.0, 1.0]]), np.empty((0, 2))
 
 
 @dataclass(frozen=True)
 class SigmaCantor:
-    """Two-piece self-similar Cantor measure with contraction `ratio`;
-    Hausdorff dimension log 2 / log(1/ratio)."""
+    """Two-piece self-similar Cantor measure on [0, 1] with contraction
+    `ratio`; Hausdorff dimension log 2 / log(1/ratio)."""
 
     ratio: float = 1.0 / 3.0
     level: int = 12
-    lo: float = 0.0
-    hi: float = 1.0
 
     @property
     def dimension(self):
         return float(np.log(2.0) / np.log(1.0 / self.ratio))
 
     def cells(self):
-        intervals = np.array([[self.lo, self.hi]])
+        intervals = np.array([[0.0, 1.0]])
         for _ in range(self.level):
             a, b = intervals[:, 0], intervals[:, 1]
             w = (b - a) * self.ratio
@@ -192,7 +184,7 @@ def make_sigma(kind, **kwargs):
 _FOLD_BLOCK = 2**18
 
 
-def synthetic_fold_convolution(sigma, grid_size, side="two", domain=(0.0, 1.0)):
+def synthetic_fold_convolution(sigma, grid_size, side, domain):
     """Exact oracle for the fold-convolved density
     Delta(theta) = integral d psi(tau) / sqrt(|theta - tau|).
 
@@ -247,8 +239,8 @@ class HolderEstimate:
     exponent: float
     fit_range: tuple
     ci: tuple
-    reliable: bool = True
-    flag: Optional[str] = None
+    reliable: bool
+    flag: Optional[str]
 
 
 def holder_exponent(values, spacing):
@@ -258,19 +250,21 @@ def holder_exponent(values, spacing):
     grid cells to a quarter of the grid and fits log M against log delta;
     the slope is the exponent.  Lags below 16 cells are excluded: there the
     discrete modulus is contaminated by the grid offset and biases the
-    slope.  A fit over less than 1.5 decades is flagged unreliable, and a
-    modulus below 1e-12 of the values' scale (at least 1) gives the
-    exponent 1, flagged."""
+    slope.  The fit needs three lags, so more than 256 samples.  A fit over
+    less than 1.5 decades is flagged unreliable, and a modulus below 1e-12
+    of the values' scale (at least 1) gives the exponent 1, flagged."""
     v = np.asarray(values, dtype=float)
-    if v.size < 16:
-        raise InsufficientDataError("too few samples for a modulus fit")
-    scale = max(float(np.abs(v).max()), 1.0)
     strides, mods = [], []
     s = 16
     while s < 0.25 * v.size:
         mods.append(float(np.abs(v[s:] - v[:-s]).max()))
         strides.append(s)
         s *= 2
+    if len(strides) < 3:
+        raise InsufficientDataError(
+            f"a modulus fit needs 3 dyadic lags, more than 256 samples; "
+            f"got {v.size}")
+    scale = max(float(np.abs(v).max()), 1.0)
     strides = np.asarray(strides, dtype=float)
     mods = np.asarray(mods)
     if mods.max() < 1e-12 * scale:
@@ -301,10 +295,10 @@ class CountingFunction:
     exponent: float             # scaling exponent d-bar
     exponent_ci: tuple
     holder_constant: float
-    flag: Optional[str] = None
+    flag: Optional[str]
 
 
-def counting_function(theta, weights=None):
+def counting_function(theta, weights):
     """Scaling exponent of the weighted empirical CDF psi of fold
     parameters, from the dyadic maximal increments max_t psi(t+delta) -
     psi(t)."""
@@ -313,8 +307,6 @@ def counting_function(theta, weights=None):
         raise InsufficientDataError(
             f"need at least {MIN_FOLD_POINTS} fold parameters, "
             f"got {theta.size}")
-    if weights is None:
-        weights = np.full(theta.size, 1.0 / theta.size)
     weights = np.asarray(weights, dtype=float)
     order = np.argsort(theta)
     pos = theta[order]

@@ -6,7 +6,7 @@ and every QR sweep starts its frame at the identity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,8 +126,8 @@ class LyapunovSpectrum:
     stderr: np.ndarray            # per distinct value
     n_steps: int
     mean_log_det: float
-    n_windows: int = 1
-    boundary_residual: float = 0.0
+    n_windows: int
+    boundary_residual: float
 
     @property
     def dimension(self):
@@ -338,7 +338,7 @@ def _backward_clv(Qs, Rs, lo, hi, core, overlap):
     return _unit_columns(V), residual
 
 
-def benettin_spectrum(cocycle, reorth_interval=1):
+def benettin_spectrum(cocycle, reorth_interval):
     """Lyapunov spectrum by QR reorthonormalization.
 
     Standard errors come from batch means over the per-block stretch series
@@ -370,16 +370,12 @@ class OseledetsSplitting:
     n_unstable: int
     offset: int
     spectrum: LyapunovSpectrum
-    _bases: dict = field(default_factory=dict, repr=False)
 
     def basis(self, which):
         """Orthonormal per-point basis of E^u ('u') or E^s ('s')."""
-        if which not in self._bases:
-            cols = (self.clvs[:, :, : self.n_unstable] if which == "u"
-                    else self.clvs[:, :, self.n_unstable:])
-            Q, _ = _qr_pos(cols)
-            self._bases[which] = Q
-        return self._bases[which]
+        cols = (self.clvs[:, :, : self.n_unstable] if which == "u"
+                else self.clvs[:, :, self.n_unstable:])
+        return _qr_pos(cols)[0]
 
 
 def _clv_sweep(J, warmup):
@@ -390,6 +386,8 @@ def _clv_sweep(J, warmup):
     residual covers both passes.
     """
     B, n, d, _ = J.shape
+    if warmup < 1:
+        raise ParameterError("the CLV warmup must be at least 1 step")
     if n + 1 <= 2 * warmup:
         raise ParameterError("orbit shorter than twice the CLV warmup")
     lo, hi = warmup, n + 1 - warmup     # window of converged CLVs
@@ -403,7 +401,7 @@ def _clv_sweep(J, warmup):
     return clvs, _spectrum(logs, 1, n_windows, residual), lo
 
 
-def compute_clvs(cocycle, warmup=1000):
+def compute_clvs(cocycle, warmup):
     """Covariant Lyapunov vectors and the Oseledets splitting they induce.
 
     Requires a hyperbolic spectrum (LyapunovSpectrum.require_hyperbolic).

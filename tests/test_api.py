@@ -3,12 +3,16 @@
 Callers are counted in src/ and scripts/ only: code that only a test reaches
 belongs in that test.  The exceptions are the acceptance oracles below,
 library code that exists for the acceptance criteria to call.
+
+The rules: every top-level function has a caller; every dataclass member is
+read; every parameter of a function, method or constructor is read in its
+body; and every default is both overridden and taken by some call.  A
+default that no call overrides is a constant, and one that every call
+overrides is a required parameter, so the one home of a setting a run
+chooses is config.DEFAULTS.
 """
 import ast
-import inspect
 from pathlib import Path
-
-import srblab
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,24 +34,29 @@ def _library():
     return {p.stem for p in (ROOT / "src" / "srblab").glob("*.py")}
 
 
+def _is_dataclass(node):
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+def _fields(node):
+    """The fields of a dataclass, in order."""
+    return [item for item in node.body if isinstance(item, ast.AnnAssign)]
+
+
 def _dataclasses(modules):
-    """class name -> (module, member names): fields, methods and
-    properties of every dataclass in srblab, dunders left out."""
+    """class name -> (module, member names, field names): fields, methods
+    and properties of every dataclass in srblab, dunders left out."""
     out = {}
     for mod in _library():
         for node in modules[mod].body:
-            if not isinstance(node, ast.ClassDef) or not any(
-                    "dataclass" in ast.unparse(d)
-                    for d in node.decorator_list):
+            if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
                 continue
-            members = set()
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign):
-                    members.add(item.target.id)
-                elif (isinstance(item, ast.FunctionDef)
-                      and not item.name.startswith("__")):
-                    members.add(item.name)
-            out[node.name] = (mod, members)
+            fields = {item.target.id for item in _fields(node)}
+            members = fields | {
+                item.name for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and not item.name.startswith("__")}
+            out[node.name] = (mod, members, fields)
     return out
 
 
@@ -146,20 +155,50 @@ class _Types:
         return self.returns[target]
 
 
+def _vars_of(expr, scope, env, types):
+    """The dataclass x of an expression vars(x), where it is known."""
+    if (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name)
+            and expr.func.id == "vars" and len(expr.args) == 1):
+        kind = types.of(expr.args[0], scope, env)
+        return kind if isinstance(kind, str) else None
+    return None
+
+
+def _arguments(call, scope, env, types, classes):
+    """(positional count, keyword names, open) of a call; open means a * or
+    ** argument, which may set or leave any parameter, except **vars(x) of
+    a known dataclass x, which sets exactly its fields."""
+    keywords = set()
+    opened = any(isinstance(a, ast.Starred) for a in call.args)
+    for k in call.keywords:
+        kind = _vars_of(k.value, scope, env, types)
+        if k.arg is not None:
+            keywords.add(k.arg)
+        elif kind is not None:
+            keywords |= classes[kind][2]
+        else:
+            opened = True
+    return len(call.args), keywords, opened
+
+
 def _survey():
-    """(references to top-level definitions, member reads) in src/ and
-    scripts/: references as (module, name) with the definition that holds
-    each, reads as (class, member)."""
+    """(references to top-level definitions, member reads, calls) in src/
+    and scripts/: references as (module, name) with the definition that
+    holds each, reads as (class, member), and calls as target -> list of
+    _arguments, the target a (module, name) where scope resolves it and the
+    attribute name of any other x.name(...), which may call a method.  A
+    definition stored in a dict literal, a registry such as maps._FACTORIES
+    or make_sigma's kinds, counts as called through **."""
     modules = _modules()
     library = _library()
     classes = _dataclasses(modules)
     scopes = {m: _Scope(m, t, library) for m, t in modules.items()}
     types = _Types(modules, scopes, classes)
     owners = {}
-    for name, (_, members) in classes.items():
+    for name, (_, members, _) in classes.items():
         for member in members:
             owners.setdefault(member, set()).add(name)
-    refs, reads = set(), set()
+    refs, reads, calls = set(), set(), {}
 
     def visit(node, scope, env, holder):
         # holder: the top-level definition that holds node; env: the types
@@ -182,64 +221,114 @@ def _survey():
             kind = types.of(node.value, scope, env)
             reads.update([(kind, node.attr)] if isinstance(kind, str) else
                          ((c, node.attr) for c in owners.get(node.attr, ())))
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "vars" and node.args):
-            kind = types.of(node.args[0], scope, env)
-            if isinstance(kind, str):
-                reads.update((kind, m) for m in classes[kind][1])
+        if isinstance(node, ast.Call):
+            callee = scope.resolve(node.func) or (
+                node.func.attr if isinstance(node.func, ast.Attribute)
+                else None)
+            calls.setdefault(callee, []).append(
+                _arguments(node, scope, env, types, classes))
+            kind = _vars_of(node, scope, env, types)
+            if kind is not None:
+                reads.update((kind, m) for m in classes[kind][2])
+        if isinstance(node, ast.Dict):
+            for value in node.values:
+                entry = scope.resolve(value) if isinstance(
+                    value, (ast.Name, ast.Attribute)) else None
+                if entry is not None:
+                    calls.setdefault(entry, []).append((0, set(), True))
         for child in ast.iter_child_nodes(node):
             visit(child, scope, env, holder)
 
     for mod, tree in modules.items():
         visit(tree, scopes[mod], {}, None)
-    return modules, classes, refs, reads
+    return modules, classes, refs, reads, calls
 
 
-def _calls():
-    """name -> list of (positional count, keyword names, open) over every
-    call in src/ and scripts/; open means a * or ** argument, which may set
-    any parameter."""
-    calls = {}
-    for tree in _modules().values():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
+def _parameters(args, skip):
+    """(name, defaulted, positional) of each parameter of a signature in
+    call order, the first `skip` (self, cls) left out."""
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    out = [(a.arg, i >= first_default, True)
+           for i, a in enumerate(positional)]
+    out += [(a.arg, d is not None, False)
+            for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+    return out[skip:]
+
+
+def _signatures(modules):
+    """(name, callee, parameters, body) of every top-level function, method
+    and class constructor in srblab.  callee is how a call reaches it, as in
+    _survey; body is the function that reads the parameters, None for a
+    dataclass, whose constructor takes its fields."""
+    out = []
+    for mod in sorted(_library()):
+        for node in modules[mod].body:
+            if isinstance(node, ast.FunctionDef):
+                out.append((f"{mod}.{node.name}", (mod, node.name),
+                            _parameters(node.args, 0), node))
+            if not isinstance(node, ast.ClassDef):
                 continue
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name) else
-                    func.attr if isinstance(func, ast.Attribute) else None)
-            if name is None:
+            if _is_dataclass(node):
+                out.append((f"{mod}.{node.name}", (mod, node.name),
+                            [(f.target.id, f.value is not None, True)
+                             for f in _fields(node)], None))
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                params = _parameters(item.args, 1)
+                if item.name == "__init__":
+                    out.append((f"{mod}.{node.name}", (mod, node.name),
+                                params, item))
+                else:
+                    out.append((f"{mod}.{node.name}.{item.name}", item.name,
+                                params, item))
+    return [s for s in out if s[0] not in ORACLES]
+
+
+def _defaults():
+    """name(parameter) -> (whether some call sets it, whether some call
+    leaves it to its default), over every defaulted parameter."""
+    modules, _, _, _, calls = _survey()
+    out = {}
+    for name, callee, params, _ in _signatures(modules):
+        for i, (param, defaulted, positional) in enumerate(params):
+            if not defaulted:
                 continue
-            keywords = {k.arg for k in node.keywords if k.arg is not None}
-            opened = (any(isinstance(a, ast.Starred) for a in node.args)
-                      or any(k.arg is None for k in node.keywords))
-            calls.setdefault(name, []).append(
-                (len(node.args), keywords, opened))
-    return calls
+            sets = [opened or param in keywords or positional and i < n_args
+                    for n_args, keywords, opened in calls.get(callee, [])]
+            takes = [opened or not s for s, (_, _, opened)
+                     in zip(sets, calls.get(callee, []))]
+            out[f"{name}({param})"] = (any(sets), any(takes))
+    return out
 
 
 def test_every_option_has_a_caller():
-    # a defaulted parameter that no call sets is a constant in disguise
-    calls = _calls()
-    unset = []
-    for name in srblab.__all__:
-        fn = getattr(srblab, name)
-        if not inspect.isfunction(fn):
+    # a default that no call overrides is a constant in disguise
+    assert [p for p, (overridden, _) in _defaults().items()
+            if not overridden] == []
+
+
+def test_every_default_is_taken():
+    # a default that every call overrides is a required parameter in disguise
+    assert [p for p, (_, taken) in _defaults().items() if not taken] == []
+
+
+def test_every_parameter_is_read():
+    modules = _modules()
+    unread = []
+    for name, _, params, body in _signatures(modules):
+        if body is None:
             continue
-        params = list(inspect.signature(fn).parameters.values())
-        for i, p in enumerate(params):
-            if p.default is inspect.Parameter.empty:
-                continue
-            positional = p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
-            if not any(opened or p.name in keywords
-                       or positional and i < n_args
-                       for n_args, keywords, opened in calls.get(name, [])):
-                unset.append(f"{name}({p.name})")
-    assert unset == []
+        loads = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)
+                 and isinstance(n.ctx, ast.Load)}
+        unread += [f"{name}({p})" for p, _, _ in params if p not in loads]
+    assert unread == []
 
 
 def test_every_function_has_a_caller():
     # every top-level function of srblab, the exported ones included
-    modules, _, refs, _ = _survey()
+    modules, _, refs, _, _ = _survey()
     uncalled = sorted(
         f"{mod}.{node.name}" for mod in _library()
         for node in modules[mod].body
@@ -249,9 +338,10 @@ def test_every_function_has_a_caller():
 
 
 def test_every_dataclass_member_is_read():
-    _, classes, _, reads = _survey()
+    _, classes, _, reads, _ = _survey()
     unread = sorted(
-        f"{mod}.{name}.{member}" for name, (mod, members) in classes.items()
+        f"{mod}.{name}.{member}"
+        for name, (mod, members, _) in classes.items()
         for member in members if (name, member) not in reads
         and f"{mod}.{name}.{member}" not in ORACLES)
     assert unread == []

@@ -135,7 +135,7 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     cfg = _write_cfg(tmp_path, SMALL_LYAPUNOV)
     target = tmp_path / "env_out"
     monkeypatch.setenv("SRBLAB_OUTPUT_DIR", str(target))
-    assert cli.run("lyapunov", cfg) == 0
+    assert cli.run("lyapunov", cfg, None) == 0
     assert (target / "manifest.json").exists()
 
 
@@ -147,7 +147,7 @@ def test_diagnostics_follow_config_output_dir(tmp_path, monkeypatch):
         "output_dir": str(target),
         "synthetic": {"sigma": {"kind": "atoms", "positions": [0.5]}},
     })
-    assert cli.run("fold-synthetic", cfg) == cli.EXIT_CONFIG
+    assert cli.run("fold-synthetic", cfg, None) == cli.EXIT_CONFIG
     assert (target / "resolved_config.json").exists()
     diag = json.loads((target / "diagnostics.json").read_text())
     assert diag["error_type"] == "ConfigError"
@@ -335,6 +335,26 @@ def test_incomplete_entries_are_config_errors(tmp_path, subcommand, payload):
         {"name": "henon", "alpha": 1.4, "params": {"b": "x"}}]}}),
 ])
 def test_bad_family_parameters_exit_2(tmp_path, subcommand, payload):
+    cfg = _write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.run(subcommand, cfg, out) == cli.EXIT_CONFIG
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["error_type"] == "ParameterError"
+
+
+SHORT_CATSHEAR = {"system": {"name": "cat_shear"}, "alpha": 0.25,
+                  "orbit": {"transient": 200, "length": 3000, "ensemble": 2}}
+
+
+@pytest.mark.parametrize("subcommand,payload", [
+    ("radius", {**SHORT_CATSHEAR, "observable": "const",
+                "radius": {"method": "foo"}}),
+    ("radius", {**SHORT_CATSHEAR, "radius": {"method": "foo"}}),
+    ("clv", {**SHORT_HENON, "clv": {"warmup": 0}}),
+    ("clv", {**SHORT_HENON, "clv": {"warmup": -5}}),
+    ("tangency", {**SHORT_HENON, "clv": {"warmup": 0}}),
+])
+def test_bad_run_settings_exit_2(tmp_path, subcommand, payload):
     cfg = _write_cfg(tmp_path, payload)
     out = tmp_path / "out"
     assert cli.run(subcommand, cfg, out) == cli.EXIT_CONFIG

@@ -60,7 +60,7 @@ def test_require_raises_on_missing():
 
 def test_get_default_value():
     cfg = ExperimentConfig({})
-    assert cfg.get("no.such.path", 42) == 42
+    assert cfg.get("no.such.path") is None
 
 
 def test_load_missing_file(tmp_path):

@@ -199,9 +199,9 @@ def test_float_path_hands_over_mid_orbit(monkeypatch, chunk):
     """A formula that reaches inf after about 300 steps: math.sin raises
     there and numpy finishes the orbit, with the same bits as step."""
     monkeypatch.setattr(maps, "FLOAT_CHUNK", chunk)
+    monkeypatch.setattr(maps, "ESCAPE_RADIUS", 1e150)
     step = maps._component_step(lambda m, a, x0, x1: (a * x0, m.sin(a * x0)))
-    fam = maps.MapFamily("blowup", 2, maps.flat(), step, None, None,
-                         escape_radius=1e150)
+    fam = maps.MapFamily("blowup", 2, maps.flat(), step, None, None)
     x = np.array([1.0, 0.0])
     hist, bad = maps._orbit(fam, 10.0, x, 400)
     ref, ref_bad = _array_orbit(fam, 10.0, x, 400)

@@ -147,7 +147,7 @@ def test_dimension_estimates_trivial_sink():
     # a = 0: globally attracting fixed point, both exponents negative
     orbit = maps.iterate(fam, 0.0, np.array([0.1, 0.1]), 5000)
     coc = tangent.TangentCocycle.from_orbit(fam, 0.0, orbit)
-    spec = tangent.benettin_spectrum(coc)
+    spec = tangent.benettin_spectrum(coc, reorth_interval=1)
     dims = measure.dimension_estimates(spec)
     assert dims.d_s == 0.0
     assert dims.method == "trivial-attractor"
@@ -171,7 +171,8 @@ def test_dimension_bracket_capped_at_kaplan_yorke_stable_dimension():
     lam = np.array([0.418, -0.029, -1.621, -2.068])
     se = np.full(4, 1e-3)
     spec = tangent.LyapunovSpectrum(lam, se, lam, np.ones(4, dtype=int), se,
-                                    n_steps=100_000, mean_log_det=lam.sum())
+                                    n_steps=100_000, mean_log_det=lam.sum(),
+                                    n_windows=1, boundary_residual=0.0)
     dims = measure.dimension_estimates(spec)
     lo, hi = dims.d_s_interval
     assert dims.method == "entropy-ratio-bracket"

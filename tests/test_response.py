@@ -134,6 +134,15 @@ def test_radius_requires_enough_coefficients():
         response.radius_estimate(ser)
 
 
+@pytest.mark.parametrize("coeffs", [
+    np.zeros(12), np.random.default_rng(0).standard_normal(12) * 1e-6])
+def test_radius_checks_its_method_first(coeffs):
+    # before the zero-series and noise-dominated returns
+    ser = SusceptibilitySeries(coeffs, np.full(12, 1e-4), {})
+    with pytest.raises(ParameterError, match="unknown radius method"):
+        response.radius_estimate(ser, method="foo")
+
+
 def test_radius_zero_series_flag():
     ser = SusceptibilitySeries(np.zeros(12), np.zeros(12), {})
     est = response.radius_estimate(ser)
@@ -226,7 +235,7 @@ def test_finite_difference_translate_family_zero_response():
                              ensemble=8, seed=12)
     X = maps.PerturbationField(fam, 0.1)
     ser = response.susceptibility_coefficients(emp, X, phi, 8)
-    psi1, err1 = ser.truncated_sum(1.0)
+    psi1, err1 = ser.truncated_sum()
     assert abs(psi1) < 3 * err1
 
 
@@ -315,6 +324,24 @@ def small_catshear():
     return fam, emp
 
 
+def test_split_warmup_within_the_overlap(small_catshear):
+    # a warmup of up to one window overlap sweeps from frame 1, as 65 does;
+    # below 1 it is an error
+    fam, emp = small_catshear
+    X, phi = maps.PerturbationField(fam, 0.25), maps.get_observable("bump", 2)
+    ref = response.stable_unstable_split(emp, X, phi, 4, clv_warmup=65)
+    for warmup in (1, 50, 64):
+        res = response.stable_unstable_split(emp, X, phi, 4,
+                                             clv_warmup=warmup)
+        for term in ("direct", "stable", "unstable"):
+            a, b = getattr(res, term), getattr(ref, term)
+            assert np.array_equal(a.coeffs, b.coeffs)
+            assert np.array_equal(a.stderr, b.stderr)
+    for warmup in (0, -5):
+        with pytest.raises(ParameterError):
+            response.stable_unstable_split(emp, X, phi, 4, clv_warmup=warmup)
+
+
 def test_split_rejects_fields_other_than_the_perturbation(small_catshear):
     fam, emp = small_catshear
     phi = maps.get_observable("bump", 2)
@@ -369,7 +396,7 @@ def test_kappa_series_slices_bitwise_equal_gathers(small_catshear):
                 V = np.einsum("msab,msb->msa", jac[rows, js + n - 1], V)
             c = np.einsum("msd,msd->ms", V, grads[rows, js + n])
             ref_c[n], ref_e[n] = stats.batch_means(c, 25, mask)
-        c, e, trunc = response._kappa_series(jac, V0, grads, 8, js[0], mask, 25)
+        c, e, trunc = response._kappa_series(jac, V0, grads, 8, js[0], mask)
         assert trunc is None
         assert np.array_equal(c, ref_c) and np.array_equal(e, ref_e)
 

@@ -30,10 +30,12 @@ def test_convolution_nonnegative_and_mass_consistent():
 ])
 def test_convolution_blocks_change_nothing(monkeypatch, sigma, side):
     # one block of all 1500 rows against blocks of 7 rows, the last of 2
-    whole = tangency.synthetic_fold_convolution(sigma, 1500, side=side)
+    whole = tangency.synthetic_fold_convolution(sigma, 1500, side=side,
+                                                domain=(0.0, 1.0))
     n = max(len(part) for part in sigma.cells())
     monkeypatch.setattr(tangency, "_FOLD_BLOCK", 7 * n)
-    blocked = tangency.synthetic_fold_convolution(sigma, 1500, side=side)
+    blocked = tangency.synthetic_fold_convolution(sigma, 1500, side=side,
+                                                  domain=(0.0, 1.0))
     assert np.allclose(blocked.values, whole.values, rtol=1e-14, atol=0.0)
 
 
@@ -65,6 +67,14 @@ def test_holder_noise_floor_flagged():
     assert est.flag == "modulus-at-noise-floor"
 
 
+@pytest.mark.parametrize("size", [16, 64, 200])
+def test_holder_exponent_needs_three_lags(size):
+    # lags of 16, 32 and 64 cells, each below a quarter of the samples
+    theta = (np.arange(size) + 0.5) / size
+    with pytest.raises(InsufficientDataError):
+        tangency.holder_exponent(np.sqrt(theta), 1.0 / size)
+
+
 def test_subthreshold_blowup_under_refinement():
     """Transverse dimension 1/4: each extra construction level resolved by
     the grid doubles the profile maximum."""
@@ -87,21 +97,20 @@ def test_counting_function_uniform():
     cf = tangency.counting_function(tau, np.ones(tau.size))
     assert cf.exponent == pytest.approx(1.0, abs=0.02)
     rng = np.random.default_rng(1)
-    cf2 = tangency.counting_function(rng.random(40_000))
+    cf2 = tangency.counting_function(rng.random(40_000), np.ones(40_000))
     assert 0.8 <= cf2.exponent <= 1.0
 
 
 def _cantor_sample(sigma, rng, size):
     """Exact draws from the Cantor measure sigma via random base-2 digit
     choices."""
-    x = np.full(size, float(sigma.lo))
-    span = sigma.hi - sigma.lo
-    scale = span
+    x = np.zeros(size)
+    scale = 1.0
     for _ in range(60):
         right = rng.random(size) < 0.5
         x = x + right * (scale * (1.0 - sigma.ratio))
         scale *= sigma.ratio
-        if scale < 1e-18 * span:
+        if scale < 1e-18:
             break
     return x
 

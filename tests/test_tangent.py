@@ -22,7 +22,7 @@ def _cat_cocycle(n=20_000, alpha=0.0, name="cat_translate"):
 
 def test_cat_spectrum_matches_eigenvalues():
     _, _, coc = _cat_cocycle()
-    spec = tangent.benettin_spectrum(coc)
+    spec = tangent.benettin_spectrum(coc, reorth_interval=1)
     # finite-orbit alignment transient decays like 1/n; 2e4 steps -> ~1e-5
     assert abs(spec.all_exponents[0] - CAT_LAMBDA) < 1e-4
     assert abs(spec.all_exponents[1] + CAT_LAMBDA) < 1e-4
@@ -42,7 +42,7 @@ def test_spectrum_sorted_descending():
 
 def test_qr_sum_rule_is_algebraic():
     _, _, coc = _cat_cocycle(5000, alpha=0.2, name="cat_shear")
-    spec = tangent.benettin_spectrum(coc)
+    spec = tangent.benettin_spectrum(coc, reorth_interval=1)
     assert abs(spec.sum() - spec.mean_log_det) < 1e-8
 
 
@@ -172,8 +172,9 @@ def test_windowed_sweep_any_length(monkeypatch, steps):
     # 300 fits one window; 321 leaves the second window a single step
     _, orbit, coc = _cat_cocycle(6000, alpha=0.2, name="cat_shear")
     coc = tangent.TangentCocycle(orbit[:steps + 1], coc.jacobians[:steps])
-    a = tangent.benettin_spectrum(coc)
-    b = _one_window(monkeypatch, tangent.benettin_spectrum, coc)
+    a = tangent.benettin_spectrum(coc, reorth_interval=1)
+    b = _one_window(monkeypatch, tangent.benettin_spectrum, coc,
+                    reorth_interval=1)
     assert a.n_steps == steps
     _assert_same_spectrum(a, b)
     J = coc.jacobians[None]
@@ -187,12 +188,12 @@ def test_window_fallback_on_near_integrable_map(monkeypatch):
     fam = maps.get_family("standard_map")
     orbit = maps.iterate(fam, 0.05, np.array([0.38, 0.12]), 20_000)
     coc = tangent.TangentCocycle.from_orbit(fam, 0.05, orbit)
-    spec = tangent.benettin_spectrum(coc)
+    spec = tangent.benettin_spectrum(coc, reorth_interval=1)
     # frames do not converge across the overlap: rerun as one window
     assert spec.boundary_residual > tangent._MAX_RESIDUAL
     assert spec.n_windows == 1
     _assert_same_spectrum(spec, _one_window(
-        monkeypatch, tangent.benettin_spectrum, coc))
+        monkeypatch, tangent.benettin_spectrum, coc, reorth_interval=1))
     _, sweep_spec, _ = tangent._clv_sweep(coc.jacobians[None], 500)
     assert sweep_spec.n_windows == 1
     assert sweep_spec.boundary_residual > tangent._MAX_RESIDUAL
