@@ -8,7 +8,7 @@ import argparse
 
 import numpy as np
 
-from srblab import maps, measure, response
+from srblab import config, maps, measure, response
 
 
 def main():
@@ -21,6 +21,7 @@ def main():
     ap.add_argument("--h", type=float, default=0.1)
     ap.add_argument("--seed", type=int, default=5)
     args = ap.parse_args()
+    defaults = config.DEFAULTS
     fam = maps.get_family("cat_shear")
     phi = maps.get_observable("bump", 2)
     print(f"{'alpha':>6} {'Psi(1)':>12} {'err':>9} {'FD':>12} {'err':>9} "
@@ -30,16 +31,19 @@ def main():
                                  length=args.length, ensemble=args.ensemble,
                                  seed=args.seed)
         X = maps.PerturbationField(fam, alpha)
-        split = response.stable_unstable_split(emp, X, phi, args.n_max)
+        split = response.stable_unstable_split(
+            emp, X, phi, args.n_max, defaults["clv"]["warmup"],
+            defaults["split"]["angle_threshold"])
         ser = split.combined()
         psi, perr = ser.truncated_sum()
         sampling = response.SamplingConfig(
             transient=500, length=args.length, ensemble=2 * args.ensemble,
             seed=args.seed + 72)
-        fd = response.finite_difference_response(fam, alpha, args.h, phi,
-                                                 sampling)
+        fd = response.finite_difference_response(
+            fam, alpha, args.h, phi, sampling,
+            defaults["response"]["richardson"])
         sigma = abs(psi - fd.derivative) / np.hypot(perr, fd.stderr)
-        est = response.radius_estimate(ser)
+        est = response.radius_estimate(ser, defaults["radius"]["method"])
         print(f"{alpha:>6.2f} {psi:>12.3e} {perr:>9.1e} "
               f"{fd.derivative:>12.3e} {fd.stderr:>9.1e} {sigma:>6.2f} "
               f"{est.value:>8.2f}  {est.flag}")

@@ -11,7 +11,10 @@ Python floats, with m = math, when it steps a single point of shape (d,);
 at the first value math refuses (sin or floor of a non-finite number) the
 loop hands the rest of the orbit over to step.  Both paths do the same
 IEEE operations in the same order, so they give the same bits as long as
-math.sin and numpy.sin agree, which the tests check on every family.
+math.sin and numpy.sin agree, which the tests check on every family.  The
+four derivatives are written in the same component form, as tuples of
+entries, or of rows of entries, over the components of their points;
+one builder, _components, assembles them and step into arrays.
 
 Torus coordinates are reduced by floor subtraction u - floor(u) after every
 step.  The result lies in [0, 1] rather than [0, 1): a tiny negative u, such
@@ -19,6 +22,7 @@ as -1e-17, gives exactly 1.0, because u + 1 rounds to 1.
 """
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from array import array
@@ -68,10 +72,10 @@ class MapFamily:
     """A parametrized diffeomorphism family alpha -> f_alpha.
 
     step, jacobian and param_derivative take (alpha, x) with x of shape
-    (..., d).  A built-in step carries its component-form formula as
-    step.formula (see the module docstring); a step without one is run on
-    arrays only.  A family maps forward only; nothing steps an orbit
-    backward.  hessian(alpha, x, a, b), when present, is the second
+    (..., d).  The built-in callables are assembled by _components, and a
+    built-in step carries its formula as step.formula (see the module
+    docstring); a step without one is run on arrays only.  A family maps
+    forward only.  hessian(alpha, x, a, b), when present, is the second
     derivative D^2 f(x)[a, b] of shape (..., d), and param_jacobian(alpha, x)
     the mixed derivative d/dalpha Df(x) of shape (..., d, d); the
     stable/unstable split needs both.
@@ -96,21 +100,36 @@ class MapFamily:
         return bad
 
 
-def _component_step(formula):
-    """The array step(alpha, x) of a component-form formula of d >= 2
-    coordinates, carrying the formula as `step.formula` for the float path
-    of `_orbit`."""
-    d = len(inspect.signature(formula).parameters) - 2
-    coords = [(Ellipsis, i) for i in range(d)]
-    components = itemgetter(*coords)      # x -> (x[..., 0], x[..., 1], ...)
+@functools.cache
+def _splitter(d):
+    """p -> (p[..., 0], ..., p[..., d-1]) for d >= 2."""
+    return itemgetter(*[(Ellipsis, i) for i in range(d)])
 
-    def step(a, x):
+
+def _components(fn):
+    """The array function (a, x, *directions) of a component-form fn, which
+    takes each point as the tuple of its d components p[..., i] and returns
+    a tuple of entries, or of rows of entries, as numbers or arrays.  They
+    are assembled over the leading shape of x, which the directions
+    broadcast against, into an array of shape (..., d) or (..., d, d)."""
+    def array_fn(a, x, *directions):
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        for i, y in zip(coords, formula(np, a, *components(x))):
-            out[i] = y
+        split = _splitter(x.shape[-1])
+        y = fn(a, split(x), *map(split, map(np.asarray, directions)))
+        rows = isinstance(y[0], tuple)
+        out = np.empty(x.shape + x.shape[-1:] * rows)
+        flat = out.reshape(x.shape[:-1] + (x.shape[-1] ** 2,)) if rows else out
+        for k, entry in enumerate(sum(y, ()) if rows else y):
+            flat[..., k] = entry
         return out
 
+    return array_fn
+
+
+def _component_step(formula):
+    """The array step(alpha, x) of a component-form formula, carrying the
+    formula as `step.formula` for the float path of `_orbit`."""
+    step = _components(lambda a, x: formula(np, a, *x))
     step.formula = formula
     return step
 
@@ -205,21 +224,6 @@ def iterate_batch(family, alpha, x, n):
 # Built-in families
 # ---------------------------------------------------------------------------
 
-CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
-
-
-def _vectors(x, a, b):
-    """Zero vectors over the broadcast leading shape of x, a and b."""
-    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(a),
-                                        np.shape(b)))
-
-
-def _matrices(x):
-    """Zero (d, d) matrices over the leading shape of the points x."""
-    x = np.asarray(x)
-    return np.zeros(x.shape + x.shape[-1:])
-
-
 def cat_translate(v=(1.0, 0.0)):
     """Arnold cat map composed with a translation alpha*v on the 2-torus.
 
@@ -237,19 +241,18 @@ def cat_translate(v=(1.0, 0.0)):
         y1 = x0 + x1 + a * v1
         return y0 - m.floor(y0), y1 - m.floor(y1)
 
+    @_components
     def jac(a, x):
-        x = np.asarray(x)
-        return np.broadcast_to(CAT, x.shape[:-1] + (2, 2)).copy()
-
+        return (2.0, 1.0), (1.0, 1.0)
+    @_components
     def d_alpha(a, x):
-        x = np.asarray(x)
-        return np.broadcast_to(v, x.shape).copy()
-
+        return v0, v1
+    @_components
     def hessian(a, x, u, w):
-        return _vectors(x, u, w)
-
+        return 0.0, 0.0
+    @_components
     def d_jac(a, x):
-        return _matrices(x)
+        return (0.0, 0.0), (0.0, 0.0)
 
     return MapFamily("cat_translate", 2, chart, step, jac, d_alpha,
                      volume_preserving=True, hessian=hessian,
@@ -264,38 +267,24 @@ def cat_shear():
     """
     chart = torus()
 
-    def g(x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        out[..., 0] = np.sin(TWO_PI * x[..., 1]) / TWO_PI
-        return out
-
     @_component_step
     def step(m, a, x0, x1):
         y0 = 2.0 * x0 + x1 + a * (m.sin(TWO_PI * x1) / TWO_PI)
         y1 = x0 + x1 + a * 0.0
         return y0 - m.floor(y0), y1 - m.floor(y1)
 
+    @_components
     def jac(a, x):
-        x = np.asarray(x)
-        J = np.broadcast_to(CAT, x.shape[:-1] + (2, 2)).copy()
-        J[..., 0, 1] += a * np.cos(TWO_PI * x[..., 1])
-        return J
-
+        return (2.0, 1.0 + a * np.cos(TWO_PI * x[1])), (1.0, 1.0)
+    @_components
     def d_alpha(a, x):
-        return g(np.asarray(x, dtype=float))
-
+        return np.sin(TWO_PI * x[1]) / TWO_PI, 0.0
+    @_components
     def hessian(a, x, u, w):
-        x, u, w = np.asarray(x), np.asarray(u), np.asarray(w)
-        out = _vectors(x, u, w)
-        out[..., 0] = (-TWO_PI * a * np.sin(TWO_PI * x[..., 1])
-                       * u[..., 1] * w[..., 1])
-        return out
-
+        return -TWO_PI * a * np.sin(TWO_PI * x[1]) * u[1] * w[1], 0.0
+    @_components
     def d_jac(a, x):
-        x = np.asarray(x)
-        out = _matrices(x)
-        out[..., 0, 1] = np.cos(TWO_PI * x[..., 1])
-        return out
+        return (0.0, np.cos(TWO_PI * x[1])), (0.0, 0.0)
 
     return MapFamily("cat_shear", 2, chart, step, jac, d_alpha,
                      hessian=hessian, param_jacobian=d_jac)
@@ -310,31 +299,18 @@ def henon(b=0.3):
         # x0 * x0, as numpy squares; Python's x0 ** 2 rounds differently
         return 1.0 + x1 - a * (x0 * x0), b * x0
 
+    @_components
     def jac(a, x):
-        x = np.asarray(x, dtype=float)
-        J = np.zeros(x.shape[:-1] + (2, 2))
-        J[..., 0, 0] = -2.0 * a * x[..., 0]
-        J[..., 0, 1] = 1.0
-        J[..., 1, 0] = b
-        return J
-
+        return (-2.0 * a * x[0], 1.0), (b, 0.0)
+    @_components
     def d_alpha(a, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 0] = -(x[..., 0] ** 2)
-        return out
-
+        return -(x[0] ** 2), 0.0
+    @_components
     def hessian(a, x, u, w):
-        u, w = np.asarray(u), np.asarray(w)
-        out = _vectors(x, u, w)
-        out[..., 0] = -2.0 * a * u[..., 0] * w[..., 0]
-        return out
-
+        return -2.0 * a * u[0] * w[0], 0.0
+    @_components
     def d_jac(a, x):
-        x = np.asarray(x)
-        out = _matrices(x)
-        out[..., 0, 0] = -2.0 * x[..., 0]
-        return out
+        return (-2.0 * x[0], 0.0), (0.0, 0.0)
 
     return MapFamily("henon", 2, chart, step, jac, d_alpha,
                      hessian=hessian, param_jacobian=d_jac)
@@ -353,35 +329,22 @@ def standard_map():
         t1 = x1 + p1
         return p1 - m.floor(p1), t1 - m.floor(t1)
 
+    @_components
     def jac(a, x):
-        x = np.asarray(x, dtype=float)
-        c = a * np.cos(TWO_PI * x[..., 1])
-        J = np.empty(x.shape[:-1] + (2, 2))
-        J[..., 0, 0] = 1.0
-        J[..., 0, 1] = c
-        J[..., 1, 0] = 1.0
-        J[..., 1, 1] = 1.0 + c
-        return J
-
+        c = a * np.cos(TWO_PI * x[1])
+        return (1.0, c), (1.0, 1.0 + c)
+    @_components
     def d_alpha(a, x):
-        x = np.asarray(x, dtype=float)
-        s = np.sin(TWO_PI * x[..., 1]) / TWO_PI
-        return np.stack([s, s], axis=-1)
-
+        s = np.sin(TWO_PI * x[1]) / TWO_PI
+        return s, s
+    @_components
     def hessian(a, x, u, w):
-        x, u, w = np.asarray(x), np.asarray(u), np.asarray(w)
-        out = _vectors(x, u, w)
-        out[...] = (-TWO_PI * a * np.sin(TWO_PI * x[..., 1])
-                    * u[..., 1] * w[..., 1])[..., None]
-        return out
-
+        h = -TWO_PI * a * np.sin(TWO_PI * x[1]) * u[1] * w[1]
+        return h, h
+    @_components
     def d_jac(a, x):
-        x = np.asarray(x)
-        out = _matrices(x)
-        c = np.cos(TWO_PI * x[..., 1])
-        out[..., 0, 1] = c
-        out[..., 1, 1] = c
-        return out
+        c = np.cos(TWO_PI * x[1])
+        return (0.0, c), (0.0, c)
 
     return MapFamily("standard_map", 2, chart, step, jac, d_alpha,
                      volume_preserving=True, hessian=hessian,
@@ -409,33 +372,17 @@ def coupled_henon(b=0.3, c=0.3):
         return ((1.0 - c) * f1x + c * f2x, (1.0 - c) * f1y + c * f2y,
                 (1.0 - c) * f2x + c * f1x, (1.0 - c) * f2y + c * f1y)
 
+    @_components
     def jac(a, x):
-        x = np.asarray(x, dtype=float)
-        J = np.zeros(x.shape[:-1] + (4, 4))
-        d1 = -2.0 * a * x[..., 0]
-        d2 = -2.0 * a * x[..., 2]
-        J[..., 0, 0] = (1.0 - c) * d1
-        J[..., 0, 1] = 1.0 - c
-        J[..., 0, 2] = c * d2
-        J[..., 0, 3] = c
-        J[..., 1, 0] = (1.0 - c) * b
-        J[..., 1, 2] = c * b
-        J[..., 2, 0] = c * d1
-        J[..., 2, 1] = c
-        J[..., 2, 2] = (1.0 - c) * d2
-        J[..., 2, 3] = 1.0 - c
-        J[..., 3, 0] = c * b
-        J[..., 3, 2] = (1.0 - c) * b
-        return J
-
+        d1, d2 = -2.0 * a * x[0], -2.0 * a * x[2]
+        return (((1.0 - c) * d1, 1.0 - c, c * d2, c),
+                ((1.0 - c) * b, 0.0, c * b, 0.0),
+                (c * d1, c, (1.0 - c) * d2, 1.0 - c),
+                (c * b, 0.0, (1.0 - c) * b, 0.0))
+    @_components
     def d_alpha(a, x):
-        x = np.asarray(x, dtype=float)
-        s1 = -(x[..., 0] ** 2)
-        s2 = -(x[..., 2] ** 2)
-        out = np.zeros_like(x)
-        out[..., 0] = (1.0 - c) * s1 + c * s2
-        out[..., 2] = (1.0 - c) * s2 + c * s1
-        return out
+        s1, s2 = -(x[0] ** 2), -(x[2] ** 2)
+        return (1.0 - c) * s1 + c * s2, 0.0, (1.0 - c) * s2 + c * s1, 0.0
 
     return MapFamily("coupled_henon", 4, chart, step, jac, d_alpha)
 

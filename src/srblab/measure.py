@@ -84,6 +84,8 @@ def srb_sample(family, alpha, transient, length, ensemble, seed,
         raise ParameterError("length must be >= 1")
     if ensemble < 1:
         raise ParameterError("ensemble must be >= 1")
+    if transient < 0:
+        raise ParameterError("transient must be >= 0")
     if sampler is None:
         sampler = default_sampler(family)
     rng = np.random.default_rng(seed)
@@ -130,6 +132,8 @@ def correlation(measure, psi, phi, n_max):
     """Centered cross-correlations C_n = rho((psi - <psi>)(phi o f^n - <phi>))
     for lags 0..n_max, with an exponential decay fit over the lags that sit
     above the noise floor of twice their standard error."""
+    if n_max < 0:
+        raise ParameterError("n_max must be >= 0")
     if measure.length <= n_max:
         raise InsufficientDataError("orbit shorter than requested max lag")
     a = psi.value(measure.orbits)

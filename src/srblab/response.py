@@ -158,7 +158,7 @@ def _stable_poles(coeffs, M, noise):
     return stable, screened
 
 
-def radius_estimate(series, method="root-test"):
+def radius_estimate(series, method):
     """Radius of convergence of sum kappa_n z^n.
 
     root-test fits ln|kappa_n| against n over the upper half of the
@@ -274,7 +274,7 @@ class ResponseEstimate:
 
 
 def finite_difference_response(family, alpha0, h, obs, sampling,
-                               richardson=False):
+                               richardson):
     """Central difference (rho_{a0+h}(phi) - rho_{a0-h}(phi)) / (2h) with
     independently seeded SRB samples on each side."""
     if h <= 0:
@@ -397,8 +397,8 @@ class SplitResult:
         return np.abs(diff) / np.where(den > 0, den, np.inf)
 
 
-def stable_unstable_split(measure, X, obs, N, clv_warmup=1000,
-                          angle_threshold=1e-3):
+def stable_unstable_split(measure, X, obs, N, clv_warmup,
+                          angle_threshold):
     """Decompose the susceptibility series along X = X^s + X^u.
 
     X must be the family's PerturbationField.  The stable term propagates

@@ -61,5 +61,6 @@ def catshear_split():
                              ensemble=16, seed=5)
     phi = maps.get_observable("bump", 2)
     X = maps.PerturbationField(fam, alpha)
-    split = response.stable_unstable_split(emp, X, phi, 12)
+    split = response.stable_unstable_split(emp, X, phi, 12, clv_warmup=1000,
+                                           angle_threshold=1e-3)
     return fam, alpha, phi, split

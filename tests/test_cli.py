@@ -353,6 +353,11 @@ SHORT_CATSHEAR = {"system": {"name": "cat_shear"}, "alpha": 0.25,
     ("clv", {**SHORT_HENON, "clv": {"warmup": 0}}),
     ("clv", {**SHORT_HENON, "clv": {"warmup": -5}}),
     ("tangency", {**SHORT_HENON, "clv": {"warmup": 0}}),
+    ("srb", {**SHORT_CATSHEAR, "orbit": {**SHORT_CATSHEAR["orbit"],
+                                          "transient": -5}}),
+    ("susceptibility", {**SHORT_CATSHEAR, "orbit": {
+        **SHORT_CATSHEAR["orbit"], "transient": -5}}),
+    ("correlate", {**SHORT_CATSHEAR, "correlation": {"n_max": -1}}),
 ])
 def test_bad_run_settings_exit_2(tmp_path, subcommand, payload):
     cfg = _write_cfg(tmp_path, payload)

@@ -69,6 +69,32 @@ def test_second_derivatives_match_finite_differences(name):
     assert np.abs(dJa - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
+@pytest.mark.parametrize("name", sorted(ALPHAS))
+def test_component_callables_assemble_pointwise(name):
+    """Every callable maps._components builds gives a (3, 7, d) batch the
+    bits each point gets alone, in shape (..., d) or (..., d, d); a hessian
+    direction pair of shape (d,) broadcasts over the batch."""
+    fam = maps.get_family(name)
+    alpha, d = ALPHAS[name], fam.dimension
+    rng = np.random.default_rng(31)
+    x = _random_points(fam, rng, 21).reshape(3, 7, d)
+    u, w = rng.standard_normal((2, 3, 7, d))
+    a, b = rng.standard_normal((2, d))
+    cases = [(fam.step, (x,), (d,)), (fam.jacobian, (x,), (d, d)),
+             (fam.param_derivative, (x,), (d,))]
+    if fam.hessian is not None:
+        cases += [(fam.hessian, (x, u, w), (d,)),
+                  (fam.hessian, (x, a, b), (d,)),
+                  (fam.param_jacobian, (x,), (d, d))]
+    for fn, points, core in cases:
+        batch = fn(alpha, *points)
+        assert batch.shape == (3, 7) + core
+        for i in np.ndindex(3, 7):
+            alone = fn(alpha, *[p[i] if p.ndim == 3 else p for p in points])
+            assert alone.shape == core
+            assert alone.tobytes() == batch[i].tobytes()
+
+
 def test_jacobian_determinant_nonzero_everywhere():
     rng = np.random.default_rng(10)
     for name, alpha in ALPHAS.items():

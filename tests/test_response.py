@@ -131,7 +131,7 @@ def test_kappa_overflow_truncates():
 def test_radius_requires_enough_coefficients():
     ser = SusceptibilitySeries(np.ones(5), np.full(5, 0.1), {})
     with pytest.raises(ParameterError):
-        response.radius_estimate(ser)
+        response.radius_estimate(ser, method="root-test")
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -145,7 +145,7 @@ def test_radius_checks_its_method_first(coeffs):
 
 def test_radius_zero_series_flag():
     ser = SusceptibilitySeries(np.zeros(12), np.zeros(12), {})
-    est = response.radius_estimate(ser)
+    est = response.radius_estimate(ser, method="root-test")
     assert est.value == np.inf
     assert est.flag == "zero-series"
 
@@ -165,7 +165,7 @@ def test_radius_noise_dominated_indeterminate():
     rng = np.random.default_rng(0)
     ser = SusceptibilitySeries(rng.standard_normal(12) * 1e-6,
                                np.full(12, 1e-4), {})
-    est = response.radius_estimate(ser)
+    est = response.radius_estimate(ser, method="root-test")
     assert est.indeterminate
 
 
@@ -174,7 +174,7 @@ def test_radius_lower_bound_when_tail_below_noise():
     coeffs = np.array([1e-1, 4e-1, 1e-5, -2e-5, 1e-5, 8e-6, -1e-5,
                        5e-6, -3e-6, 1e-5, -8e-6, 4e-6])
     ser = SusceptibilitySeries(coeffs, np.full(12, 1e-5), {})
-    est = response.radius_estimate(ser)
+    est = response.radius_estimate(ser, method="root-test")
     assert est.flag == "lower-bound-tail-below-noise"
     assert est.value > 1.0
     assert est.ci[0] > 1.0 and est.ci[1] == np.inf
@@ -186,7 +186,7 @@ def test_radius_interval_contains_estimate(r, c):
     n = np.arange(14)
     ser = SusceptibilitySeries(c * r ** (-n.astype(float)),
                                np.full(14, 1e-11), {})
-    est = response.radius_estimate(ser)
+    est = response.radius_estimate(ser, method="root-test")
     assert est.value > 0
     assert est.ci[0] <= est.value <= est.ci[1]
 
@@ -229,7 +229,8 @@ def test_finite_difference_translate_family_zero_response():
     sampling = response.SamplingConfig(transient=500, length=20_000,
                                        ensemble=8, seed=11)
     phi = maps.get_observable("bump", 2)
-    fd = response.finite_difference_response(fam, 0.1, 0.05, phi, sampling)
+    fd = response.finite_difference_response(fam, 0.1, 0.05, phi, sampling,
+                                             richardson=False)
     assert abs(fd.derivative) < 3 * fd.stderr
     emp = measure.srb_sample(fam, 0.1, transient=500, length=20_000,
                              ensemble=8, seed=12)
@@ -311,7 +312,8 @@ def test_split_unstable_divergence_vanishes_for_translate():
                              ensemble=8, seed=5)
     phi = maps.get_observable("cos_1_0", 2)
     X = maps.PerturbationField(fam, 0.1)
-    res = response.stable_unstable_split(emp, X, phi, 6)
+    res = response.stable_unstable_split(emp, X, phi, 6, clv_warmup=1000,
+                                         angle_threshold=1e-3)
     # constant field, linear map: the unstable divergence term is zero
     assert np.abs(res.unstable.coeffs).max() < 1e-4
 
@@ -329,17 +331,20 @@ def test_split_warmup_within_the_overlap(small_catshear):
     # below 1 it is an error
     fam, emp = small_catshear
     X, phi = maps.PerturbationField(fam, 0.25), maps.get_observable("bump", 2)
-    ref = response.stable_unstable_split(emp, X, phi, 4, clv_warmup=65)
+    ref = response.stable_unstable_split(emp, X, phi, 4, clv_warmup=65,
+                                         angle_threshold=1e-3)
     for warmup in (1, 50, 64):
         res = response.stable_unstable_split(emp, X, phi, 4,
-                                             clv_warmup=warmup)
+                                             clv_warmup=warmup,
+                                             angle_threshold=1e-3)
         for term in ("direct", "stable", "unstable"):
             a, b = getattr(res, term), getattr(ref, term)
             assert np.array_equal(a.coeffs, b.coeffs)
             assert np.array_equal(a.stderr, b.stderr)
     for warmup in (0, -5):
         with pytest.raises(ParameterError):
-            response.stable_unstable_split(emp, X, phi, 4, clv_warmup=warmup)
+            response.stable_unstable_split(emp, X, phi, 4, clv_warmup=warmup,
+                                           angle_threshold=1e-3)
 
 
 def test_split_rejects_fields_other_than_the_perturbation(small_catshear):
@@ -351,7 +356,8 @@ def test_split_rejects_fields_other_than_the_perturbation(small_catshear):
     for X in (const, maps.PerturbationField(fam, 0.3),
               maps.PerturbationField(maps.get_family("henon"), 0.25)):
         with pytest.raises(ParameterError):
-            response.stable_unstable_split(emp, X, phi, 4)
+            response.stable_unstable_split(emp, X, phi, 4, clv_warmup=1000,
+                                           angle_threshold=1e-3)
 
 
 @pytest.mark.parametrize("missing", ["hessian", "param_jacobian"])
@@ -361,7 +367,8 @@ def test_split_needs_second_derivatives(small_catshear, missing):
     emp = dataclasses.replace(emp, family=bare)
     with pytest.raises(ParameterError):
         response.stable_unstable_split(emp, maps.PerturbationField(bare, 0.25),
-                                       maps.get_observable("bump", 2), 4)
+                                       maps.get_observable("bump", 2), 4,
+                                       clv_warmup=1000, angle_threshold=1e-3)
 
 
 def test_split_non_finite_divergence_raises(small_catshear):
@@ -372,7 +379,8 @@ def test_split_non_finite_divergence_raises(small_catshear):
     with pytest.raises(NumericalDegeneracyError):
         response.stable_unstable_split(
             emp, maps.PerturbationField(broken, 0.25),
-            maps.get_observable("bump", 2), 4)
+            maps.get_observable("bump", 2), 4, clv_warmup=1000,
+            angle_threshold=1e-3)
 
 
 def test_kappa_series_slices_bitwise_equal_gathers(small_catshear):
