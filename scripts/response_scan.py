@@ -30,9 +30,8 @@ def main():
         emp = measure.srb_sample(fam, alpha, transient=500,
                                  length=args.length, ensemble=args.ensemble,
                                  seed=args.seed)
-        X = maps.PerturbationField(fam, alpha)
         split = response.stable_unstable_split(
-            emp, X, phi, args.n_max, defaults["clv"]["warmup"],
+            emp, phi, args.n_max, defaults["clv"]["warmup"],
             defaults["split"]["angle_threshold"])
         ser = split.combined()
         psi, perr = ser.truncated_sum()

@@ -12,8 +12,7 @@ from .errors import (BasinEscapeError, ConfigError, FrameMisalignmentError,
                      NumericalDegeneracyError, OrbitEscapeError,
                      PadeDegeneracyError, ParameterError, SrbLabError,
                      UnsupportedDimensionError)
-from .maps import (ExplicitField, MapFamily, Observable,
-                   PerturbationField, get_family, get_observable,
+from .maps import (MapFamily, Observable, get_family, get_observable,
                    observable_catalog)
 from .measure import (EmpiricalMeasure, birkhoff_average, correlation,
                       dimension_estimates, kaplan_yorke, srb_sample)
@@ -31,16 +30,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasinEscapeError", "ConfigError", "EmpiricalMeasure", "ExperimentConfig",
-    "ExplicitField", "FrameMisalignmentError", "HyperbolicityError",
-    "InsufficientDataError", "MapFamily", "NumericalDegeneracyError",
-    "Observable", "OrbitEscapeError", "PadeApproximant", "PadeDegeneracyError",
-    "ParameterError", "PerturbationField", "SrbLabError", "TangentCocycle",
-    "UnsupportedDimensionError", "benettin_spectrum", "birkhoff_average",
-    "compute_clvs", "correlation", "counting_function", "detect_folds",
-    "dimension_estimates", "finite_difference_response", "get_family",
-    "get_observable", "holder_exponent", "kaplan_yorke", "make_sigma",
-    "observable_catalog", "project_along_stable", "radius_estimate",
-    "robust_pade", "srb_sample", "stable_unstable_split", "splitting_angles",
-    "susceptibility_coefficients", "synthetic_fold_convolution",
-    "volume_preserving_identity",
+    "FrameMisalignmentError", "HyperbolicityError", "InsufficientDataError",
+    "MapFamily", "NumericalDegeneracyError", "Observable", "OrbitEscapeError",
+    "PadeApproximant", "PadeDegeneracyError", "ParameterError", "SrbLabError",
+    "TangentCocycle", "UnsupportedDimensionError", "benettin_spectrum",
+    "birkhoff_average", "compute_clvs", "correlation", "counting_function",
+    "detect_folds", "dimension_estimates", "finite_difference_response",
+    "get_family", "get_observable", "holder_exponent", "kaplan_yorke",
+    "make_sigma", "observable_catalog", "project_along_stable",
+    "radius_estimate", "robust_pade", "srb_sample", "stable_unstable_split",
+    "splitting_angles", "susceptibility_coefficients",
+    "synthetic_fold_convolution", "volume_preserving_identity",
 ]

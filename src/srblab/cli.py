@@ -128,12 +128,14 @@ def _sampling(cfg, family, seed_shift):
                               for k in ("low", "high")):
         raise ConfigError(f"sampler.low and sampler.high need "
                           f"{family.dimension} entries each")
+    seed = int(cfg.get("seed")) + seed_shift
+    if seed < 0:
+        raise ConfigError(f"the sampling seed must be at least 0, got {seed}")
     sampler = (measure.default_sampler(family) if sc is None else
                measure.BoxSampler(tuple(sc["low"]), tuple(sc["high"])))
     return response.SamplingConfig(
         transient=oc["transient"], length=oc["length"],
-        ensemble=oc["ensemble"], sampler=sampler,
-        seed=int(cfg.get("seed")) + seed_shift)
+        ensemble=oc["ensemble"], sampler=sampler, seed=seed)
 
 
 def _srb(cfg, family, alpha, seed_shift=0):
@@ -168,8 +170,7 @@ def _series(cfg, family, alpha, seed_shift=0):
     emp = _srb(cfg, family, alpha, seed_shift)
     phi = _observable(cfg, family)
     series = response.susceptibility_coefficients(
-        emp, maps.PerturbationField(family, alpha), phi,
-        cfg.get("susceptibility.n_max"))
+        emp, phi, cfg.get("susceptibility.n_max"))
     return series, emp, phi
 
 
@@ -310,10 +311,9 @@ def cmd_split(cfg, outdir):
     family, alpha = _system(cfg)
     emp = _srb(cfg, family, alpha)
     phi = _observable(cfg, family)
-    field = maps.PerturbationField(family, alpha)
     sp = cfg.get("split")
     result = response.stable_unstable_split(
-        emp, field, phi, sp["n_max"], clv_warmup=cfg.get("clv.warmup"),
+        emp, phi, sp["n_max"], clv_warmup=cfg.get("clv.warmup"),
         angle_threshold=sp["angle_threshold"])
     sig = result.reconstruction_sigma()
     rows = []

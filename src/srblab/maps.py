@@ -1,5 +1,6 @@
-"""Phase spaces, built-in diffeomorphism families, observables and
-perturbation vector fields.
+"""Phase spaces, built-in diffeomorphism families and observables.  The
+perturbation field X(f x) = d f_alpha(x) / d alpha of a family is its
+param_derivative; the response estimators evaluate it on their samples.
 
 Each built-in family writes its map once, in component form
 formula(m, a, x0, ..., x{d-1}) -> (y0, ..., y{d-1}), where m is the module
@@ -542,40 +543,3 @@ def get_observable(name, dimension):
             return obs
     raise ParameterError(f"unknown observable {name!r} for dimension {dimension}")
 
-
-# ---------------------------------------------------------------------------
-# Perturbation field
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PerturbationField:
-    """The vector field X with X(f x) = d f_alpha(x) / d alpha.
-
-    along_orbit evaluates X at orbit[1:] from the preimages the orbit
-    supplies.  X is known only along orbits, so it has no divergence; the
-    volume identity takes an ExplicitField.
-    """
-
-    family: MapFamily
-    alpha: float
-
-    def along_orbit(self, orbit):
-        orbit = np.asarray(orbit)
-        return self.family.param_derivative(self.alpha, orbit[..., :-1, :])
-
-
-@dataclass(frozen=True)
-class ExplicitField:
-    """A vector field given in closed form, x -> X(x), with its analytic
-    divergence div_fn."""
-
-    fn: Callable
-    div_fn: Callable
-
-    def along_orbit(self, orbit):
-        orbit = np.asarray(orbit)
-        return self.fn(orbit[..., 1:, :])
-
-    def divergence(self, y):
-        return self.div_fn(np.asarray(y, dtype=float))

@@ -2,8 +2,8 @@
 
 Follows the SVD-based degree-reduction strategy of Gonnet, Guettel and
 Trefethen (SIAM Rev. 55, 2013): rank-deficient Toeplitz systems lower the
-effective (L, M) so that spurious pole/zero (Froissart) pairs are removed at
-the linear-algebra level.
+effective diagonal order (M, M) so that spurious pole/zero (Froissart) pairs
+are removed at the linear-algebra level.
 """
 from __future__ import annotations
 
@@ -20,11 +20,6 @@ class PadeApproximant:
 
     numerator: np.ndarray
     denominator: np.ndarray
-
-    def __call__(self, z):
-        p = np.polyval(self.numerator[::-1], z)
-        q = np.polyval(self.denominator[::-1], z)
-        return p / q
 
     def poles(self):
         b = np.trim_zeros(self.denominator, "b")
@@ -48,68 +43,56 @@ class PadeApproximant:
         return np.array(res, dtype=complex)
 
 
-def robust_pade(coeffs, m, n, tol):
-    """(m, n) Pade approximant to sum coeffs[k] z^k with SVD rank reduction.
+def robust_pade(coeffs, M, tol):
+    """(M, M) Pade approximant to sum coeffs[k] z^k with SVD rank reduction.
 
     Returns a PadeApproximant whose effective order may be lower than
     requested when the coefficient Toeplitz system is rank deficient.
     """
     c = np.asarray(coeffs, dtype=float)
-    if m < 0 or n < 0:
-        raise PadeDegeneracyError("Pade orders must be nonnegative")
-    if c.size < m + n + 1:
-        c = np.pad(c, (0, m + n + 1 - c.size))
-    c = c[: m + n + 1]
+    if M < 0:
+        raise PadeDegeneracyError("the Pade order must be nonnegative")
+    if c.size < 2 * M + 1:
+        c = np.pad(c, (0, 2 * M + 1 - c.size))
+    c = c[: 2 * M + 1]
     norm_c = np.linalg.norm(c)
     if norm_c == 0.0:
         return PadeApproximant(np.zeros(1), np.ones(1))
     ts = tol * norm_c
-    if np.max(np.abs(c[: m + 1])) <= tol * np.max(np.abs(c)):
+    if np.max(np.abs(c[: M + 1])) <= tol * np.max(np.abs(c)):
         return PadeApproximant(np.zeros(1), np.ones(1))
     while True:
-        if n == 0:
-            a = c[: m + 1].copy()
+        if M == 0:
+            a = c[:1].copy()
             b = np.ones(1)
             break
-        # rows m+1 .. m+n of the Toeplitz system Z b = 0
-        Z = np.zeros((n, n + 1))
-        for i in range(n):
-            for j in range(n + 1):
-                k = m + 1 + i - j
-                if 0 <= k < c.size:
-                    Z[i, j] = c[k]
+        # rows M+1 .. 2M of the Toeplitz system Z b = 0
+        Z = c[M + 1 + np.arange(M)[:, None] - np.arange(M + 1)]
         try:
             _, S, Vh = np.linalg.svd(Z)
         except np.linalg.LinAlgError as exc:
             raise PadeDegeneracyError(
-                f"SVD failed for Pade order ({m},{n}); try smaller M") from exc
-        rho = int(np.sum(S > ts)) if S.size else 0
-        if rho == n:
+                f"SVD failed for Pade order ({M},{M}); try smaller M") from exc
+        rho = int(np.sum(S > ts))
+        if rho == M:
             b = Vh[-1]
             break
         # rank deficiency: reduce both degrees and retry
-        m -= n - rho
-        n = rho
-        if m < 0:
-            raise PadeDegeneracyError(
-                "Pade degree reduction exhausted the numerator; "
-                "try a smaller denominator order")
-    if n > 0:
+        M = rho
+    if M > 0:
         # drop leading near-zero denominator coefficients
         lead = 0
         bmax = np.abs(b).max()
         while lead < b.size - 1 and abs(b[lead]) < 1e-13 * bmax:
             lead += 1
         b = b[lead:]
-        m = max(m - lead, 0)
-        n = b.size - 1
+        M = b.size - 1
         if abs(b[0]) < 1e-13 * np.abs(b).max():
             raise PadeDegeneracyError(
                 "singular Pade denominator (b0 ~ 0); try smaller M")
-        a = np.zeros(m + 1)
-        for k in range(m + 1):
-            jmax = min(k, n)
-            a[k] = np.dot(b[: jmax + 1], c[k - np.arange(jmax + 1)])
+        a = np.zeros(M + 1)
+        for k in range(M + 1):
+            a[k] = np.dot(b[: k + 1], c[k - np.arange(k + 1)])
         a = a / b[0]
         b = b / b[0]
     return PadeApproximant(a, b)

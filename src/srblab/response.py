@@ -13,7 +13,6 @@ from . import measure as measure_mod
 from .errors import (InsufficientDataError, NumericalDegeneracyError,
                      PadeDegeneracyError, ParameterError,
                      UnsupportedDimensionError)
-from .maps import ExplicitField, PerturbationField
 from .pade import robust_pade
 from .stats import batch_means, linear_fit
 from .tangent import _OVERLAP, _affine_recurrence, _clv_sweep
@@ -75,14 +74,23 @@ def _kappa_series(jacobians, V0, grads, N, j0, mask=None):
     return coeffs, errs, truncated_at
 
 
-def susceptibility_coefficients(measure, X, obs, N):
-    """Estimate kappa_n for n = 0..N from consecutive-orbit samples.
+def susceptibility_coefficients(measure, obs, N):
+    """Estimate kappa_n for n = 0..N from consecutive-orbit samples, along
+    the perturbation X(f x) = d f_alpha(x) / d alpha of the sample's family
+    and alpha.
 
     Tangent vectors are propagated by the exact cocycle (never by orbit
     finite differences); batch-means standard errors are attached.  On
     overflow the series is truncated at the last finite n and the truncation
     recorded in the metadata.
     """
+    X = measure.family.param_derivative(measure.alpha, measure.orbits[:, :-1])
+    return _field_series(measure, X, obs, N)
+
+
+def _field_series(measure, X, obs, N):
+    """kappa_n for n = 0..N along the field X, given at orbit indices
+    1..L-1 of the sample's orbits."""
     if N < 1:
         raise ParameterError("N must be >= 1")
     orbits = measure.orbits
@@ -91,9 +99,8 @@ def susceptibility_coefficients(measure, X, obs, N):
     if S < N_BATCHES:
         raise InsufficientDataError("orbit too short for requested N")
     jac = measure.family.jacobian(measure.alpha, orbits[:, :-1])
-    Xall = X.along_orbit(orbits)          # X at orbit indices 1..L-1
     grads = obs.gradient(orbits)
-    coeffs, errs, trunc = _kappa_series(jac, Xall[:, :S], grads, N, j0=1)
+    coeffs, errs, trunc = _kappa_series(jac, X[:, :S], grads, N, j0=1)
     meta = {
         "system": measure.family.name,
         "alpha": measure.alpha,
@@ -142,8 +149,8 @@ def _stable_poles(coeffs, M, noise):
     """
     scale = np.abs(coeffs).max()
     tol = max(1e-14, 10.0 * noise / scale) if scale > 0 else 1e-14
-    high = robust_pade(coeffs, M, M, tol=tol)
-    low = robust_pade(coeffs, max(M - 1, 1), max(M - 1, 1), tol=tol)
+    high = robust_pade(coeffs, M, tol=tol)
+    low = robust_pade(coeffs, max(M - 1, 1), tol=tol)
     ph = high.poles()
     pl = low.poles()
     res = np.abs(high.residues())
@@ -330,25 +337,18 @@ class VolumeIdentityReport:
         return all(r.sigma_units < 3.0 for r in self.rows)
 
 
-def volume_preserving_identity(measure, X, obs, N):
+def volume_preserving_identity(measure, field, divergence, obs, N):
     """Check kappa_n + rho(div X . phi o f^n) = 0 per n on a
-    volume-preserving system.
-
-    X must be an ExplicitField, the field type with a divergence.
+    volume-preserving system, for the field X given in closed form by
+    field(points) -> (..., d) and its divergence(points) -> (...).
     """
     if not measure.family.volume_preserving:
         raise ParameterError(
             f"family {measure.family.name} is not flagged volume-preserving")
-    if not isinstance(X, ExplicitField):
-        raise ParameterError(
-            "the volume identity needs an ExplicitField, whose divergence "
-            "it reads")
-    direct = susceptibility_coefficients(measure, X, obs, N)
     orbits = measure.orbits
-    m, L, d = orbits.shape
-    S = L - 1 - N
-    pts = orbits[:, 1:1 + S].reshape(-1, d)
-    divv = X.divergence(pts).reshape(m, S)
+    direct = _field_series(measure, field(orbits[:, 1:]), obs, N)
+    S = orbits.shape[1] - 1 - N
+    divv = divergence(orbits[:, 1:1 + S])
     phiv = obs.value(orbits)
     rows = []
     for n in range(direct.coeffs.size):
@@ -397,29 +397,24 @@ class SplitResult:
         return np.abs(diff) / np.where(den > 0, den, np.inf)
 
 
-def stable_unstable_split(measure, X, obs, N, clv_warmup,
-                          angle_threshold):
-    """Decompose the susceptibility series along X = X^s + X^u.
+def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
+    """Decompose the susceptibility series along X = X^s + X^u, where
+    X(f x) = d f_alpha(x) / d alpha is the perturbation of the sample's
+    family and alpha.
 
-    X must be the family's PerturbationField.  The stable term propagates
-    X^s through the cocycle; the unstable term is -rho(div^u X^u . phi o f^n)
-    with div^u X^u = d_v u + u g, where X^u = u v along the unit unstable
-    CLV v and g is the log-derivative of the conditional SRB density along
-    v.  Both come from the recurrences of _manifold_recurrences along the
-    orbit, using the family's analytic second derivatives; no point is
-    pushed forward.  Samples are the frames of the converged CLV window,
-    from frame max(clv_warmup, 65) (clv_warmup >= 1); the CLVs reach one
-    window overlap further on each side, over which the recurrences
-    converge.  Near-tangency points (angle below angle_threshold) are
-    excluded and the excluded mass reported.
+    The stable term propagates X^s through the cocycle; the unstable term
+    is -rho(div^u X^u . phi o f^n) with div^u X^u = d_v u + u g, where
+    X^u = u v along the unit unstable CLV v and g is the log-derivative of
+    the conditional SRB density along v.  Both come from the recurrences
+    of _manifold_recurrences along the orbit, using the family's analytic
+    second derivatives; no point is pushed forward.  Samples are the frames
+    of the converged CLV window, from frame max(clv_warmup, 65)
+    (clv_warmup >= 1); the CLVs reach one window overlap further on each
+    side, over which the recurrences converge.  Near-tangency points (angle
+    below angle_threshold) are excluded and the excluded mass reported.
     """
     family = measure.family
     alpha = measure.alpha
-    if not (isinstance(X, PerturbationField) and X.alpha == alpha
-            and X.family.name == family.name):
-        raise ParameterError(
-            "the split needs the PerturbationField of the sampled family "
-            "and alpha")
     if family.hessian is None or family.param_jacobian is None:
         raise ParameterError(
             f"family {family.name} has no hessian/param_jacobian")
@@ -449,7 +444,7 @@ def stable_unstable_split(measure, X, obs, N, clv_warmup,
     xs = orbits[:, lo:lo + w - 1]
     r, k, g, b = _manifold_recurrences(family, alpha, xs,
                                        jac[:, lo:lo + w - 1], V, E)
-    Xj = X.along_orbit(orbits)[:, j_lo - 1:j_hi - 1]     # X at x_j
+    Xj = family.param_derivative(alpha, orbits[:, j_lo - 1:j_hi - 1])  # at x_j
     eu, es = V[:, frames], E[:, frames]
     det = _cross(eu, es)
     angles = _line_angle(eu, es)

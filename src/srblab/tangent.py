@@ -123,7 +123,6 @@ class LyapunovSpectrum:
     all_stderr: np.ndarray
     exponents: np.ndarray         # distinct values
     multiplicities: np.ndarray
-    stderr: np.ndarray            # per distinct value
     n_steps: int
     mean_log_det: float
     n_windows: int
@@ -158,12 +157,8 @@ def _group_exponents(vals, ses):
         if abs(vals[i - 1] - vals[i]) > tol:
             groups.append((start, i))
             start = i
-    ex, mult, se = [], [], []
-    for a, b in groups:
-        ex.append(float(vals[a:b].mean()))
-        mult.append(b - a)
-        se.append(float(np.sqrt(np.sum(ses[a:b] ** 2)) / (b - a)))
-    return np.array(ex), np.array(mult, dtype=int), np.array(se)
+    ex = [float(vals[a:b].mean()) for a, b in groups]
+    return np.array(ex), np.array([b - a for a, b in groups], dtype=int)
 
 
 def _spectrum(logs, interval, n_windows, residual):
@@ -175,8 +170,8 @@ def _spectrum(logs, interval, n_windows, residual):
     means, ses = batch_means(per_step, n_batches=N_BATCHES)
     order = np.argsort(means)[::-1]
     vals, errs = means[order], ses[order]
-    ex, mult, se = _group_exponents(vals, errs)
-    return LyapunovSpectrum(vals, errs, ex, mult, se, used,
+    ex, mult = _group_exponents(vals, errs)
+    return LyapunovSpectrum(vals, errs, ex, mult, used,
                             float(logs.sum() / used), n_windows, residual)
 
 

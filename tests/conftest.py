@@ -60,7 +60,6 @@ def catshear_split():
     emp = measure.srb_sample(fam, alpha, transient=500, length=50_000,
                              ensemble=16, seed=5)
     phi = maps.get_observable("bump", 2)
-    X = maps.PerturbationField(fam, alpha)
-    split = response.stable_unstable_split(emp, X, phi, 12, clv_warmup=1000,
+    split = response.stable_unstable_split(emp, phi, 12, clv_warmup=1000,
                                            angle_threshold=1e-3)
     return fam, alpha, phi, split

@@ -132,9 +132,8 @@ def test_05_volume_preserving_identity(capsys):
         return np.cos(two_pi * x[..., 0]) - np.sin(two_pi * x[..., 1])
 
     worst = 0.0
-    for X in (maps.ExplicitField(f1, lambda x: np.zeros(x.shape[:-1])),
-              maps.ExplicitField(f2, d2)):
-        rep = response.volume_preserving_identity(emp, X, phi, 10)
+    for field, div in ((f1, lambda x: np.zeros(x.shape[:-1])), (f2, d2)):
+        rep = response.volume_preserving_identity(emp, field, div, phi, 10)
         worst = max(worst, max(r.sigma_units for r in rep.rows))
     _report(capsys, 5, "volume-preserving identity, two analytic fields",
             worst < 3.0, f"max |sigma|={worst:.2f}")

@@ -317,6 +317,9 @@ SMALL_SRB = {"system": {"name": "cat_shear"}, "alpha": 0.2,
                                       "high": [1, float("inf")]}}),
     ("tangency", {**SHORT_HENON, "tangency": {"frame": {
         "base": ["a", 0.2], "direction": [1.0, 0.0]}}}),
+    # a sampling seed below 0
+    ("srb", {**SMALL_LYAPUNOV, "seed": -3}),
+    ("lyapunov", {**SMALL_LYAPUNOV, "seed": -3}),
 ])
 def test_incomplete_entries_are_config_errors(tmp_path, subcommand, payload):
     cfg = _write_cfg(tmp_path, payload)

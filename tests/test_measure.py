@@ -170,7 +170,7 @@ def test_dimension_estimates_bracket_for_two_stable_directions():
 def test_dimension_bracket_capped_at_kaplan_yorke_stable_dimension():
     lam = np.array([0.418, -0.029, -1.621, -2.068])
     se = np.full(4, 1e-3)
-    spec = tangent.LyapunovSpectrum(lam, se, lam, np.ones(4, dtype=int), se,
+    spec = tangent.LyapunovSpectrum(lam, se, lam, np.ones(4, dtype=int),
                                     n_steps=100_000, mean_log_det=lam.sum(),
                                     n_windows=1, boundary_residual=0.0)
     dims = measure.dimension_estimates(spec)

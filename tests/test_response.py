@@ -42,8 +42,7 @@ def test_kappa_matches_quadrature_oracle(cat_translate_measure):
     fam, emp = cat_translate_measure
     alpha = 0.1
     phi = maps.get_observable("bump", 2)
-    X = maps.PerturbationField(fam, alpha)
-    ser = response.susceptibility_coefficients(emp, X, phi, 6)
+    ser = response.susceptibility_coefficients(emp, phi, 6)
     oracle = _quadrature_kappa(fam, alpha,
                                lambda p: fam.param_derivative(alpha, p),
                                phi, 6)
@@ -51,7 +50,7 @@ def test_kappa_matches_quadrature_oracle(cat_translate_measure):
     assert np.all(sig < 3.5)
 
 
-def kappa_adjoint(measure, X, obs, N):
+def kappa_adjoint(measure, obs, N):
     """Adjoint-route kappa_n: back-propagate gradients by transposed
     Jacobians, W_n(x_j) = J_j^T W_{n-1}(x_{j+1}) with W_0 = grad phi, before
     dotting with X.  Pure linear-algebra dual of susceptibility_coefficients
@@ -61,7 +60,7 @@ def kappa_adjoint(measure, X, obs, N):
     S = L - 1 - N
     jacT = measure.family.jacobian(measure.alpha,
                                    orbits[:, 1:-1]).swapaxes(-1, -2)
-    Xs = X.along_orbit(orbits)[:, :S]
+    Xs = measure.family.param_derivative(measure.alpha, orbits[:, :S])
     W = obs.gradient(orbits)[:, 1:]       # W_n at orbit indices 1..L-1-n
     out = np.empty(N + 1)
     for n in range(N + 1):
@@ -76,16 +75,15 @@ def test_kappa_adjoint_identity(cat_translate_measure, small_catshear):
     Jacobian index in either route shows there."""
     phi = maps.get_observable("bump", 2)
     for fam, emp in (cat_translate_measure, small_catshear):
-        X = maps.PerturbationField(fam, emp.alpha)
-        ser = response.susceptibility_coefficients(emp, X, phi, 8)
-        adj = kappa_adjoint(emp, X, phi, 8)
+        ser = response.susceptibility_coefficients(emp, phi, 8)
+        adj = kappa_adjoint(emp, phi, 8)
         scale = np.abs(ser.coeffs).max()
         assert np.abs(ser.coeffs - adj).max() < 1e-10 * max(scale, 1.0)
 
 
 def test_kappa_linearity_in_field(cat_translate_measure):
     """kappa is linear in X: scaling and adding fields act coefficient-wise."""
-    fam, emp = cat_translate_measure
+    _, emp = cat_translate_measure
     phi = maps.get_observable("cos_1_0", 2)
     two_pi = 2 * np.pi
 
@@ -97,16 +95,12 @@ def test_kappa_linearity_in_field(cat_translate_measure):
         return np.stack([np.zeros(x.shape[:-1]),
                          np.cos(two_pi * x[..., 0])], axis=-1)
 
-    def zero(x):
-        return np.zeros(x.shape[:-1])
-
     a, b = 0.7, -1.3
-    X1 = maps.ExplicitField(f1, zero)
-    X2 = maps.ExplicitField(f2, zero)
-    X12 = maps.ExplicitField(lambda x: a * f1(x) + b * f2(x), zero)
-    k1 = response.susceptibility_coefficients(emp, X1, phi, 5).coeffs
-    k2 = response.susceptibility_coefficients(emp, X2, phi, 5).coeffs
-    k12 = response.susceptibility_coefficients(emp, X12, phi, 5).coeffs
+    pts = emp.orbits[:, 1:]
+    k1 = response._field_series(emp, f1(pts), phi, 5).coeffs
+    k2 = response._field_series(emp, f2(pts), phi, 5).coeffs
+    k12 = response._field_series(emp, a * f1(pts) + b * f2(pts), phi,
+                                 5).coeffs
     assert np.abs(k12 - (a * k1 + b * k2)).max() < 1e-10
 
 
@@ -122,8 +116,7 @@ def test_kappa_overflow_truncates():
     emp = measure.srb_sample(fam, 1.4, transient=1000, length=3000,
                              ensemble=4, seed=2)
     phi = maps.get_observable("coord_0", 2)
-    X = maps.PerturbationField(fam, 1.4)
-    ser = response.susceptibility_coefficients(emp, X, phi, 900)
+    ser = response.susceptibility_coefficients(emp, phi, 900)
     assert ser.meta["truncated_at"] is not None
     assert np.all(np.isfinite(ser.coeffs))
 
@@ -191,6 +184,20 @@ def test_radius_interval_contains_estimate(r, c):
     assert est.ci[0] <= est.value <= est.ci[1]
 
 
+def test_pade_pole_no_stable_pole():
+    """Random signs on a geometric envelope: no pole of the order-6 fit
+    persists at order 5, so every pole is screened."""
+    rng = np.random.default_rng(0)
+    n = np.arange(13)
+    coeffs = rng.choice([-1, 1], 13) * rng.uniform(0.5, 2, 13) * 0.7 ** n
+    ser = SusceptibilitySeries(coeffs, np.full(13, 1e-6), {})
+    est = response.radius_estimate(ser, method="pade-pole")
+    assert est.flag == "no-stable-pole"
+    assert np.isnan(est.value) and est.indeterminate
+    assert est.poles is None
+    assert len(est.screened_poles) == 6
+
+
 def _failing_pade(monkeypatch, exc, exact, every):
     """Make robust_pade raise exc on every `every`-th call after the first
     `exact` calls, which fit the unperturbed coefficients."""
@@ -234,8 +241,7 @@ def test_finite_difference_translate_family_zero_response():
     assert abs(fd.derivative) < 3 * fd.stderr
     emp = measure.srb_sample(fam, 0.1, transient=500, length=20_000,
                              ensemble=8, seed=12)
-    X = maps.PerturbationField(fam, 0.1)
-    ser = response.susceptibility_coefficients(emp, X, phi, 8)
+    ser = response.susceptibility_coefficients(emp, phi, 8)
     psi1, err1 = ser.truncated_sum()
     assert abs(psi1) < 3 * err1
 
@@ -268,28 +274,18 @@ def test_volume_identity_two_analytic_fields():
     def d2(x):
         return np.cos(two_pi * x[..., 0]) - np.sin(two_pi * x[..., 1])
 
-    for X in (maps.ExplicitField(f1, lambda x: np.zeros(x.shape[:-1])),
-              maps.ExplicitField(f2, d2)):
-        rep = response.volume_preserving_identity(emp, X, phi, 10)
+    for field, div in ((f1, lambda x: np.zeros(x.shape[:-1])), (f2, d2)):
+        rep = response.volume_preserving_identity(emp, field, div, phi, 10)
         assert rep.passed
         assert max(r.sigma_units for r in rep.rows) < 3.0
 
 
 def test_volume_identity_rejects_dissipative_family(henon_measure):
     phi = maps.get_observable("coord_0", 2)
-    X = maps.PerturbationField(maps.get_family("henon"), 1.4)
     with pytest.raises(ParameterError):
-        response.volume_preserving_identity(henon_measure, X, phi, 5)
-
-
-def test_volume_identity_needs_a_field_with_a_divergence():
-    fam = maps.get_family("standard_map")
-    emp = measure.srb_sample(fam, 0.5, transient=10, length=200,
-                             ensemble=2, seed=0)
-    with pytest.raises(ParameterError, match="ExplicitField"):
         response.volume_preserving_identity(
-            emp, maps.PerturbationField(fam, 0.5),
-            maps.get_observable("cos_1_0", 2), 5)
+            henon_measure, np.zeros_like, lambda x: np.zeros(x.shape[:-1]),
+            phi, 5)
 
 
 def test_split_reconstruction_and_stable_decay(catshear_split):
@@ -311,8 +307,7 @@ def test_split_unstable_divergence_vanishes_for_translate():
     emp = measure.srb_sample(fam, 0.1, transient=500, length=4000,
                              ensemble=8, seed=5)
     phi = maps.get_observable("cos_1_0", 2)
-    X = maps.PerturbationField(fam, 0.1)
-    res = response.stable_unstable_split(emp, X, phi, 6, clv_warmup=1000,
+    res = response.stable_unstable_split(emp, phi, 6, clv_warmup=1000,
                                          angle_threshold=1e-3)
     # constant field, linear map: the unstable divergence term is zero
     assert np.abs(res.unstable.coeffs).max() < 1e-4
@@ -329,12 +324,12 @@ def small_catshear():
 def test_split_warmup_within_the_overlap(small_catshear):
     # a warmup of up to one window overlap sweeps from frame 1, as 65 does;
     # below 1 it is an error
-    fam, emp = small_catshear
-    X, phi = maps.PerturbationField(fam, 0.25), maps.get_observable("bump", 2)
-    ref = response.stable_unstable_split(emp, X, phi, 4, clv_warmup=65,
+    _, emp = small_catshear
+    phi = maps.get_observable("bump", 2)
+    ref = response.stable_unstable_split(emp, phi, 4, clv_warmup=65,
                                          angle_threshold=1e-3)
     for warmup in (1, 50, 64):
-        res = response.stable_unstable_split(emp, X, phi, 4,
+        res = response.stable_unstable_split(emp, phi, 4,
                                              clv_warmup=warmup,
                                              angle_threshold=1e-3)
         for term in ("direct", "stable", "unstable"):
@@ -343,20 +338,7 @@ def test_split_warmup_within_the_overlap(small_catshear):
             assert np.array_equal(a.stderr, b.stderr)
     for warmup in (0, -5):
         with pytest.raises(ParameterError):
-            response.stable_unstable_split(emp, X, phi, 4, clv_warmup=warmup,
-                                           angle_threshold=1e-3)
-
-
-def test_split_rejects_fields_other_than_the_perturbation(small_catshear):
-    fam, emp = small_catshear
-    phi = maps.get_observable("bump", 2)
-    const = maps.ExplicitField(
-        lambda x: np.broadcast_to([1.0, 0.0], x.shape).copy(),
-        lambda x: np.zeros(x.shape[:-1]))
-    for X in (const, maps.PerturbationField(fam, 0.3),
-              maps.PerturbationField(maps.get_family("henon"), 0.25)):
-        with pytest.raises(ParameterError):
-            response.stable_unstable_split(emp, X, phi, 4, clv_warmup=1000,
+            response.stable_unstable_split(emp, phi, 4, clv_warmup=warmup,
                                            angle_threshold=1e-3)
 
 
@@ -366,8 +348,7 @@ def test_split_needs_second_derivatives(small_catshear, missing):
     bare = dataclasses.replace(fam, **{missing: None})
     emp = dataclasses.replace(emp, family=bare)
     with pytest.raises(ParameterError):
-        response.stable_unstable_split(emp, maps.PerturbationField(bare, 0.25),
-                                       maps.get_observable("bump", 2), 4,
+        response.stable_unstable_split(emp, maps.get_observable("bump", 2), 4,
                                        clv_warmup=1000, angle_threshold=1e-3)
 
 
@@ -378,8 +359,7 @@ def test_split_non_finite_divergence_raises(small_catshear):
     emp = dataclasses.replace(emp, family=broken)
     with pytest.raises(NumericalDegeneracyError):
         response.stable_unstable_split(
-            emp, maps.PerturbationField(broken, 0.25),
-            maps.get_observable("bump", 2), 4, clv_warmup=1000,
+            emp, maps.get_observable("bump", 2), 4, clv_warmup=1000,
             angle_threshold=1e-3)
 
 
@@ -395,7 +375,7 @@ def test_kappa_series_slices_bitwise_equal_gathers(small_catshear):
     rng = np.random.default_rng(0)
     mask = rng.random((m, js.size)) > 0.1
     rows = np.arange(m)[:, None]
-    for V0 in (maps.PerturbationField(fam, 0.25).along_orbit(orbits)[:, js - 1],
+    for V0 in (fam.param_derivative(0.25, orbits[:, :-1])[:, js - 1],
                rng.standard_normal((m, js.size, 2))):
         V = V0.copy()
         ref_c, ref_e = np.empty(9), np.empty(9)

@@ -124,7 +124,7 @@ def _one_window(monkeypatch, fn, *args, **kwargs):
 
 
 def _assert_same_spectrum(a, b):
-    for name in ("all_exponents", "all_stderr", "exponents", "stderr"):
+    for name in ("all_exponents", "all_stderr", "exponents"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.mean_log_det == b.mean_log_det
     assert a.n_steps == b.n_steps
