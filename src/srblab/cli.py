@@ -45,8 +45,6 @@ _ERROR_CODES = [
 def _fmt(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, complex):
-        return f"{x.real:.17g}{x.imag:+.17g}j"
     return f"{float(x):.17g}"
 
 

@@ -25,7 +25,8 @@ class OrbitEscapeError(SrbLabError):
 
 
 class BasinEscapeError(SrbLabError):
-    """Too many ensemble members escaped; the initial density is mischosen."""
+    """Too many ensemble members escaped: the initial density's support lies
+    outside the basin, or the family has no attractor at this alpha."""
 
 
 class NumericalDegeneracyError(SrbLabError):

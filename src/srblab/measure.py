@@ -38,12 +38,10 @@ class BoxSampler:
 
 def default_sampler(family):
     """A box inside the basin of each built-in family."""
+    d = family.dimension
     if family.chart.any_wrap:
-        d = family.dimension
         return BoxSampler((0.0,) * d, (1.0,) * d)
-    if family.name == "coupled_henon":
-        return BoxSampler((-0.1,) * 4, (0.1,) * 4)
-    return BoxSampler((-0.1, -0.1), (0.1, 0.1))
+    return BoxSampler((-0.1,) * d, (0.1,) * d)
 
 
 @dataclass
@@ -101,8 +99,9 @@ def srb_sample(family, alpha, transient, length, ensemble, seed,
     n_escaped = int(ensemble - alive.sum())
     if n_escaped * 2 > ensemble:
         raise BasinEscapeError(
-            f"{n_escaped}/{ensemble} ensemble members escaped; "
-            "initial density support is mischosen")
+            f"{n_escaped}/{ensemble} ensemble members of {family.name} at "
+            f"alpha = {alpha:g} escaped: the initial density's support lies "
+            "outside the basin, or there is no attractor at this alpha")
     return EmpiricalMeasure(
         family=family, alpha=alpha, orbits=orbits[alive],
         n_escaped=n_escaped)

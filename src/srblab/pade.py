@@ -32,8 +32,8 @@ class PadeApproximant:
             return np.array([], dtype=complex)
         return np.roots(bb[::-1])
 
-    def residues(self):
-        poles = self.poles()
+    def residues(self, poles):
+        """Residues at `poles`, the roots of the denominator."""
         dq = np.polyder(self.denominator[::-1])
         res = []
         for p in poles:

@@ -113,10 +113,6 @@ def _field_series(measure, X, obs, N):
     return SusceptibilitySeries(coeffs, errs, meta)
 
 
-# a bootstrap draw whose Pade fit fails is dropped
-_PADE_FAILURES = (PadeDegeneracyError, np.linalg.LinAlgError)
-
-
 @dataclass
 class RadiusEstimate:
     method: str
@@ -129,14 +125,22 @@ class RadiusEstimate:
     screened_poles: Optional[list] = None
 
 
-def _above_noise(series):
-    sd = np.where(np.isfinite(series.stderr), series.stderr, 0.0)
-    return np.abs(series.coeffs) > NOISE_FACTOR * sd
-
-
-def _root_test_radius(coeffs, window):
-    _, slope, _, _ = linear_fit(window, np.log(np.abs(coeffs[window])))
-    return float(np.exp(-slope))
+def _bootstrap_ci(estimate, value, coeffs, sd, draws):
+    """2.5/97.5 percentiles of estimate(coeffs + N(0, sd^2)) over `draws`
+    draws from seed 0.  A draw whose estimate is not finite, or whose Pade
+    fit fails, is dropped; with none left the interval is (value, value)."""
+    rng = np.random.default_rng(0)
+    boots = []
+    for _ in range(draws):
+        try:
+            b = estimate(coeffs + rng.standard_normal(coeffs.size) * sd)
+        except (PadeDegeneracyError, np.linalg.LinAlgError):
+            continue
+        if np.isfinite(b):
+            boots.append(b)
+    if not boots:
+        return value, value
+    return float(np.percentile(boots, 2.5)), float(np.percentile(boots, 97.5))
 
 
 def _stable_poles(coeffs, M, noise):
@@ -153,7 +157,7 @@ def _stable_poles(coeffs, M, noise):
     low = robust_pade(coeffs, max(M - 1, 1), tol=tol)
     ph = high.poles()
     pl = low.poles()
-    res = np.abs(high.residues())
+    res = np.abs(high.residues(ph))
     res_floor = 1e-8 * res.max() if res.size else 0.0
     stable, screened = [], []
     for p, r in zip(ph, res):
@@ -172,8 +176,11 @@ def radius_estimate(series, method):
     coefficients above NOISE_FACTOR = 2 standard errors (all of them when
     that half has fewer than 3) and returns exp(-slope); pade-pole returns the
     modulus of the nearest pole that is stable across adjacent Pade orders.
-    Confidence intervals come from a bootstrap over the coefficient error
-    bars from seed 0: 400 draws, 100 for pade-pole.
+    Every interval is a percentile bootstrap from seed 0 over the
+    coefficient error bars: 400 draws (100 for pade-pole), each estimated
+    as the value is.  A draw whose estimate is not finite, or whose Pade fit
+    fails, is dropped; with none left the interval is (value, value).  A
+    lower bound keeps only the lower end of its interval.
     """
     if series.n_max < 8:
         raise ParameterError("radius fit requires N >= 8")
@@ -183,11 +190,10 @@ def radius_estimate(series, method):
     if np.all(coeffs == 0.0):
         return RadiusEstimate(method, float("inf"), (float("inf"), float("inf")),
                               flag="zero-series")
-    above = _above_noise(series)
+    sd = np.where(np.isfinite(series.stderr), series.stderr, 0.0)
+    above = np.abs(coeffs) > NOISE_FACTOR * sd
     n_all = np.arange(coeffs.size)
     usable = n_all[(n_all >= 1) & above]
-    rng = np.random.default_rng(0)
-    sd = np.where(np.isfinite(series.stderr), series.stderr, 0.0)
     if usable.size < coeffs.size // 2:
         # Head resolved but the tail sits at the measurement floor: the data
         # only support an envelope lower bound.  The best provable geometric
@@ -204,10 +210,7 @@ def radius_estimate(series, method):
                 return float(np.max((np.abs(c[peak]) / b) ** (1.0 / (m - peak))))
             value = envelope(coeffs)
             if np.isfinite(value):
-                boots = [envelope(coeffs + rng.standard_normal(coeffs.size) * sd)
-                         for _ in range(400)]
-                boots = [b for b in boots if np.isfinite(b)]
-                lo = float(np.percentile(boots, 2.5)) if boots else value
+                lo, _ = _bootstrap_ci(envelope, value, coeffs, sd, 400)
                 return RadiusEstimate(method, value, (lo, float("inf")),
                                       flag="lower-bound-tail-below-noise")
         return RadiusEstimate(method, float("nan"), (float("nan"), float("nan")),
@@ -217,45 +220,32 @@ def radius_estimate(series, method):
         window = usable[usable >= usable.max() / 2.0]
         if window.size < 3:
             window = usable
-        value = _root_test_radius(coeffs, window)
-        if np.any(sd > 0):
-            boots = []
-            for _ in range(400):
-                c = coeffs + rng.standard_normal(coeffs.size) * sd
-                if np.any(np.abs(c[window]) == 0.0):
-                    continue
-                boots.append(_root_test_radius(c, window))
-            ci = (float(np.percentile(boots, 2.5)),
-                  float(np.percentile(boots, 97.5))) if boots else (value, value)
-        else:
-            ci = (value, value)
-        return RadiusEstimate("root-test", value, ci,
+
+        def root_test(c):
+            if np.any(c[window] == 0.0):
+                return float("nan")
+            _, slope, _, _ = linear_fit(window, np.log(np.abs(c[window])))
+            return float(np.exp(-slope))
+        value = root_test(coeffs)
+        return RadiusEstimate("root-test", value,
+                              _bootstrap_ci(root_test, value, coeffs, sd, 400),
                               fit_window=(int(window.min()), int(window.max())))
 
     M = coeffs.size // 2
     noise = float(np.median(sd))
-    stable, screened = _stable_poles(coeffs, M, noise=noise)
+    stable, screened = _stable_poles(coeffs, M, noise)
     if not stable:
         return RadiusEstimate("pade-pole", float("nan"),
                               (float("nan"), float("nan")),
                               indeterminate=True, flag="no-stable-pole",
                               screened_poles=[complex(p) for p in screened])
     value = float(min(abs(p) for p in stable))
-    if np.any(sd > 0):
-        boots = []
-        for _ in range(100):
-            c = coeffs + rng.standard_normal(coeffs.size) * sd
-            try:
-                st, _ = _stable_poles(c, M, noise=noise)
-            except _PADE_FAILURES:
-                continue
-            if st:
-                boots.append(min(abs(p) for p in st))
-        ci = (float(np.percentile(boots, 2.5)),
-              float(np.percentile(boots, 97.5))) if boots else (value, value)
-    else:
-        ci = (value, value)
-    return RadiusEstimate("pade-pole", value, ci,
+
+    def nearest_pole(c):
+        st, _ = _stable_poles(c, M, noise)
+        return min(abs(p) for p in st) if st else float("nan")
+    return RadiusEstimate("pade-pole", value,
+                          _bootstrap_ci(nearest_pole, value, coeffs, sd, 100),
                           poles=[complex(p) for p in stable],
                           screened_poles=[complex(p) for p in screened])
 
@@ -419,7 +409,7 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
         raise ParameterError(
             f"family {family.name} has no hessian/param_jacobian")
     orbits = measure.orbits
-    m, L, d = orbits.shape
+    _, L, d = orbits.shape
     if d != 2:
         raise UnsupportedDimensionError(
             "stable/unstable split implemented for 2-dimensional phase space")
@@ -477,13 +467,10 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
         c = -div_u * phiv[:, j_lo + n:j_lo + n + S]
         unst_c[n], unst_e[n] = batch_means(c, N_BATCHES, mask)
 
-    meta = {"system": family.name, "alpha": alpha, "observable": obs.name,
-            "N": N, "n_samples": int(mask.sum()), "ensemble": m,
-            "excluded_fraction": float(excluded)}
     return SplitResult(
-        stable=SusceptibilitySeries(stable_c, stable_e, dict(meta, term="stable")),
-        unstable=SusceptibilitySeries(unst_c, unst_e, dict(meta, term="unstable")),
-        direct=SusceptibilitySeries(direct_c, direct_e, dict(meta, term="direct")),
+        stable=SusceptibilitySeries(stable_c, stable_e, {}),
+        unstable=SusceptibilitySeries(unst_c, unst_e, {}),
+        direct=SusceptibilitySeries(direct_c, direct_e, {}),
         excluded_fraction=float(excluded),
         min_angle=float(angles.min()),
         n_windows=spectrum.n_windows,

@@ -95,6 +95,22 @@ def test_basin_escape_exit_code(tmp_path):
     assert diag["error_type"] in ("BasinEscapeError", "OrbitEscapeError")
 
 
+def test_basin_escape_names_the_alpha_it_happened_at(tmp_path):
+    # the finite difference samples alpha + h = 1.45, past the boundary
+    # crisis of the Henon attractor near a = 1.427
+    cfg = _write_cfg(tmp_path, {
+        "system": {"name": "henon"}, "alpha": 1.4, "seed": 1,
+        "observable": "coord_0",
+        "orbit": {"transient": 200, "length": 3000, "ensemble": 4},
+        "susceptibility": {"n_max": 8},
+    })
+    out = tmp_path / "out"
+    assert cli.run("response-check", cfg, out) == cli.EXIT_BASIN
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["error_type"] == "BasinEscapeError"
+    assert "henon at alpha = 1.45 " in diag["message"]
+
+
 def test_degeneracy_exit_code(tmp_path):
     # near-integrable kicked rotor: no hyperbolic splitting
     cfg = _write_cfg(tmp_path, {
@@ -381,3 +397,52 @@ def test_tangency_says_when_its_frame_goes_unused(tmp_path):
     assert payload["frame_reason"].startswith(
         f"{payload['n_fold_points']} fold points")
     assert "d_bar" not in payload
+
+
+# one small run of every subcommand that succeeds, with the artifacts it
+# writes besides resolved_config.json
+SUCCESS_RUNS = {
+    "lyapunov": (SMALL_LYAPUNOV, ["spectrum.csv", "spectrum.json"]),
+    "clv": ({**SHORT_CATSHEAR, "clv": {"warmup": 300}},
+            ["angles.csv", "clv.json"]),
+    "srb": (SHORT_CATSHEAR, ["points.csv", "srb.json"]),
+    "correlate": (SHORT_CATSHEAR, ["correlation.csv", "correlation.json"]),
+    "susceptibility": (SHORT_CATSHEAR,
+                       ["susceptibility.csv", "susceptibility.json"]),
+    "radius": (SHORT_CATSHEAR, ["radius.json", "susceptibility.csv"]),
+    "response-check": ({**SHORT_CATSHEAR, "seed": 3, "observable": "bump",
+                        "orbit": {"transient": 200, "length": 3000,
+                                  "ensemble": 4},
+                        "susceptibility": {"n_max": 8}}, ["response.json"]),
+    "split": ({**SHORT_CATSHEAR, "seed": 3, "clv": {"warmup": 300},
+               "split": {"n_max": 4}}, ["split.csv", "split.json"]),
+    "tangency": ({**SHORT_HENON, "seed": 1,
+                  "orbit": {"transient": 2000, "length": 60_000,
+                            "ensemble": 1},
+                  "tangency": {"frame": {"base": [0.0, 0.2],
+                                         "direction": [1.0, 0.0]}}},
+                 ["folds.csv", "tangency.json"]),
+    "fold-synthetic": (FOLD_UNIFORM, ["profile.csv", "synthetic.json"]),
+    "conjecture-report": ({
+        "orbit": {"transient": 200, "length": 3000, "ensemble": 4},
+        "spectrum": {"steps": 4000, "reorth_interval": 4},
+        "susceptibility": {"n_max": 8}, "correlation": {"n_max": 8},
+        "report": {"systems": [{"name": "cat_shear", "alpha": 0.25}]},
+    }, ["report.json"]),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli.COMMANDS))
+def test_every_subcommand_runs_to_its_artifacts(tmp_path, subcommand):
+    assert set(SUCCESS_RUNS) == set(cli.COMMANDS)
+    payload, artifacts = SUCCESS_RUNS[subcommand]
+    out = tmp_path / "out"
+    assert cli.run(subcommand, _write_cfg(tmp_path, payload), out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = [e["path"] for e in manifest["outputs"]]
+    assert listed == sorted(artifacts + ["resolved_config.json"])
+    if subcommand == "tangency":
+        # enough fold points for the frame's counting function
+        result = json.loads((out / "tangency.json").read_text())
+        assert 0.0 <= result["d_bar"] <= 1.0
+        assert "frame_used" not in result

@@ -184,6 +184,30 @@ def test_radius_interval_contains_estimate(r, c):
     assert est.ci[0] <= est.value <= est.ci[1]
 
 
+@pytest.mark.parametrize("method,value,window", [
+    ("root-test", 1.1999999999999997, (8, 15)),
+    ("pade-pole", 1.1999999999999993, None)])
+def test_radius_without_error_bars_has_a_point_interval(method, value, window):
+    """Every bootstrap draw equals the coefficients, so every draw's
+    estimate is the value and both percentiles are that value exactly."""
+    n = np.arange(16)
+    ser = SusceptibilitySeries(2.0 * 1.2 ** (-n.astype(float)), np.zeros(16),
+                               {})
+    est = response.radius_estimate(ser, method=method)
+    assert est.value == value and est.ci == (value, value)
+    assert est.fit_window == window
+
+
+def test_root_test_fits_every_resolved_order_when_the_upper_half_is_short():
+    # resolved orders 1, 2, 4, 8: the upper half {4, 8} has two points
+    coeffs = np.array([1.0, 0.5, 0.3, 1e-6, 0.1, -1e-6, 2e-6, -1e-6, 0.01])
+    ser = SusceptibilitySeries(coeffs, np.full(9, 1e-4), {})
+    est = response.radius_estimate(ser, method="root-test")
+    assert est.fit_window == (1, 8)
+    assert est.value == 1.7527753248489786
+    assert est.ci == (1.7481277038014256, 1.757972942516674)
+
+
 def test_pade_pole_no_stable_pole():
     """Random signs on a geometric envelope: no pole of the order-6 fit
     persists at order 5, so every pole is screened."""
