@@ -395,6 +395,8 @@ def _sigma_from_cfg(scfg):
                           f"kind {kind!r}")
     if "ratio" in kwargs and not 0.0 < kwargs["ratio"] <= 0.5:
         raise ConfigError("synthetic.sigma.ratio must lie in (0, 1/2]")
+    if "level" in kwargs and not kwargs["level"] >= 1:
+        raise ConfigError("synthetic.sigma.level must be at least 1")
     if kind == "atoms":
         missing = sorted(_SIGMA_KEYS[kind] - set(kwargs))
         if missing:

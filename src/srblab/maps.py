@@ -2,20 +2,18 @@
 perturbation field X(f x) = d f_alpha(x) / d alpha of a family is its
 param_derivative; the response estimators evaluate it on their samples.
 
-Each built-in family writes its map once, in component form
-formula(m, a, x0, ..., x{d-1}) -> (y0, ..., y{d-1}), where m is the module
-that supplies sin and floor.  The family's step(alpha, x) runs the formula
-on numpy arrays: it accepts points of shape (..., d) and returns an array
-with matching leading dimensions, like every other map callable.  The
-formula rides on step as `step.formula`, and the orbit loop runs it on
-Python floats, with m = math, when it steps a single point of shape (d,);
-at the first value math refuses (sin or floor of a non-finite number) the
-loop hands the rest of the orbit over to step.  Both paths do the same
-IEEE operations in the same order, so they give the same bits as long as
-math.sin and numpy.sin agree, which the tests check on every family.  The
-four derivatives are written in the same component form, as tuples of
-entries, or of rows of entries, over the components of their points;
-one builder, _components, assembles them and step into arrays.
+Each built-in family writes its map once, as its step in component form
+step(m, a, x0, ..., x{d-1}) -> (y0, ..., y{d-1}), where m is the module
+that supplies sin and floor.  The orbit loop runs it on two number types:
+on Python floats, with m = math, for a single point of shape (d,); and
+with m = numpy on component planes, the arrays x[..., i], for every batch
+and for the rest of an orbit after math refuses a value (sin or floor of
+a non-finite number).  Both do the same IEEE operations in the same
+order, so they give the same bits as long as math.sin and numpy.sin
+agree, which the tests check on every family.  The four derivatives are
+written in the same component form, as tuples of entries, or of rows of
+entries, over the components of their points; one builder, _components,
+assembles them into arrays.
 
 Torus coordinates are reduced by floor subtraction u - floor(u) after every
 step.  The result lies in [0, 1] rather than [0, 1): a tiny negative u, such
@@ -72,14 +70,13 @@ def torus():
 class MapFamily:
     """A parametrized diffeomorphism family alpha -> f_alpha.
 
-    step, jacobian and param_derivative take (alpha, x) with x of shape
-    (..., d).  The built-in callables are assembled by _components, and a
-    built-in step carries its formula as step.formula (see the module
-    docstring); a step without one is run on arrays only.  A family maps
-    forward only.  hessian(alpha, x, a, b), when present, is the second
-    derivative D^2 f(x)[a, b] of shape (..., d), and param_jacobian(alpha, x)
-    the mixed derivative d/dalpha Df(x) of shape (..., d, d); the
-    stable/unstable split needs both.
+    step(m, a, x0, ..., x{d-1}) is the map in component form (see the
+    module docstring).  jacobian and param_derivative take (alpha, x) with
+    x of shape (..., d); the built-in ones are assembled by _components.
+    A family maps forward only.  hessian(alpha, x, a, b), when present, is
+    the second derivative D^2 f(x)[a, b] of shape (..., d), and
+    param_jacobian(alpha, x) the mixed derivative d/dalpha Df(x) of shape
+    (..., d, d); the stable/unstable split needs both.
     """
 
     name: str
@@ -127,21 +124,13 @@ def _components(fn):
     return array_fn
 
 
-def _component_step(formula):
-    """The array step(alpha, x) of a component-form formula, carrying the
-    formula as `step.formula` for the float path of `_orbit`."""
-    step = _components(lambda a, x: formula(np, a, *x))
-    step.formula = formula
-    return step
-
-
 # the float path buffers at most this many steps before copying them into
 # the history, so a long orbit is not held twice
 FLOAT_CHUNK = 4096
 
 
-def _float_steps(formula, a, x, n, hist):
-    """Step the single point x n times through formula on Python floats,
+def _float_steps(step, a, x, n, hist):
+    """Step the single point x n times through step on Python floats,
     writing rows 1.. of hist (n+1, d); return the number of steps done.
 
     The loop stops early when sin or floor meets a non-finite value, which
@@ -157,7 +146,7 @@ def _float_steps(formula, a, x, n, hist):
         push = buf.extend
         try:
             for _ in range(min(FLOAT_CHUNK, n - done)):
-                x = formula(math, a, *x)
+                x = step(math, a, *x)
                 push(x)
         except (ValueError, OverflowError):
             n = done + len(buf) // d      # copy what was done, then stop
@@ -172,27 +161,27 @@ def _orbit(family, alpha, x, n):
     (..., d) under n steps, and the escaped mask (..., n+1) of every stored
     point.
 
-    A single point of shape (d,) is stepped on Python floats when the
-    family's step carries its component-form formula; batches, and the
-    rest of an orbit the float path hands over, run through step itself.
+    A single point of shape (d,) is stepped on Python floats; batches, and
+    the rest of an orbit the float path hands over, are stepped on numpy
+    component planes, written into the component-first view of hist.
     Escape is found after the loop: non-finite values propagate, so a
     vectorized scan recovers it without per-step checks.  Points are
-    stepped row by row, so an escaping point leaves the others' bits alone.
+    stepped elementwise, so an escaping point leaves the others' bits
+    alone.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x = family.chart.reduce(np.asarray(x, dtype=float))
         hist = np.empty(x.shape[:-1] + (n + 1, x.shape[-1]))
-        steps = np.moveaxis(hist, -2, 0)
-        steps[0] = x
+        hist[..., 0, :] = x
         done = 0
-        formula = getattr(family.step, "formula", None)
-        if formula is not None and x.ndim == 1:
-            done = _float_steps(formula, float(alpha), x, n, hist)
-            x = hist[done]
-        step = family.step
-        for k in range(done, n):
-            x = step(alpha, x)
-            steps[k + 1] = x
+        if x.ndim == 1:
+            done = _float_steps(family.step, float(alpha), x, n, hist)
+        planes = list(np.moveaxis(hist, (-1, -2), (0, 1)))
+        p = tuple(plane[done] for plane in planes)
+        for k in range(done + 1, n + 1):
+            p = family.step(np, alpha, *p)
+            for plane, y in zip(planes, p):
+                plane[k] = y
     return hist, family.escaped(hist)
 
 
@@ -236,7 +225,6 @@ def cat_translate(v=(1.0, 0.0)):
     v0, v1 = v.tolist()
     chart = torus()
 
-    @_component_step
     def step(m, a, x0, x1):
         y0 = 2.0 * x0 + x1 + a * v0
         y1 = x0 + x1 + a * v1
@@ -268,7 +256,6 @@ def cat_shear():
     """
     chart = torus()
 
-    @_component_step
     def step(m, a, x0, x1):
         y0 = 2.0 * x0 + x1 + a * (m.sin(TWO_PI * x1) / TWO_PI)
         y1 = x0 + x1 + a * 0.0
@@ -295,7 +282,6 @@ def henon(b=0.3):
     """Henon family (x, y) -> (1 + y - a x^2, b x); alpha is the a parameter."""
     chart = flat()
 
-    @_component_step
     def step(m, a, x0, x1):
         # x0 * x0, as numpy squares; Python's x0 ** 2 rounds differently
         return 1.0 + x1 - a * (x0 * x0), b * x0
@@ -324,7 +310,6 @@ def standard_map():
     """
     chart = torus()
 
-    @_component_step
     def step(m, a, x0, x1):
         p1 = x0 + a / TWO_PI * m.sin(TWO_PI * x1)
         t1 = x1 + p1
@@ -366,7 +351,6 @@ def coupled_henon(b=0.3, c=0.3):
         raise ParameterError("coupling c = 1/2 makes the exchange singular")
     chart = flat()
 
-    @_component_step
     def step(m, a, x0, x1, x2, x3):
         f1x, f1y = 1.0 + x1 - a * (x0 * x0), b * x0
         f2x, f2y = 1.0 + x3 - a * (x2 * x2), b * x2

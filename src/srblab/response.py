@@ -56,6 +56,8 @@ def _kappa_series(jacobians, V0, grads, N, j0, mask=None):
     of V0(x_j) . (T_{x_j} f^n)^T grad(x_{j+n}), with V0 given at orbit
     indices j0 .. j0+S-1.
     """
+    if N < 1:
+        raise ParameterError("N must be >= 1")
     V = np.array(V0, dtype=float)
     m, S, d = V.shape
     coeffs = np.empty(N + 1)
@@ -91,8 +93,6 @@ def susceptibility_coefficients(measure, obs, N):
 def _field_series(measure, X, obs, N):
     """kappa_n for n = 0..N along the field X, given at orbit indices
     1..L-1 of the sample's orbits."""
-    if N < 1:
-        raise ParameterError("N must be >= 1")
     orbits = measure.orbits
     m, L, d = orbits.shape
     S = L - 1 - N
@@ -375,8 +375,7 @@ class SplitResult:
         do not measure its error."""
         return SusceptibilitySeries(
             self.stable.coeffs + self.unstable.coeffs,
-            np.hypot(self.stable.stderr, self.unstable.stderr),
-            {"term": "stable+unstable"})
+            np.hypot(self.stable.stderr, self.unstable.stderr), {})
 
     def reconstruction_sigma(self):
         """Per-n discrepancy |stable + unstable - direct| in combined

@@ -20,6 +20,15 @@ def src_env():
 
 
 @pytest.fixture(scope="session")
+def array_step():
+    """fam -> fam's step on arrays, (alpha, x) -> (..., d) for points x of
+    shape (..., d), assembled by maps._components."""
+    def build(fam):
+        return maps._components(lambda a, x: fam.step(np, a, *x))
+    return build
+
+
+@pytest.fixture(scope="session")
 def henon_family():
     return maps.get_family("henon")
 

@@ -244,6 +244,8 @@ def test_manifest_lists_only_this_runs_files(tmp_path):
     {"kind": "cantor", "weights": [1.0]},
     {"kind": "cantor", "ratio": 0.0},
     {"kind": "cantor", "ratio": 0.7},
+    {"kind": "cantor", "level": 0},
+    {"kind": "cantor", "level": -3},
     {"kind": "atoms", "positions": ["a"], "weights": [1.0]},
 ])
 def test_bad_sigma_is_a_config_error(tmp_path, sigma):
@@ -377,6 +379,10 @@ SHORT_CATSHEAR = {"system": {"name": "cat_shear"}, "alpha": 0.25,
     ("susceptibility", {**SHORT_CATSHEAR, "orbit": {
         **SHORT_CATSHEAR["orbit"], "transient": -5}}),
     ("correlate", {**SHORT_CATSHEAR, "correlation": {"n_max": -1}}),
+    ("split", {**SHORT_CATSHEAR, "clv": {"warmup": 300},
+               "split": {"n_max": 0}}),
+    ("split", {**SHORT_CATSHEAR, "clv": {"warmup": 300},
+               "split": {"n_max": -1}}),
 ])
 def test_bad_run_settings_exit_2(tmp_path, subcommand, payload):
     cfg = _write_cfg(tmp_path, payload)

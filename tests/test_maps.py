@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ def _random_points(fam, rng, n=100):
 
 
 @pytest.mark.parametrize("name", sorted(ALPHAS))
-def test_jacobian_matches_finite_differences(name):
+def test_jacobian_matches_finite_differences(name, array_step):
     fam = maps.get_family(name)
+    step = array_step(fam)
     alpha = ALPHAS[name]
     rng = np.random.default_rng(7)
     pts = _random_points(fam, rng)
@@ -29,22 +32,23 @@ def test_jacobian_matches_finite_differences(name):
         for i in range(fam.dimension):
             e = np.zeros(fam.dimension)
             e[i] = h
-            fp = fam.step(alpha, x + e)
-            fm = fam.step(alpha, x - e)
+            fp = step(alpha, x + e)
+            fm = step(alpha, x - e)
             fd[:, i] = fam.chart.difference(fp, fm) / (2 * h)
         assert np.linalg.norm(J - fd) / np.linalg.norm(J) < 1e-5
 
 
 @pytest.mark.parametrize("name", sorted(ALPHAS))
-def test_param_derivative_matches_finite_differences(name):
+def test_param_derivative_matches_finite_differences(name, array_step):
     fam = maps.get_family(name)
+    step = array_step(fam)
     alpha = ALPHAS[name]
     rng = np.random.default_rng(8)
     pts = _random_points(fam, rng, 50)
     h = 1e-6
     X = fam.param_derivative(alpha, pts)
-    fd = fam.chart.difference(fam.step(alpha + h, pts),
-                              fam.step(alpha - h, pts)) / (2 * h)
+    fd = fam.chart.difference(step(alpha + h, pts),
+                              step(alpha - h, pts)) / (2 * h)
     assert np.abs(X - fd).max() < 1e-5
 
 
@@ -73,14 +77,15 @@ def test_second_derivatives_match_finite_differences(name):
 def test_component_callables_assemble_pointwise(name):
     """Every callable maps._components builds gives a (3, 7, d) batch the
     bits each point gets alone, in shape (..., d) or (..., d, d); a hessian
-    direction pair of shape (d,) broadcasts over the batch."""
+    direction pair of shape (d,) broadcasts over the batch.  So does the
+    orbit loop: on component planes for the batch, on floats alone."""
     fam = maps.get_family(name)
     alpha, d = ALPHAS[name], fam.dimension
     rng = np.random.default_rng(31)
     x = _random_points(fam, rng, 21).reshape(3, 7, d)
     u, w = rng.standard_normal((2, 3, 7, d))
     a, b = rng.standard_normal((2, d))
-    cases = [(fam.step, (x,), (d,)), (fam.jacobian, (x,), (d, d)),
+    cases = [(fam.jacobian, (x,), (d, d)),
              (fam.param_derivative, (x,), (d,))]
     if fam.hessian is not None:
         cases += [(fam.hessian, (x, u, w), (d,)),
@@ -93,6 +98,11 @@ def test_component_callables_assemble_pointwise(name):
             alone = fn(alpha, *[p[i] if p.ndim == 3 else p for p in points])
             assert alone.shape == core
             assert alone.tobytes() == batch[i].tobytes()
+    hist, bad = maps._orbit(fam, alpha, x, 50)
+    assert hist.shape == (3, 7, 51, d) and not bad.any()
+    for i in np.ndindex(3, 7):
+        alone, _ = maps._orbit(fam, alpha, x[i], 50)
+        assert alone.tobytes() == hist[i].tobytes()
 
 
 def test_jacobian_determinant_nonzero_everywhere():
@@ -110,17 +120,17 @@ def test_henon_determinant_constant():
     assert np.abs(np.linalg.det(J) + 0.25).max() < 1e-12
 
 
-def test_cat_fixed_points():
-    fam = maps.get_family("cat_translate")
-    assert np.allclose(fam.step(0.0, np.array([0.0, 0.0])), 0.0)
+def test_cat_fixed_points(array_step):
+    step = array_step(maps.get_family("cat_translate"))
+    assert np.allclose(step(0.0, np.array([0.0, 0.0])), 0.0)
     # (.5,.5) -> (1.5 mod 1, 1.0 mod 1) = (.5, 0)
-    assert np.allclose(fam.step(0.0, np.array([0.5, 0.5])), [0.5, 0.0])
+    assert np.allclose(step(0.0, np.array([0.5, 0.5])), [0.5, 0.0])
 
 
-def test_henon_known_image():
-    fam = maps.get_family("henon")
-    assert np.allclose(fam.step(1.4, np.array([0.0, 0.0])), [1.0, 0.0])
-    assert np.allclose(fam.step(1.4, np.array([1.0, 0.0])), [-0.4, 0.3])
+def test_henon_known_image(array_step):
+    step = array_step(maps.get_family("henon"))
+    assert np.allclose(step(1.4, np.array([0.0, 0.0])), [1.0, 0.0])
+    assert np.allclose(step(1.4, np.array([1.0, 0.0])), [-0.4, 0.3])
 
 
 def test_torus_coordinates_reduced():
@@ -166,8 +176,8 @@ def test_iterate_batch_freezes_escapees():
 
 
 def _array_orbit(fam, alpha, x, n):
-    """History and escaped mask of x through step itself: a batch of one
-    row, which the float path never takes."""
+    """History and escaped mask of x stepped on numpy component planes: a
+    batch of one row, which the float path never takes."""
     hist, bad = maps._orbit(fam, alpha, np.asarray(x, dtype=float)[None], n)
     return hist[0], bad[0]
 
@@ -222,12 +232,13 @@ def test_non_finite_start_escapes_at_step_zero(name, bad):
 
 @pytest.mark.parametrize("chunk", [64, maps.FLOAT_CHUNK])
 def test_float_path_hands_over_mid_orbit(monkeypatch, chunk):
-    """A formula that reaches inf after about 300 steps: math.sin raises
-    there and numpy finishes the orbit, with the same bits as step."""
+    """A step that reaches inf after about 300 steps: math.sin raises
+    there and numpy finishes the orbit, with the bits of a batch of one."""
     monkeypatch.setattr(maps, "FLOAT_CHUNK", chunk)
     monkeypatch.setattr(maps, "ESCAPE_RADIUS", 1e150)
-    step = maps._component_step(lambda m, a, x0, x1: (a * x0, m.sin(a * x0)))
-    fam = maps.MapFamily("blowup", 2, maps.flat(), step, None, None)
+    fam = maps.MapFamily("blowup", 2, maps.flat(),
+                         lambda m, a, x0, x1: (a * x0, m.sin(a * x0)),
+                         None, None)
     x = np.array([1.0, 0.0])
     hist, bad = maps._orbit(fam, 10.0, x, 400)
     ref, ref_bad = _array_orbit(fam, 10.0, x, 400)
@@ -251,10 +262,36 @@ def test_float_path_alpha_types_give_the_same_bits(name):
 
 def test_swapped_step_runs_instead_of_the_formula():
     fam = maps.get_family("henon")
-    halve = dataclasses.replace(fam, step=lambda a, x: 0.5 * np.asarray(x))
-    orbit = maps.iterate(halve, 1.4, np.array([1.0, -2.0]), 10)
-    assert np.array_equal(orbit[:, 0], 0.5 ** np.arange(11))
-    assert np.array_equal(orbit[:, 1], -2.0 * 0.5 ** np.arange(11))
+    halve = dataclasses.replace(
+        fam, step=lambda m, a, x0, x1: (0.5 * x0, 0.5 * x1))
+    x = np.array([1.0, -2.0])
+    expected = x * 0.5 ** np.arange(11)[:, None]
+    assert np.array_equal(maps.iterate(halve, 1.4, x, 10), expected)
+    batch = maps.iterate_batch(halve, 1.4, np.stack([x, 4.0 * x]), 10)
+    assert np.array_equal(batch, np.stack([expected, 4.0 * expected], 1))
+
+
+def test_wrapped_step_is_called_on_single_points_and_batches():
+    """A functools.wraps wrapper around a family's step, as a tracer
+    installs, is what every orbit steps through, with m = math for a
+    single point and m = numpy for a batch."""
+    fam = maps.get_family("henon")
+    calls = []
+
+    @functools.wraps(fam.step)
+    def counted(m, *args):
+        calls.append(m)
+        return fam.step(m, *args)
+
+    traced = dataclasses.replace(fam, step=counted)
+    x = np.array([[0.1, 0.1], [0.2, -0.1]])
+    assert (maps.iterate(traced, 1.4, x[0], 30).tobytes()
+            == maps.iterate(fam, 1.4, x[0], 30).tobytes())
+    assert calls == [math] * 30
+    calls.clear()
+    assert (maps.iterate_batch(traced, 1.4, x, 30).tobytes()
+            == maps.iterate_batch(fam, 1.4, x, 30).tobytes())
+    assert calls == [np] * 30
 
 
 def test_torus_reduction_of_a_tiny_negative_gives_one():

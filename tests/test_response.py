@@ -19,9 +19,10 @@ def cat_translate_measure():
     return fam, emp
 
 
-def _quadrature_kappa(fam, alpha, X_fn, obs, N, grid=400):
+def _quadrature_kappa(fam, step, alpha, X_fn, obs, N, grid=400):
     """Dense-grid quadrature oracle for kappa_n on a Lebesgue-invariant
-    torus family: kappa_n = int X . (Df^n)^T grad(phi)(f^n x) dx."""
+    torus family, with step its array step: kappa_n = int X . (Df^n)^T
+    grad(phi)(f^n x) dx."""
     t = (np.arange(grid) + 0.5) / grid
     xx, yy = np.meshgrid(t, t, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
@@ -34,16 +35,16 @@ def _quadrature_kappa(fam, alpha, X_fn, obs, N, grid=400):
         out[n] = np.mean(np.sum(V * g, axis=-1))
         J = fam.jacobian(alpha, cur)
         V = np.einsum("sab,sb->sa", J, V)
-        cur = fam.chart.reduce(fam.step(alpha, cur))
+        cur = fam.chart.reduce(step(alpha, cur))
     return out
 
 
-def test_kappa_matches_quadrature_oracle(cat_translate_measure):
+def test_kappa_matches_quadrature_oracle(cat_translate_measure, array_step):
     fam, emp = cat_translate_measure
     alpha = 0.1
     phi = maps.get_observable("bump", 2)
     ser = response.susceptibility_coefficients(emp, phi, 6)
-    oracle = _quadrature_kappa(fam, alpha,
+    oracle = _quadrature_kappa(fam, array_step(fam), alpha,
                                lambda p: fam.param_derivative(alpha, p),
                                phi, 6)
     sig = np.abs(ser.coeffs - oracle) / ser.stderr
@@ -413,13 +414,14 @@ def test_kappa_series_slices_bitwise_equal_gathers(small_catshear):
         assert np.array_equal(c, ref_c) and np.array_equal(e, ref_e)
 
 
-def _stable_direction(fam, alpha, x, n_steps=30):
-    """Unit stable direction at x: a generic vector pulled back through the
-    inverse cocycle of the next n_steps iterates aligns with E^s."""
+def _stable_direction(fam, step, alpha, x, n_steps=30):
+    """Unit stable direction at x, with step fam's array step: a generic
+    vector pulled back through the inverse cocycle of the next n_steps
+    iterates aligns with E^s."""
     jacs = []
     for _ in range(n_steps):
         jacs.append(fam.jacobian(alpha, x))
-        x = fam.step(alpha, x)
+        x = step(alpha, x)
     w = np.array([0.31622776601683794, 0.9486832980505138])
     for J in reversed(jacs):
         w = np.linalg.solve(J, w)
@@ -442,7 +444,7 @@ def _push_offsets(alpha, orbit, i, offsets, steps):
     return d
 
 
-def test_manifold_recurrences_match_pushed_segments():
+def test_manifold_recurrences_match_pushed_segments(array_step):
     """Curvature k, density log-derivative g and stable turn b against
     finite differences of short segments seeded along v and pushed forward
     12 steps onto the unstable manifold of the sample point."""
@@ -481,7 +483,8 @@ def test_manifold_recurrences_match_pushed_segments():
         assert abs(g[0, t] - g_ref) < 1e-4 * abs(g_ref)
 
         (ym, yp), _ = segment(t, 1e-5, [-1.0, 1.0])
-        es = [_stable_direction(fam, alpha, orbit[lo + t] + y)
+        es = [_stable_direction(fam, array_step(fam), alpha,
+                                orbit[lo + t] + y)
               for y in (ym, yp)]
         es = [e * np.sign(e @ E[0, t]) for e in es]
         p = np.array([-E[0, t, 1], E[0, t, 0]])
