@@ -6,9 +6,7 @@ Usage: python scripts/response_scan.py [--alphas 0.1 0.25 0.5] [--length N]
 """
 import argparse
 
-import numpy as np
-
-from srblab import config, maps, measure, response
+from srblab import config, maps, measure, response, stats
 
 
 def main():
@@ -38,13 +36,12 @@ def main():
         sampling = response.SamplingConfig(
             transient=500, length=args.length, ensemble=2 * args.ensemble,
             seed=args.seed + 72)
-        fd = response.finite_difference_response(
-            fam, alpha, args.h, phi, sampling,
-            defaults["response"]["richardson"])
-        sigma = abs(psi - fd.derivative) / np.hypot(perr, fd.stderr)
+        deriv, deriv_err = response.finite_difference_response(
+            fam, alpha, args.h, phi, sampling)
+        sigma = stats.sigma_units(psi - deriv, perr, deriv_err)
         est = response.radius_estimate(ser, defaults["radius"]["method"])
         print(f"{alpha:>6.2f} {psi:>12.3e} {perr:>9.1e} "
-              f"{fd.derivative:>12.3e} {fd.stderr:>9.1e} {sigma:>6.2f} "
+              f"{deriv:>12.3e} {deriv_err:>9.1e} {sigma:>6.2f} "
               f"{est.value:>8.2f}  {est.flag}")
 
 

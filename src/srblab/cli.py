@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import maps, measure, response, tangency
+from . import maps, measure, response, stats, tangency
 from .config import ExperimentConfig
 from .errors import (BasinEscapeError, ConfigError, FrameMisalignmentError,
                      HyperbolicityError, InsufficientDataError,
@@ -288,16 +288,13 @@ def cmd_response_check(cfg, outdir):
     family, alpha = _system(cfg)
     series, _, phi = _series(cfg, family, alpha)
     psi_one, psi_err = series.truncated_sum()
-    fd = response.finite_difference_response(
+    deriv, deriv_err = response.finite_difference_response(
         family, alpha, cfg.get("response.h"), phi,
-        _sampling(cfg, family, seed_shift=1),
-        richardson=cfg.get("response.richardson"))
-    den = np.sqrt(psi_err**2 + fd.stderr**2)
-    sigma = (float(abs(psi_one - fd.derivative) / den) if den > 0
-             else float("inf"))
+        _sampling(cfg, family, seed_shift=1))
+    sigma = stats.sigma_units(psi_one - deriv, psi_err, deriv_err)
     write_json(outdir / "response.json", {
         "psi_one": psi_one, "psi_one_err": psi_err,
-        "derivative": fd.derivative, "derivative_err": fd.stderr,
+        "derivative": deriv, "derivative_err": deriv_err,
         "discrepancy_sigma": sigma,
         "h": cfg.get("response.h"),
         "agrees_3sigma": sigma < 3.0,
@@ -466,8 +463,9 @@ def cmd_conjecture_report(cfg, outdir):
             "radius_indeterminate": est.indeterminate,
             "radius_flag": est.flag,
             "psi_one": psi_one, "psi_one_err": psi_err,
-            "psi_one_status": ("resolved" if abs(psi_one) > 3 * psi_err
-                               else "consistent-with-zero"),
+            "psi_one_status": (
+                "resolved" if stats.sigma_units(psi_one, psi_err) > 3
+                else "consistent-with-zero"),
         })
     write_json(outdir / "report.json", {"systems": rows})
     return {"systems": len(rows)}

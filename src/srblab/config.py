@@ -31,7 +31,7 @@ SCHEMA = {
     "correlation": {"n_max": int},
     "susceptibility": {"n_max": int},
     "radius": {"method": str},
-    "response": {"h": (int, float), "richardson": bool},
+    "response": {"h": (int, float)},
     "split": {"n_max": int, "angle_threshold": (int, float)},
     "tangency": {"angle_threshold": (int, float),
                  "cluster_radius": (int, float),
@@ -54,7 +54,7 @@ DEFAULTS = {
     "correlation": {"n_max": 20},
     "susceptibility": {"n_max": 12},
     "radius": {"method": "root-test"},
-    "response": {"h": 0.05, "richardson": False},
+    "response": {"h": 0.05},
     "split": {"n_max": 10, "angle_threshold": 1e-3},
     "tangency": {"angle_threshold": 0.01, "cluster_radius": 0.02,
                  "min_projection_angle": 1e-3},

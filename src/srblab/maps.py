@@ -21,12 +21,10 @@ as -1e-17, gives exactly 1.0, because u + 1 rounds to 1.
 """
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -98,12 +96,6 @@ class MapFamily:
         return bad
 
 
-@functools.cache
-def _splitter(d):
-    """p -> (p[..., 0], ..., p[..., d-1]) for d >= 2."""
-    return itemgetter(*[(Ellipsis, i) for i in range(d)])
-
-
 def _components(fn):
     """The array function (a, x, *directions) of a component-form fn, which
     takes each point as the tuple of its d components p[..., i] and returns
@@ -112,8 +104,8 @@ def _components(fn):
     broadcast against, into an array of shape (..., d) or (..., d, d)."""
     def array_fn(a, x, *directions):
         x = np.asarray(x, dtype=float)
-        split = _splitter(x.shape[-1])
-        y = fn(a, split(x), *map(split, map(np.asarray, directions)))
+        y = fn(a, *(tuple(np.asarray(p)[..., i] for i in range(x.shape[-1]))
+                    for p in (x,) + directions))
         rows = isinstance(y[0], tuple)
         out = np.empty(x.shape + x.shape[-1:] * rows)
         flat = out.reshape(x.shape[:-1] + (x.shape[-1] ** 2,)) if rows else out

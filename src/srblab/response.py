@@ -14,7 +14,7 @@ from .errors import (InsufficientDataError, NumericalDegeneracyError,
                      PadeDegeneracyError, ParameterError,
                      UnsupportedDimensionError)
 from .pade import robust_pade
-from .stats import batch_means, linear_fit
+from .stats import batch_means, linear_fit, sigma_units
 from .tangent import _OVERLAP, _affine_recurrence, _clv_sweep
 
 N_BATCHES = 25
@@ -51,13 +51,16 @@ def _matvec(J, V):
     return out
 
 
+def _check_order(N):
+    if N < 1:
+        raise ParameterError("N must be >= 1")
+
+
 def _kappa_series(jacobians, V0, grads, N, j0, mask=None):
     """Cocycle-propagated series: coefficient n is the average over samples
     of V0(x_j) . (T_{x_j} f^n)^T grad(x_{j+n}), with V0 given at orbit
     indices j0 .. j0+S-1.
     """
-    if N < 1:
-        raise ParameterError("N must be >= 1")
     V = np.array(V0, dtype=float)
     m, S, d = V.shape
     coeffs = np.empty(N + 1)
@@ -93,6 +96,7 @@ def susceptibility_coefficients(measure, obs, N):
 def _field_series(measure, X, obs, N):
     """kappa_n for n = 0..N along the field X, given at orbit indices
     1..L-1 of the sample's orbits."""
+    _check_order(N)
     orbits = measure.orbits
     m, L, d = orbits.shape
     S = L - 1 - N
@@ -264,16 +268,10 @@ class SamplingConfig:
     sampler: Optional[object] = None
 
 
-@dataclass
-class ResponseEstimate:
-    derivative: float
-    stderr: float
-
-
-def finite_difference_response(family, alpha0, h, obs, sampling,
-                               richardson):
+def finite_difference_response(family, alpha0, h, obs, sampling):
     """Central difference (rho_{a0+h}(phi) - rho_{a0-h}(phi)) / (2h) with
-    independently seeded SRB samples on each side."""
+    independently seeded SRB samples on each side, from seeds 8s+1 and 8s+2
+    for the sampling seed s; returns (derivative, stderr)."""
     if h <= 0:
         raise ParameterError("h must be positive")
 
@@ -287,17 +285,7 @@ def finite_difference_response(family, alpha0, h, obs, sampling,
     base = int(sampling.seed)
     mp, sp = side(alpha0 + h, base * 8 + 1)
     mm, sm = side(alpha0 - h, base * 8 + 2)
-    deriv = (mp - mm) / (2.0 * h)
-    err = float(np.sqrt(sp**2 + sm**2) / (2.0 * h))
-    if not richardson:
-        return ResponseEstimate(deriv, err)
-    mp2, sp2 = side(alpha0 + h / 2, base * 8 + 3)
-    mm2, sm2 = side(alpha0 - h / 2, base * 8 + 4)
-    deriv2 = (mp2 - mm2) / h
-    err2 = float(np.sqrt(sp2**2 + sm2**2) / h)
-    extrap = (4.0 * deriv2 - deriv) / 3.0
-    err_ex = float(np.sqrt((4.0 / 3.0 * err2) ** 2 + (err / 3.0) ** 2))
-    return ResponseEstimate(extrap, err_ex)
+    return (mp - mm) / (2.0 * h), float(np.sqrt(sp**2 + sm**2) / (2.0 * h))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +302,8 @@ class IdentityRow:
 
     @property
     def sigma_units(self):
-        den = np.sqrt(self.kappa_se**2 + self.vp_se**2)
-        return float(abs(self.kappa + self.vp_term) / den) if den > 0 else 0.0
+        return sigma_units(self.kappa + self.vp_term, self.kappa_se,
+                           self.vp_se)
 
 
 @dataclass
@@ -378,12 +366,11 @@ class SplitResult:
             np.hypot(self.stable.stderr, self.unstable.stderr), {})
 
     def reconstruction_sigma(self):
-        """Per-n discrepancy |stable + unstable - direct| in combined
-        sigma units (same sample set)."""
-        diff = self.stable.coeffs + self.unstable.coeffs - self.direct.coeffs
-        den = np.sqrt(self.stable.stderr**2 + self.unstable.stderr**2
-                      + self.direct.stderr**2)
-        return np.abs(diff) / np.where(den > 0, den, np.inf)
+        """Per-n discrepancy |stable + unstable - direct| in units of the
+        three error bars combined, by stats.sigma_units (same sample set)."""
+        return sigma_units(
+            self.stable.coeffs + self.unstable.coeffs - self.direct.coeffs,
+            self.stable.stderr, self.unstable.stderr, self.direct.stderr)
 
 
 def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
@@ -402,6 +389,7 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
     side, over which the recurrences converge.  Near-tangency points (angle
     below angle_threshold) are excluded and the excluded mass reported.
     """
+    _check_order(N)
     family = measure.family
     alpha = measure.alpha
     if family.hessian is None or family.param_jacobian is None:

@@ -1,5 +1,5 @@
 """Error bars for correlated time series by non-overlapping batch means,
-and least-squares line fits.
+discrepancies in units of those error bars, and least-squares line fits.
 
 batch_means is the one accumulator behind every error bar in srblab:
 Birkhoff averages and correlations, Lyapunov exponents, the susceptibility
@@ -54,6 +54,17 @@ def batch_means(x, n_batches, mask=None):
     if not lead:
         return float(mu), float(se)
     return mu, se
+
+
+def sigma_units(diff, *stderr):
+    """|diff| in units of the combined standard error sqrt(sum of se^2).
+    With no error, an exact agreement is 0 and any other diff is inf; a nan
+    error gives nan, whatever diff is.  A plain float for scalar input."""
+    diff = np.abs(diff)
+    den = np.sqrt(sum(se**2 for se in stderr))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = np.where((diff == 0) & (den == 0), 0.0, diff / den)
+    return sigma if sigma.ndim else float(sigma)
 
 
 def linear_fit(x, y):

@@ -338,6 +338,8 @@ SMALL_SRB = {"system": {"name": "cat_shear"}, "alpha": 0.2,
     # a sampling seed below 0
     ("srb", {**SMALL_LYAPUNOV, "seed": -3}),
     ("lyapunov", {**SMALL_LYAPUNOV, "seed": -3}),
+    # a removed key
+    ("response-check", {**SMALL_SRB, "response": {"richardson": True}}),
 ])
 def test_incomplete_entries_are_config_errors(tmp_path, subcommand, payload):
     cfg = _write_cfg(tmp_path, payload)
@@ -390,6 +392,19 @@ def test_bad_run_settings_exit_2(tmp_path, subcommand, payload):
     assert cli.run(subcommand, cfg, out) == cli.EXIT_CONFIG
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["error_type"] == "ParameterError"
+
+
+def test_response_check_counts_an_exact_agreement_as_agreement(tmp_path):
+    # the const observable has no response: 0 +- 0 on both sides
+    cfg = _write_cfg(tmp_path, {**SHORT_CATSHEAR, "observable": "const",
+                                "susceptibility": {"n_max": 8}})
+    out = tmp_path / "out"
+    assert cli.run("response-check", cfg, out) == cli.EXIT_OK
+    result = json.loads((out / "response.json").read_text())
+    assert result["psi_one"] == result["derivative"] == 0.0
+    assert result["psi_one_err"] == result["derivative_err"] == 0.0
+    assert result["discrepancy_sigma"] == 0.0
+    assert result["agrees_3sigma"] is True
 
 
 def test_tangency_says_when_its_frame_goes_unused(tmp_path):

@@ -261,24 +261,14 @@ def test_finite_difference_translate_family_zero_response():
     sampling = response.SamplingConfig(transient=500, length=20_000,
                                        ensemble=8, seed=11)
     phi = maps.get_observable("bump", 2)
-    fd = response.finite_difference_response(fam, 0.1, 0.05, phi, sampling,
-                                             richardson=False)
-    assert abs(fd.derivative) < 3 * fd.stderr
+    deriv, deriv_err = response.finite_difference_response(
+        fam, 0.1, 0.05, phi, sampling)
+    assert abs(deriv) < 3 * deriv_err
     emp = measure.srb_sample(fam, 0.1, transient=500, length=20_000,
                              ensemble=8, seed=12)
     ser = response.susceptibility_coefficients(emp, phi, 8)
     psi1, err1 = ser.truncated_sum()
     assert abs(psi1) < 3 * err1
-
-
-def test_finite_difference_richardson_runs():
-    fam = maps.get_family("cat_shear")
-    sampling = response.SamplingConfig(transient=300, length=5_000,
-                                       ensemble=4, seed=13)
-    phi = maps.get_observable("bump", 2)
-    fd = response.finite_difference_response(fam, 0.2, 0.1, phi, sampling,
-                                             richardson=True)
-    assert np.isfinite(fd.derivative) and fd.stderr > 0
 
 
 def test_volume_identity_two_analytic_fields():
@@ -303,6 +293,18 @@ def test_volume_identity_two_analytic_fields():
         rep = response.volume_preserving_identity(emp, field, div, phi, 10)
         assert rep.passed
         assert max(r.sigma_units for r in rep.rows) < 3.0
+
+
+def test_identity_row_with_zero_errors():
+    # a difference with no error bar is infinitely many sigma off, unless
+    # it is exactly 0
+    off = response.IdentityRow(kappa=1.0, kappa_se=0.0, vp_term=0.5, vp_se=0.0)
+    exact = response.IdentityRow(kappa=0.5, kappa_se=0.0, vp_term=-0.5,
+                                 vp_se=0.0)
+    assert off.sigma_units == float("inf")
+    assert exact.sigma_units == 0.0
+    assert not response.VolumeIdentityReport([exact, off]).passed
+    assert response.VolumeIdentityReport([exact]).passed
 
 
 def test_volume_identity_rejects_dissipative_family(henon_measure):
@@ -365,6 +367,18 @@ def test_split_warmup_within_the_overlap(small_catshear):
         with pytest.raises(ParameterError):
             response.stable_unstable_split(emp, phi, 4, clv_warmup=warmup,
                                            angle_threshold=1e-3)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_split_rejects_a_bad_order_before_its_sweep(monkeypatch,
+                                                    small_catshear, N):
+    def no_sweep(*args):
+        raise AssertionError("the CLV sweep ran")
+    monkeypatch.setattr(response, "_clv_sweep", no_sweep)
+    _, emp = small_catshear
+    with pytest.raises(ParameterError, match="N must be >= 1"):
+        response.stable_unstable_split(emp, maps.get_observable("bump", 2), N,
+                                       clv_warmup=300, angle_threshold=1e-3)
 
 
 @pytest.mark.parametrize("missing", ["hessian", "param_jacobian"])

@@ -74,3 +74,23 @@ def test_fewer_than_two_batches_gives_nan_error():
 def test_empty_or_fully_masked_raises(x, mask):
     with pytest.raises(InsufficientDataError):
         stats.batch_means(x, 20, mask)
+
+
+@pytest.mark.parametrize("diff, stderr, expect", [
+    (-6.0, (3.0, 4.0), 1.2),
+    (2.0, (0.5,), 4.0),
+    (0.0, (0.0, 0.0), 0.0),
+    (2.0, (0.0, 0.0), float("inf")),
+    (2.0, (1.0, float("nan")), float("nan")),
+    (0.0, (float("nan"),), float("nan")),
+])
+def test_sigma_units(diff, stderr, expect):
+    got = stats.sigma_units(diff, *stderr)
+    assert type(got) is float
+    assert got == expect or np.isnan(got) and np.isnan(expect)
+
+
+def test_sigma_units_on_arrays():
+    got = stats.sigma_units(np.array([0.0, -2.0, 3.0, 1.0]),
+                            np.array([0.0, 0.0, 1.5, np.nan]), np.zeros(4))
+    assert np.array_equal(got, [0.0, np.inf, 2.0, np.nan], equal_nan=True)
