@@ -5,10 +5,8 @@ Usage: python scripts/spectra_table.py [--steps N] [--seed S]
 """
 import argparse
 
-import numpy as np
-
 from srblab import maps, measure, tangent
-from srblab.errors import HyperbolicityError, OrbitEscapeError
+from srblab.errors import BasinEscapeError, HyperbolicityError
 
 SYSTEMS = [("cat_translate", 0.1), ("cat_shear", 0.25), ("henon", 1.4),
            ("standard_map", 6.0), ("coupled_henon", 1.4)]
@@ -19,23 +17,16 @@ def main():
     ap.add_argument("--steps", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    rng = np.random.default_rng(args.seed)
     print(f"{'system':<15}{'alpha':>7}  exponents / d_s / Kaplan-Yorke")
     for name, alpha in SYSTEMS:
         fam = maps.get_family(name)
-        sampler = measure.default_sampler(fam)
-        for _ in range(50):
-            try:
-                x0 = maps.iterate(fam, alpha, sampler.draw(rng, 1)[0],
-                                  2000)[-1]
-                orbit = maps.iterate(fam, alpha, x0, args.steps)
-                break
-            except OrbitEscapeError:
-                continue
-        else:
-            print(f"{name:<15}{alpha:>7.2f}  no surviving orbit found")
+        try:
+            emp = measure.srb_sample(fam, alpha, 2000, args.steps + 1, 1,
+                                     args.seed, measure.default_sampler(fam))
+        except BasinEscapeError:
+            print(f"{name:<15}{alpha:>7.2f}  orbit escaped")
             continue
-        coc = tangent.TangentCocycle.from_orbit(fam, alpha, orbit)
+        coc = tangent.TangentCocycle.from_orbit(fam, alpha, emp.orbits[0])
         spec = tangent.benettin_spectrum(coc, reorth_interval=8)
         lams = "  ".join(f"{v:+.4f}" for v in spec.all_exponents)
         try:

@@ -9,9 +9,8 @@ measures pushed through quadratic tangencies.
 from .config import ExperimentConfig
 from .errors import (BasinEscapeError, ConfigError, FrameMisalignmentError,
                      HyperbolicityError, InsufficientDataError,
-                     NumericalDegeneracyError, OrbitEscapeError,
-                     PadeDegeneracyError, ParameterError, SrbLabError,
-                     UnsupportedDimensionError)
+                     NumericalDegeneracyError, PadeDegeneracyError,
+                     ParameterError, SrbLabError, UnsupportedDimensionError)
 from .maps import (MapFamily, Observable, get_family, get_observable,
                    observable_catalog)
 from .measure import (EmpiricalMeasure, birkhoff_average, correlation,
@@ -31,9 +30,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BasinEscapeError", "ConfigError", "EmpiricalMeasure", "ExperimentConfig",
     "FrameMisalignmentError", "HyperbolicityError", "InsufficientDataError",
-    "MapFamily", "NumericalDegeneracyError", "Observable", "OrbitEscapeError",
-    "PadeApproximant", "PadeDegeneracyError", "ParameterError", "SrbLabError",
-    "TangentCocycle", "UnsupportedDimensionError", "benettin_spectrum",
+    "MapFamily", "NumericalDegeneracyError", "Observable", "PadeApproximant",
+    "PadeDegeneracyError", "ParameterError", "SrbLabError", "TangentCocycle",
+    "UnsupportedDimensionError", "benettin_spectrum",
     "birkhoff_average", "compute_clvs", "correlation", "counting_function",
     "detect_folds", "dimension_estimates", "finite_difference_response",
     "get_family", "get_observable", "holder_exponent", "kaplan_yorke",

@@ -21,9 +21,8 @@ from . import maps, measure, response, stats, tangency
 from .config import ExperimentConfig
 from .errors import (BasinEscapeError, ConfigError, FrameMisalignmentError,
                      HyperbolicityError, InsufficientDataError,
-                     NumericalDegeneracyError, OrbitEscapeError,
-                     PadeDegeneracyError, ParameterError, SrbLabError,
-                     UnsupportedDimensionError)
+                     NumericalDegeneracyError, PadeDegeneracyError,
+                     ParameterError, SrbLabError, UnsupportedDimensionError)
 from .tangent import (TangentCocycle, benettin_spectrum, compute_clvs,
                       covariance_residuals, splitting_angles)
 
@@ -37,7 +36,7 @@ _ERROR_CODES = [
     ((ConfigError, ParameterError), EXIT_CONFIG),
     ((NumericalDegeneracyError, HyperbolicityError,
       UnsupportedDimensionError, PadeDegeneracyError), EXIT_DEGENERACY),
-    ((BasinEscapeError, OrbitEscapeError, FrameMisalignmentError), EXIT_BASIN),
+    ((BasinEscapeError, FrameMisalignmentError), EXIT_BASIN),
     ((InsufficientDataError,), EXIT_INSUFFICIENT),
 ]
 
@@ -142,12 +141,12 @@ def _srb(cfg, family, alpha, seed_shift=0):
 
 
 def _cocycle(cfg, family, alpha, length, seed_shift=0):
-    """Tangent cocycle along one post-transient orbit of `length` steps."""
+    """Tangent cocycle along one post-transient orbit of `length` steps,
+    the single member of an SRB sample."""
     s = _sampling(cfg, family, seed_shift)
-    x0 = s.sampler.draw(np.random.default_rng(s.seed), 1)[0]
-    x0 = maps.iterate(family, alpha, x0, s.transient)[-1]
-    orbit = maps.iterate(family, alpha, x0, length)
-    return TangentCocycle.from_orbit(family, alpha, orbit)
+    emp = measure.srb_sample(family, alpha, s.transient, length + 1, 1,
+                             s.seed, s.sampler)
+    return TangentCocycle.from_orbit(family, alpha, emp.orbits[0])
 
 
 def _spectrum(cfg, family, alpha, seed_shift=0):
@@ -164,11 +163,13 @@ def _splitting(cfg, family, alpha):
 
 
 def _series(cfg, family, alpha, seed_shift=0):
-    """(kappa_n series, the SRB sample, the observable)."""
+    """(kappa_n series, the SRB sample, the observable).  The order is
+    checked before the sample is drawn."""
+    n_max = cfg.get("susceptibility.n_max")
+    response._check_order(n_max)
     emp = _srb(cfg, family, alpha, seed_shift)
     phi = _observable(cfg, family)
-    series = response.susceptibility_coefficients(
-        emp, phi, cfg.get("susceptibility.n_max"))
+    series = response.susceptibility_coefficients(emp, phi, n_max)
     return series, emp, phi
 
 
@@ -304,12 +305,13 @@ def cmd_response_check(cfg, outdir):
 
 def cmd_split(cfg, outdir):
     family, alpha = _system(cfg)
+    n_max = cfg.get("susceptibility.n_max")
+    response._check_order(n_max)
     emp = _srb(cfg, family, alpha)
     phi = _observable(cfg, family)
-    sp = cfg.get("split")
     result = response.stable_unstable_split(
-        emp, phi, sp["n_max"], clv_warmup=cfg.get("clv.warmup"),
-        angle_threshold=sp["angle_threshold"])
+        emp, phi, n_max, clv_warmup=cfg.get("clv.warmup"),
+        angle_threshold=cfg.get("split.angle_threshold"))
     sig = result.reconstruction_sigma()
     rows = []
     for n in range(result.direct.coeffs.size):
@@ -448,8 +450,8 @@ def cmd_conjecture_report(cfg, outdir):
                                            "params": entry.get("params", {})},
                                 "alpha": entry["alpha"]})
         family, alpha = _system(sub)
-        spec = _spectrum_payload(_spectrum(sub, family, alpha, 100 + i))
         series, emp, phi = _series(sub, family, alpha, 200 + i)
+        spec = _spectrum_payload(_spectrum(sub, family, alpha, 100 + i))
         corr = measure.correlation(emp, phi, phi,
                                    sub.get("correlation.n_max"))
         est = _radius(sub, series)

@@ -32,7 +32,7 @@ SCHEMA = {
     "susceptibility": {"n_max": int},
     "radius": {"method": str},
     "response": {"h": (int, float)},
-    "split": {"n_max": int, "angle_threshold": (int, float)},
+    "split": {"angle_threshold": (int, float)},
     "tangency": {"angle_threshold": (int, float),
                  "cluster_radius": (int, float),
                  "min_projection_angle": (int, float),
@@ -55,7 +55,7 @@ DEFAULTS = {
     "susceptibility": {"n_max": 12},
     "radius": {"method": "root-test"},
     "response": {"h": 0.05},
-    "split": {"n_max": 10, "angle_threshold": 1e-3},
+    "split": {"angle_threshold": 1e-3},
     "tangency": {"angle_threshold": 0.01, "cluster_radius": 0.02,
                  "min_projection_angle": 1e-3},
     "synthetic": {"grid": 8192, "side": "two", "domain": [0.0, 1.0]},

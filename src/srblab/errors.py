@@ -16,14 +16,6 @@ class ParameterError(SrbLabError):
     """A function argument violates its precondition."""
 
 
-class OrbitEscapeError(SrbLabError):
-    """An orbit left the basin (non-finite or beyond the escape radius)."""
-
-    def __init__(self, step):
-        self.step = step
-        super().__init__(f"orbit escaped at step {step}")
-
-
 class BasinEscapeError(SrbLabError):
     """Too many ensemble members escaped: the initial density's support lies
     outside the basin, or the family has no attractor at this alpha."""

@@ -4,13 +4,14 @@ param_derivative; the response estimators evaluate it on their samples.
 
 Each built-in family writes its map once, as its step in component form
 step(m, a, x0, ..., x{d-1}) -> (y0, ..., y{d-1}), where m is the module
-that supplies sin and floor.  The orbit loop runs it on two number types:
-on Python floats, with m = math, for a single point of shape (d,); and
-with m = numpy on component planes, the arrays x[..., i], for every batch
-and for the rest of an orbit after math refuses a value (sin or floor of
-a non-finite number).  Both do the same IEEE operations in the same
-order, so they give the same bits as long as math.sin and numpy.sin
-agree, which the tests check on every family.  The four derivatives are
+that supplies sin and floor.  The orbit loop runs it on two number types,
+chosen by the number of points: on Python floats, with m = math, for a
+single point, of shape (d,) or (1, d); and with m = numpy on component
+planes, the arrays x[..., i], for two or more points and for the rest of
+an orbit after math refuses a value (sin or floor of a non-finite
+number).  Both do the same IEEE operations in the same order, so they
+give the same bits as long as math.sin and numpy.sin agree, which the
+tests check on every family.  The four derivatives are
 written in the same component form, as tuples of entries, or of rows of
 entries, over the components of their points; one builder, _components,
 assembles them into arrays.
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import OrbitEscapeError, ParameterError
+from .errors import ParameterError
 
 TWO_PI = 2.0 * np.pi
 
@@ -153,9 +154,10 @@ def _orbit(family, alpha, x, n):
     (..., d) under n steps, and the escaped mask (..., n+1) of every stored
     point.
 
-    A single point of shape (d,) is stepped on Python floats; batches, and
-    the rest of an orbit the float path hands over, are stepped on numpy
-    component planes, written into the component-first view of hist.
+    A single point, of shape (d,) or (1, d), is stepped on Python floats;
+    two or more points, and the rest of an orbit the float path hands over,
+    are stepped on numpy component planes, written into the component-first
+    view of hist.
     Escape is found after the loop: non-finite values propagate, so a
     vectorized scan recovers it without per-step checks.  Points are
     stepped elementwise, so an escaping point leaves the others' bits
@@ -166,8 +168,9 @@ def _orbit(family, alpha, x, n):
         hist = np.empty(x.shape[:-1] + (n + 1, x.shape[-1]))
         hist[..., 0, :] = x
         done = 0
-        if x.ndim == 1:
-            done = _float_steps(family.step, float(alpha), x, n, hist)
+        if x.size == x.shape[-1]:
+            done = _float_steps(family.step, float(alpha), x.reshape(-1), n,
+                                hist.reshape(n + 1, -1))
         planes = list(np.moveaxis(hist, (-1, -2), (0, 1)))
         p = tuple(plane[done] for plane in planes)
         for k in range(done + 1, n + 1):
@@ -175,18 +178,6 @@ def _orbit(family, alpha, x, n):
             for plane, y in zip(planes, p):
                 plane[k] = y
     return hist, family.escaped(hist)
-
-
-def iterate(family, alpha, x0, n):
-    """Orbit [x0, f(x0), ..., f^n(x0)] as an (n+1, d) array."""
-    if n < 0:
-        raise ParameterError("n must be >= 0")
-    if np.shape(x0) != (family.dimension,):
-        raise ParameterError(f"x0 must have shape ({family.dimension},)")
-    orbit, bad = _orbit(family, alpha, x0, n)
-    if bad.any():
-        raise OrbitEscapeError(int(np.argmax(bad)))
-    return orbit
 
 
 def iterate_batch(family, alpha, x, n):

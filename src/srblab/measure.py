@@ -102,9 +102,10 @@ def srb_sample(family, alpha, transient, length, ensemble, seed,
             f"{n_escaped}/{ensemble} ensemble members of {family.name} at "
             f"alpha = {alpha:g} escaped: the initial density's support lies "
             "outside the basin, or there is no attractor at this alpha")
+    # with no member lost, the history is the sample, without a copy
     return EmpiricalMeasure(
-        family=family, alpha=alpha, orbits=orbits[alive],
-        n_escaped=n_escaped)
+        family=family, alpha=alpha,
+        orbits=orbits[alive] if n_escaped else orbits, n_escaped=n_escaped)
 
 
 def birkhoff_average(measure, obs):

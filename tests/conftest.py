@@ -9,6 +9,14 @@ from srblab import maps, measure, response, tangent
 HENON_A = 1.4
 
 
+def orbit_of(family, alpha, x0, n):
+    """[x0, f(x0), ..., f^n(x0)] as an (n+1, d) array, through the one orbit
+    loop; the start must not escape."""
+    hist, bad = maps._orbit(family, alpha, x0, n)
+    assert not bad.any(), f"orbit escaped at step {int(np.argmax(bad))}"
+    return hist
+
+
 @pytest.fixture
 def src_env():
     """The environment with src/ on PYTHONPATH, for a child interpreter."""
@@ -41,8 +49,8 @@ def henon_measure(henon_family):
 
 @pytest.fixture(scope="session")
 def henon_orbit(henon_family):
-    x0 = maps.iterate(henon_family, HENON_A, np.array([0.1, 0.1]), 2000)[-1]
-    return maps.iterate(henon_family, HENON_A, x0, 102_000)
+    x0 = orbit_of(henon_family, HENON_A, np.array([0.1, 0.1]), 2000)[-1]
+    return orbit_of(henon_family, HENON_A, x0, 102_000)
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +62,7 @@ def henon_splitting(henon_family, henon_orbit):
 @pytest.fixture(scope="session")
 def cat_orbit():
     fam = maps.get_family("cat_translate")
-    return fam, maps.iterate(fam, 0.0, np.array([0.2357, 0.7113]), 200_000)
+    return fam, orbit_of(fam, 0.0, np.array([0.2357, 0.7113]), 200_000)
 
 
 @pytest.fixture(scope="session")

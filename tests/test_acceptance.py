@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import orbit_of
 from srblab import cli, maps, measure, response, tangency, tangent
 from srblab.response import SusceptibilitySeries
 
@@ -27,7 +28,7 @@ def _report(capsys, idx, name, ok, detail=""):
 def test_01_cat_lyapunov_million_steps(capsys):
     fam = maps.get_family("cat_translate")
     t0 = time.perf_counter()
-    orbit = maps.iterate(fam, 0.0, np.array([0.2357, 0.7113]), 1_000_000)
+    orbit = orbit_of(fam, 0.0, np.array([0.2357, 0.7113]), 1_000_000)
     coc = tangent.TangentCocycle.from_orbit(fam, 0.0, orbit)
     spec = tangent.benettin_spectrum(coc, reorth_interval=16)
     elapsed = time.perf_counter() - t0
@@ -39,7 +40,7 @@ def test_01_cat_lyapunov_million_steps(capsys):
 
 def test_02_determinant_sum_rule(capsys, henon_family, henon_orbit):
     fam = maps.get_family("cat_shear")
-    orbit = maps.iterate(fam, 0.2, np.array([0.31, 0.62]), 20_000)
+    orbit = orbit_of(fam, 0.2, np.array([0.31, 0.62]), 20_000)
     worst = 0.0
     for f, a, orb in ((fam, 0.2, orbit),
                       (henon_family, 1.4, henon_orbit[:20_001])):
@@ -59,8 +60,8 @@ def _chain_rule_points(fam, alpha, rng, n_pts):
         return rng.random((n_pts, fam.dimension))
     # dissipative systems: start from attractor samples so ten forward
     # steps stay inside the basin
-    x0 = maps.iterate(fam, alpha, np.full(fam.dimension, 0.05), 1000)[-1]
-    orbit = maps.iterate(fam, alpha, x0, 10 * n_pts)
+    x0 = orbit_of(fam, alpha, np.full(fam.dimension, 0.05), 1000)[-1]
+    orbit = orbit_of(fam, alpha, x0, 10 * n_pts)
     return orbit[::10][:n_pts]
 
 
@@ -98,7 +99,7 @@ def test_04_clv_covariance_and_cat_eigenvectors(capsys, henon_splitting):
     ru, rs = tangent.covariance_residuals(sp_h, coc_h)
     henon_resid = max(ru[1000:-1000].max(), rs[1000:-1000].max())
     fam = maps.get_family("cat_translate")
-    orbit = maps.iterate(fam, 0.0, np.array([0.2357, 0.7113]), 6000)
+    orbit = orbit_of(fam, 0.0, np.array([0.2357, 0.7113]), 6000)
     coc = tangent.TangentCocycle.from_orbit(fam, 0.0, orbit)
     sp = tangent.compute_clvs(coc, warmup=1000)
     ru_c, rs_c = tangent.covariance_residuals(sp, coc)

@@ -6,7 +6,7 @@ import sys
 import pytest
 import yaml
 
-from srblab import cli
+from srblab import cli, measure
 
 
 def _write_cfg(tmp_path, payload, name="cfg.yaml"):
@@ -92,7 +92,22 @@ def test_basin_escape_exit_code(tmp_path):
     out = tmp_path / "out"
     assert cli.run("srb", cfg, out) == cli.EXIT_BASIN
     diag = json.loads((out / "diagnostics.json").read_text())
-    assert diag["error_type"] in ("BasinEscapeError", "OrbitEscapeError")
+    assert diag["error_type"] == "BasinEscapeError"
+
+
+def test_single_orbit_escape_names_the_family_and_alpha(tmp_path):
+    # the one orbit of a spectrum is an SRB sample of one member
+    cfg = _write_cfg(tmp_path, {
+        "system": {"name": "henon"}, "alpha": 1.4, "seed": 0,
+        "sampler": {"low": [30.0, 30.0], "high": [40.0, 40.0]},
+        "orbit": {"transient": 100},
+        "spectrum": {"steps": 100, "reorth_interval": 1},
+    })
+    out = tmp_path / "out"
+    assert cli.run("lyapunov", cfg, out) == cli.EXIT_BASIN
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["error_type"] == "BasinEscapeError"
+    assert "1/1 ensemble members of henon at alpha = 1.4 " in diag["message"]
 
 
 def test_basin_escape_names_the_alpha_it_happened_at(tmp_path):
@@ -187,7 +202,7 @@ def test_split_reports_its_sweep(tmp_path):
         "system": {"name": "cat_shear"}, "alpha": 0.25, "seed": 3,
         "observable": "cos_1_0",
         "orbit": {"transient": 200, "length": 3000, "ensemble": 2},
-        "clv": {"warmup": 300}, "split": {"n_max": 4},
+        "clv": {"warmup": 300}, "susceptibility": {"n_max": 4},
     })
     out = tmp_path / "out"
     assert cli.run("split", cfg, out) == cli.EXIT_OK
@@ -338,8 +353,9 @@ SMALL_SRB = {"system": {"name": "cat_shear"}, "alpha": 0.2,
     # a sampling seed below 0
     ("srb", {**SMALL_LYAPUNOV, "seed": -3}),
     ("lyapunov", {**SMALL_LYAPUNOV, "seed": -3}),
-    # a removed key
+    # removed keys
     ("response-check", {**SMALL_SRB, "response": {"richardson": True}}),
+    ("split", {**SMALL_SRB, "split": {"n_max": 4}}),
 ])
 def test_incomplete_entries_are_config_errors(tmp_path, subcommand, payload):
     cfg = _write_cfg(tmp_path, payload)
@@ -382,14 +398,34 @@ SHORT_CATSHEAR = {"system": {"name": "cat_shear"}, "alpha": 0.25,
         **SHORT_CATSHEAR["orbit"], "transient": -5}}),
     ("correlate", {**SHORT_CATSHEAR, "correlation": {"n_max": -1}}),
     ("split", {**SHORT_CATSHEAR, "clv": {"warmup": 300},
-               "split": {"n_max": 0}}),
+               "susceptibility": {"n_max": 0}}),
     ("split", {**SHORT_CATSHEAR, "clv": {"warmup": 300},
-               "split": {"n_max": -1}}),
+               "susceptibility": {"n_max": -1}}),
 ])
 def test_bad_run_settings_exit_2(tmp_path, subcommand, payload):
     cfg = _write_cfg(tmp_path, payload)
     out = tmp_path / "out"
     assert cli.run(subcommand, cfg, out) == cli.EXIT_CONFIG
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["error_type"] == "ParameterError"
+
+
+@pytest.mark.parametrize("subcommand", [
+    "susceptibility", "radius", "response-check", "split",
+    "conjecture-report"])
+def test_series_order_is_checked_before_sampling(tmp_path, monkeypatch,
+                                                 subcommand):
+    def sample(*args, **kwargs):
+        raise AssertionError("an SRB sample was drawn")
+
+    monkeypatch.setattr(measure, "srb_sample", sample)
+    payload = {**SHORT_CATSHEAR, "susceptibility": {"n_max": 0}}
+    if subcommand == "conjecture-report":
+        payload["report"] = {"systems": [{"name": "cat_shear",
+                                          "alpha": 0.25}]}
+    out = tmp_path / "out"
+    assert cli.run(subcommand, _write_cfg(tmp_path, payload),
+                   out) == cli.EXIT_CONFIG
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["error_type"] == "ParameterError"
 
@@ -436,7 +472,7 @@ SUCCESS_RUNS = {
                                   "ensemble": 4},
                         "susceptibility": {"n_max": 8}}, ["response.json"]),
     "split": ({**SHORT_CATSHEAR, "seed": 3, "clv": {"warmup": 300},
-               "split": {"n_max": 4}}, ["split.csv", "split.json"]),
+               "susceptibility": {"n_max": 4}}, ["split.csv", "split.json"]),
     "tangency": ({**SHORT_HENON, "seed": 1,
                   "orbit": {"transient": 2000, "length": 60_000,
                             "ensemble": 1},

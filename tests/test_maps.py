@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from srblab import maps
-from srblab.errors import OrbitEscapeError, ParameterError
+from conftest import orbit_of
+from srblab import maps, measure
+from srblab.errors import ParameterError
 
 ALPHAS = {"cat_translate": 0.1, "cat_shear": 0.1, "henon": 1.4,
           "standard_map": 0.5, "coupled_henon": 1.4}
@@ -135,28 +136,23 @@ def test_henon_known_image(array_step):
 
 def test_torus_coordinates_reduced():
     fam = maps.get_family("cat_shear")
-    orbit = maps.iterate(fam, 0.3, np.array([0.9999, 0.0001]), 500)
+    orbit = orbit_of(fam, 0.3, np.array([0.9999, 0.0001]), 500)
     assert orbit.min() >= 0.0 and orbit.max() < 1.0
 
 
 def test_orbit_determinism():
     fam = maps.get_family("standard_map")
-    a = maps.iterate(fam, 0.7, np.array([0.123, 0.456]), 1000)
-    b = maps.iterate(fam, 0.7, np.array([0.123, 0.456]), 1000)
+    a = orbit_of(fam, 0.7, np.array([0.123, 0.456]), 1000)
+    b = orbit_of(fam, 0.7, np.array([0.123, 0.456]), 1000)
     assert np.array_equal(a, b)
 
 
 def test_orbit_escape_reports_step():
     fam = maps.get_family("henon")
-    with pytest.raises(OrbitEscapeError) as exc:
-        maps.iterate(fam, 1.4, np.array([50.0, 50.0]), 100)
-    assert exc.value.step >= 1
-
-
-def test_iterate_rejects_negative_count():
-    fam = maps.get_family("henon")
-    with pytest.raises(ParameterError):
-        maps.iterate(fam, 1.4, np.array([0.0, 0.0]), -1)
+    _, bad = maps._orbit(fam, 1.4, np.array([50.0, 50.0]), 100)
+    assert not bad[0] and bad.any()
+    # once out of the basin, every later point is out too
+    assert bad[int(np.argmax(bad)):].all()
 
 
 def test_iterate_batch_freezes_escapees():
@@ -164,30 +160,27 @@ def test_iterate_batch_freezes_escapees():
     x = np.array([[0.1, 0.1], [80.0, 80.0], [1.5, 0.5]])
     hist = maps.iterate_batch(fam, 1.4, x, 30)
     assert hist.shape == (31, 3, 2)
-    assert np.array_equal(hist[:, 0], maps.iterate(fam, 1.4, x[0], 30))
+    assert np.array_equal(hist[:, 0], orbit_of(fam, 1.4, x[0], 30))
     # a member that starts escaped keeps its input in the first row
     assert np.array_equal(hist[0, 1], x[1])
     assert np.all(np.isnan(hist[1:, 1]))
-    with pytest.raises(OrbitEscapeError) as exc:
-        maps.iterate(fam, 1.4, x[2], 30)
-    step = exc.value.step
+    step = _escape_step(fam, 1.4, x[2], 30)
     assert step > 1 and np.all(np.isfinite(hist[:step, 2]))
     assert np.all(np.isnan(hist[step:, 2]))
 
 
 def _array_orbit(fam, alpha, x, n):
-    """History and escaped mask of x stepped on numpy component planes: a
-    batch of one row, which the float path never takes."""
-    hist, bad = maps._orbit(fam, alpha, np.asarray(x, dtype=float)[None], n)
+    """History and escaped mask of x stepped on numpy component planes: row
+    0 of a batch of two copies, which the float path never takes."""
+    x = np.asarray(x, dtype=float)
+    hist, bad = maps._orbit(fam, alpha, np.stack([x, x]), n)
     return hist[0], bad[0]
 
 
 def _escape_step(fam, alpha, x, n):
-    try:
-        maps.iterate(fam, alpha, x, n)
-    except OrbitEscapeError as exc:
-        return exc.step
-    return None
+    """The first escaped step of the orbit of x, None if it stays."""
+    _, bad = maps._orbit(fam, alpha, x, n)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 @pytest.mark.parametrize("name", sorted(ALPHAS))
@@ -195,7 +188,7 @@ def test_float_path_bitwise_equals_array_path(name):
     fam = maps.get_family(name)
     rng = np.random.default_rng(21)
     for x in _random_points(fam, rng, 3):
-        orbit = maps.iterate(fam, ALPHAS[name], x, 10_000)
+        orbit = orbit_of(fam, ALPHAS[name], x, 10_000)
         ref, bad = _array_orbit(fam, ALPHAS[name], x, 10_000)
         assert not bad.any()
         assert orbit.tobytes() == ref.tobytes()
@@ -210,7 +203,6 @@ def test_float_path_escape_index_matches_array_path():
         ref, ref_bad = _array_orbit(fam, 1.4, x, 200)
         assert np.array_equal(bad, ref_bad)
         k = int(np.argmax(ref_bad)) if ref_bad.any() else None
-        assert _escape_step(fam, 1.4, x, 200) == k
         if k is not None:
             escaped += 1
             assert hist[:k + 1].tobytes() == ref[:k + 1].tobytes()
@@ -233,7 +225,7 @@ def test_non_finite_start_escapes_at_step_zero(name, bad):
 @pytest.mark.parametrize("chunk", [64, maps.FLOAT_CHUNK])
 def test_float_path_hands_over_mid_orbit(monkeypatch, chunk):
     """A step that reaches inf after about 300 steps: math.sin raises
-    there and numpy finishes the orbit, with the bits of a batch of one."""
+    there and numpy finishes the orbit, with the bits of the array path."""
     monkeypatch.setattr(maps, "FLOAT_CHUNK", chunk)
     monkeypatch.setattr(maps, "ESCAPE_RADIUS", 1e150)
     fam = maps.MapFamily("blowup", 2, maps.flat(),
@@ -245,7 +237,6 @@ def test_float_path_hands_over_mid_orbit(monkeypatch, chunk):
     assert np.isinf(hist[-1, 0]) and np.isnan(hist[-1, 1])
     assert hist.tobytes() == ref.tobytes()
     assert np.array_equal(bad, ref_bad)
-    assert _escape_step(fam, 10.0, x, 400) == int(np.argmax(ref_bad))
 
 
 @pytest.mark.parametrize("name", sorted(ALPHAS))
@@ -256,7 +247,7 @@ def test_float_path_alpha_types_give_the_same_bits(name):
                    (ALPHAS[name], np.float64(ALPHAS[name]))):
         ref, _ = _array_orbit(fam, alphas[0], x, 2000)
         for alpha in alphas:
-            orbit = maps.iterate(fam, alpha, x, 2000)
+            orbit = orbit_of(fam, alpha, x, 2000)
             assert orbit.tobytes() == ref.tobytes()
 
 
@@ -266,7 +257,7 @@ def test_swapped_step_runs_instead_of_the_formula():
         fam, step=lambda m, a, x0, x1: (0.5 * x0, 0.5 * x1))
     x = np.array([1.0, -2.0])
     expected = x * 0.5 ** np.arange(11)[:, None]
-    assert np.array_equal(maps.iterate(halve, 1.4, x, 10), expected)
+    assert np.array_equal(orbit_of(halve, 1.4, x, 10), expected)
     batch = maps.iterate_batch(halve, 1.4, np.stack([x, 4.0 * x]), 10)
     assert np.array_equal(batch, np.stack([expected, 4.0 * expected], 1))
 
@@ -285,9 +276,17 @@ def test_wrapped_step_is_called_on_single_points_and_batches():
 
     traced = dataclasses.replace(fam, step=counted)
     x = np.array([[0.1, 0.1], [0.2, -0.1]])
-    assert (maps.iterate(traced, 1.4, x[0], 30).tobytes()
-            == maps.iterate(fam, 1.4, x[0], 30).tobytes())
+    # one point, of shape (d,) or (1, d), runs on floats
+    for point in (x[0], x[:1]):
+        calls.clear()
+        assert (maps._orbit(traced, 1.4, point, 30)[0].tobytes()
+                == maps._orbit(fam, 1.4, point, 30)[0].tobytes())
+        assert calls == [math] * 30
+    calls.clear()
+    single = measure.srb_sample(traced, 1.4, 10, 21, 1, 0)
     assert calls == [math] * 30
+    assert (single.orbits.tobytes()
+            == measure.srb_sample(fam, 1.4, 10, 21, 1, 0).orbits.tobytes())
     calls.clear()
     assert (maps.iterate_batch(traced, 1.4, x, 30).tobytes()
             == maps.iterate_batch(fam, 1.4, x, 30).tobytes())
@@ -299,7 +298,7 @@ def test_torus_reduction_of_a_tiny_negative_gives_one():
     assert np.array_equal(maps.torus().reduce([-1e-17, 0.5]), [1.0, 0.5])
     fam = maps.get_family("cat_translate")
     # (0, 0) -> (alpha, alpha * 0) with alpha = -1e-17
-    orbit = maps.iterate(fam, -1e-17, np.array([0.0, 0.0]), 1)
+    orbit = orbit_of(fam, -1e-17, np.array([0.0, 0.0]), 1)
     ref, _ = _array_orbit(fam, -1e-17, [0.0, 0.0], 1)
     assert np.array_equal(orbit[1], [1.0, 0.0])
     assert orbit.tobytes() == ref.tobytes()

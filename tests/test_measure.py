@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import orbit_of
 from srblab import maps, measure, tangent
-from srblab.errors import (BasinEscapeError, HyperbolicityError,
-                           OrbitEscapeError, ParameterError)
+from srblab.errors import BasinEscapeError, HyperbolicityError, ParameterError
 
 
 def test_cat_srb_is_uniform_ks():
@@ -48,17 +48,17 @@ def test_srb_sample_basin_error(henon_family):
 
 
 def test_srb_sample_drops_members_escaping_in_either_segment(henon_family):
-    _check_escapes_against_iterate(henon_family)
+    _check_escapes_against_single_orbits(henon_family)
 
 
 def test_srb_sample_transient_chunks_change_nothing(henon_family,
                                                     monkeypatch):
     # chunks of 3 cut the 4-step transient into 3 steps and 1
     monkeypatch.setattr(measure, "TRANSIENT_CHUNK", 3)
-    _check_escapes_against_iterate(henon_family)
+    _check_escapes_against_single_orbits(henon_family)
 
 
-def _check_escapes_against_iterate(henon_family):
+def _check_escapes_against_single_orbits(henon_family):
     sampler = measure.BoxSampler((-1.5, -0.5), (1.5, 0.5))
     transient, length, ensemble, seed = 4, 50, 64, 0
     emp = measure.srb_sample(henon_family, 1.4, sampler=sampler,
@@ -67,11 +67,10 @@ def _check_escapes_against_iterate(henon_family):
     starts = sampler.draw(np.random.default_rng(seed), ensemble)
     survivors, escape_steps = [], []
     for x0 in starts:
-        try:
-            orbit = maps.iterate(henon_family, 1.4, x0,
+        orbit, bad = maps._orbit(henon_family, 1.4, x0,
                                  transient + length - 1)
-        except OrbitEscapeError as exc:
-            escape_steps.append(exc.step)
+        if bad.any():
+            escape_steps.append(int(np.argmax(bad)))
         else:
             survivors.append(orbit[transient:])
     # both the transient and the stored segment lose members
@@ -145,7 +144,7 @@ def test_henon_dimension_estimates(henon_splitting):
 def test_dimension_estimates_trivial_sink():
     fam = maps.get_family("henon")
     # a = 0: globally attracting fixed point, both exponents negative
-    orbit = maps.iterate(fam, 0.0, np.array([0.1, 0.1]), 5000)
+    orbit = orbit_of(fam, 0.0, np.array([0.1, 0.1]), 5000)
     coc = tangent.TangentCocycle.from_orbit(fam, 0.0, orbit)
     spec = tangent.benettin_spectrum(coc, reorth_interval=1)
     dims = measure.dimension_estimates(spec)
@@ -156,9 +155,9 @@ def test_dimension_estimates_trivial_sink():
 
 def test_dimension_estimates_bracket_for_two_stable_directions():
     fam = maps.get_family("coupled_henon")
-    orbit = maps.iterate(fam, 1.4,
-                         maps.iterate(fam, 1.4, np.full(4, 0.05), 1000)[-1],
-                         100_000)
+    orbit = orbit_of(fam, 1.4,
+                     orbit_of(fam, 1.4, np.full(4, 0.05), 1000)[-1],
+                     100_000)
     coc = tangent.TangentCocycle.from_orbit(fam, 1.4, orbit)
     spec = tangent.benettin_spectrum(coc, reorth_interval=4)
     dims = measure.dimension_estimates(spec)

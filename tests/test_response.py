@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import orbit_of
 from srblab import maps, measure, pade, response, stats, tangent
 from srblab.errors import (InsufficientDataError, NumericalDegeneracyError,
                            PadeDegeneracyError, ParameterError)
@@ -464,8 +465,8 @@ def test_manifold_recurrences_match_pushed_segments(array_step):
     12 steps onto the unstable manifold of the sample point."""
     fam = maps.get_family("cat_shear")
     alpha, back = 0.25, 12
-    x0 = maps.iterate(fam, alpha, np.array([0.3, 0.6]), 300)[-1]
-    orbit = maps.iterate(fam, alpha, x0, 2000)
+    x0 = orbit_of(fam, alpha, np.array([0.3, 0.6]), 300)[-1]
+    orbit = orbit_of(fam, alpha, x0, 2000)
     jac = fam.jacobian(alpha, orbit[:-1])
     clvs, _, lo = tangent._clv_sweep(jac[None], warmup=300)
     w = clvs.shape[1]

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import orbit_of
 from srblab import maps, measure, response, tangent
 from srblab.errors import HyperbolicityError, NumericalDegeneracyError
 
@@ -16,7 +17,7 @@ CAT_LAMBDA = np.log((3.0 + np.sqrt(5.0)) / 2.0)
 
 def _cat_cocycle(n=20_000, alpha=0.0, name="cat_translate"):
     fam = maps.get_family(name)
-    orbit = maps.iterate(fam, alpha, np.array([0.2357, 0.7113]), n)
+    orbit = orbit_of(fam, alpha, np.array([0.2357, 0.7113]), n)
     return fam, orbit, tangent.TangentCocycle.from_orbit(fam, alpha, orbit)
 
 
@@ -31,9 +32,9 @@ def test_cat_spectrum_matches_eigenvalues():
 
 def test_spectrum_sorted_descending():
     fam = maps.get_family("coupled_henon")
-    orbit = maps.iterate(fam, 1.4,
-                         maps.iterate(fam, 1.4, np.full(4, 0.05), 1000)[-1],
-                         50_000)
+    orbit = orbit_of(fam, 1.4,
+                     orbit_of(fam, 1.4, np.full(4, 0.05), 1000)[-1],
+                     50_000)
     coc = tangent.TangentCocycle.from_orbit(fam, 1.4, orbit)
     spec = tangent.benettin_spectrum(coc, reorth_interval=4)
     assert np.all(np.diff(spec.all_exponents) <= 0)
@@ -107,7 +108,7 @@ def test_splitting_basis_orthonormal(henon_splitting):
 def test_compute_clvs_rejects_near_zero_exponent():
     fam = maps.get_family("standard_map")
     # small kicking: near-integrable, rotation-dominated orbits
-    orbit = maps.iterate(fam, 0.05, np.array([0.38, 0.12]), 20_000)
+    orbit = orbit_of(fam, 0.05, np.array([0.38, 0.12]), 20_000)
     coc = tangent.TangentCocycle.from_orbit(fam, 0.05, orbit)
     with pytest.raises(HyperbolicityError):
         tangent.compute_clvs(coc, warmup=500)
@@ -186,7 +187,7 @@ def test_windowed_sweep_any_length(monkeypatch, steps):
 
 def test_window_fallback_on_near_integrable_map(monkeypatch):
     fam = maps.get_family("standard_map")
-    orbit = maps.iterate(fam, 0.05, np.array([0.38, 0.12]), 20_000)
+    orbit = orbit_of(fam, 0.05, np.array([0.38, 0.12]), 20_000)
     coc = tangent.TangentCocycle.from_orbit(fam, 0.05, orbit)
     spec = tangent.benettin_spectrum(coc, reorth_interval=1)
     # frames do not converge across the overlap: rerun as one window
