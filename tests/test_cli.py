@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -270,6 +271,38 @@ def test_bad_sigma_is_a_config_error(tmp_path, sigma):
     assert cli.run("fold-synthetic", cfg, out) == cli.EXIT_CONFIG
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["error_type"] == "ConfigError"
+
+
+# an atom at 2^-11, which is grid point 0 of 1024 cells on [0, 1]
+ATOM_ON_GRID = {"kind": "atoms", "positions": [0.00048828125, 0.3],
+                "weights": [0.5, 0.5]}
+
+
+def test_atom_on_a_grid_point_is_a_parameter_error(tmp_path):
+    cfg = _write_cfg(tmp_path, {"synthetic": {
+        "sigma": ATOM_ON_GRID, "grid": 1024, "side": "two",
+        "domain": [0.0, 1.0]}})
+    out = tmp_path / "out"
+    assert cli.run("fold-synthetic", cfg, out) == cli.EXIT_CONFIG
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["error_type"] == "ParameterError"
+    assert "atom at 0.00048828125" in diag["message"]
+    assert "grid point 0," in diag["message"]
+    assert not (out / "profile.csv").exists()
+
+
+def test_one_sided_atom_on_a_grid_point_is_finite(tmp_path):
+    # the kernel is 0 at tau = theta on one side; warnings are errors here
+    cfg = _write_cfg(tmp_path, {"synthetic": {
+        "sigma": ATOM_ON_GRID, "grid": 1024, "side": "one",
+        "domain": [0.0, 1.0]}})
+    out = tmp_path / "out"
+    assert cli.run("fold-synthetic", cfg, out) == cli.EXIT_OK
+    lines = (out / "profile.csv").read_text().splitlines()[1:]
+    values = [float(line.split(",")[1]) for line in lines]
+    assert values[0] == 0.0 and all(math.isfinite(v) for v in values)
+    payload = json.loads((out / "synthetic.json").read_text())
+    assert math.isfinite(payload["holder_exponent"])
 
 
 def test_conjecture_report_carries_radius_flag(tmp_path):

@@ -10,10 +10,29 @@ from srblab.errors import (FrameMisalignmentError, InsufficientDataError,
 
 def test_uniform_convolution_is_exact_sqrt():
     sig = tangency.make_sigma("uniform")
-    prof = tangency.synthetic_fold_convolution(sig, 4096, side="one",
-                                               domain=(0.0, 1.0))
-    exact = 2.0 * np.sqrt(np.clip(prof.grid, 0.0, None))
-    assert np.abs(prof.values - exact).max() < 1e-3
+    one = tangency.synthetic_fold_convolution(sig, 4096, side="one",
+                                              domain=(0.0, 1.0))
+    assert np.array_equal(one.values, 2.0 * np.sqrt(one.grid))
+    two = tangency.synthetic_fold_convolution(sig, 4096, side="two",
+                                              domain=(0.0, 1.0))
+    exact = 2.0 * (np.sqrt(two.grid) + np.sqrt(1.0 - two.grid))
+    np.testing.assert_array_max_ulp(two.values, exact, maxulp=2)
+
+
+class _NarrowCell:
+    """The single cell [0, 1e-9] of mass 1."""
+
+    def cells(self):
+        return np.array([[0.0, 1e-9, 1.0]]), np.empty((0, 2))
+
+
+def test_convolution_past_a_narrow_cell_does_not_cancel():
+    # 2 (sqrt(theta) - sqrt(theta - eps)) / eps loses about 7 digits here
+    prof = tangency.synthetic_fold_convolution(_NarrowCell(), 1024,
+                                               side="one", domain=(0.0, 1.0))
+    x = 1e-9 / prof.grid
+    ref = (1.0 + x / 4.0 + x**2 / 8.0) / np.sqrt(prof.grid)
+    assert np.abs(prof.values / ref - 1.0).max() < 1e-14
 
 
 def test_convolution_nonnegative_and_mass_consistent():
@@ -25,6 +44,7 @@ def test_convolution_nonnegative_and_mass_consistent():
 
 @pytest.mark.parametrize("sigma, side", [
     (tangency.make_sigma("cantor", ratio=1.0 / 3.0, level=5), "one"),
+    (tangency.make_sigma("cantor", ratio=1.0 / 3.0, level=5), "two"),
     (tangency.make_sigma("atoms", positions=(0.2, 0.55, 0.9),
                          weights=(0.5, 0.3, 0.2)), "two"),
 ])
