@@ -3,9 +3,11 @@ discrepancies in units of those error bars, and least-squares line fits.
 
 batch_means is the one accumulator behind every error bar in srblab:
 Birkhoff averages and correlations, Lyapunov exponents, the susceptibility
-coefficients kappa_n (optionally masked, for the split's excluded
-near-tangency samples) and the split's unstable term.  All callers share
-one batch layout, computed by reshape-sums without a loop over batches.
+coefficients kappa_n and the split's terms.  Its two halves, batch_sums and
+merge_batch_sums, reduce blocks of ensemble members one at a time, masked
+where the split excludes near-tangency samples, and merge them.  All
+callers share one batch layout, computed by reshape-sums without a loop
+over batches.
 """
 from __future__ import annotations
 
@@ -14,44 +16,79 @@ import numpy as np
 from .errors import InsufficientDataError
 
 
-def batch_means(x, n_batches, mask=None):
+def batch_means(x, n_batches):
     """Mean and standard error of correlated series by batch means.
 
-    x has shape (..., members, time), or (time,) for a single series; mask,
-    of shape (members, time) or (time,), marks the entries that enter.  Each
+    x has shape (..., members, time), or (time,) for a single series.  Each
     member is cut into per_member = min(time, ceil(n_batches / members))
     contiguous batches of time // per_member samples; the remainder enters
-    the mean but no batch mean, and a batch with no entry in the mask is
-    dropped.  Returns (mean, se) of shape (...), plain floats when that is
-    0-d; se is nan with fewer than two batch means.
+    the mean but no batch mean.  Returns (mean, se) of shape (...), plain
+    floats when that is 0-d; se is nan with fewer than two batch means.
+    This is merge_batch_sums of x taken as one block.
+    """
+    x = np.asarray(x, dtype=float)
+    members = x.shape[-2] if x.ndim > 1 else 1
+    return merge_batch_sums([batch_sums(x, n_batches, members, None)])
+
+
+def batch_sums(x, n_batches, members, mask):
+    """The parts of batch_means for a block x (..., m, time), or (time,),
+    of m consecutive members of an ensemble of `members`: per-batch sums
+    (..., batches), per-batch entry counts (batches,), the total (...) and
+    the number of entries.  mask, of shape (m, time) or (time,), marks the
+    entries that enter, or is None for all; an excluded entry leaves both
+    the total and its batch.
+
+    The batch layout is the whole ensemble's, whatever m is, so the parts of
+    consecutive blocks, merged in order, give its batch means bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
     m, L = x.shape[-2:]
-    lead = x.shape[:-2]
     if mask is not None:
         mask = np.asarray(mask, dtype=bool).reshape(m, L)
         x = np.where(mask, x, 0.0)
-    count = m * L if mask is None else int(mask.sum())
+    per_member = max(1, min(L, int(np.ceil(n_batches / members))))
+    b = L // per_member
+    batches = (m * per_member, b)
+    sums = x[..., : per_member * b].reshape(x.shape[:-2] + batches).sum(
+        axis=-1)
+    if mask is None:
+        return sums, np.full(batches[0], b), x.sum(axis=(-2, -1)), m * L
+    counts = mask[:, : per_member * b].reshape(batches).sum(axis=-1)
+    return sums, counts, x.sum(axis=(-2, -1)), int(mask.sum())
+
+
+def merge_batch_sums(parts):
+    """(mean, se) as batch_means gives them, from the batch_sums of
+    consecutive member blocks in member order.  Batches with no entry are
+    dropped; with no entry at all, InsufficientDataError.
+
+    Every batch mean, and so the se, is bitwise that of the whole ensemble;
+    the mean adds the blocks' totals in order, which moves it by rounding
+    only.  One part is used as it is, because the se's reduction order
+    follows the memory layout of its sums.
+    """
+    sums, counts, total, count = parts[0]
+    if len(parts) > 1:
+        sums = np.concatenate([p[0] for p in parts], axis=-1)
+        counts = np.concatenate([p[1] for p in parts])
+        for _, _, t, c in parts[1:]:
+            total = total + t
+            count += c
     if count == 0:
         raise InsufficientDataError("no samples to average")
-    per_member = min(L, max(1, int(np.ceil(n_batches / m))))
-    b = L // per_member
-    mu = x.sum(axis=(-2, -1)) / count
-    batches = (m * per_member, b)
-    sums = x[..., : per_member * b].reshape(lead + batches).sum(axis=-1)
-    if mask is None:
-        means = sums / b
+    full = np.flatnonzero(counts)
+    if full.size < counts.size:
+        sums, counts = sums.take(full, axis=-1), counts[full]
+    means = sums / counts
+    mu = total / count
+    if full.size < 2:
+        se = np.full(np.shape(mu), np.nan)
     else:
-        counts = mask[:, : per_member * b].reshape(batches).sum(axis=-1)
-        full = np.flatnonzero(counts)
-        means = sums.take(full, axis=-1) / counts[full]
-    if means.shape[-1] < 2:
-        se = np.full(lead, np.nan)
-    else:
-        se = means.std(axis=-1, ddof=1) / np.sqrt(means.shape[-1])
-    if not lead:
+        se = means.std(axis=-1, ddof=1) / np.sqrt(full.size)
+    if np.ndim(mu) == 0:
         return float(mu), float(se)
     return mu, se
 

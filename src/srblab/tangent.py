@@ -373,19 +373,27 @@ class OseledetsSplitting:
         return _qr_pos(cols)[0]
 
 
-def _clv_sweep(J, warmup):
-    """Ginelli forward/backward sweep for a batch of cocycles.
-
-    J has shape (B, n, d, d); returns (clvs (B, w, d, d), spectrum of the
-    pooled members, window start) with w = n + 1 - 2*warmup.  The boundary
-    residual covers both passes.
-    """
-    B, n, d, _ = J.shape
+def _clv_window(n, warmup):
+    """(lo, hi): a sweep over n steps with this warmup gives the CLVs of
+    frames lo .. hi - 1."""
     if warmup < 1:
         raise ParameterError("the CLV warmup must be at least 1 step")
     if n + 1 <= 2 * warmup:
         raise ParameterError("orbit shorter than twice the CLV warmup")
-    lo, hi = warmup, n + 1 - warmup     # window of converged CLVs
+    return warmup, n + 1 - warmup
+
+
+def _clv_sweep(J, warmup):
+    """Ginelli forward/backward sweep for a batch of cocycles.
+
+    J has shape (B, n, d, d); returns (clvs (B, w, d, d), logs (B, n, d),
+    n_windows, residual): the CLVs of frames _clv_window(n, warmup), the
+    log stretches of the forward pass, whose pooled spectrum is _spectrum,
+    and the windows run, as in _windowed.  The boundary residual covers
+    both passes.
+    """
+    B, n, d, _ = J.shape
+    lo, hi = _clv_window(n, warmup)
 
     def sweep(core, overlap):
         (Qs, Rs, logs), res_f = _forward_qr(J, core, overlap)
@@ -393,7 +401,7 @@ def _clv_sweep(J, warmup):
         return (clvs, logs), max(res_f, res_b)
 
     (clvs, logs), n_windows, residual = _windowed(sweep, n)
-    return clvs, _spectrum(logs, 1, n_windows, residual), lo
+    return clvs, logs, n_windows, residual
 
 
 def compute_clvs(cocycle, warmup):
@@ -401,13 +409,15 @@ def compute_clvs(cocycle, warmup):
 
     Requires a hyperbolic spectrum (LyapunovSpectrum.require_hyperbolic).
     """
-    clvs, spectrum, lo = _clv_sweep(cocycle.jacobians[None], warmup)
+    clvs, logs, n_windows, residual = _clv_sweep(cocycle.jacobians[None],
+                                                 warmup)
+    spectrum = _spectrum(logs, 1, n_windows, residual)
     spectrum.require_hyperbolic()
     n_unstable = int(np.sum(spectrum.all_exponents > 0))
     w = clvs.shape[1]
     return OseledetsSplitting(
-        points=cocycle.orbit[lo:lo + w].copy(),
-        clvs=clvs[0], n_unstable=n_unstable, offset=lo, spectrum=spectrum)
+        points=cocycle.orbit[warmup:warmup + w].copy(),
+        clvs=clvs[0], n_unstable=n_unstable, offset=warmup, spectrum=spectrum)
 
 
 def splitting_angles(splitting):

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -121,6 +122,14 @@ def test_kappa_overflow_truncates():
     ser = response.susceptibility_coefficients(emp, phi, 900)
     assert ser.meta["truncated_at"] is not None
     assert np.all(np.isfinite(ser.coeffs))
+    # a nan or an inf entry truncates where it enters, as an overflow does
+    for bad in (np.nan, np.inf):
+        jac = np.broadcast_to(np.eye(2), (2, 50, 2, 2)).copy()
+        jac[1, 42, 0, 0] = bad             # last sample's step 4 from j0 = 10
+        parts, trunc = response._kappa_series(jac, np.ones((2, 30, 2)),
+                                              np.ones((2, 50, 2)), 8, 10,
+                                              None, 2)
+        assert trunc == 4 and len(parts) == 4
 
 
 def test_radius_requires_enough_coefficients():
@@ -382,6 +391,90 @@ def test_split_rejects_a_bad_order_before_its_sweep(monkeypatch,
                                        clv_warmup=300, angle_threshold=1e-3)
 
 
+@pytest.mark.parametrize("warmup, error", [
+    (1400, InsufficientDataError),     # 200 sample frames of the 250 needed
+    (1600, ParameterError)])           # no converged CLV frame at all
+def test_split_rejects_a_short_window_before_its_sweep(monkeypatch,
+                                                       small_catshear,
+                                                       warmup, error):
+    def no_sweep(*args):
+        raise AssertionError("the CLV sweep ran")
+    monkeypatch.setattr(response, "_clv_sweep", no_sweep)
+    _, emp = small_catshear
+    with pytest.raises(error):
+        response.stable_unstable_split(emp, maps.get_observable("bump", 2), 4,
+                                       clv_warmup=warmup,
+                                       angle_threshold=1e-3)
+
+
+def _split_with(monkeypatch, emp, members_per_block, cpus):
+    """The split of emp with blocks of members_per_block members, on a
+    pool sized for `cpus` CPUs."""
+    L = emp.orbits.shape[1]
+    with monkeypatch.context() as m:
+        m.setattr(response, "_SPLIT_BLOCK", members_per_block * (L - 1) * 32)
+        m.setattr(response.os, "sched_getaffinity",
+                  lambda pid: set(range(cpus)))
+        return response.stable_unstable_split(
+            emp, maps.get_observable("bump", 2), 4, clv_warmup=300,
+            angle_threshold=1e-3)
+
+
+@pytest.fixture(scope="module")
+def small_henon():
+    return measure.srb_sample(maps.get_family("henon"), 1.4, transient=1000,
+                              length=3000, ensemble=5, seed=2)
+
+
+_SPLIT_FIELDS = ("excluded_fraction", "min_angle", "n_windows",
+                 "boundary_residual")
+
+
+@pytest.mark.parametrize("sample", ["small_catshear", "small_henon"])
+def test_split_is_bitwise_on_any_thread_count(monkeypatch, request, sample):
+    emp = request.getfixturevalue(sample)
+    if sample == "small_catshear":
+        emp = emp[1]
+    one = _split_with(monkeypatch, emp, 1, 1)
+    two = _split_with(monkeypatch, emp, 1, 2)
+    for term in ("direct", "stable", "unstable"):
+        a, b = getattr(one, term), getattr(two, term)
+        assert np.array_equal(a.coeffs, b.coeffs)
+        assert np.array_equal(a.stderr, b.stderr)
+    for key in _SPLIT_FIELDS:
+        assert getattr(one, key) == getattr(two, key)
+
+
+def test_split_blocks_move_means_by_rounding_only(monkeypatch,
+                                                  small_catshear):
+    # every window of the sweep and of the recurrences converges on
+    # cat_shear, so no block falls back to a sequential sweep; on Henon a
+    # block can (its residual is relative to its own largest value), which
+    # moves its values at the level of _MAX_RESIDUAL
+    _, emp = small_catshear
+    whole = _split_with(monkeypatch, emp, 2, 2)
+    blocks = _split_with(monkeypatch, emp, 1, 2)
+    for term in ("direct", "stable", "unstable"):
+        a, b = getattr(blocks, term), getattr(whole, term)
+        assert np.array_equal(a.stderr, b.stderr)
+        np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=0,
+                                   atol=1e-13 * np.abs(b.coeffs).max())
+    for key in _SPLIT_FIELDS:
+        assert getattr(blocks, key) == getattr(whole, key)
+
+
+def test_split_error_in_a_worker_leaves_no_thread(monkeypatch,
+                                                  small_catshear):
+    fam, emp = small_catshear
+    broken = dataclasses.replace(
+        fam, hessian=lambda a, x, u, w: np.full(np.shape(x), np.nan))
+    emp = dataclasses.replace(emp, family=broken)
+    before = set(threading.enumerate())
+    with pytest.raises(NumericalDegeneracyError):
+        _split_with(monkeypatch, emp, 1, 2)
+    assert set(threading.enumerate()) <= before
+
+
 @pytest.mark.parametrize("missing", ["hessian", "param_jacobian"])
 def test_split_needs_second_derivatives(small_catshear, missing):
     fam, emp = small_catshear
@@ -423,10 +516,14 @@ def test_kappa_series_slices_bitwise_equal_gathers(small_catshear):
             if n > 0:
                 V = np.einsum("msab,msb->msa", jac[rows, js + n - 1], V)
             c = np.einsum("msd,msd->ms", V, grads[rows, js + n])
-            ref_c[n], ref_e[n] = stats.batch_means(c, 25, mask)
-        c, e, trunc = response._kappa_series(jac, V0, grads, 8, js[0], mask)
+            ref_c[n], ref_e[n] = stats.merge_batch_sums(
+                [stats.batch_sums(c, 25, m, mask)])
+        parts, trunc = response._kappa_series(jac, V0, grads, 8, js[0], mask,
+                                              m)
         assert trunc is None
-        assert np.array_equal(c, ref_c) and np.array_equal(e, ref_e)
+        ser = response._merged_series([parts], {})
+        assert np.array_equal(ser.coeffs, ref_c)
+        assert np.array_equal(ser.stderr, ref_e)
 
 
 def _stable_direction(fam, step, alpha, x, n_steps=30):
@@ -468,7 +565,8 @@ def test_manifold_recurrences_match_pushed_segments(array_step):
     x0 = orbit_of(fam, alpha, np.array([0.3, 0.6]), 300)[-1]
     orbit = orbit_of(fam, alpha, x0, 2000)
     jac = fam.jacobian(alpha, orbit[:-1])
-    clvs, _, lo = tangent._clv_sweep(jac[None], warmup=300)
+    lo = 300
+    clvs = tangent._clv_sweep(jac[None], lo)[0]
     w = clvs.shape[1]
     V, E = clvs[..., 0], clvs[..., 1]
     r, k, g, b = response._manifold_recurrences(

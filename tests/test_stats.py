@@ -22,6 +22,13 @@ def _reference(x, n_batches, mask):
     return x[mask].mean(), se
 
 
+def _masked_means(x, n_batches, mask):
+    """batch_means of x with a mask: the merge of x as one block."""
+    members = x.shape[-2] if x.ndim > 1 else 1
+    return stats.merge_batch_sums([stats.batch_sums(x, n_batches, members,
+                                                    mask)])
+
+
 @pytest.mark.parametrize("shape", [(4, 3000), (3, 1001), (40, 57), (1, 999)])
 def test_stacked_bitwise_equal_per_slice(shape):
     x = np.random.default_rng(1).standard_normal((3,) + shape)
@@ -42,9 +49,9 @@ def test_single_series_returns_floats():
 def test_all_true_mask_bitwise_equal_no_mask(shape):
     x = np.random.default_rng(3).standard_normal(shape)
     mask = np.ones(shape, dtype=bool)
-    assert stats.batch_means(x, 25, mask) == stats.batch_means(x, 25)
+    assert _masked_means(x, 25, mask) == stats.batch_means(x, 25)
     stacked = np.stack([x, 2 * x])
-    for a, b in zip(stats.batch_means(stacked, 25, mask),
+    for a, b in zip(_masked_means(stacked, 25, mask),
                     stats.batch_means(stacked, 25)):
         assert np.array_equal(a, b)
 
@@ -55,7 +62,7 @@ def test_partial_mask_matches_loop_reference(shape):
     x = rng.standard_normal(shape) + 0.3
     mask = rng.random(shape) > 0.3
     mask[0, : shape[1] // 2] = False        # a member's leading batches empty
-    mu, se = stats.batch_means(x, 25, mask)
+    mu, se = _masked_means(x, 25, mask)
     ref_mu, ref_se = _reference(x, 25, mask)
     assert mu == pytest.approx(ref_mu, rel=1e-13)
     assert se == pytest.approx(ref_se, rel=1e-12)
@@ -73,7 +80,43 @@ def test_fewer_than_two_batches_gives_nan_error():
 ])
 def test_empty_or_fully_masked_raises(x, mask):
     with pytest.raises(InsufficientDataError):
-        stats.batch_means(x, 20, mask)
+        _masked_means(x, 20, mask)
+
+
+def _block_parts(x, n_batches, mask, edges):
+    """batch_sums of x's members cut into blocks at the member indices
+    `edges`."""
+    cuts = [0, *edges, x.shape[-2]]
+    return [stats.batch_sums(x[..., a:b, :], n_batches, x.shape[-2],
+                             None if mask is None else mask[a:b])
+            for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+@pytest.mark.parametrize("shape, edges", [
+    ((16, 4800), [2, 4, 6, 8, 10, 12, 14]), ((5, 1003), [1, 3]),
+    ((30, 7), [7, 8, 29]), ((2, 3, 700), [1])])
+@pytest.mark.parametrize("masked", [False, True])
+def test_member_blocks_merge_to_the_whole(shape, edges, masked):
+    # the batch layout is the whole ensemble's, so every batch mean and the
+    # se come out bitwise; only the mean's sum runs block by block
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(shape) + 0.3
+    mask = None
+    if masked:
+        mask = rng.random(shape[-2:]) > 0.3
+        mask[:edges[0]] = False           # the first block's batches dropped
+    mu, se = _masked_means(x, 25, mask)
+    parts = _block_parts(x, 25, mask, edges)
+    block_mu, block_se = stats.merge_batch_sums(parts)
+    assert np.array_equal(block_se, se)
+    np.testing.assert_allclose(block_mu, mu, rtol=1e-15, atol=0)
+
+
+def test_member_blocks_with_no_entry_raise():
+    mask = np.zeros((4, 50), dtype=bool)
+    parts = _block_parts(np.ones((4, 50)), 20, mask, [1, 2])
+    with pytest.raises(InsufficientDataError):
+        stats.merge_batch_sums(parts)
 
 
 @pytest.mark.parametrize("diff, stderr, expect", [
