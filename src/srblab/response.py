@@ -357,7 +357,7 @@ class SplitResult:
     direct: SusceptibilitySeries
     excluded_fraction: float
     min_angle: float
-    n_windows: int             # of the CLV sweep, as on LyapunovSpectrum
+    n_windows: int             # least over the CLV sweeps and recurrences
     boundary_residual: float
 
     def combined(self):
@@ -426,9 +426,10 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
     Jacobians, run by _block_map in two passes: each block's CLV sweep,
     then, once the pooled spectrum of all blocks has one unstable
     direction, its geometry and the batch sums of its series, merged in
-    block order.  Each block, and each of its recurrences, falls back to
-    the sequential sweep on its own; n_windows is the least over blocks
-    and boundary_residual the largest.  Where no block falls back, every
+    block order.  Each block's sweep, and each of its recurrences, is
+    rerun on its own when its windows disagree (_windowed); n_windows is
+    the least and boundary_residual the largest over every block's CLV
+    sweep and its k, g and b recurrences.  Where no block falls back, every
     standard error is the whole ensemble's bit for bit; a mean adds the
     blocks' totals, which moves it by rounding only.  The number of threads
     changes no bit.
@@ -475,8 +476,8 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
         w = clv.shape[1]
         V, E = clv[..., 0], clv[..., 1]
         xs = orb[:, lo:lo + w - 1]
-        r, k, g, b = _manifold_recurrences(family, alpha, xs,
-                                           jac[:, lo:lo + w - 1], V, E)
+        r, k, g, b, windows, res = _manifold_recurrences(
+            family, alpha, xs, jac[:, lo:lo + w - 1], V, E)
         # X at x_j
         Xj = family.param_derivative(alpha, orb[:, j_lo - 1:j_hi - 1])
         eu, es = V[:, frames], E[:, frames]
@@ -507,18 +508,19 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
         phiv = obs.value(orb)
         unstable = [batch_sums(-div_u * phiv[:, j_lo + n:j_lo + n + S],
                                N_BATCHES, m, mask) for n in range(N + 1)]
-        return direct, stable, unstable, int(mask.sum()), float(angles.min())
+        return (direct, stable, unstable, int(mask.sum()),
+                float(angles.min()), windows, res)
 
-    direct, stable, unstable, kept, min_angle = zip(*_block_map(
-        series, list(zip(blocks, clvs))))
+    direct, stable, unstable, kept, min_angle, windows, res = zip(
+        *_block_map(series, list(zip(blocks, clvs))))
     return SplitResult(
         stable=_merged_series(stable, {}),
         unstable=_merged_series(unstable, {}),
         direct=_merged_series(direct, {}),
         excluded_fraction=1.0 - sum(kept) / (m * S),
         min_angle=min(min_angle),
-        n_windows=spectrum.n_windows,
-        boundary_residual=spectrum.boundary_residual)
+        n_windows=min(spectrum.n_windows, *windows),
+        boundary_residual=max(spectrum.boundary_residual, *res))
 
 
 def _dot(a, b):
@@ -546,7 +548,8 @@ def _manifold_recurrences(family, alpha, xs, J, V, E):
     jacobians J at frames 0 .. w-2 and the family's hessian H = D^2 f.
 
     With n = rot90(v), p = rot90(e), r_j = v_{j+1}.J_j v_j and
-    s_j = e_{j+1}.J_j e_j, returns (r (m, w-1), k, g, b (m, w)):
+    s_j = e_{j+1}.J_j e_j, returns (r (m, w-1), k, g, b (m, w), n_windows,
+    residual):
       curvature, dv/dv = k n:
         k_{j+1} = n_{j+1}.(H_j[v_j, v_j] + k_j J_j n_j) / r_j^2
       log-derivative of the conditional SRB density along v:
@@ -557,7 +560,8 @@ def _manifold_recurrences(family, alpha, xs, J, V, E):
     (Chandramoorthy & Wang, SIAM J. Appl. Dyn. Syst. 21, 2022).  Each is a
     scalar affine recurrence that contracts on average, k and g forward
     from frame 0 and b backward from frame w-1; values within one window
-    overlap of the start have not converged.
+    overlap of the start have not converged.  n_windows is the least and
+    residual the largest over the three runs of _affine_recurrence.
     """
     Nv, P = _rot90(V), _rot90(E)
     Vj, Ej, Nj, Pj = V[:, :-1], E[:, :-1], Nv[:, :-1], P[:, :-1]
@@ -565,16 +569,16 @@ def _manifold_recurrences(family, alpha, xs, J, V, E):
     r = _dot(V[:, 1:], _matvec(J, Vj))
     s = _dot(E[:, 1:], _matvec(J, Ej))
     Hvv = family.hessian(alpha, xs, Vj, Vj)
-    k = _affine_recurrence(_dot(Nv[:, 1:], JN) / r**2,
-                           _dot(Nv[:, 1:], Hvv) / r**2)
+    k, wk, rk = _affine_recurrence(_dot(Nv[:, 1:], JN) / r**2,
+                                   _dot(Nv[:, 1:], Hvv) / r**2)
     dr = _dot(V[:, 1:], Hvv + k[:, :-1, None] * JN)
-    g = _affine_recurrence(1.0 / r, -dr / r**2)
+    g, wg, rg = _affine_recurrence(1.0 / r, -dr / r**2)
     # p_j.J_j^-1 y = q_j.y with q_j = J_j^-T p_j
     detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     q = np.stack([J[..., 1, 1] * Pj[..., 0] - J[..., 1, 0] * Pj[..., 1],
                   J[..., 0, 0] * Pj[..., 1] - J[..., 0, 1] * Pj[..., 0]],
                  axis=-1) / detJ[..., None]
     Hve = family.hessian(alpha, xs, Vj, Ej)
-    b = _affine_recurrence((s * r * _dot(q, P[:, 1:]))[:, ::-1],
-                           -_dot(q, Hve)[:, ::-1])[:, ::-1]
-    return r, k, g, b
+    b, wb, rb = _affine_recurrence((s * r * _dot(q, P[:, 1:]))[:, ::-1],
+                                   -_dot(q, Hve)[:, ::-1])
+    return r, k, g, b[:, ::-1], min(wk, wg, wb), max(rk, rg, rb)

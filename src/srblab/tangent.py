@@ -85,21 +85,6 @@ def _qr_pos(A):
     return Q, R
 
 
-def _back_substitute(R, C):
-    """R^-1 C for stacks of upper-triangular R and C (..., d, d) with
-    R[i, i] != 0; the result is upper triangular.  Column c of C has rows
-    0 .. c only, so back substitution runs over those."""
-    d = R.shape[-1]
-    X = np.zeros(C.shape)
-    for c in range(d):
-        for i in range(c, -1, -1):
-            s = C[..., i, c]
-            for l in range(i + 1, c + 1):
-                s = s - R[..., i, l] * X[..., l, c]
-            X[..., i, c] = s / R[..., i, i]
-    return X
-
-
 def _unit_columns(X):
     """X (..., d, k) with each column scaled to unit norm, in place."""
     d, k = X.shape[-2:]
@@ -115,8 +100,9 @@ class LyapunovSpectrum:
 
     n_windows is the number of windows the QR sweep ran side by side (1 for
     the sequential sweep) and boundary_residual the largest frame mismatch
-    measured where windows hand over; above _MAX_RESIDUAL the sweep was
-    rerun as one window.
+    measured where windows hand over at the first overlap; above
+    _MAX_RESIDUAL the sweep was rerun, at twice the overlap or, with
+    n_windows 1, as one window (_windowed).
     """
 
     all_exponents: np.ndarray     # (d,) one per tangent direction
@@ -194,7 +180,8 @@ def _block_products(J, interval):
 # k*core .. k*core + core + overlap - 1 (cut at n); it writes every step,
 # and since window k - 1 reaches the same steps later, each stored value
 # comes from a window that has run at least `overlap` steps, or from window
-# 0, which starts at the true initial condition.
+# 0, which starts at the true initial condition.  A sweep whose windows do
+# not agree is run again at twice the overlap, then as one window.
 _CORE = 256
 _OVERLAP = 64
 _MAX_RESIDUAL = 1e-12
@@ -208,25 +195,29 @@ def _windows(n, core, overlap):
 
 
 def _windowed(sweep, n):
-    """Run sweep(core, overlap) -> (result, boundary residual) on windows;
-    rerun it as one window, the sequential sweep, if the residual exceeds
-    _MAX_RESIDUAL.  Returns (result, n_windows, residual)."""
-    result, residual = sweep(_CORE, _OVERLAP)
-    if residual <= _MAX_RESIDUAL:
-        return result, _windows(n, _CORE, _OVERLAP)[0], residual
-    result, _ = sweep(n, 0)
-    return result, 1, residual
+    """Run sweep(core, overlap) -> (result, boundary residual) on windows
+    of _CORE steps, at _OVERLAP and then at 2 * _OVERLAP; rerun it as one
+    window, the sequential sweep, if the residual still exceeds
+    _MAX_RESIDUAL.  Returns (result, n_windows, residual at _OVERLAP): a
+    residual above _MAX_RESIDUAL means a rerun, at twice the overlap if
+    n_windows > 1."""
+    residuals = []
+    for overlap in (_OVERLAP, 2 * _OVERLAP):
+        result, residual = sweep(_CORE, overlap)
+        residuals.append(residual)
+        if residual <= _MAX_RESIDUAL:
+            return result, _windows(n, _CORE, overlap)[0], residuals[0]
+    return sweep(n, 0)[0], 1, residuals[0]
 
 
 def _affine_recurrence(c, d):
-    """y (B, n+1) with y[:, 0] = 0 and y[:, t+1] = c[:, t] y[:, t] + d[:, t]
-    for coefficients c, d of shape (B, n).
+    """(y, n_windows, residual): y (B, n+1) with y[:, 0] = 0 and
+    y[:, t+1] = c[:, t] y[:, t] + d[:, t] for coefficients c, d (B, n).
 
     A contracting recurrence forgets its start like a QR frame, so it runs
-    on the windows of _forward_qr, each from 0, and is rerun as one window
-    when the mismatch of hand-over values, relative to the largest |y|,
-    exceeds _MAX_RESIDUAL.  Values within _OVERLAP steps of the start have
-    not converged.
+    under _windowed, each window from 0; its residual is the mismatch of
+    hand-over values relative to the largest |y|.  Values within _OVERLAP
+    steps of the start have not converged.
     """
     B, n = c.shape
 
@@ -248,7 +239,7 @@ def _affine_recurrence(c, d):
         mismatch = np.abs(y[:, :-1] - hand[:, 1:]).max(initial=0.0)
         return ys, (mismatch / scale if scale > 0 else mismatch)
 
-    return _windowed(sweep, n)[0]
+    return _windowed(sweep, n)
 
 
 def _forward_qr(J, core, overlap, interval=1):
@@ -299,38 +290,6 @@ def _forward_qr(J, core, overlap, interval=1):
         raise NumericalDegeneracyError(f"QR rank loss at step {j}{cause}",
                                        step=j)
     return (Qs, Rs, np.log(diag)), residual
-
-
-def _backward_clv(Qs, Rs, lo, hi, core, overlap):
-    """Windowed Ginelli backward pass: CLVs (B, hi - lo, d, d) at frames
-    lo .. hi - 1, and the residual of the hand-over coefficients.
-
-    Windows run down from frame n - k*core, each from the triangular
-    initial condition.  Each step takes the upper-triangular coefficients
-    A <- R^-1 A by back substitution and scales A's columns to unit norm;
-    they keep a positive diagonal, so no sign alignment is needed.
-    """
-    B, n, d, _ = Rs.shape
-    K, core, overlap = _windows(n, core, overlap)
-    span = K * core
-    # windows count steps down from the top: index u is step and frame
-    # n - 1 - u of these reversed views
-    As = np.zeros((B, n, d, d))
-    Rrev, Arev = Rs[:, ::-1], As[:, ::-1]
-    A = np.broadcast_to(np.triu(np.ones((d, d))), (B, K, d, d)).copy()
-    A = _unit_columns(A)
-    hand = A
-    for t in range(core + overlap):
-        R = Rrev[:, t:t + span:core]
-        m = R.shape[1]
-        A[:, :m] = _unit_columns(_back_substitute(R, A[:, :m]))
-        Arev[:, t:t + m * core:core] = A[:, :m]
-        if t == overlap - 1:
-            hand = A.copy()
-    residual = float(np.abs(A[:, :-1] - hand[:, 1:]).max(initial=0.0))
-    V = As[:, lo:hi]                     # CLVs in place of their coefficients
-    V[...] = Qs[:, lo:hi] @ V
-    return _unit_columns(V), residual
 
 
 def benettin_spectrum(cocycle, reorth_interval):
@@ -388,20 +347,36 @@ def _clv_sweep(J, warmup):
 
     J has shape (B, n, d, d); returns (clvs (B, w, d, d), logs (B, n, d),
     n_windows, residual): the CLVs of frames _clv_window(n, warmup), the
-    log stretches of the forward pass, whose pooled spectrum is _spectrum,
-    and the windows run, as in _windowed.  The boundary residual covers
-    both passes.
+    log stretches of the forward QR pass, whose pooled spectrum is
+    _spectrum, and the least window count and largest boundary residual
+    over the forward pass and every backward recurrence, each run under
+    _windowed.
+
+    CLV c is Q_j A_j e_c, where Ginelli's upper-triangular coefficients
+    satisfy A_j = R_j^-1 A_{j+1} up to column scaling.  In the ratios
+    y_i = A_ic / A_cc, with y_c = 1, the backward step is the scalar affine
+    recurrence y_i(j) = (R_cc y_i(j+1) - sum_{l=i+1..c} R_il y_l(j)) / R_ii,
+    run from y_i(n) = 0 for i = c-1 down to 0; it contracts at the rate
+    e^(lambda_c - lambda_i).
     """
     B, n, d, _ = J.shape
     lo, hi = _clv_window(n, warmup)
-
-    def sweep(core, overlap):
-        (Qs, Rs, logs), res_f = _forward_qr(J, core, overlap)
-        clvs, res_b = _backward_clv(Qs, Rs, lo, hi, core, overlap)
-        return (clvs, logs), max(res_f, res_b)
-
-    (clvs, logs), n_windows, residual = _windowed(sweep, n)
-    return clvs, logs, n_windows, residual
+    (Qs, Rs, logs), n_windows, residual = _windowed(
+        lambda core, overlap: _forward_qr(J, core, overlap), n)
+    R = Rs[:, ::-1]                     # index t is step n - 1 - t
+    Q = Qs[:, lo:hi]
+    V = Q.copy()
+    for c in range(d):
+        y = {}                          # y[l][:, t] is y_l at frame n - t
+        for i in range(c - 1, -1, -1):
+            s = R[..., i, c]
+            for l in range(i + 1, c):
+                s = s + R[..., i, l] * y[l][:, 1:]
+            y[i], windows, res = _affine_recurrence(
+                R[..., c, c] / R[..., i, i], -s / R[..., i, i])
+            n_windows, residual = min(n_windows, windows), max(residual, res)
+            V[..., c] += Q[..., i] * y[i][:, ::-1][:, lo:hi, None]
+    return _unit_columns(V), logs, n_windows, residual
 
 
 def compute_clvs(cocycle, warmup):

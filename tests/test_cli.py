@@ -7,7 +7,7 @@ import sys
 import pytest
 import yaml
 
-from srblab import cli, measure
+from srblab import cli, measure, response, tangent
 
 
 def _write_cfg(tmp_path, payload, name="cfg.yaml"):
@@ -208,10 +208,30 @@ def test_split_reports_its_sweep(tmp_path):
     out = tmp_path / "out"
     assert cli.run("split", cfg, out) == cli.EXIT_OK
     payload = json.loads((out / "split.json").read_text())
-    # 3000 steps in cores of 256, the first 64 overlapping: twelve windows,
-    # whose frames agree
-    assert payload["n_windows"] == 12
+    # cores of 256 steps, the first 64 overlapping: the CLV sweep's 3000
+    # steps take twelve windows, the recurrences' 2528 steps between the
+    # CLV warmups ten, and the least is reported; every hand-over agrees
+    assert payload["n_windows"] == 10
     assert 0.0 <= payload["boundary_residual"] < 1e-12
+
+
+def test_split_reports_a_recurrence_rerun(tmp_path, monkeypatch):
+    # in blocks of two members, as on the shipped split config, the g
+    # recurrence of members 2-3 disagrees by 8.6e-12 where its windows hand
+    # over at overlap 64 and is rerun at twice the overlap; every CLV sweep
+    # passes at overlap 64
+    monkeypatch.setattr(response, "_SPLIT_BLOCK", 2 * 3000 * 2 * 2 * 8)
+    cfg = _write_cfg(tmp_path, {
+        "system": {"name": "henon"}, "alpha": 1.4, "seed": 2,
+        "observable": "cos_1_0",
+        "orbit": {"transient": 1000, "length": 3000, "ensemble": 5},
+        "clv": {"warmup": 300}, "susceptibility": {"n_max": 4},
+    })
+    out = tmp_path / "out"
+    assert cli.run("split", cfg, out) == cli.EXIT_OK
+    payload = json.loads((out / "split.json").read_text())
+    assert payload["n_windows"] > 1
+    assert payload["boundary_residual"] > tangent._MAX_RESIDUAL
 
 
 def test_console_entry_point(tmp_path, src_env):

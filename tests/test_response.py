@@ -569,7 +569,7 @@ def test_manifold_recurrences_match_pushed_segments(array_step):
     clvs = tangent._clv_sweep(jac[None], lo)[0]
     w = clvs.shape[1]
     V, E = clvs[..., 0], clvs[..., 1]
-    r, k, g, b = response._manifold_recurrences(
+    r, k, g, b, _, _ = response._manifold_recurrences(
         fam, alpha, orbit[None, lo:lo + w - 1], jac[None, lo:lo + w - 1],
         V, E)
 

@@ -201,6 +201,27 @@ def test_window_fallback_on_near_integrable_map(monkeypatch):
     assert residual > tangent._MAX_RESIDUAL
 
 
+def test_overlap_ladder_keeps_coupled_henon_windowed(monkeypatch):
+    # at overlap 64 this orbit's frames disagree by 1.5e-10 where windows
+    # hand over, which the reported residual keeps; at twice the overlap
+    # they agree, bit for bit with the sequential sweep
+    fam = maps.get_family("coupled_henon")
+    emp = measure.srb_sample(fam, 1.4, transient=2000, length=3000,
+                             ensemble=1, seed=100)
+    coc = tangent.TangentCocycle.from_orbit(fam, 1.4, emp.orbits[0])
+    spec = tangent.benettin_spectrum(coc, reorth_interval=1)
+    assert spec.n_windows > 1
+    assert spec.boundary_residual > tangent._MAX_RESIDUAL
+    _assert_same_spectrum(spec, _one_window(
+        monkeypatch, tangent.benettin_spectrum, coc, reorth_interval=1))
+    J = coc.jacobians[None]
+    clvs, logs, n_windows, residual = tangent._clv_sweep(J, 500)
+    assert n_windows > 1 and residual > tangent._MAX_RESIDUAL
+    clvs1, logs1, _, _ = _one_window(monkeypatch, tangent._clv_sweep, J, 500)
+    assert np.array_equal(clvs, clvs1)
+    assert np.array_equal(logs, logs1)
+
+
 @pytest.mark.parametrize("reorth_interval", [1, 4])
 def test_rank_loss_reports_global_step(reorth_interval):
     _, orbit, coc = _cat_cocycle(4000)
@@ -222,15 +243,17 @@ def test_affine_recurrence_windows_match_sequential_loop():
     y = np.zeros((3, 1501))
     for t in range(1500):
         y[:, t + 1] = c[:, t] * y[:, t] + d[:, t]
-    out = tangent._affine_recurrence(c, d)
+    out, n_windows, residual = tangent._affine_recurrence(c, d)
     # window 0 starts where the loop does; the others forget their start
     # over the overlap
     assert np.abs(out - y).max() < 1e-12 * np.abs(y).max()
+    assert n_windows > 1 and residual <= tangent._MAX_RESIDUAL
     # no contraction: the windows disagree and the one-window rerun is the
     # sequential sum
     ones = np.ones((3, 1500))
-    assert np.array_equal(tangent._affine_recurrence(ones, d)[:, 1:],
-                          np.cumsum(d, axis=1))
+    out, n_windows, residual = tangent._affine_recurrence(ones, d)
+    assert np.array_equal(out[:, 1:], np.cumsum(d, axis=1))
+    assert n_windows == 1 and residual > tangent._MAX_RESIDUAL
 
 
 # The small-matrix kernels against LAPACK, and their independence of the
@@ -296,19 +319,53 @@ def test_qr_kernel_properties(seed, d, k, n, log_cond):
     _same_bits_alone_and_strided(tangent._qr_pos, A)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6),
-       st.floats(0.0, 7.0))
-@settings(max_examples=60, deadline=None)
-def test_back_substitution_properties(seed, d, n, log_cond):
-    _, R = tangent._qr_pos(_conditioned(seed, n, d, d, log_cond))
-    rng = np.random.default_rng(seed + 1)
-    C = np.triu(rng.uniform(-1.0, 1.0, (n, d, d)))
-    X = tangent._back_substitute(R, C)
-    assert np.all(np.tril(X, -1) == 0.0)
-    X0 = np.linalg.solve(R, C)
-    cond = np.linalg.cond(R).max()
-    assert np.abs(X - X0).max() <= 20 * cond * EPS * np.abs(X0).max()
-    _same_bits_alone_and_strided(tangent._back_substitute, R, C)
+def _ginelli_reference(J, warmup):
+    """CLVs of one cocycle J (n, d, d) at frames _clv_window(n, warmup), by
+    Ginelli's pass as published: LAPACK QR forward, then A_j = R_j^-1 A_{j+1}
+    by np.linalg.solve from the upper-triangular ones, columns normalised."""
+    n, d, _ = J.shape
+    Qs, Rs = [np.eye(d)], []
+    for j in range(n):
+        Q, R = _lapack_qr_pos(J[j] @ Qs[-1])
+        Qs.append(Q)
+        Rs.append(R)
+    A = np.triu(np.ones((d, d)))
+    V = np.empty((n + 1, d, d))
+    for j in range(n, -1, -1):
+        if j < n:
+            A = np.linalg.solve(Rs[j], A)
+        A /= np.linalg.norm(A, axis=0)
+        V[j] = Qs[j] @ A
+    lo, hi = tangent._clv_window(n, warmup)
+    return V[lo:hi] / np.linalg.norm(V[lo:hi], axis=-2, keepdims=True)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+@settings(max_examples=20, deadline=None)
+def test_recurrence_clvs_match_ginelli(seed, d):
+    # J_j = O_{j+1} diag(e^lambda) (I + U_j) O_j^T with random rotations O
+    # and entries of U_j uniform in [-1/2d, 1/2d], so ||U_j|| <= 1/2 and
+    # cond(J_j) <= 3 e^2: exponents near lambda, gaps about 2 / (d - 1)
+    rng = np.random.default_rng(seed)
+    n, warmup = 700, 150
+    lam = np.linspace(1.0, -1.0, d)
+    O = np.linalg.qr(rng.standard_normal((n + 1, d, d)))[0]
+    T = np.exp(lam)[:, None] * (np.eye(d)
+                                + rng.uniform(-0.5, 0.5, (n, d, d)) / d)
+    J = O[1:] @ T @ np.swapaxes(O[:-1], -2, -1)
+    clvs, _, n_windows, residual = tangent._clv_sweep(J[None], warmup)
+    assert n_windows > 1 and residual <= tangent._MAX_RESIDUAL
+    V = clvs[0]
+    # both passes give CLV c a positive component along Q's column c, so
+    # no sign is aligned; on 120 draws they agreed to 6e-16, and the
+    # covariance below held to 2e-15
+    assert np.abs(V - _ginelli_reference(J, warmup)).max() <= 1e-13
+    # covariance: J_j v_j is parallel to v_{j+1}, column by column
+    lo = tangent._clv_window(n, warmup)[0]
+    pushed = J[lo:lo + V.shape[0] - 1] @ V[:-1]
+    along = np.sum(pushed * V[1:], axis=-2, keepdims=True) * V[1:]
+    assert (np.linalg.norm(pushed - along, axis=-2)
+            <= 1e-13 * np.linalg.norm(pushed, axis=-2)).all()
 
 
 def test_rank_loss_names_the_reorth_interval(henon_family, henon_orbit):
