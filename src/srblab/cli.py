@@ -140,19 +140,18 @@ def _srb(cfg, family, alpha, seed_shift=0):
                               **vars(_sampling(cfg, family, seed_shift)))
 
 
-def _cocycle(cfg, family, alpha, length, seed_shift=0):
+def _cocycle(cfg, family, alpha, length):
     """Tangent cocycle along one post-transient orbit of `length` steps,
     the single member of an SRB sample."""
-    s = _sampling(cfg, family, seed_shift)
+    s = _sampling(cfg, family, 0)
     emp = measure.srb_sample(family, alpha, s.transient, length + 1, 1,
                              s.seed, s.sampler)
     return TangentCocycle.from_orbit(family, alpha, emp.orbits[0])
 
 
-def _spectrum(cfg, family, alpha, seed_shift=0):
-    sc = cfg.get("spectrum")
-    cocycle = _cocycle(cfg, family, alpha, sc["steps"], seed_shift)
-    return benettin_spectrum(cocycle, reorth_interval=sc["reorth_interval"])
+def _spectrum(cfg, cocycle):
+    return benettin_spectrum(
+        cocycle, reorth_interval=cfg.get("spectrum.reorth_interval"))
 
 
 def _splitting(cfg, family, alpha):
@@ -211,7 +210,8 @@ def _write_series(outdir, series):
 
 
 def cmd_lyapunov(cfg, outdir):
-    spec = _spectrum(cfg, *_system(cfg))
+    spec = _spectrum(cfg, _cocycle(cfg, *_system(cfg),
+                                   cfg.get("spectrum.steps")))
     write_csv(outdir / "spectrum.csv", ["index", "exponent", "stderr"],
               [(i, spec.all_exponents[i], spec.all_stderr[i])
                for i in range(spec.dimension)])
@@ -434,41 +434,43 @@ def cmd_fold_synthetic(cfg, outdir):
     return {"grid": int(profile.grid.size)}
 
 
+def _report_row(cfg, i, entry):
+    """Row i of the report, from one sample; it is freed with the row."""
+    sub = ExperimentConfig({**{k: v for k, v in cfg.resolved().items()
+                               if k not in ("report", "system", "alpha")},
+                            "system": {"name": entry["name"],
+                                       "params": entry.get("params", {})},
+                            "alpha": entry["alpha"]})
+    family, alpha = _system(sub)
+    series, emp, phi = _series(sub, family, alpha, 200 + i)
+    spec = _spectrum_payload(_spectrum(
+        sub, TangentCocycle.from_orbit(family, alpha, emp.orbits)))
+    corr = measure.correlation(emp, phi, phi, sub.get("correlation.n_max"))
+    est = _radius(sub, series)
+    psi_one, psi_err = series.truncated_sum()
+    return {
+        "system": entry["name"], "alpha": alpha,
+        "d_s": spec.get("d_s"), "d_s_method": spec["d_s_method"],
+        "mixing_rate": corr.decay_rate,
+        "mixing_fit_undefined": corr.fit_undefined,
+        "radius": est.value, "radius_ci": est.ci,
+        "radius_indeterminate": est.indeterminate, "radius_flag": est.flag,
+        "psi_one": psi_one, "psi_one_err": psi_err,
+        "psi_one_status": (
+            "resolved" if stats.sigma_units(psi_one, psi_err) > 3
+            else "consistent-with-zero"),
+    }
+
+
 def cmd_conjecture_report(cfg, outdir):
-    """One row per system: the spectrum at seed + 100 + i and the series at
-    seed + 200 + i, so row i reproduces `lyapunov` and `susceptibility`/
-    `radius` run at those seeds."""
+    """One row per system, from the sample at seed + 200 + i: row i
+    reproduces `susceptibility`/`radius` run at that seed, and its d_s is
+    that of benettin_spectrum on the sample's member orbits, pooled."""
     systems = cfg.require("report.systems")
     for i, entry in enumerate(systems):
         if not (isinstance(entry, dict) and {"name", "alpha"} <= entry.keys()):
             raise ConfigError(f"report.systems[{i}] needs a name and an alpha")
-    rows = []
-    for i, entry in enumerate(systems):
-        sub = ExperimentConfig({**{k: v for k, v in cfg.resolved().items()
-                                   if k not in ("report", "system", "alpha")},
-                                "system": {"name": entry["name"],
-                                           "params": entry.get("params", {})},
-                                "alpha": entry["alpha"]})
-        family, alpha = _system(sub)
-        series, emp, phi = _series(sub, family, alpha, 200 + i)
-        spec = _spectrum_payload(_spectrum(sub, family, alpha, 100 + i))
-        corr = measure.correlation(emp, phi, phi,
-                                   sub.get("correlation.n_max"))
-        est = _radius(sub, series)
-        psi_one, psi_err = series.truncated_sum()
-        rows.append({
-            "system": entry["name"], "alpha": alpha,
-            "d_s": spec.get("d_s"), "d_s_method": spec["d_s_method"],
-            "mixing_rate": corr.decay_rate,
-            "mixing_fit_undefined": corr.fit_undefined,
-            "radius": est.value, "radius_ci": est.ci,
-            "radius_indeterminate": est.indeterminate,
-            "radius_flag": est.flag,
-            "psi_one": psi_one, "psi_one_err": psi_err,
-            "psi_one_status": (
-                "resolved" if stats.sigma_units(psi_one, psi_err) > 3
-                else "consistent-with-zero"),
-        })
+    rows = [_report_row(cfg, i, entry) for i, entry in enumerate(systems)]
     write_json(outdir / "report.json", {"systems": rows})
     return {"systems": len(rows)}
 

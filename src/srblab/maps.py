@@ -5,10 +5,10 @@ param_derivative; the response estimators evaluate it on their samples.
 Each built-in family writes its map once, as its step in component form
 step(m, a, x0, ..., x{d-1}) -> (y0, ..., y{d-1}), where m is the module
 that supplies sin and floor.  The orbit loop runs it on two number types,
-chosen by the number of points: on Python floats, with m = math, for a
-single point, of shape (d,) or (1, d); and with m = numpy on component
-planes, the arrays x[..., i], for two or more points and for the rest of
-an orbit after math refuses a value (sin or floor of a non-finite
+chosen by the number of points: on Python floats, with m = math, one point
+at a time for a batch of at most FLOAT_MEMBERS points; and with m = numpy
+on component planes, the arrays x[..., i], for a larger batch and for the
+rest of an orbit after math refuses a value (sin or floor of a non-finite
 number).  Both do the same IEEE operations in the same order, so they
 give the same bits as long as math.sin and numpy.sin agree, which the
 tests check on every family.  The four derivatives are
@@ -121,6 +121,10 @@ def _components(fn):
 # the history, so a long orbit is not held twice
 FLOAT_CHUNK = 4096
 
+# the largest batch stepped one point at a time on floats; up to 8 points
+# that is no slower than one numpy step on planes on any built-in family
+FLOAT_MEMBERS = 8
+
 
 def _float_steps(step, a, x, n, hist):
     """Step the single point x n times through step on Python floats,
@@ -154,10 +158,10 @@ def _orbit(family, alpha, x, n):
     (..., d) under n steps, and the escaped mask (..., n+1) of every stored
     point.
 
-    A single point, of shape (d,) or (1, d), is stepped on Python floats;
-    two or more points, and the rest of an orbit the float path hands over,
-    are stepped on numpy component planes, written into the component-first
-    view of hist.
+    A batch of at most FLOAT_MEMBERS points is stepped one point at a time
+    on Python floats, each orbit finished on numpy scalars if the float
+    path hands it over; a larger batch is stepped on numpy component
+    planes, written into the component-first view of hist.
     Escape is found after the loop: non-finite values propagate, so a
     vectorized scan recovers it without per-step checks.  Points are
     stepped elementwise, so an escaping point leaves the others' bits
@@ -167,16 +171,17 @@ def _orbit(family, alpha, x, n):
         x = family.chart.reduce(np.asarray(x, dtype=float))
         hist = np.empty(x.shape[:-1] + (n + 1, x.shape[-1]))
         hist[..., 0, :] = x
-        done = 0
-        if x.size == x.shape[-1]:
-            done = _float_steps(family.step, float(alpha), x.reshape(-1), n,
-                                hist.reshape(n + 1, -1))
-        planes = list(np.moveaxis(hist, (-1, -2), (0, 1)))
-        p = tuple(plane[done] for plane in planes)
-        for k in range(done + 1, n + 1):
-            p = family.step(np, alpha, *p)
-            for plane, y in zip(planes, p):
-                plane[k] = y
+        rows = hist.reshape(-1, n + 1, x.shape[-1])
+        small = len(rows) <= FLOAT_MEMBERS
+        for h in rows if small else [rows]:
+            done = (_float_steps(family.step, float(alpha), h[0], n, h)
+                    if small else 0)
+            planes = list(np.moveaxis(h, (-1, -2), (0, 1)))
+            p = tuple(plane[done] for plane in planes)
+            for k in range(done + 1, n + 1):
+                p = family.step(np, alpha, *p)
+                for plane, y in zip(planes, p):
+                    plane[k] = y
     return hist, family.escaped(hist)
 
 

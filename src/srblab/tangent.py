@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (HyperbolicityError, NumericalDegeneracyError,
-                     ParameterError)
+from .errors import (HyperbolicityError, InsufficientDataError,
+                     NumericalDegeneracyError, ParameterError)
 from .stats import batch_means
 
 N_BATCHES = 20
@@ -19,15 +19,16 @@ N_BATCHES = 20
 
 @dataclass
 class TangentCocycle:
-    """An orbit together with the one-step tangent maps along it."""
+    """An orbit, or a stack of members on the leading axes (which only
+    benettin_spectrum takes), with the one-step tangent maps along it."""
 
-    orbit: np.ndarray       # (n+1, d)
-    jacobians: np.ndarray   # (n, d, d), jacobians[j] = Df(orbit[j])
+    orbit: np.ndarray       # (..., n+1, d)
+    jacobians: np.ndarray   # (..., n, d, d), jacobians[j] = Df(orbit[j])
 
     @classmethod
     def from_orbit(cls, family, alpha, orbit):
         orbit = np.asarray(orbit, dtype=float)
-        return cls(orbit=orbit, jacobians=family.jacobian(alpha, orbit[:-1]))
+        return cls(orbit, family.jacobian(alpha, orbit[..., :-1, :]))
 
 
 # Small-matrix kernels.  The sweeps factor thousands of d x d matrices per
@@ -162,13 +163,13 @@ def _spectrum(logs, interval, n_windows, residual):
 
 
 def _block_products(J, interval):
-    """Products of `interval` consecutive jacobians: (nb, d, d)."""
-    n = J.shape[0]
-    nb = n // interval
-    B = J[: nb * interval].reshape(nb, interval, *J.shape[1:])
-    P = B[:, 0]
+    """Products of `interval` consecutive jacobians of each member of a
+    stack J (B, n, d, d): (B, nb, d, d)."""
+    nb = J.shape[1] // interval
+    blocks = J[:, :nb * interval].reshape(len(J), nb, interval, *J.shape[2:])
+    P = blocks[:, :, 0]
     for i in range(1, interval):
-        P = B[:, i] @ P
+        P = blocks[:, :, i] @ P
     return P, nb
 
 
@@ -293,21 +294,27 @@ def _forward_qr(J, core, overlap, interval=1):
 
 
 def benettin_spectrum(cocycle, reorth_interval):
-    """Lyapunov spectrum by QR reorthonormalization.
+    """Lyapunov spectrum by QR reorthonormalization, a stack's members pooled.
 
-    Standard errors come from batch means over the per-block stretch series
-    (at least N_BATCHES batches).
+    Each member's first _OVERLAP blocks, while the frame converges, are left
+    out; standard errors come from batch means over the per-block stretch
+    series of the rest (at least N_BATCHES blocks).
     """
     if reorth_interval < 1:
         raise ParameterError("reorth_interval must be >= 1")
     J = cocycle.jacobians
-    if J.shape[0] < reorth_interval:
+    J = J.reshape((-1,) + J.shape[-3:])
+    if J.shape[1] < reorth_interval:
         raise ParameterError("steps must be >= reorth_interval")
     P, nb = _block_products(J, reorth_interval)
+    if J.shape[0] * (nb - _OVERLAP) < N_BATCHES:
+        raise InsufficientDataError(f"fewer than {N_BATCHES} blocks of "
+                                    f"{reorth_interval} steps after the "
+                                    f"{_OVERLAP}-block warm-up")
     (_, _, logs), n_windows, residual = _windowed(
-        lambda core, overlap: _forward_qr(P[None], core, overlap,
+        lambda core, overlap: _forward_qr(P, core, overlap,
                                           reorth_interval), nb)
-    return _spectrum(logs, reorth_interval, n_windows, residual)
+    return _spectrum(logs[:, _OVERLAP:], reorth_interval, n_windows, residual)
 
 
 @dataclass

@@ -7,7 +7,7 @@ import sys
 import pytest
 import yaml
 
-from srblab import cli, measure, response, tangent
+from srblab import cli, maps, measure, response, tangent
 
 
 def _write_cfg(tmp_path, payload, name="cfg.yaml"):
@@ -148,6 +148,16 @@ def test_insufficient_data_exit_code(tmp_path):
     code = cli.run("radius", cfg, tmp_path / "out")
     assert code in (cli.EXIT_CONFIG, cli.EXIT_INSUFFICIENT)
     assert code != cli.EXIT_OK
+
+
+def test_short_spectrum_exits_5(tmp_path):
+    # 300 steps in blocks of 4 leave 11 blocks after the 64-block warm-up
+    cfg = _write_cfg(tmp_path, {**SMALL_LYAPUNOV, "spectrum": {
+        "steps": 300, "reorth_interval": 4}})
+    out = tmp_path / "out"
+    assert cli.run("lyapunov", cfg, out) == cli.EXIT_INSUFFICIENT
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["error_type"] == "InsufficientDataError"
 
 
 def test_output_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
@@ -343,8 +353,9 @@ def test_conjecture_report_carries_radius_flag(tmp_path):
 
 
 def test_conjecture_report_rows_reproduce_single_runs(tmp_path):
-    """Report row 0 at seed s holds the d_s of `lyapunov` at seed s + 100
-    and the radius of `radius` at seed s + 200, on the same settings."""
+    """Report row 0 at seed s holds the radius of `radius` at seed s + 200
+    and the d_s of the Benettin spectrum of that run's sample, its members
+    pooled, on the same settings."""
     common = {
         "observable": "bump",
         "orbit": {"transient": 200, "length": 3000, "ensemble": 4},
@@ -367,9 +378,12 @@ def test_conjecture_report_rows_reproduce_single_runs(tmp_path):
         assert cli.run(subcommand, cfg, tmp_path / subcommand) == 0
         return json.loads((tmp_path / subcommand / artifact).read_text())
 
-    spectrum = single("lyapunov", 103, "spectrum.json")
-    assert row["d_s"] == spectrum["d_s"]
-    assert row["d_s_method"] == spectrum["d_s_method"] == "entropy-ratio"
+    family = maps.get_family("cat_shear")
+    emp = measure.srb_sample(family, 0.25, 200, 3000, 4, seed=203)
+    dims = measure.dimension_estimates(tangent.benettin_spectrum(
+        tangent.TangentCocycle.from_orbit(family, 0.25, emp.orbits), 4))
+    assert row["d_s"] == dims.d_s
+    assert row["d_s_method"] == dims.method == "entropy-ratio"
     radius = single("radius", 203, "radius.json")
     assert row["radius"] == radius["value"]
     assert row["radius_ci"] == radius["ci"]

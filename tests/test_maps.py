@@ -171,9 +171,11 @@ def test_iterate_batch_freezes_escapees():
 
 def _array_orbit(fam, alpha, x, n):
     """History and escaped mask of x stepped on numpy component planes: row
-    0 of a batch of two copies, which the float path never takes."""
+    0 of a batch of FLOAT_MEMBERS + 1 copies, which the float path never
+    takes."""
     x = np.asarray(x, dtype=float)
-    hist, bad = maps._orbit(fam, alpha, np.stack([x, x]), n)
+    hist, bad = maps._orbit(fam, alpha,
+                            np.stack([x] * (maps.FLOAT_MEMBERS + 1)), n)
     return hist[0], bad[0]
 
 
@@ -264,8 +266,9 @@ def test_swapped_step_runs_instead_of_the_formula():
 
 def test_wrapped_step_is_called_on_single_points_and_batches():
     """A functools.wraps wrapper around a family's step, as a tracer
-    installs, is what every orbit steps through, with m = math for a
-    single point and m = numpy for a batch."""
+    installs, is what every orbit steps through, with m = math one point at
+    a time for a batch of at most FLOAT_MEMBERS points and m = numpy for a
+    larger batch."""
     fam = maps.get_family("henon")
     calls = []
 
@@ -275,7 +278,7 @@ def test_wrapped_step_is_called_on_single_points_and_batches():
         return fam.step(m, *args)
 
     traced = dataclasses.replace(fam, step=counted)
-    x = np.array([[0.1, 0.1], [0.2, -0.1]])
+    x = np.random.default_rng(24).uniform(-0.1, 0.1, (9, 2))
     # one point, of shape (d,) or (1, d), runs on floats
     for point in (x[0], x[:1]):
         calls.clear()
@@ -287,10 +290,32 @@ def test_wrapped_step_is_called_on_single_points_and_batches():
     assert calls == [math] * 30
     assert (single.orbits.tobytes()
             == measure.srb_sample(fam, 1.4, 10, 21, 1, 0).orbits.tobytes())
-    calls.clear()
-    assert (maps.iterate_batch(traced, 1.4, x, 30).tobytes()
-            == maps.iterate_batch(fam, 1.4, x, 30).tobytes())
-    assert calls == [np] * 30
+    assert maps.FLOAT_MEMBERS == 8
+    for size, m in ((2, math), (8, math), (9, np)):
+        calls.clear()
+        assert (maps.iterate_batch(traced, 1.4, x[:size], 30).tobytes()
+                == maps.iterate_batch(fam, 1.4, x[:size], 30).tobytes())
+        assert calls == [m] * 30 * (size if m is math else 1)
+
+
+def test_float_batch_with_escapes_matches_array_path():
+    """An 8-point Henon batch on floats, one member escaping mid-orbit and
+    one starting non-finite, has the bits and escape masks of the same
+    points stepped on planes."""
+    fam = maps.get_family("henon")
+    x = np.random.default_rng(25).uniform(-0.1, 0.1, (maps.FLOAT_MEMBERS, 2))
+    x[3] = [2.0, 0.5]
+    x[5] = [np.nan, 0.0]
+    hist, bad = maps._orbit(fam, 1.4, x, 200)
+    planes = np.concatenate([x, x[:1]])
+    ref, ref_bad = maps._orbit(fam, 1.4, planes, 200)
+    assert hist.tobytes() == ref[:-1].tobytes()
+    assert np.array_equal(bad, ref_bad[:-1])
+    assert bad[5, 0] and 1 < int(np.argmax(bad[3])) < 200
+    assert not bad[[0, 1, 2, 4, 6, 7]].any()
+    batch = maps.iterate_batch(fam, 1.4, x, 200)
+    ref_batch = maps.iterate_batch(fam, 1.4, planes, 200)
+    assert batch.tobytes() == ref_batch[:, :-1].tobytes()
 
 
 def test_torus_reduction_of_a_tiny_negative_gives_one():

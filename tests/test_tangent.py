@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import orbit_of
 from srblab import maps, measure, response, tangent
-from srblab.errors import HyperbolicityError, NumericalDegeneracyError
+from srblab.errors import (HyperbolicityError, InsufficientDataError,
+                           NumericalDegeneracyError)
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
 CAT_LAMBDA = np.log((3.0 + np.sqrt(5.0)) / 2.0)
@@ -62,10 +63,63 @@ def test_seed_independence():
 
 
 def test_reorth_interval_consistency():
-    _, _, coc = _cat_cocycle(20_000, alpha=0.2, name="cat_shear")
-    a = tangent.benettin_spectrum(coc, reorth_interval=1)
+    _, orbit, coc = _cat_cocycle(20_000, alpha=0.2, name="cat_shear")
     b = tangent.benettin_spectrum(coc, reorth_interval=8)
+    # both average steps 512 on, after a warm-up of 64 blocks: 8-step
+    # blocks from step 0, single steps from step 448
+    skip = 7 * tangent._OVERLAP
+    a = tangent.benettin_spectrum(
+        tangent.TangentCocycle(orbit[skip:], coc.jacobians[skip:]),
+        reorth_interval=1)
+    assert a.n_steps == b.n_steps == 20_000 - 8 * tangent._OVERLAP
     assert np.abs(a.all_exponents - b.all_exponents).max() < 1e-9
+
+
+def test_benettin_warm_up_forgets_a_one_ulp_change():
+    # the default coupled_henon orbit lies on its synchronised diagonal,
+    # where the frame's middle columns start nearly degenerate: averaged
+    # from block 0, a one-ulp change of the Jacobians moved lambda_2 and
+    # lambda_3 by 4.2e-5; after the warm-up they move by at most 5.9e-14
+    # (seeds 0-3, either direction)
+    fam = maps.get_family("coupled_henon")
+    emp = measure.srb_sample(fam, 1.4, 10_000, 20_001, 1, 0)
+    coc = tangent.TangentCocycle.from_orbit(fam, 1.4, emp.orbits[0])
+    a = tangent.benettin_spectrum(coc, reorth_interval=4)
+    assert a.n_steps == 20_000 - 4 * tangent._OVERLAP
+    for direction in (np.inf, -np.inf):
+        b = tangent.benettin_spectrum(tangent.TangentCocycle(
+            coc.orbit, np.nextafter(coc.jacobians, direction)), 4)
+        assert np.abs(a.all_exponents - b.all_exponents).max() < 1e-12
+
+
+def test_benettin_pools_a_stack_of_members():
+    fam = maps.get_family("cat_shear")
+    emp = measure.srb_sample(fam, 0.25, transient=200, length=4001,
+                             ensemble=3, seed=4)
+    stack = tangent.benettin_spectrum(
+        tangent.TangentCocycle.from_orbit(fam, 0.25, emp.orbits), 4)
+    alone = [tangent.benettin_spectrum(
+        tangent.TangentCocycle.from_orbit(fam, 0.25, orbit), 4)
+        for orbit in emp.orbits]
+    assert stack.n_steps == sum(s.n_steps for s in alone) == 3 * 3744
+    mean = np.mean([s.all_exponents for s in alone], axis=0)
+    assert np.abs(stack.all_exponents - mean).max() < 1e-14
+    one = tangent.benettin_spectrum(
+        tangent.TangentCocycle.from_orbit(fam, 0.25, emp.orbits[:1]), 4)
+    _assert_same_spectrum(one, alone[0])
+
+
+def test_benettin_needs_n_batches_blocks_after_the_warm_up():
+    fam, orbit, coc = _cat_cocycle(4 * (tangent._OVERLAP + tangent.N_BATCHES))
+    spec = tangent.benettin_spectrum(coc, reorth_interval=4)
+    assert spec.n_steps == 4 * tangent.N_BATCHES
+    short = tangent.TangentCocycle(orbit[:-4], coc.jacobians[:-4])
+    with pytest.raises(InsufficientDataError):
+        tangent.benettin_spectrum(short, reorth_interval=4)
+    # two members of 74 blocks leave 2 x 10
+    pair = tangent.TangentCocycle.from_orbit(
+        fam, 0.0, np.stack([orbit[:297], orbit[-297:]]))
+    assert tangent.benettin_spectrum(pair, 4).n_steps == 4 * 20
 
 
 def test_cat_clvs_are_constant_eigenvectors():
@@ -177,7 +231,7 @@ def test_windowed_sweep_any_length(monkeypatch, steps):
     a = tangent.benettin_spectrum(coc, reorth_interval=1)
     b = _one_window(monkeypatch, tangent.benettin_spectrum, coc,
                     reorth_interval=1)
-    assert a.n_steps == steps
+    assert a.n_steps == steps - tangent._OVERLAP
     _assert_same_spectrum(a, b)
     J = coc.jacobians[None]
     clvs, logs, _, _ = tangent._clv_sweep(J, 100)
