@@ -161,11 +161,14 @@ def _splitting(cfg, family, alpha):
     return cocycle, splitting, splitting_angles(splitting)
 
 
-def _series(cfg, family, alpha, seed_shift=0):
-    """(kappa_n series, the SRB sample, the observable).  The order is
-    checked before the sample is drawn."""
+def _series(cfg, family, alpha, seed_shift=0, radius=False):
+    """(kappa_n series, the SRB sample, the observable).  The order, and
+    the radius settings if a radius is to be fitted, are checked before the
+    sample is drawn."""
     n_max = cfg.get("susceptibility.n_max")
     response._check_order(n_max)
+    if radius:
+        response._check_radius(n_max, cfg.get("radius.method"))
     emp = _srb(cfg, family, alpha, seed_shift)
     phi = _observable(cfg, family)
     series = response.susceptibility_coefficients(emp, phi, n_max)
@@ -273,7 +276,7 @@ def cmd_susceptibility(cfg, outdir):
 
 
 def cmd_radius(cfg, outdir):
-    series, _, _ = _series(cfg, *_system(cfg))
+    series, _, _ = _series(cfg, *_system(cfg), radius=True)
     est = _radius(cfg, series)
     _write_series(outdir, series)
     write_json(outdir / "radius.json", {
@@ -287,6 +290,7 @@ def cmd_radius(cfg, outdir):
 
 def cmd_response_check(cfg, outdir):
     family, alpha = _system(cfg)
+    response._check_step(cfg.get("response.h"))
     series, _, phi = _series(cfg, family, alpha)
     psi_one, psi_err = series.truncated_sum()
     deriv, deriv_err = response.finite_difference_response(
@@ -313,15 +317,12 @@ def cmd_split(cfg, outdir):
         emp, phi, n_max, clv_warmup=cfg.get("clv.warmup"),
         angle_threshold=cfg.get("split.angle_threshold"))
     sig = result.reconstruction_sigma()
-    rows = []
-    for n in range(result.direct.coeffs.size):
-        rows.append((n, result.direct.coeffs[n], result.direct.stderr[n],
-                     result.stable.coeffs[n], result.stable.stderr[n],
-                     result.unstable.coeffs[n], result.unstable.stderr[n],
-                     sig[n]))
+    d, s, u = result.direct, result.stable, result.unstable
     write_csv(outdir / "split.csv",
               ["n", "direct", "direct_se", "stable", "stable_se",
-               "unstable", "unstable_se", "reconstruction_sigma"], rows)
+               "unstable", "unstable_se", "reconstruction_sigma"],
+              zip(range(sig.size), d.coeffs, d.stderr, s.coeffs, s.stderr,
+                  u.coeffs, u.stderr, sig))
     write_json(outdir / "split.json", {
         "excluded_fraction": result.excluded_fraction,
         "min_angle": result.min_angle,
@@ -356,24 +357,27 @@ def cmd_tangency(cfg, outdir):
         "n_clusters": int(folds.representatives.shape[0]),
         "spectrum": _spectrum_payload(splitting.spectrum),
     }
-    if frame_cfg is not None and n_folds < tangency.MIN_FOLD_POINTS:
-        payload["frame_used"] = False
-        payload["frame_reason"] = (
-            f"{n_folds} fold points, fewer than the "
-            f"{tangency.MIN_FOLD_POINTS} the counting function needs")
-    elif frame_cfg is not None:
-        frame = tangency.TransversalFrame(tuple(frame_cfg["base"]),
-                                          tuple(frame_cfg["direction"]))
-        sel = angles < tc["angle_threshold"]
-        stable_dirs = splitting.clvs[sel][:, :, 1]
-        proj = tangency.project_along_stable(
-            folds.points, stable_dirs, frame,
-            min_angle=tc["min_projection_angle"], chart=family.chart)
-        counting = tangency.counting_function(proj.theta, proj.weights)
-        payload["d_bar"] = counting.exponent
-        payload["d_bar_ci"] = counting.exponent_ci
-        payload["holder_constant"] = counting.holder_constant
-        payload["counting_flag"] = counting.flag
+    if frame_cfg is not None:
+        n_used = n_folds
+        if n_folds >= tangency.MIN_FOLD_POINTS:
+            frame = tangency.TransversalFrame(tuple(frame_cfg["base"]),
+                                              tuple(frame_cfg["direction"]))
+            stable_dirs = splitting.clvs[angles < tc["angle_threshold"], :, 1]
+            proj = tangency.project_along_stable(
+                folds.points, stable_dirs, frame,
+                min_angle=tc["min_projection_angle"], chart=family.chart)
+            n_used = proj.theta.size
+        if n_used < tangency.MIN_FOLD_POINTS:
+            projected = f", {n_used} projected" if n_used < n_folds else ""
+            payload.update(frame_used=False, frame_reason=(
+                f"{n_folds} fold points{projected}, fewer than the "
+                f"{tangency.MIN_FOLD_POINTS} the counting function needs"))
+        else:
+            counting = tangency.counting_function(proj.theta, proj.weights)
+            payload.update(d_bar=counting.exponent,
+                           d_bar_ci=counting.exponent_ci,
+                           holder_constant=counting.holder_constant,
+                           counting_flag=counting.flag)
     write_json(outdir / "tangency.json", payload)
     return {"points": int(angles.size)}
 
@@ -442,7 +446,7 @@ def _report_row(cfg, i, entry):
                                        "params": entry.get("params", {})},
                             "alpha": entry["alpha"]})
     family, alpha = _system(sub)
-    series, emp, phi = _series(sub, family, alpha, 200 + i)
+    series, emp, phi = _series(sub, family, alpha, 200 + i, radius=True)
     spec = _spectrum_payload(_spectrum(
         sub, TangentCocycle.from_orbit(family, alpha, emp.orbits)))
     corr = measure.correlation(emp, phi, phi, sub.get("correlation.n_max"))

@@ -17,8 +17,7 @@ from .errors import (InsufficientDataError, NumericalDegeneracyError,
 from .pade import robust_pade
 from .stats import (batch_means, batch_sums, linear_fit, merge_batch_sums,
                     sigma_units)
-from .tangent import (_OVERLAP, _affine_recurrence, _clv_sweep, _clv_window,
-                      _spectrum)
+from .tangent import _OVERLAP, _affine_recurrence, _clv_sweep, _clv_window
 
 N_BATCHES = 25
 NOISE_FACTOR = 2.0
@@ -57,6 +56,18 @@ def _matvec(J, V):
 def _check_order(N):
     if N < 1:
         raise ParameterError("N must be >= 1")
+
+
+def _check_radius(N, method):
+    if N < 8:
+        raise ParameterError("radius fit requires N >= 8")
+    if method not in ("root-test", "pade-pole"):
+        raise ParameterError(f"unknown radius method {method!r}")
+
+
+def _check_step(h):
+    if h <= 0:
+        raise ParameterError("h must be positive")
 
 
 def _kappa_series(jacobians, V0, grads, N, j0, mask, members):
@@ -194,10 +205,7 @@ def radius_estimate(series, method):
     fails, is dropped; with none left the interval is (value, value).  A
     lower bound keeps only the lower end of its interval.
     """
-    if series.n_max < 8:
-        raise ParameterError("radius fit requires N >= 8")
-    if method not in ("root-test", "pade-pole"):
-        raise ParameterError(f"unknown radius method {method!r}")
+    _check_radius(series.n_max, method)
     coeffs = series.coeffs
     if np.all(coeffs == 0.0):
         return RadiusEstimate(method, float("inf"), (float("inf"), float("inf")),
@@ -280,8 +288,7 @@ def finite_difference_response(family, alpha0, h, obs, sampling):
     """Central difference (rho_{a0+h}(phi) - rho_{a0-h}(phi)) / (2h) with
     independently seeded SRB samples on each side, from seeds 8s+1 and 8s+2
     for the sampling seed s; returns (derivative, stderr)."""
-    if h <= 0:
-        raise ParameterError("h must be positive")
+    _check_step(h)
 
     def side(alpha, seed):
         m = measure_mod.srb_sample(
@@ -381,14 +388,12 @@ class SplitResult:
             self.stable.stderr, self.unstable.stderr, self.direct.stderr)
 
 
-# The split runs on blocks of consecutive ensemble members whose Jacobians
-# take at most this many bytes (at least one member), so the layout follows
-# the input's shape alone, never the CPU count.  On the shipped split
-# config (16 members of 50,000 points), split stage only, fresh processes
-# on a 2-CPU x86 VM, median of five: 1, 2, 4 and 8 members per block took
-# 1.58, 1.25, 1.17 and 1.16 s at peak RSS 126, 140, 167 and 254 MB, against
-# 1.63 s and 253 MB for the whole stack on one thread.  2^22 bytes is 2
-# members there.
+# The split's blocks are runs of consecutive members whose Jacobians take
+# at most this many bytes (at least one member): the layout follows the
+# input's shape, never the CPU count.  On the shipped split config it is 2
+# of 16 members.  Split stage there, fresh processes on a 2-CPU x86 VM,
+# median of 5: 1/2/4/8 members per block took 1.10/0.98/0.86/0.83 s at
+# peak RSS 81/105/159/261 MB; the whole stack on one thread 1.55 s, 265 MB.
 _SPLIT_BLOCK = 2**22
 
 
@@ -423,16 +428,15 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
     below angle_threshold) are excluded and the excluded mass reported.
 
     The members are cut into blocks of at most _SPLIT_BLOCK bytes of
-    Jacobians, run by _block_map in two passes: each block's CLV sweep,
-    then, once the pooled spectrum of all blocks has one unstable
-    direction, its geometry and the batch sums of its series, merged in
-    block order.  Each block's sweep, and each of its recurrences, is
-    rerun on its own when its windows disagree (_windowed); n_windows is
-    the least and boundary_residual the largest over every block's CLV
-    sweep and its k, g and b recurrences.  Where no block falls back, every
-    standard error is the whole ensemble's bit for bit; a mean adds the
-    blocks' totals, which moves it by rounding only.  The number of threads
-    changes no bit.
+    Jacobians, each run once by _block_map: its CLV sweep, a check that its
+    summed log stretches have one positive entry, then its geometry and
+    series, whose batch sums are merged in block order.  A sweep or
+    recurrence whose windows disagree is rerun on its own (_windowed);
+    n_windows is the least and boundary_residual the largest over every
+    block's CLV sweep and its k, g and b recurrences.  Where no block falls
+    back, every standard error is the whole ensemble's bit for bit; a mean
+    adds the blocks' totals, which moves it by rounding only.  The number
+    of threads changes no bit.
     """
     _check_order(N)
     family = measure.family
@@ -445,9 +449,8 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
     if d != 2:
         raise UnsupportedDimensionError(
             "stable/unstable split implemented for 2-dimensional phase space")
-    if clv_warmup < 1:
-        raise ParameterError("the CLV warmup must be at least 1 step")
-    lo, hi = _clv_window(L - 1, max(1, clv_warmup - _OVERLAP))
+    # a warmup below 1 goes to _clv_window as it is, which rejects it
+    lo, hi = _clv_window(L - 1, max(min(1, clv_warmup), clv_warmup - _OVERLAP))
     j_lo = lo + _OVERLAP
     j_hi = min(hi - _OVERLAP, L - 1 - N)
     if j_hi - j_lo < 10 * N_BATCHES:
@@ -458,26 +461,17 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
     size = max(1, _SPLIT_BLOCK // ((L - 1) * d * d * 8))
     blocks = [orbits[i:i + size] for i in range(0, m, size)]
 
-    clvs, logs, n_windows, residual = zip(*_block_map(
-        lambda orb: _clv_sweep(family.jacobian(alpha, orb[:, :-1]), lo),
-        blocks))
-    spectrum = _spectrum(np.concatenate(logs), 1, min(n_windows),
-                         max(residual))
-    del logs                            # the second pass needs the CLVs only
-    n_unstable = int(np.sum(spectrum.all_exponents > 0))
-    if n_unstable != 1:
-        raise UnsupportedDimensionError(
-            f"split requires one unstable direction, found {n_unstable}")
-
-    def series(block):
-        orb, clv = block
-        # evaluated again, which costs less than holding every block's
+    def series(orb):
         jac = family.jacobian(alpha, orb[:, :-1])
-        w = clv.shape[1]
+        clv, logs, sweep_windows, sweep_res = _clv_sweep(jac, lo)
+        n_unstable = int(np.sum(logs.sum(axis=(0, 1)) > 0))
+        if n_unstable != 1:
+            raise UnsupportedDimensionError(
+                f"split requires one unstable direction, found {n_unstable}")
         V, E = clv[..., 0], clv[..., 1]
-        xs = orb[:, lo:lo + w - 1]
+        xs = orb[:, lo:hi - 1]
         r, k, g, b, windows, res = _manifold_recurrences(
-            family, alpha, xs, jac[:, lo:lo + w - 1], V, E)
+            family, alpha, xs, jac[:, lo:hi - 1], V, E)
         # X at x_j
         Xj = family.param_derivative(alpha, orb[:, j_lo - 1:j_hi - 1])
         eu, es = V[:, frames], E[:, frames]
@@ -509,18 +503,19 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
         unstable = [batch_sums(-div_u * phiv[:, j_lo + n:j_lo + n + S],
                                N_BATCHES, m, mask) for n in range(N + 1)]
         return (direct, stable, unstable, int(mask.sum()),
-                float(angles.min()), windows, res)
+                float(angles.min()), min(sweep_windows, windows),
+                max(sweep_res, res))
 
     direct, stable, unstable, kept, min_angle, windows, res = zip(
-        *_block_map(series, list(zip(blocks, clvs))))
+        *_block_map(series, blocks))
     return SplitResult(
         stable=_merged_series(stable, {}),
         unstable=_merged_series(unstable, {}),
         direct=_merged_series(direct, {}),
         excluded_fraction=1.0 - sum(kept) / (m * S),
         min_angle=min(min_angle),
-        n_windows=min(spectrum.n_windows, *windows),
-        boundary_residual=max(spectrum.boundary_residual, *res))
+        n_windows=min(windows),
+        boundary_residual=max(res))
 
 
 def _dot(a, b):

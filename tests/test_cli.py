@@ -497,6 +497,31 @@ def test_series_order_is_checked_before_sampling(tmp_path, monkeypatch,
     assert diag["error_type"] == "ParameterError"
 
 
+@pytest.mark.parametrize("subcommand,payload", [
+    ("radius", {"susceptibility": {"n_max": 7}}),
+    ("radius", {"radius": {"method": "foo"}}),
+    ("conjecture-report", {"susceptibility": {"n_max": 7}}),
+    ("conjecture-report", {"radius": {"method": "foo"}}),
+    ("response-check", {"response": {"h": 0.0}}),
+    ("response-check", {"response": {"h": -0.05}}),
+])
+def test_run_settings_are_checked_before_sampling(tmp_path, monkeypatch,
+                                                  subcommand, payload):
+    def sample(*args, **kwargs):
+        raise AssertionError("an SRB sample was drawn")
+
+    monkeypatch.setattr(measure, "srb_sample", sample)
+    payload = {**SHORT_CATSHEAR, **payload}
+    if subcommand == "conjecture-report":
+        payload["report"] = {"systems": [{"name": "cat_shear",
+                                          "alpha": 0.25}]}
+    out = tmp_path / "out"
+    assert cli.run(subcommand, _write_cfg(tmp_path, payload),
+                   out) == cli.EXIT_CONFIG
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["error_type"] == "ParameterError"
+
+
 def test_response_check_counts_an_exact_agreement_as_agreement(tmp_path):
     # the const observable has no response: 0 +- 0 on both sides
     cfg = _write_cfg(tmp_path, {**SHORT_CATSHEAR, "observable": "const",
@@ -521,6 +546,27 @@ def test_tangency_says_when_its_frame_goes_unused(tmp_path):
     assert payload["frame_reason"].startswith(
         f"{payload['n_fold_points']} fold points")
     assert "d_bar" not in payload
+
+
+def test_tangency_counts_the_projected_fold_points(tmp_path):
+    # 107 fold points, of which the frame's angle bound leaves 94: too few
+    # for the counting function, so the frame goes unused
+    cfg = _write_cfg(tmp_path, {**SHORT_HENON, "seed": 1,
+                                "orbit": {"transient": 2000, "length": 45_000,
+                                          "ensemble": 1},
+                                "tangency": {"min_projection_angle": 0.01,
+                                             "frame": {
+                                                 "base": [0.0, 0.2],
+                                                 "direction": [0.4006,
+                                                               0.9163]}}})
+    out = tmp_path / "out"
+    assert cli.run("tangency", cfg, out) == cli.EXIT_OK
+    payload = json.loads((out / "tangency.json").read_text())
+    assert payload["n_fold_points"] == 107
+    assert payload["frame_used"] is False
+    assert payload["frame_reason"].startswith("107 fold points, 94 projected")
+    assert "d_bar" not in payload
+    assert (out / "manifest.json").exists()
 
 
 # one small run of every subcommand that succeeds, with the artifacts it

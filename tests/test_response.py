@@ -1,5 +1,7 @@
 import dataclasses
 import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import orbit_of
 from srblab import maps, measure, pade, response, stats, tangent
 from srblab.errors import (InsufficientDataError, NumericalDegeneracyError,
-                           PadeDegeneracyError, ParameterError)
+                           PadeDegeneracyError, ParameterError,
+                           UnsupportedDimensionError)
 from srblab.response import SusceptibilitySeries
 
 
@@ -473,6 +476,48 @@ def test_split_error_in_a_worker_leaves_no_thread(monkeypatch,
     with pytest.raises(NumericalDegeneracyError):
         _split_with(monkeypatch, emp, 1, 2)
     assert set(threading.enumerate()) <= before
+
+
+def test_split_rejects_a_sink_before_any_recurrence(monkeypatch):
+    # Henon at alpha 0.2 has an attracting fixed point: both exponents are
+    # negative, so the split must stop before its manifold recurrences
+    def no_recurrence(*args):
+        raise AssertionError("a manifold recurrence ran")
+    monkeypatch.setattr(response, "_affine_recurrence", no_recurrence)
+    emp = measure.srb_sample(maps.get_family("henon"), 0.2, transient=1000,
+                             length=4000, ensemble=4, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedDimensionError,
+                           match="one unstable direction, found 0"):
+            response.stable_unstable_split(
+                emp, maps.get_observable("cos_1_0", 2), 4, clv_warmup=300,
+                angle_threshold=1e-3)
+
+
+def test_split_memory_is_bounded_by_one_block(monkeypatch):
+    # 32 members in blocks of one on one CPU: the split's peak stays below
+    # one 2x2 matrix per step of every member, 32 x 2999 x 32 bytes, so no
+    # stack of all members' CLVs or Jacobians is held; each block
+    # evaluates its Jacobians once
+    fam = maps.get_family("cat_shear")
+    calls = []
+
+    def jacobian(alpha, x):
+        calls.append(x.shape[0])
+        return fam.jacobian(alpha, x)
+    emp = measure.srb_sample(fam, 0.25, transient=500, length=3000,
+                             ensemble=32, seed=5)
+    emp = dataclasses.replace(
+        emp, family=dataclasses.replace(fam, jacobian=jacobian))
+    tracemalloc.start()
+    try:
+        _split_with(monkeypatch, emp, 1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2999 * 32
+    assert calls == [1] * 32
 
 
 @pytest.mark.parametrize("missing", ["hessian", "param_jacobian"])
