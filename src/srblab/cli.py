@@ -23,8 +23,9 @@ from .errors import (BasinEscapeError, ConfigError, FrameMisalignmentError,
                      HyperbolicityError, InsufficientDataError,
                      NumericalDegeneracyError, PadeDegeneracyError,
                      ParameterError, SrbLabError, UnsupportedDimensionError)
-from .tangent import (TangentCocycle, benettin_spectrum, compute_clvs,
-                      covariance_residuals, splitting_angles)
+from .tangent import (TangentCocycle, _check_reorth, _clv_window,
+                      benettin_spectrum, compute_clvs, covariance_residuals,
+                      splitting_angles)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -140,24 +141,20 @@ def _srb(cfg, family, alpha, seed_shift=0):
                               **vars(_sampling(cfg, family, seed_shift)))
 
 
-def _cocycle(cfg, family, alpha, length):
-    """Tangent cocycle along one post-transient orbit of `length` steps,
-    the single member of an SRB sample."""
-    s = _sampling(cfg, family, 0)
-    emp = measure.srb_sample(family, alpha, s.transient, length + 1, 1,
-                             s.seed, s.sampler)
-    return TangentCocycle.from_orbit(family, alpha, emp.orbits[0])
-
-
-def _spectrum(cfg, cocycle):
+def _spectrum(cfg, emp):
+    """Benettin spectrum of the sample's members, pooled."""
     return benettin_spectrum(
-        cocycle, reorth_interval=cfg.get("spectrum.reorth_interval"))
+        TangentCocycle.from_orbit(emp.family, emp.alpha, emp.orbits),
+        reorth_interval=cfg.get("spectrum.reorth_interval"))
 
 
 def _splitting(cfg, family, alpha):
-    """(cocycle, CLV splitting, splitting angles) along one orbit."""
-    cocycle = _cocycle(cfg, family, alpha, cfg.get("orbit.length"))
-    splitting = compute_clvs(cocycle, warmup=cfg.get("clv.warmup"))
+    """(cocycle, CLV splitting, splitting angles) of the run's members."""
+    warmup = cfg.get("clv.warmup")
+    _clv_window(cfg.get("orbit.length") - 1, warmup)    # before sampling
+    cocycle = TangentCocycle.from_orbit(family, alpha,
+                                        _srb(cfg, family, alpha).orbits)
+    splitting = compute_clvs(cocycle, warmup)
     return cocycle, splitting, splitting_angles(splitting)
 
 
@@ -213,8 +210,8 @@ def _write_series(outdir, series):
 
 
 def cmd_lyapunov(cfg, outdir):
-    spec = _spectrum(cfg, _cocycle(cfg, *_system(cfg),
-                                   cfg.get("spectrum.steps")))
+    _check_reorth(cfg.get("spectrum.reorth_interval"))
+    spec = _spectrum(cfg, _srb(cfg, *_system(cfg)))
     write_csv(outdir / "spectrum.csv", ["index", "exponent", "stderr"],
               [(i, spec.all_exponents[i], spec.all_stderr[i])
                for i in range(spec.dimension)])
@@ -225,8 +222,9 @@ def cmd_lyapunov(cfg, outdir):
 def cmd_clv(cfg, outdir):
     cocycle, splitting, angles = _splitting(cfg, *_system(cfg))
     res_u, res_s = covariance_residuals(splitting, cocycle)
-    write_csv(outdir / "angles.csv", ["step", "angle"],
-              [(splitting.offset + i, a) for i, a in enumerate(angles)])
+    write_csv(outdir / "angles.csv", ["member", "step", "angle"],
+              [(b, splitting.offset + i, a)
+               for (b, i), a in np.ndenumerate(angles)])
     write_json(outdir / "clv.json", {
         "min_angle": float(angles.min()),
         "max_covariance_residual_u": float(res_u.max()),
@@ -251,6 +249,7 @@ def cmd_srb(cfg, outdir):
 
 def cmd_correlate(cfg, outdir):
     family, alpha = _system(cfg)
+    measure._check_lag(cfg.get("correlation.n_max"))
     emp = _srb(cfg, family, alpha)
     phi = _observable(cfg, family)
     psi = (maps.get_observable(cfg.get("observable2"), family.dimension)
@@ -447,8 +446,7 @@ def _report_row(cfg, i, entry):
                             "alpha": entry["alpha"]})
     family, alpha = _system(sub)
     series, emp, phi = _series(sub, family, alpha, 200 + i, radius=True)
-    spec = _spectrum_payload(_spectrum(
-        sub, TangentCocycle.from_orbit(family, alpha, emp.orbits)))
+    spec = _spectrum_payload(_spectrum(sub, emp))
     corr = measure.correlation(emp, phi, phi, sub.get("correlation.n_max"))
     est = _radius(sub, series)
     psi_one, psi_err = series.truncated_sum()
@@ -468,12 +466,14 @@ def _report_row(cfg, i, entry):
 
 def cmd_conjecture_report(cfg, outdir):
     """One row per system, from the sample at seed + 200 + i: row i
-    reproduces `susceptibility`/`radius` run at that seed, and its d_s is
-    that of benettin_spectrum on the sample's member orbits, pooled."""
+    reproduces `susceptibility`, `radius` and `lyapunov` run at that seed.
+    Settings the rows share are checked before the first sample is drawn."""
     systems = cfg.require("report.systems")
     for i, entry in enumerate(systems):
         if not (isinstance(entry, dict) and {"name", "alpha"} <= entry.keys()):
             raise ConfigError(f"report.systems[{i}] needs a name and an alpha")
+    measure._check_lag(cfg.get("correlation.n_max"))
+    _check_reorth(cfg.get("spectrum.reorth_interval"))
     rows = [_report_row(cfg, i, entry) for i, entry in enumerate(systems)]
     write_json(outdir / "report.json", {"systems": rows})
     return {"systems": len(rows)}

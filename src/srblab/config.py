@@ -26,7 +26,7 @@ SCHEMA = {
     "observable2": str,
     "sampler": {"low": NUMBERS, "high": NUMBERS},
     "orbit": {"transient": int, "length": int, "ensemble": int},
-    "spectrum": {"steps": int, "reorth_interval": int},
+    "spectrum": {"reorth_interval": int},
     "clv": {"warmup": int},
     "correlation": {"n_max": int},
     "susceptibility": {"n_max": int},
@@ -49,7 +49,7 @@ DEFAULTS = {
     "output_dir": "out",
     "observable": "cos_1_0",
     "orbit": {"transient": 10_000, "length": 100_000, "ensemble": 8},
-    "spectrum": {"steps": 200_000, "reorth_interval": 1},
+    "spectrum": {"reorth_interval": 1},
     "clv": {"warmup": 1000},
     "correlation": {"n_max": 20},
     "susceptibility": {"n_max": 12},

@@ -128,12 +128,16 @@ class CorrelationSeries:
     fit_undefined: bool
 
 
+def _check_lag(n_max):
+    if n_max < 0:
+        raise ParameterError("n_max must be >= 0")
+
+
 def correlation(measure, psi, phi, n_max):
     """Centered cross-correlations C_n = rho((psi - <psi>)(phi o f^n - <phi>))
     for lags 0..n_max, with an exponential decay fit over the lags that sit
     above the noise floor of twice their standard error."""
-    if n_max < 0:
-        raise ParameterError("n_max must be >= 0")
+    _check_lag(n_max)
     if measure.length <= n_max:
         raise InsufficientDataError("orbit shorter than requested max lag")
     a = psi.value(measure.orbits)

@@ -291,10 +291,8 @@ def finite_difference_response(family, alpha0, h, obs, sampling):
     _check_step(h)
 
     def side(alpha, seed):
-        m = measure_mod.srb_sample(
-            family, alpha, sampler=sampling.sampler,
-            transient=sampling.transient, length=sampling.length,
-            ensemble=sampling.ensemble, seed=seed)
+        m = measure_mod.srb_sample(family, alpha,
+                                   **{**vars(sampling), "seed": seed})
         return measure_mod.birkhoff_average(m, obs)
 
     base = int(sampling.seed)

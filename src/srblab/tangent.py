@@ -19,11 +19,11 @@ N_BATCHES = 20
 
 @dataclass
 class TangentCocycle:
-    """An orbit, or a stack of members on the leading axes (which only
-    benettin_spectrum takes), with the one-step tangent maps along it."""
+    """A stack of member orbits, a single orbit being a stack of one, with
+    the one-step tangent maps along them."""
 
-    orbit: np.ndarray       # (..., n+1, d)
-    jacobians: np.ndarray   # (..., n, d, d), jacobians[j] = Df(orbit[j])
+    orbit: np.ndarray       # (B, n+1, d)
+    jacobians: np.ndarray   # (B, n, d, d), jacobians[:, j] = Df(orbit[:, j])
 
     @classmethod
     def from_orbit(cls, family, alpha, orbit):
@@ -150,10 +150,16 @@ def _group_exponents(vals, ses):
 
 def _spectrum(logs, interval, n_windows, residual):
     """Spectrum from the log stretches logs (B, n, d) of blocks of
-    `interval` steps, the B members pooled."""
-    d = logs.shape[-1]
+    `interval` steps, the B members pooled, each member's first _OVERLAP
+    blocks left out while its frame forgets the identity it started from;
+    standard errors from batch means over at least N_BATCHES blocks."""
+    logs = logs[:, _OVERLAP:]
+    if logs.shape[0] * logs.shape[1] < N_BATCHES:
+        raise InsufficientDataError(f"fewer than {N_BATCHES} blocks of "
+                                    f"{interval} steps after the "
+                                    f"{_OVERLAP}-block warm-up")
     used = logs.shape[0] * logs.shape[1] * interval
-    per_step = logs.transpose(2, 0, 1).reshape(d, 1, -1) / interval
+    per_step = logs.transpose(2, 0, 1).reshape(logs.shape[2], 1, -1) / interval
     means, ses = batch_means(per_step, n_batches=N_BATCHES)
     order = np.argsort(means)[::-1]
     vals, errs = means[order], ses[order]
@@ -293,49 +299,42 @@ def _forward_qr(J, core, overlap, interval=1):
     return (Qs, Rs, np.log(diag)), residual
 
 
-def benettin_spectrum(cocycle, reorth_interval):
-    """Lyapunov spectrum by QR reorthonormalization, a stack's members pooled.
-
-    Each member's first _OVERLAP blocks, while the frame converges, are left
-    out; standard errors come from batch means over the per-block stretch
-    series of the rest (at least N_BATCHES blocks).
-    """
-    if reorth_interval < 1:
+def _check_reorth(interval):
+    if interval < 1:
         raise ParameterError("reorth_interval must be >= 1")
+
+
+def benettin_spectrum(cocycle, reorth_interval):
+    """Lyapunov spectrum by QR reorthonormalization over blocks of
+    `reorth_interval` steps, a stack's members (or one orbit) pooled."""
+    _check_reorth(reorth_interval)
     J = cocycle.jacobians
-    J = J.reshape((-1,) + J.shape[-3:])
-    if J.shape[1] < reorth_interval:
-        raise ParameterError("steps must be >= reorth_interval")
-    P, nb = _block_products(J, reorth_interval)
-    if J.shape[0] * (nb - _OVERLAP) < N_BATCHES:
-        raise InsufficientDataError(f"fewer than {N_BATCHES} blocks of "
-                                    f"{reorth_interval} steps after the "
-                                    f"{_OVERLAP}-block warm-up")
+    P, nb = _block_products(J.reshape((-1,) + J.shape[-3:]), reorth_interval)
     (_, _, logs), n_windows, residual = _windowed(
         lambda core, overlap: _forward_qr(P, core, overlap,
                                           reorth_interval), nb)
-    return _spectrum(logs[:, _OVERLAP:], reorth_interval, n_windows, residual)
+    return _spectrum(logs, reorth_interval, n_windows, residual)
 
 
 @dataclass
 class OseledetsSplitting:
-    """Covariant Lyapunov vectors on a window of the orbit.
+    """Covariant Lyapunov vectors on a window of each member's orbit.
 
-    clvs[j] has the CLVs as columns, ordered by descending exponent; the
+    clvs[b, j] has the CLVs as columns, ordered by descending exponent; the
     first n_unstable columns span E^u, the rest E^s.  Window index j
     corresponds to orbit index j + offset.
     """
 
-    points: np.ndarray       # (w, d)
-    clvs: np.ndarray         # (w, d, d)
+    points: np.ndarray       # (B, w, d)
+    clvs: np.ndarray         # (B, w, d, d)
     n_unstable: int
     offset: int
     spectrum: LyapunovSpectrum
 
     def basis(self, which):
         """Orthonormal per-point basis of E^u ('u') or E^s ('s')."""
-        cols = (self.clvs[:, :, : self.n_unstable] if which == "u"
-                else self.clvs[:, :, self.n_unstable:])
+        cols = (self.clvs[..., :self.n_unstable] if which == "u"
+                else self.clvs[..., self.n_unstable:])
         return _qr_pos(cols)[0]
 
 
@@ -387,23 +386,22 @@ def _clv_sweep(J, warmup):
 
 
 def compute_clvs(cocycle, warmup):
-    """Covariant Lyapunov vectors and the Oseledets splitting they induce.
+    """Covariant Lyapunov vectors of a stack of members and the Oseledets
+    splitting they induce, from the members' pooled spectrum.
 
     Requires a hyperbolic spectrum (LyapunovSpectrum.require_hyperbolic).
     """
-    clvs, logs, n_windows, residual = _clv_sweep(cocycle.jacobians[None],
-                                                 warmup)
+    clvs, logs, n_windows, residual = _clv_sweep(cocycle.jacobians, warmup)
     spectrum = _spectrum(logs, 1, n_windows, residual)
     spectrum.require_hyperbolic()
-    n_unstable = int(np.sum(spectrum.all_exponents > 0))
-    w = clvs.shape[1]
     return OseledetsSplitting(
-        points=cocycle.orbit[warmup:warmup + w].copy(),
-        clvs=clvs[0], n_unstable=n_unstable, offset=warmup, spectrum=spectrum)
+        points=cocycle.orbit[:, warmup:warmup + clvs.shape[1]], clvs=clvs,
+        n_unstable=int(np.sum(spectrum.all_exponents > 0)), offset=warmup,
+        spectrum=spectrum)
 
 
 def splitting_angles(splitting):
-    """Per-point minimal principal angle between E^s and E^u.
+    """Minimal principal angle between E^s and E^u at each point, (B, w).
 
     theta = atan2(sin, cos) with cos the largest singular value of B_a^T B_b
     and sin the smallest of (I - B_b B_b^T) B_a, for orthonormal bases B_a of
@@ -429,19 +427,18 @@ def splitting_angles(splitting):
 def covariance_residuals(splitting, cocycle):
     """One-step pushforward residual of the unstable/stable subspaces.
 
-    Returns (res_u, res_s) with res[j] = ||(I - P_{j+1}) Df V_j|| / ||Df V_j||
+    Returns (res_u, res_s), each (B, w - 1), with
+    res[b, j] = ||(I - P_{j+1}) Df V_j|| / ||Df V_j||
     where P is the orthogonal projector on the corresponding subspace.
     """
     lo = splitting.offset
-    w = splitting.clvs.shape[0]
-    J = cocycle.jacobians[lo:lo + w - 1]
+    J = cocycle.jacobians[:, lo:lo + splitting.clvs.shape[1] - 1]
     out = []
     for which in ("u", "s"):
         basis = splitting.basis(which)
-        V = J @ basis[:-1]
-        Pn = basis[1:]
-        coeff = np.swapaxes(Pn, -2, -1) @ V
-        resid = V - Pn @ coeff
+        V = J @ basis[:, :-1]
+        Pn = basis[:, 1:]
+        resid = V - Pn @ (np.swapaxes(Pn, -2, -1) @ V)
         num = np.linalg.norm(resid, axis=(-2, -1))
         den = np.linalg.norm(V, axis=(-2, -1))
         out.append(num / den)

@@ -55,7 +55,8 @@ def henon_orbit(henon_family):
 
 @pytest.fixture(scope="session")
 def henon_splitting(henon_family, henon_orbit):
-    coc = tangent.TangentCocycle.from_orbit(henon_family, HENON_A, henon_orbit)
+    coc = tangent.TangentCocycle.from_orbit(henon_family, HENON_A,
+                                            henon_orbit[None])
     return coc, tangent.compute_clvs(coc, warmup=1000)
 
 

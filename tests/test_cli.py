@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
@@ -20,8 +21,8 @@ SMALL_LYAPUNOV = {
     "system": {"name": "cat_shear"},
     "alpha": 0.2,
     "seed": 3,
-    "orbit": {"transient": 200, "length": 2000, "ensemble": 2},
-    "spectrum": {"steps": 3000, "reorth_interval": 4},
+    "orbit": {"transient": 200, "length": 3001, "ensemble": 1},
+    "spectrum": {"reorth_interval": 4},
 }
 
 
@@ -62,7 +63,7 @@ def test_resolved_config_contains_defaults(tmp_path):
     cli.run("lyapunov", cfg, out)
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["radius"]["method"] == "root-test"
-    assert resolved["spectrum"]["steps"] == 3000
+    assert resolved["orbit"]["length"] == 3001
 
 
 def test_missing_config_exit_code(tmp_path):
@@ -101,8 +102,7 @@ def test_single_orbit_escape_names_the_family_and_alpha(tmp_path):
     cfg = _write_cfg(tmp_path, {
         "system": {"name": "henon"}, "alpha": 1.4, "seed": 0,
         "sampler": {"low": [30.0, 30.0], "high": [40.0, 40.0]},
-        "orbit": {"transient": 100},
-        "spectrum": {"steps": 100, "reorth_interval": 1},
+        "orbit": {"transient": 100, "length": 101, "ensemble": 1},
     })
     out = tmp_path / "out"
     assert cli.run("lyapunov", cfg, out) == cli.EXIT_BASIN
@@ -152,8 +152,8 @@ def test_insufficient_data_exit_code(tmp_path):
 
 def test_short_spectrum_exits_5(tmp_path):
     # 300 steps in blocks of 4 leave 11 blocks after the 64-block warm-up
-    cfg = _write_cfg(tmp_path, {**SMALL_LYAPUNOV, "spectrum": {
-        "steps": 300, "reorth_interval": 4}})
+    cfg = _write_cfg(tmp_path, {**SMALL_LYAPUNOV, "orbit": {
+        "transient": 200, "length": 301, "ensemble": 1}})
     out = tmp_path / "out"
     assert cli.run("lyapunov", cfg, out) == cli.EXIT_INSUFFICIENT
     diag = json.loads((out / "diagnostics.json").read_text())
@@ -339,7 +339,7 @@ def test_conjecture_report_carries_radius_flag(tmp_path):
     cfg = _write_cfg(tmp_path, {
         "seed": 2,
         "orbit": {"transient": 200, "length": 3000, "ensemble": 4},
-        "spectrum": {"steps": 4000, "reorth_interval": 4},
+        "spectrum": {"reorth_interval": 4},
         "susceptibility": {"n_max": 8},
         "correlation": {"n_max": 8},
         "report": {"systems": [{"name": "cat_shear", "alpha": 0.25}]},
@@ -353,13 +353,12 @@ def test_conjecture_report_carries_radius_flag(tmp_path):
 
 
 def test_conjecture_report_rows_reproduce_single_runs(tmp_path):
-    """Report row 0 at seed s holds the radius of `radius` at seed s + 200
-    and the d_s of the Benettin spectrum of that run's sample, its members
-    pooled, on the same settings."""
+    """Report row 0 at seed s holds the radius of `radius` and the d_s of
+    `lyapunov`, each run at seed s + 200 on the same settings."""
     common = {
         "observable": "bump",
         "orbit": {"transient": 200, "length": 3000, "ensemble": 4},
-        "spectrum": {"steps": 4000, "reorth_interval": 4},
+        "spectrum": {"reorth_interval": 4},
         "susceptibility": {"n_max": 8},
         "correlation": {"n_max": 8},
     }
@@ -378,12 +377,9 @@ def test_conjecture_report_rows_reproduce_single_runs(tmp_path):
         assert cli.run(subcommand, cfg, tmp_path / subcommand) == 0
         return json.loads((tmp_path / subcommand / artifact).read_text())
 
-    family = maps.get_family("cat_shear")
-    emp = measure.srb_sample(family, 0.25, 200, 3000, 4, seed=203)
-    dims = measure.dimension_estimates(tangent.benettin_spectrum(
-        tangent.TangentCocycle.from_orbit(family, 0.25, emp.orbits), 4))
-    assert row["d_s"] == dims.d_s
-    assert row["d_s_method"] == dims.method == "entropy-ratio"
+    spectrum = single("lyapunov", 203, "spectrum.json")
+    assert row["d_s"] == spectrum["d_s"]
+    assert row["d_s_method"] == spectrum["d_s_method"] == "entropy-ratio"
     radius = single("radius", 203, "radius.json")
     assert row["radius"] == radius["value"]
     assert row["radius_ci"] == radius["ci"]
@@ -423,6 +419,7 @@ SMALL_SRB = {"system": {"name": "cat_shear"}, "alpha": 0.2,
     # removed keys
     ("response-check", {**SMALL_SRB, "response": {"richardson": True}}),
     ("split", {**SMALL_SRB, "split": {"n_max": 4}}),
+    ("lyapunov", {**SMALL_LYAPUNOV, "spectrum": {"steps": 3000}}),
 ])
 def test_incomplete_entries_are_config_errors(tmp_path, subcommand, payload):
     cfg = _write_cfg(tmp_path, payload)
@@ -504,6 +501,14 @@ def test_series_order_is_checked_before_sampling(tmp_path, monkeypatch,
     ("conjecture-report", {"radius": {"method": "foo"}}),
     ("response-check", {"response": {"h": 0.0}}),
     ("response-check", {"response": {"h": -0.05}}),
+    ("clv", {"clv": {"warmup": 0}}),
+    ("tangency", {"clv": {"warmup": 0}}),
+    ("clv", {"clv": {"warmup": 1500}}),
+    ("tangency", {"clv": {"warmup": 1500}}),
+    ("correlate", {"correlation": {"n_max": -1}}),
+    ("conjecture-report", {"correlation": {"n_max": -1}}),
+    ("lyapunov", {"spectrum": {"reorth_interval": 0}}),
+    ("conjecture-report", {"spectrum": {"reorth_interval": 0}}),
 ])
 def test_run_settings_are_checked_before_sampling(tmp_path, monkeypatch,
                                                   subcommand, payload):
@@ -569,6 +574,21 @@ def test_tangency_counts_the_projected_fold_points(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+def test_tangency_pools_its_members_fold_points(tmp_path):
+    cfg = _write_cfg(tmp_path, {**SHORT_HENON, "seed": 4, "orbit": {
+        "transient": 2000, "length": 20_000, "ensemble": 2}})
+    out = tmp_path / "out"
+    assert cli.run("tangency", cfg, out) == cli.EXIT_OK
+    payload = json.loads((out / "tangency.json").read_text())
+    family = maps.get_family("henon")
+    emp = measure.srb_sample(family, 1.4, 2000, 20_000, 2, seed=4)
+    own = [int(np.sum(tangent.splitting_angles(tangent.compute_clvs(
+        tangent.TangentCocycle.from_orbit(family, 1.4, orbit[None]),
+        warmup=1000)) < 0.01)) for orbit in emp.orbits]
+    assert min(own) > 0
+    assert payload["n_fold_points"] == sum(own)
+
+
 # one small run of every subcommand that succeeds, with the artifacts it
 # writes besides resolved_config.json
 SUCCESS_RUNS = {
@@ -595,7 +615,7 @@ SUCCESS_RUNS = {
     "fold-synthetic": (FOLD_UNIFORM, ["profile.csv", "synthetic.json"]),
     "conjecture-report": ({
         "orbit": {"transient": 200, "length": 3000, "ensemble": 4},
-        "spectrum": {"steps": 4000, "reorth_interval": 4},
+        "spectrum": {"reorth_interval": 4},
         "susceptibility": {"n_max": 8}, "correlation": {"n_max": 8},
         "report": {"systems": [{"name": "cat_shear", "alpha": 0.25}]},
     }, ["report.json"]),

@@ -97,8 +97,9 @@ def test_resolved_is_a_deep_copy():
 
 @pytest.mark.parametrize("section, key", [
     ("split", "backsteps"), ("split", "final_halfwidth"),
-    ("tangency", "bandwidth")], ids=["backsteps", "final_halfwidth",
-                                    "tangency_bandwidth"])
+    ("tangency", "bandwidth"), ("spectrum", "steps")],
+    ids=["backsteps", "final_halfwidth", "tangency_bandwidth",
+         "spectrum_steps"])
 def test_removed_split_keys_rejected(section, key):
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         ExperimentConfig({section: {key: 15}})

@@ -122,17 +122,22 @@ def test_benettin_needs_n_batches_blocks_after_the_warm_up():
     assert tangent.benettin_spectrum(pair, 4).n_steps == 4 * 20
 
 
+def _cat_stack(n):
+    """The cocycle of _cat_cocycle(n) as a stack of one member."""
+    _, orbit, coc = _cat_cocycle(n)
+    return tangent.TangentCocycle(orbit[None], coc.jacobians[None])
+
+
 def test_cat_clvs_are_constant_eigenvectors():
-    _, _, coc = _cat_cocycle(6000)
-    sp = tangent.compute_clvs(coc, warmup=1000)
+    sp = tangent.compute_clvs(_cat_stack(6000), warmup=1000)
     w, v = np.linalg.eigh(CAT)
     vu, vs = v[:, 1], v[:, 0]
-    assert np.abs(np.abs(sp.clvs[:, :, 0] @ vu) - 1).max() < 1e-10
-    assert np.abs(np.abs(sp.clvs[:, :, 1] @ vs) - 1).max() < 1e-10
+    assert np.abs(np.abs(sp.clvs[..., 0] @ vu) - 1).max() < 1e-10
+    assert np.abs(np.abs(sp.clvs[..., 1] @ vs) - 1).max() < 1e-10
 
 
 def test_clv_covariance_linear():
-    _, _, coc = _cat_cocycle(6000)
+    coc = _cat_stack(6000)
     sp = tangent.compute_clvs(coc, warmup=1000)
     ru, rs = tangent.covariance_residuals(sp, coc)
     assert max(ru.max(), rs.max()) < 1e-6
@@ -142,7 +147,7 @@ def test_clv_covariance_henon(henon_splitting):
     coc, sp = henon_splitting
     ru, rs = tangent.covariance_residuals(sp, coc)
     # interior points: discard a margin at both ends of the window
-    assert max(ru[1000:-1000].max(), rs[1000:-1000].max()) < 1e-3
+    assert max(ru[0, 1000:-1000].max(), rs[0, 1000:-1000].max()) < 1e-3
 
 
 def test_splitting_angle_bounds(henon_splitting):
@@ -155,7 +160,7 @@ def test_splitting_angle_bounds(henon_splitting):
 def test_splitting_basis_orthonormal(henon_splitting):
     _, sp = henon_splitting
     bu = sp.basis("u")
-    gram = np.einsum("nia,nib->nab", bu, bu)
+    gram = np.einsum("...ia,...ib->...ab", bu, bu)
     assert np.abs(gram - np.eye(bu.shape[-1])).max() < 1e-12
 
 
@@ -163,9 +168,30 @@ def test_compute_clvs_rejects_near_zero_exponent():
     fam = maps.get_family("standard_map")
     # small kicking: near-integrable, rotation-dominated orbits
     orbit = orbit_of(fam, 0.05, np.array([0.38, 0.12]), 20_000)
-    coc = tangent.TangentCocycle.from_orbit(fam, 0.05, orbit)
+    coc = tangent.TangentCocycle.from_orbit(fam, 0.05, orbit[None])
     with pytest.raises(HyperbolicityError):
         tangent.compute_clvs(coc, warmup=500)
+
+
+@pytest.mark.parametrize("name,alpha", [("henon", 1.4), ("cat_shear", 0.25)])
+def test_stack_clvs_equal_each_members_own_sweep(name, alpha):
+    # the members of a stack share its windows and nothing else: each
+    # member's CLVs are those of its own sweep, bit for bit, and the pooled
+    # spectrum is Benettin's at reorth 1, with the same warm-up left out
+    fam = maps.get_family(name)
+    emp = measure.srb_sample(fam, alpha, transient=2000, length=20_000,
+                             ensemble=3, seed=4)
+    coc = tangent.TangentCocycle.from_orbit(fam, alpha, emp.orbits)
+    stack = tangent.compute_clvs(coc, warmup=1000)
+    assert stack.spectrum.n_windows == 78
+    assert stack.spectrum.boundary_residual == 0.0
+    assert stack.spectrum.n_steps == 3 * (19_999 - tangent._OVERLAP)
+    _assert_same_spectrum(stack.spectrum, tangent.benettin_spectrum(coc, 1))
+    for b, orbit in enumerate(emp.orbits):
+        alone = tangent.compute_clvs(
+            tangent.TangentCocycle.from_orbit(fam, alpha, orbit[None]), 1000)
+        assert np.array_equal(alone.clvs[0], stack.clvs[b])
+        assert np.array_equal(alone.points[0], stack.points[b])
 
 
 # The windowed sweeps against their one-window run, which is the sequential
@@ -190,7 +216,7 @@ def test_windowed_clvs_bitwise_on_henon(monkeypatch, henon_family,
     # det Df = -0.3: windows started from the identity come out with flipped
     # column signs, which the alignment must undo exactly
     coc = tangent.TangentCocycle.from_orbit(henon_family, 1.4,
-                                            henon_orbit[:30_001])
+                                            henon_orbit[None, :30_001])
     windowed = tangent.compute_clvs(coc, warmup=1000)
     single = _one_window(monkeypatch, tangent.compute_clvs, coc, warmup=1000)
     assert windowed.spectrum.n_windows > 100
@@ -279,9 +305,9 @@ def test_overlap_ladder_keeps_coupled_henon_windowed(monkeypatch):
 @pytest.mark.parametrize("reorth_interval", [1, 4])
 def test_rank_loss_reports_global_step(reorth_interval):
     _, orbit, coc = _cat_cocycle(4000)
-    J = coc.jacobians.copy()
-    J[1000] = 0.0                        # inside the fourth window's core
-    bad = tangent.TangentCocycle(orbit, J)
+    J = coc.jacobians[None].copy()
+    J[0, 1000] = 0.0                     # inside the fourth window's core
+    bad = tangent.TangentCocycle(orbit[None], J)
     with pytest.raises(NumericalDegeneracyError) as exc:
         tangent.benettin_spectrum(bad, reorth_interval=reorth_interval)
     assert exc.value.step == 1000
@@ -439,9 +465,9 @@ def test_rank_loss_names_the_reorth_interval(henon_family, henon_orbit):
 @settings(max_examples=20, deadline=None)
 def test_rank_loss_step_without_warnings(seed, d, step, reorth_interval):
     rng = np.random.default_rng(seed)
-    J = rng.standard_normal((1500, d, d))
-    J[step] = 0.0
-    coc = tangent.TangentCocycle(np.zeros((1501, d)), J)
+    J = rng.standard_normal((1, 1500, d, d))
+    J[0, step] = 0.0
+    coc = tangent.TangentCocycle(np.zeros((1, 1501, d)), J)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalDegeneracyError) as exc:
