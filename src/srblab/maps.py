@@ -452,27 +452,23 @@ def product_x1x2():
 
 
 def bump(center, width):
-    """Smooth bump exp(-1/(1 - r^2)) supported on |x - c| < width."""
+    """Smooth bump exp(-1/(1 - r^2)) supported on |x - c| < width, its
+    formulas kept where r < 1 (their overflow and 0/0 outside silenced)."""
     center = np.asarray(center, dtype=float)
 
     def value(x):
-        x = np.asarray(x, dtype=float)
-        s = np.einsum("...i,...i->...", x - center, x - center) / width**2
-        out = np.zeros(s.shape)
-        inside = s < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - s[inside]))
-        return out
+        diff = np.asarray(x, dtype=float) - center
+        s = np.einsum("...i,...i->...", diff, diff) / width**2
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(s < 1.0, np.exp(-1.0 / (1.0 - s)), 0.0)
 
     def gradient(x):
-        x = np.asarray(x, dtype=float)
-        diff = x - center
+        diff = np.asarray(x, dtype=float) - center
         s = np.einsum("...i,...i->...", diff, diff) / width**2
-        out = np.zeros(x.shape)
-        inside = s < 1.0
-        f = np.zeros(s.shape)
-        f[inside] = -np.exp(-1.0 / (1.0 - s[inside])) / (1.0 - s[inside]) ** 2
-        out[inside] = f[inside, None] * (2.0 * diff[inside] / width**2)
-        return out
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            f = -np.exp(-1.0 / (1.0 - s)) / (1.0 - s) ** 2
+            return np.where((s < 1.0)[..., None],
+                            f[..., None] * (2.0 * diff / width**2), 0.0)
 
     return Observable("bump", value, gradient)
 

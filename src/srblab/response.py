@@ -17,7 +17,8 @@ from .errors import (InsufficientDataError, NumericalDegeneracyError,
 from .pade import robust_pade
 from .stats import (batch_means, batch_sums, linear_fit, merge_batch_sums,
                     sigma_units)
-from .tangent import _OVERLAP, _affine_recurrence, _clv_sweep, _clv_window
+from .tangent import (_OVERLAP, _affine_recurrence, _clv_sweep, _clv_window,
+                      _dot)
 
 N_BATCHES = 25
 NOISE_FACTOR = 2.0
@@ -41,16 +42,20 @@ class SusceptibilitySeries:
 
 
 def _matvec(J, V):
-    """J @ V over leading axes, one row at a time: einsum is slow on strided
-    slices, and this adds the terms in the same order with temporaries of
-    one row."""
-    out = np.empty(V.shape)
-    for a in range(V.shape[-1]):
-        row = out[..., a]
-        np.multiply(J[..., a, 0], V[..., 0], out=row)
-        for b in range(1, V.shape[-1]):
-            row += J[..., a, b] * V[..., b]
+    """J @ V on component planes, J[a][b] and V[b] broadcast over points
+    (a stack of fields V[b] (F, ...) reads each J[a][b] once): row a adds
+    J[a][0] V[0] + J[a][1] V[1] + ... in that order."""
+    out = np.empty((len(J),) + np.broadcast(J[0][0], V[0]).shape)
+    for row, J_row in zip(out, J):
+        np.multiply(J_row[0], V[0], out=row)
+        for J_ab, V_b in zip(J_row[1:], V[1:]):
+            row += J_ab * V_b
     return out
+
+
+def _planes(a, k=1):
+    """The component planes (d[, d], ...), a view, of entries (..., d[, d])."""
+    return np.moveaxis(a, range(-k, 0), range(k))
 
 
 def _check_order(N):
@@ -70,24 +75,25 @@ def _check_step(h):
         raise ParameterError("h must be positive")
 
 
-def _kappa_series(jacobians, V0, grads, N, j0, mask, members):
-    """Cocycle-propagated series: coefficient n is the average over samples
-    of V0(x_j) . (T_{x_j} f^n)^T grad(x_{j+n}), with V0 given at orbit
-    indices j0 .. j0+S-1 of a block of consecutive members of an ensemble of
-    `members`.  Returns the batch_sums of each coefficient, up to the first
-    order whose tangent vectors overflow, and that order (None if none did).
-    """
-    V = np.array(V0, dtype=float)
-    m, S, d = V.shape
-    parts = []
+def _kappa_series(J, V, grads, N, j0, mask, members):
+    """Cocycle-propagated series of a stack of fields: coefficient n of
+    field f averages V_f(x_j) . (T_{x_j} f^n)^T grad(x_{j+n}) over samples,
+    with V on planes (d, F, m, S) at orbit indices j0 .. j0+S-1 of m
+    consecutive members of an ensemble of `members`, and J (d, d, m, n) and
+    grads (d, m, L) on planes along their orbits.  Returns each field's
+    batch_sums of each coefficient, up to the first order whose tangent
+    vectors overflow in any field, and that order (None if none did)."""
+    parts = [[] for _ in range(V.shape[1])]
+    S = V.shape[-1]
     for n in range(N + 1):
         if n > 0:
-            V = _matvec(jacobians[:, j0 + n - 1:j0 + n - 1 + S], V)
+            V = _matvec(J[..., j0 + n - 1:j0 + n - 1 + S], V)
             # one pass: a nan fails the comparison as an inf does
             if not np.abs(V).max() <= 1e150:
                 return parts, n
-        c = np.einsum("msd,msd->ms", V, grads[:, j0 + n:j0 + n + S])
-        parts.append(batch_sums(c, N_BATCHES, members, mask))
+        # grad . V as the one-row matrix grad^T times V, summed in place
+        for p, c in zip(parts, _matvec([grads[..., j0 + n:j0 + n + S]], V)[0]):
+            p.append(batch_sums(c, N_BATCHES, members, mask))
     return parts, None
 
 
@@ -122,9 +128,9 @@ def _field_series(measure, X, obs, N):
     S = L - 1 - N
     if S < N_BATCHES:
         raise InsufficientDataError("orbit too short for requested N")
-    jac = measure.family.jacobian(measure.alpha, orbits[:, :-1])
-    grads = obs.gradient(orbits)
-    parts, trunc = _kappa_series(jac, X[:, :S], grads, N, 1, None, m)
+    J = _planes(measure.family.jacobian(measure.alpha, orbits[:, :-1]), 2)
+    (parts,), trunc = _kappa_series(J, _planes(X[:, :S])[:, None], _planes(
+        obs.gradient(orbits)).copy(), N, 1, None, m)
     return _merged_series([parts], {
         "system": measure.family.name,
         "alpha": measure.alpha,
@@ -390,17 +396,17 @@ class SplitResult:
 # at most this many bytes (at least one member): the layout follows the
 # input's shape, never the CPU count.  On the shipped split config it is 2
 # of 16 members.  Split stage there, fresh processes on a 2-CPU x86 VM,
-# median of 5: 1/2/4/8 members per block took 1.10/0.98/0.86/0.83 s at
-# peak RSS 81/105/159/261 MB; the whole stack on one thread 1.55 s, 265 MB.
+# median of 5: 1/2/4/8 members per block took 0.94/0.69/0.71/0.64 s at
+# peak RSS 71/91/131/213 MB; the whole stack on one thread 1.21 s, 213 MB.
 _SPLIT_BLOCK = 2**22
 
 
 def _block_map(fn, blocks):
     """[fn(block) for block in blocks] on a pool of threads, one per CPU
-    this process may use and at most one per block; numpy releases the GIL
-    in the blocks' array loops.  An error raises the first failing block's,
-    after cancelling the blocks not started and waiting for the running
-    ones, so no worker outlives the call."""
+    this process may use and at most one per block; only large-array stages
+    overlap, as the sweeps' small per-step operations hold the GIL.  An
+    error raises the first failing block's, after cancelling the blocks not
+    started and waiting for the running ones, so no worker outlives it."""
     from concurrent.futures import ThreadPoolExecutor
     pool = ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(blocks)))
     try:
@@ -437,8 +443,7 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
     of threads changes no bit.
     """
     _check_order(N)
-    family = measure.family
-    alpha = measure.alpha
+    family, alpha = measure.family, measure.alpha
     if family.hessian is None or family.param_jacobian is None:
         raise ParameterError(
             f"family {family.name} has no hessian/param_jacobian")
@@ -459,50 +464,61 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
     size = max(1, _SPLIT_BLOCK // ((L - 1) * d * d * 8))
     blocks = [orbits[i:i + size] for i in range(0, m, size)]
 
-    def series(orb):
+    def geometry(orb):
+        """Jacobian planes, X and X^s on planes (2, 2, m, S), div^u X^u, the
+        angle mask, its least angle, window count and residual; each stack
+        is dropped once copied to planes, the rest when this returns."""
         jac = family.jacobian(alpha, orb[:, :-1])
         clv, logs, sweep_windows, sweep_res = _clv_sweep(jac, lo)
         n_unstable = int(np.sum(logs.sum(axis=(0, 1)) > 0))
         if n_unstable != 1:
             raise UnsupportedDimensionError(
                 f"split requires one unstable direction, found {n_unstable}")
-        V, E = clv[..., 0], clv[..., 1]
+        J = _planes(jac, 2).copy()
+        V, E = _planes(clv, 2).copy().swapaxes(0, 1)
+        del jac, clv, logs
         xs = orb[:, lo:hi - 1]
         r, k, g, b, windows, res = _manifold_recurrences(
-            family, alpha, xs, jac[:, lo:hi - 1], V, E)
-        # X at x_j
-        Xj = family.param_derivative(alpha, orb[:, j_lo - 1:j_hi - 1])
-        eu, es = V[:, frames], E[:, frames]
+            family, alpha, xs, J[..., lo:hi - 1], V, E)
+        # d_v X(x_j) = d_alpha Df(x_{j-1}) v_{j-1} / r_{j-1}; with
+        # p = rot90(e), d_v u = (d_v X x e + b X.e + u (k - b) v.e) / (v x e)
+        # from n x e = -v.e, v x p = v.e and X x p = X.e
+        dX = _matvec(_planes(family.param_jacobian(alpha, xs[:, prev]), 2),
+                     V[..., prev]) / r[:, prev]
+        # the fields X and X^s at x_j, stacked for one cocycle pass
+        X = np.empty((2, 2, len(orb), S))
+        Xj = X[:, 0]
+        Xj[...] = _planes(family.param_derivative(alpha, xs[:, prev]))
+        eu, es = V[..., frames], E[..., frames]
         det = _cross(eu, es)
         angles = _line_angle(eu, es)
         mask = angles >= angle_threshold
         u = _cross(Xj, es) / det
-        Xs = (_cross(eu, Xj) / det)[..., None] * es
-        # d_v X(x_j) = d_alpha Df(x_{j-1}) v_{j-1} / r_{j-1}; with
-        # p = rot90(e), d_v u = (d_v X x e + b X.e + u (k - b) v.e) / (v x e)
-        # from n x e = -v.e, v x p = v.e and X x p = X.e
-        dX = _matvec(family.param_jacobian(alpha, xs[:, prev]),
-                     V[:, prev]) / r[:, prev, None]
         kj, bj = k[:, frames], b[:, frames]
         du = (_cross(dX, es) + bj * _dot(Xj, es)
               + u * (kj - bj) * _dot(eu, es)) / det
         div_u = du + u * g[:, frames]
         if not np.all(np.isfinite(div_u[mask])):
             raise NumericalDegeneracyError("non-finite unstable divergence")
+        np.multiply(_cross(eu, Xj) / det, es, out=X[:, 1])
+        return (J, X, div_u, mask, float(angles.min()),
+                min(sweep_windows, windows), max(sweep_res, res))
 
-        grads = obs.gradient(orb)
-        direct, trunc_d = _kappa_series(jac, Xj, grads, N, j_lo, mask, m)
-        stable, trunc_s = _kappa_series(jac, Xs, grads, N, j_lo, mask, m)
-        if trunc_d is not None or trunc_s is not None:
-            raise NumericalDegeneracyError(
-                "tangent vectors overflowed in the split's cocycle "
-                "propagation")
+    def series(orb):
+        J, X, div_u, mask, min_angle, windows, res = geometry(orb)
+        kept = int(mask.sum())
+        mask = None if kept == mask.size else mask
         phiv = obs.value(orb)
         unstable = [batch_sums(-div_u * phiv[:, j_lo + n:j_lo + n + S],
                                N_BATCHES, m, mask) for n in range(N + 1)]
-        return (direct, stable, unstable, int(mask.sum()),
-                float(angles.min()), min(sweep_windows, windows),
-                max(sweep_res, res))
+        del div_u, phiv
+        (direct, stable), trunc = _kappa_series(
+            J, X, _planes(obs.gradient(orb)).copy(), N, j_lo, mask, m)
+        if trunc is not None:
+            raise NumericalDegeneracyError(
+                "tangent vectors overflowed in the split's cocycle "
+                "propagation")
+        return direct, stable, unstable, kept, min_angle, windows, res
 
     direct, stable, unstable, kept, min_angle, windows, res = zip(
         *_block_map(series, blocks))
@@ -516,12 +532,8 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
         boundary_residual=max(res))
 
 
-def _dot(a, b):
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-
-
 def _cross(a, b):
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def _line_angle(a, b):
@@ -532,13 +544,14 @@ def _line_angle(a, b):
 
 
 def _rot90(a):
-    return np.stack([-a[..., 1], a[..., 0]], axis=-1)
+    return -a[1], a[0]
 
 
 def _manifold_recurrences(family, alpha, xs, J, V, E):
-    """Geometry of the unstable manifolds along a 2-D orbit, from its unit
-    CLVs V (unstable) and E (stable), shape (m, w, 2), the points xs and
-    jacobians J at frames 0 .. w-2 and the family's hessian H = D^2 f.
+    """Geometry of the unstable manifolds along a 2-D orbit, from the
+    component planes (2, m, w) of its unit CLVs V (unstable) and E (stable),
+    the points xs (m, w-1, 2) and the Jacobian planes J (2, 2, m, w-1) at
+    frames 0 .. w-2, and the family's hessian H = D^2 f.
 
     With n = rot90(v), p = rot90(e), r_j = v_{j+1}.J_j v_j and
     s_j = e_{j+1}.J_j e_j, returns (r (m, w-1), k, g, b (m, w), n_windows,
@@ -556,22 +569,23 @@ def _manifold_recurrences(family, alpha, xs, J, V, E):
     overlap of the start have not converged.  n_windows is the least and
     residual the largest over the three runs of _affine_recurrence.
     """
-    Nv, P = _rot90(V), _rot90(E)
-    Vj, Ej, Nj, Pj = V[:, :-1], E[:, :-1], Nv[:, :-1], P[:, :-1]
-    JN = _matvec(J, Nj)
-    r = _dot(V[:, 1:], _matvec(J, Vj))
-    s = _dot(E[:, 1:], _matvec(J, Ej))
-    Hvv = family.hessian(alpha, xs, Vj, Vj)
-    k, wk, rk = _affine_recurrence(_dot(Nv[:, 1:], JN) / r**2,
-                                   _dot(Nv[:, 1:], Hvv) / r**2)
-    dr = _dot(V[:, 1:], Hvv + k[:, :-1, None] * JN)
+    Vj, Ej, V1, E1 = V[..., :-1], E[..., :-1], V[..., 1:], E[..., 1:]
+    JN = _matvec(J, _rot90(Vj))
+    r = _dot(V1, _matvec(J, Vj))
+    s = _dot(E1, _matvec(J, Ej))
+    Vp = np.moveaxis(Vj, 0, -1)           # the hessian takes (m, w-1, 2)
+    Hvv = _planes(family.hessian(alpha, xs, Vp, Vp))
+    N1 = _rot90(V1)
+    k, wk, rk = _affine_recurrence(_dot(N1, JN) / r**2, _dot(N1, Hvv) / r**2)
+    dr = _dot(V1, Hvv + k[:, :-1] * JN)
+    del JN, Hvv
     g, wg, rg = _affine_recurrence(1.0 / r, -dr / r**2)
     # p_j.J_j^-1 y = q_j.y with q_j = J_j^-T p_j
-    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    q = np.stack([J[..., 1, 1] * Pj[..., 0] - J[..., 1, 0] * Pj[..., 1],
-                  J[..., 0, 0] * Pj[..., 1] - J[..., 0, 1] * Pj[..., 0]],
-                 axis=-1) / detJ[..., None]
-    Hve = family.hessian(alpha, xs, Vj, Ej)
-    b, wb, rb = _affine_recurrence((s * r * _dot(q, P[:, 1:]))[:, ::-1],
+    Pj = _rot90(Ej)
+    detJ = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+    q = ((J[1, 1] * Pj[0] - J[1, 0] * Pj[1]) / detJ,
+         (J[0, 0] * Pj[1] - J[0, 1] * Pj[0]) / detJ)
+    Hve = _planes(family.hessian(alpha, xs, Vp, np.moveaxis(Ej, 0, -1)))
+    b, wb, rb = _affine_recurrence((s * r * _dot(q, _rot90(E1)))[:, ::-1],
                                    -_dot(q, Hve)[:, ::-1])
     return r, k, g, b[:, ::-1], min(wk, wg, wb), max(rk, rg, rb)

@@ -60,19 +60,23 @@ def kappa_adjoint(measure, obs, N):
     """Adjoint-route kappa_n: back-propagate gradients by transposed
     Jacobians, W_n(x_j) = J_j^T W_{n-1}(x_{j+1}) with W_0 = grad phi, before
     dotting with X.  Pure linear-algebra dual of susceptibility_coefficients
-    on the same sample set (no error bars)."""
+    on the same sample set (no error bars), on component planes: jacT[a, b]
+    is the Jacobian entry (b, a)."""
     orbits = measure.orbits
     m, L, d = orbits.shape
     S = L - 1 - N
-    jacT = measure.family.jacobian(measure.alpha,
-                                   orbits[:, 1:-1]).swapaxes(-1, -2)
-    Xs = measure.family.param_derivative(measure.alpha, orbits[:, :S])
-    W = obs.gradient(orbits)[:, 1:]       # W_n at orbit indices 1..L-1-n
+    jacT = np.moveaxis(measure.family.jacobian(measure.alpha,
+                                               orbits[:, 1:-1]),
+                       (-1, -2), (0, 1))
+    Xs = np.moveaxis(measure.family.param_derivative(measure.alpha,
+                                                     orbits[:, :S]), -1, 0)
+    # W_n at orbit indices 1..L-1-n
+    W = np.moveaxis(obs.gradient(orbits)[:, 1:], -1, 0)
     out = np.empty(N + 1)
     for n in range(N + 1):
         if n > 0:
-            W = response._matvec(jacT[:, :W.shape[1] - 1], W[:, 1:])
-        out[n] = np.einsum("msd,msd->ms", Xs, W[:, :S]).mean()
+            W = response._matvec(jacT[..., :W.shape[-1] - 1], W[..., 1:])
+        out[n] = np.einsum("dms,dms->ms", Xs, W[..., :S]).mean()
     return out
 
 
@@ -127,11 +131,11 @@ def test_kappa_overflow_truncates():
     assert np.all(np.isfinite(ser.coeffs))
     # a nan or an inf entry truncates where it enters, as an overflow does
     for bad in (np.nan, np.inf):
-        jac = np.broadcast_to(np.eye(2), (2, 50, 2, 2)).copy()
-        jac[1, 42, 0, 0] = bad             # last sample's step 4 from j0 = 10
-        parts, trunc = response._kappa_series(jac, np.ones((2, 30, 2)),
-                                              np.ones((2, 50, 2)), 8, 10,
-                                              None, 2)
+        J = np.broadcast_to(np.eye(2)[..., None, None], (2, 2, 2, 50)).copy()
+        J[0, 0, 1, 42] = bad               # last sample's step 4 from j0 = 10
+        (parts,), trunc = response._kappa_series(J, np.ones((2, 1, 2, 30)),
+                                                 np.ones((2, 2, 50)), 8, 10,
+                                                 None, 2)
         assert trunc == 4 and len(parts) == 4
 
 
@@ -520,6 +524,22 @@ def test_split_memory_is_bounded_by_one_block(monkeypatch):
     assert calls == [1] * 32
 
 
+def test_split_block_drops_its_stacks_once_read(monkeypatch, small_catshear):
+    # one block of both members on one CPU: each stack is dropped once its
+    # planes are taken, and the recurrence and geometry arrays before the
+    # cocycle pass, so the traced peak stays below seven 2x2 matrices per
+    # step of each member, 2 x 2999 x 224 bytes (1.14 MB here; 1.56 MB when
+    # the block held its Jacobian and CLV stacks to the end)
+    _, emp = small_catshear
+    tracemalloc.start()
+    try:
+        _split_with(monkeypatch, emp, 2, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2999 * 224
+
+
 @pytest.mark.parametrize("missing", ["hessian", "param_jacobian"])
 def test_split_needs_second_derivatives(small_catshear, missing):
     fam, emp = small_catshear
@@ -563,12 +583,38 @@ def test_kappa_series_slices_bitwise_equal_gathers(small_catshear):
             c = np.einsum("msd,msd->ms", V, grads[rows, js + n])
             ref_c[n], ref_e[n] = stats.merge_batch_sums(
                 [stats.batch_sums(c, 25, m, mask)])
-        parts, trunc = response._kappa_series(jac, V0, grads, 8, js[0], mask,
-                                              m)
+        (parts,), trunc = response._kappa_series(
+            response._planes(jac, 2).copy(), response._planes(V0)[:, None],
+            response._planes(grads).copy(), 8, js[0], mask, m)
         assert trunc is None
         ser = response._merged_series([parts], {})
         assert np.array_equal(ser.coeffs, ref_c)
         assert np.array_equal(ser.stderr, ref_e)
+
+
+def test_kappa_series_stacked_fields_match_single_passes(small_catshear):
+    """Two fields propagated in one pass, each order reading the Jacobians
+    once, give each field's batch sums bit for bit as its own pass does."""
+    fam, emp = small_catshear
+    orbits = emp.orbits
+    m = orbits.shape[0]
+    J = response._planes(fam.jacobian(0.25, orbits[:, :-1]), 2).copy()
+    grads = response._planes(
+        maps.get_observable("bump", 2).gradient(orbits)).copy()
+    rng = np.random.default_rng(1)
+    X = np.stack([response._planes(
+        fam.param_derivative(0.25, orbits[:, 699:2399])),
+        rng.standard_normal((2, m, 1700))], axis=1)
+    for mask in (None, rng.random((m, 1700)) > 0.1):
+        both, trunc = response._kappa_series(J, X, grads, 8, 700, mask, m)
+        assert trunc is None and len(both) == 2
+        for f in range(2):
+            (one,), _ = response._kappa_series(J, X[:, f:f + 1], grads, 8,
+                                               700, mask, m)
+            assert len(both[f]) == len(one) == 9
+            for a, b in zip(both[f], one):
+                for x, y in zip(a, b):
+                    assert np.array_equal(x, y)
 
 
 def _stable_direction(fam, step, alpha, x, n_steps=30):
@@ -615,8 +661,9 @@ def test_manifold_recurrences_match_pushed_segments(array_step):
     w = clvs.shape[1]
     V, E = clvs[..., 0], clvs[..., 1]
     r, k, g, b, _, _ = response._manifold_recurrences(
-        fam, alpha, orbit[None, lo:lo + w - 1], jac[None, lo:lo + w - 1],
-        V, E)
+        fam, alpha, orbit[None, lo:lo + w - 1],
+        response._planes(jac[None, lo:lo + w - 1], 2), response._planes(V),
+        response._planes(E))
 
     def segment(t, halfwidth, nodes):
         """Offsets from x_t of points about nodes x halfwidth along the
