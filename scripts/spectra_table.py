@@ -26,8 +26,7 @@ def main():
         except BasinEscapeError:
             print(f"{name:<15}{alpha:>7.2f}  orbit escaped")
             continue
-        coc = tangent.TangentCocycle.from_orbit(fam, alpha, emp.orbits[0])
-        spec = tangent.benettin_spectrum(coc, reorth_interval=8)
+        spec = tangent.benettin_spectrum(emp, reorth_interval=8)
         lams = "  ".join(f"{v:+.4f}" for v in spec.all_exponents)
         try:
             dims = measure.dimension_estimates(spec)

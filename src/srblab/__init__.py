@@ -19,8 +19,7 @@ from .pade import PadeApproximant, robust_pade
 from .response import (finite_difference_response, radius_estimate,
                        stable_unstable_split, susceptibility_coefficients,
                        volume_preserving_identity)
-from .tangent import (TangentCocycle, benettin_spectrum, compute_clvs,
-                      splitting_angles)
+from .tangent import benettin_spectrum, compute_clvs, splitting_angles
 from .tangency import (counting_function, detect_folds, holder_exponent,
                        make_sigma, project_along_stable,
                        synthetic_fold_convolution)
@@ -31,9 +30,9 @@ __all__ = [
     "BasinEscapeError", "ConfigError", "EmpiricalMeasure", "ExperimentConfig",
     "FrameMisalignmentError", "HyperbolicityError", "InsufficientDataError",
     "MapFamily", "NumericalDegeneracyError", "Observable", "PadeApproximant",
-    "PadeDegeneracyError", "ParameterError", "SrbLabError", "TangentCocycle",
-    "UnsupportedDimensionError", "benettin_spectrum",
-    "birkhoff_average", "compute_clvs", "correlation", "counting_function",
+    "PadeDegeneracyError", "ParameterError", "SrbLabError",
+    "UnsupportedDimensionError", "benettin_spectrum", "birkhoff_average",
+    "compute_clvs", "correlation", "counting_function",
     "detect_folds", "dimension_estimates", "finite_difference_response",
     "get_family", "get_observable", "holder_exponent", "kaplan_yorke",
     "make_sigma", "observable_catalog", "project_along_stable",

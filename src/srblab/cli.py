@@ -23,9 +23,8 @@ from .errors import (BasinEscapeError, ConfigError, FrameMisalignmentError,
                      HyperbolicityError, InsufficientDataError,
                      NumericalDegeneracyError, PadeDegeneracyError,
                      ParameterError, SrbLabError, UnsupportedDimensionError)
-from .tangent import (TangentCocycle, _check_reorth, _clv_window,
-                      benettin_spectrum, compute_clvs, covariance_residuals,
-                      splitting_angles)
+from .tangent import (_check_reorth, _clv_window, benettin_spectrum,
+                      compute_clvs, covariance_residuals, splitting_angles)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -144,18 +143,15 @@ def _srb(cfg, family, alpha, seed_shift=0):
 def _spectrum(cfg, emp):
     """Benettin spectrum of the sample's members, pooled."""
     return benettin_spectrum(
-        TangentCocycle.from_orbit(emp.family, emp.alpha, emp.orbits),
-        reorth_interval=cfg.get("spectrum.reorth_interval"))
+        emp, reorth_interval=cfg.get("spectrum.reorth_interval"))
 
 
 def _splitting(cfg, family, alpha):
-    """(cocycle, CLV splitting, splitting angles) of the run's members."""
+    """(CLV splitting, splitting angles) of the run's members."""
     warmup = cfg.get("clv.warmup")
     _clv_window(cfg.get("orbit.length") - 1, warmup)    # before sampling
-    cocycle = TangentCocycle.from_orbit(family, alpha,
-                                        _srb(cfg, family, alpha).orbits)
-    splitting = compute_clvs(cocycle, warmup)
-    return cocycle, splitting, splitting_angles(splitting)
+    splitting = compute_clvs(_srb(cfg, family, alpha), warmup)
+    return splitting, splitting_angles(splitting)
 
 
 def _series(cfg, family, alpha, seed_shift=0, radius=False):
@@ -220,8 +216,9 @@ def cmd_lyapunov(cfg, outdir):
 
 
 def cmd_clv(cfg, outdir):
-    cocycle, splitting, angles = _splitting(cfg, *_system(cfg))
-    res_u, res_s = covariance_residuals(splitting, cocycle)
+    family, alpha = _system(cfg)
+    splitting, angles = _splitting(cfg, family, alpha)
+    res_u, res_s = covariance_residuals(splitting, family, alpha)
     write_csv(outdir / "angles.csv", ["member", "step", "angle"],
               [(b, splitting.offset + i, a)
                for (b, i), a in np.ndenumerate(angles)])
@@ -342,7 +339,7 @@ def cmd_tangency(cfg, outdir):
             and any(frame_cfg["direction"])):
         raise ConfigError("tangency.frame needs a base and a nonzero "
                           "direction of 2 entries each")
-    _, splitting, angles = _splitting(cfg, family, alpha)
+    splitting, angles = _splitting(cfg, family, alpha)
     folds = tangency.detect_folds(splitting.points, angles,
                                   tc["angle_threshold"], chart=family.chart,
                                   cluster_radius=tc["cluster_radius"])

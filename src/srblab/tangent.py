@@ -17,20 +17,6 @@ from .stats import batch_means
 N_BATCHES = 20
 
 
-@dataclass
-class TangentCocycle:
-    """A stack of member orbits, a single orbit being a stack of one, with
-    the one-step tangent maps along them."""
-
-    orbit: np.ndarray       # (B, n+1, d)
-    jacobians: np.ndarray   # (B, n, d, d), jacobians[:, j] = Df(orbit[:, j])
-
-    @classmethod
-    def from_orbit(cls, family, alpha, orbit):
-        orbit = np.asarray(orbit, dtype=float)
-        return cls(orbit, family.jacobian(alpha, orbit[..., :-1, :]))
-
-
 # Small-matrix kernels.  The sweeps factor thousands of d x d matrices per
 # step, so these loop over the d rows and columns and act elementwise on all
 # leading axes at once, where a LAPACK routine would be called once per
@@ -304,12 +290,13 @@ def _check_reorth(interval):
         raise ParameterError("reorth_interval must be >= 1")
 
 
-def benettin_spectrum(cocycle, reorth_interval):
-    """Lyapunov spectrum by QR reorthonormalization over blocks of
-    `reorth_interval` steps, a stack's members (or one orbit) pooled."""
+def benettin_spectrum(measure, reorth_interval):
+    """Lyapunov spectrum of an EmpiricalMeasure by QR reorthonormalization
+    over blocks of `reorth_interval` steps, its members pooled; the
+    Jacobians along the orbits are evaluated here."""
     _check_reorth(reorth_interval)
-    J = cocycle.jacobians
-    P, nb = _block_products(J.reshape((-1,) + J.shape[-3:]), reorth_interval)
+    P, nb = _block_products(measure.family.jacobian(
+        measure.alpha, measure.orbits[:, :-1]), reorth_interval)
     (_, _, logs), n_windows, residual = _windowed(
         lambda core, overlap: _forward_qr(P, core, overlap,
                                           reorth_interval), nb)
@@ -363,16 +350,17 @@ def _clv_sweep(J, warmup):
     y_i = A_ic / A_cc, with y_c = 1, the backward step is the scalar affine
     recurrence y_i(j) = (R_cc y_i(j+1) - sum_{l=i+1..c} R_il y_l(j)) / R_ii,
     run from y_i(n) = 0 for i = c-1 down to 0; it contracts at the rate
-    e^(lambda_c - lambda_i).
+    e^(lambda_c - lambda_i).  The CLVs are built in the forward frames Qs
+    themselves, column d-1 first: column c reads only the columns i < c,
+    which still hold Q.
     """
     B, n, d, _ = J.shape
     lo, hi = _clv_window(n, warmup)
     (Qs, Rs, logs), n_windows, residual = _windowed(
         lambda core, overlap: _forward_qr(J, core, overlap), n)
     R = Rs[:, ::-1]                     # index t is step n - 1 - t
-    Q = Qs[:, lo:hi]
-    V = Q.copy()
-    for c in range(d):
+    V = Qs[:, lo:hi]
+    for c in range(d - 1, -1, -1):
         y = {}                          # y[l][:, t] is y_l at frame n - t
         for i in range(c - 1, -1, -1):
             s = R[..., i, c]
@@ -381,21 +369,24 @@ def _clv_sweep(J, warmup):
             y[i], windows, res = _affine_recurrence(
                 R[..., c, c] / R[..., i, i], -s / R[..., i, i])
             n_windows, residual = min(n_windows, windows), max(residual, res)
-            V[..., c] += Q[..., i] * y[i][:, ::-1][:, lo:hi, None]
+            V[..., c] += V[..., i] * y[i][:, ::-1][:, lo:hi, None]
     return _unit_columns(V), logs, n_windows, residual
 
 
-def compute_clvs(cocycle, warmup):
-    """Covariant Lyapunov vectors of a stack of members and the Oseledets
-    splitting they induce, from the members' pooled spectrum.
+def compute_clvs(measure, warmup):
+    """Covariant Lyapunov vectors of an EmpiricalMeasure's members and the
+    Oseledets splitting they induce, from the members' pooled spectrum; the
+    Jacobians along the orbits are evaluated here and dropped after the
+    sweep.
 
     Requires a hyperbolic spectrum (LyapunovSpectrum.require_hyperbolic).
     """
-    clvs, logs, n_windows, residual = _clv_sweep(cocycle.jacobians, warmup)
+    clvs, logs, n_windows, residual = _clv_sweep(measure.family.jacobian(
+        measure.alpha, measure.orbits[:, :-1]), warmup)
     spectrum = _spectrum(logs, 1, n_windows, residual)
     spectrum.require_hyperbolic()
     return OseledetsSplitting(
-        points=cocycle.orbit[:, warmup:warmup + clvs.shape[1]], clvs=clvs,
+        points=measure.orbits[:, warmup:warmup + clvs.shape[1]], clvs=clvs,
         n_unstable=int(np.sum(spectrum.all_exponents > 0)), offset=warmup,
         spectrum=spectrum)
 
@@ -424,15 +415,15 @@ def splitting_angles(splitting):
     return np.arctan2(sin, cos)
 
 
-def covariance_residuals(splitting, cocycle):
+def covariance_residuals(splitting, family, alpha):
     """One-step pushforward residual of the unstable/stable subspaces.
 
     Returns (res_u, res_s), each (B, w - 1), with
     res[b, j] = ||(I - P_{j+1}) Df V_j|| / ||Df V_j||
-    where P is the orthogonal projector on the corresponding subspace.
+    where P is the orthogonal projector on the corresponding subspace and
+    Df is the family's Jacobian at alpha, evaluated at the window's points.
     """
-    lo = splitting.offset
-    J = cocycle.jacobians[:, lo:lo + splitting.clvs.shape[1] - 1]
+    J = family.jacobian(alpha, splitting.points[:, :-1])
     out = []
     for which in ("u", "s"):
         basis = splitting.basis(which)

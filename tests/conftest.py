@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from pathlib import Path
 
@@ -15,6 +16,15 @@ def orbit_of(family, alpha, x0, n):
     hist, bad = maps._orbit(family, alpha, x0, n)
     assert not bad.any(), f"orbit escaped at step {int(np.argmax(bad))}"
     return hist
+
+
+def sample_of(family, alpha, orbits, jacobians=None):
+    """An EmpiricalMeasure of the member orbits (B, n+1, d), the input of
+    the tangent estimators; given a stack jacobians (B, n, d, d), its
+    family's jacobian returns that stack in place of Df along the orbits."""
+    if jacobians is not None:
+        family = dataclasses.replace(family, jacobian=lambda a, x: jacobians)
+    return measure.EmpiricalMeasure(family, alpha, orbits, 0)
 
 
 @pytest.fixture
@@ -55,9 +65,8 @@ def henon_orbit(henon_family):
 
 @pytest.fixture(scope="session")
 def henon_splitting(henon_family, henon_orbit):
-    coc = tangent.TangentCocycle.from_orbit(henon_family, HENON_A,
-                                            henon_orbit[None])
-    return coc, tangent.compute_clvs(coc, warmup=1000)
+    return tangent.compute_clvs(
+        sample_of(henon_family, HENON_A, henon_orbit[None]), warmup=1000)
 
 
 @pytest.fixture(scope="session")

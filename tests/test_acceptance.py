@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import orbit_of
+from conftest import orbit_of, sample_of
 from srblab import cli, maps, measure, response, tangency, tangent
 from srblab.response import SusceptibilitySeries
 
@@ -29,8 +29,8 @@ def test_01_cat_lyapunov_million_steps(capsys):
     fam = maps.get_family("cat_translate")
     t0 = time.perf_counter()
     orbit = orbit_of(fam, 0.0, np.array([0.2357, 0.7113]), 1_000_000)
-    coc = tangent.TangentCocycle.from_orbit(fam, 0.0, orbit)
-    spec = tangent.benettin_spectrum(coc, reorth_interval=16)
+    spec = tangent.benettin_spectrum(sample_of(fam, 0.0, orbit[None]),
+                                     reorth_interval=16)
     elapsed = time.perf_counter() - t0
     err = abs(spec.all_exponents[0] - CAT_LAMBDA)
     ok = err < 1e-3 and elapsed < 10.0
@@ -44,8 +44,8 @@ def test_02_determinant_sum_rule(capsys, henon_family, henon_orbit):
     worst = 0.0
     for f, a, orb in ((fam, 0.2, orbit),
                       (henon_family, 1.4, henon_orbit[:20_001])):
-        coc = tangent.TangentCocycle.from_orbit(f, a, orb)
-        spec = tangent.benettin_spectrum(coc, reorth_interval=1)
+        spec = tangent.benettin_spectrum(sample_of(f, a, orb[None]),
+                                         reorth_interval=1)
         worst = max(worst, abs(spec.sum() - spec.mean_log_det))
     _report(capsys, 2, "QR determinant sum rule (cat, Henon)",
             worst < 1e-8, f"max |defect|={worst:.2e}")
@@ -94,15 +94,15 @@ def test_03_chain_rule_transported_gradients(capsys):
             worst < 1e-5, f"max rel err={worst:.2e}")
 
 
-def test_04_clv_covariance_and_cat_eigenvectors(capsys, henon_splitting):
-    coc_h, sp_h = henon_splitting
-    ru, rs = tangent.covariance_residuals(sp_h, coc_h)
+def test_04_clv_covariance_and_cat_eigenvectors(capsys, henon_family,
+                                                henon_splitting):
+    sp_h = henon_splitting
+    ru, rs = tangent.covariance_residuals(sp_h, henon_family, 1.4)
     henon_resid = max(ru[0, 1000:-1000].max(), rs[0, 1000:-1000].max())
     fam = maps.get_family("cat_translate")
     orbit = orbit_of(fam, 0.0, np.array([0.2357, 0.7113]), 6000)
-    coc = tangent.TangentCocycle.from_orbit(fam, 0.0, orbit[None])
-    sp = tangent.compute_clvs(coc, warmup=1000)
-    ru_c, rs_c = tangent.covariance_residuals(sp, coc)
+    sp = tangent.compute_clvs(sample_of(fam, 0.0, orbit[None]), warmup=1000)
+    ru_c, rs_c = tangent.covariance_residuals(sp, fam, 0.0)
     cat_resid = max(ru_c.max(), rs_c.max())
     _, v = np.linalg.eigh(np.array([[2.0, 1.0], [1.0, 1.0]]))
     eig_err = max(
@@ -172,13 +172,12 @@ def test_07_radius_estimator_calibration(capsys):
 
 
 def test_08_tangency_regime_detection(capsys, henon_splitting, cat_orbit):
-    _, sp = henon_splitting
+    sp = henon_splitting
     min_angle = float(tangent.splitting_angles(sp).min())
     dims_h = measure.dimension_estimates(sp.spectrum)
     fam, orbit = cat_orbit
-    coc = tangent.TangentCocycle.from_orbit(fam, 0.0, orbit[:100_001])
-    dims_c = measure.dimension_estimates(
-        tangent.benettin_spectrum(coc, reorth_interval=8))
+    dims_c = measure.dimension_estimates(tangent.benettin_spectrum(
+        sample_of(fam, 0.0, orbit[None, :100_001]), reorth_interval=8))
     ok = (min_angle < 0.01 and abs(dims_h.d_s - 0.26) <= 0.05
           and abs(dims_c.d_s - 1.0) <= 0.02)
     _report(capsys, 8, "tangency regime: Henon below, cat above threshold",

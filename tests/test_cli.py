@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import sample_of
 from srblab import cli, maps, measure, response, tangent
 
 
@@ -583,8 +584,8 @@ def test_tangency_pools_its_members_fold_points(tmp_path):
     family = maps.get_family("henon")
     emp = measure.srb_sample(family, 1.4, 2000, 20_000, 2, seed=4)
     own = [int(np.sum(tangent.splitting_angles(tangent.compute_clvs(
-        tangent.TangentCocycle.from_orbit(family, 1.4, orbit[None]),
-        warmup=1000)) < 0.01)) for orbit in emp.orbits]
+        sample_of(family, 1.4, orbit[None]), warmup=1000)) < 0.01))
+        for orbit in emp.orbits]
     assert min(own) > 0
     assert payload["n_fold_points"] == sum(own)
 

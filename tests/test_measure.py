@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import orbit_of
+from conftest import orbit_of, sample_of
 from srblab import maps, measure, tangent
 from srblab.errors import BasinEscapeError, HyperbolicityError, ParameterError
 
@@ -133,7 +133,7 @@ def test_correlation_noise_floor_flag():
 
 
 def test_henon_dimension_estimates(henon_splitting):
-    _, sp = henon_splitting
+    sp = henon_splitting
     dims = measure.dimension_estimates(sp.spectrum)
     assert 0.0 <= dims.d_s <= 1.0
     assert 0.0 <= dims.kaplan_yorke <= 2.0
@@ -145,8 +145,8 @@ def test_dimension_estimates_trivial_sink():
     fam = maps.get_family("henon")
     # a = 0: globally attracting fixed point, both exponents negative
     orbit = orbit_of(fam, 0.0, np.array([0.1, 0.1]), 5000)
-    coc = tangent.TangentCocycle.from_orbit(fam, 0.0, orbit)
-    spec = tangent.benettin_spectrum(coc, reorth_interval=1)
+    spec = tangent.benettin_spectrum(sample_of(fam, 0.0, orbit[None]),
+                                     reorth_interval=1)
     dims = measure.dimension_estimates(spec)
     assert dims.d_s == 0.0
     assert dims.method == "trivial-attractor"
@@ -158,8 +158,8 @@ def test_dimension_estimates_bracket_for_two_stable_directions():
     orbit = orbit_of(fam, 1.4,
                      orbit_of(fam, 1.4, np.full(4, 0.05), 1000)[-1],
                      100_000)
-    coc = tangent.TangentCocycle.from_orbit(fam, 1.4, orbit)
-    spec = tangent.benettin_spectrum(coc, reorth_interval=4)
+    spec = tangent.benettin_spectrum(sample_of(fam, 1.4, orbit[None]),
+                                     reorth_interval=4)
     dims = measure.dimension_estimates(spec)
     lo, hi = dims.d_s_interval
     assert lo <= dims.d_s <= hi

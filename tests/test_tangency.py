@@ -176,7 +176,7 @@ def test_cantor_sigma_cells_partition_mass(ratio, level):
 
 
 def test_detect_folds_clusters(henon_splitting):
-    _, sp = henon_splitting
+    sp = henon_splitting
     ang = tangent.splitting_angles(sp)
     folds = tangency.detect_folds(sp.points, ang, 0.01,
                                   chart=maps.flat(), cluster_radius=0.05)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import orbit_of
+from conftest import orbit_of, sample_of
 from srblab import maps, measure, response, tangent
 from srblab.errors import (HyperbolicityError, InsufficientDataError,
                            NumericalDegeneracyError)
@@ -16,15 +17,16 @@ CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
 CAT_LAMBDA = np.log((3.0 + np.sqrt(5.0)) / 2.0)
 
 
-def _cat_cocycle(n=20_000, alpha=0.0, name="cat_translate"):
+def _cat_sample(n=20_000, alpha=0.0, name="cat_translate"):
+    """(family, orbit (n+1, d), the orbit as a sample of one member)."""
     fam = maps.get_family(name)
     orbit = orbit_of(fam, alpha, np.array([0.2357, 0.7113]), n)
-    return fam, orbit, tangent.TangentCocycle.from_orbit(fam, alpha, orbit)
+    return fam, orbit, sample_of(fam, alpha, orbit[None])
 
 
 def test_cat_spectrum_matches_eigenvalues():
-    _, _, coc = _cat_cocycle()
-    spec = tangent.benettin_spectrum(coc, reorth_interval=1)
+    _, _, emp = _cat_sample()
+    spec = tangent.benettin_spectrum(emp, reorth_interval=1)
     # finite-orbit alignment transient decays like 1/n; 2e4 steps -> ~1e-5
     assert abs(spec.all_exponents[0] - CAT_LAMBDA) < 1e-4
     assert abs(spec.all_exponents[1] + CAT_LAMBDA) < 1e-4
@@ -36,26 +38,27 @@ def test_spectrum_sorted_descending():
     orbit = orbit_of(fam, 1.4,
                      orbit_of(fam, 1.4, np.full(4, 0.05), 1000)[-1],
                      50_000)
-    coc = tangent.TangentCocycle.from_orbit(fam, 1.4, orbit)
-    spec = tangent.benettin_spectrum(coc, reorth_interval=4)
+    spec = tangent.benettin_spectrum(sample_of(fam, 1.4, orbit[None]),
+                                     reorth_interval=4)
     assert np.all(np.diff(spec.all_exponents) <= 0)
     assert spec.dimension == 4
 
 
 def test_qr_sum_rule_is_algebraic():
-    _, _, coc = _cat_cocycle(5000, alpha=0.2, name="cat_shear")
-    spec = tangent.benettin_spectrum(coc, reorth_interval=1)
+    _, _, emp = _cat_sample(5000, alpha=0.2, name="cat_shear")
+    spec = tangent.benettin_spectrum(emp, reorth_interval=1)
     assert abs(spec.sum() - spec.mean_log_det) < 1e-8
 
 
 def test_seed_independence():
-    _, orbit, coc = _cat_cocycle(30_000, alpha=0.2, name="cat_shear")
+    fam, orbit, emp = _cat_sample(30_000, alpha=0.2, name="cat_shear")
     rng = np.random.default_rng(3)
     q0, _ = np.linalg.qr(rng.standard_normal((2, 2)))
     # the sweep from the identity on q0^T J q0 is the sweep from q0 on J,
     # its frames turned by q0^T
-    turned = tangent.TangentCocycle(orbit, q0.T @ coc.jacobians @ q0)
-    a = tangent.benettin_spectrum(coc, reorth_interval=4)
+    J = fam.jacobian(0.2, orbit[None, :-1])
+    turned = sample_of(fam, 0.2, orbit[None], q0.T @ J @ q0)
+    a = tangent.benettin_spectrum(emp, reorth_interval=4)
     b = tangent.benettin_spectrum(turned, reorth_interval=4)
     sig = np.abs(a.all_exponents - b.all_exponents) / np.hypot(
         a.all_stderr, b.all_stderr)
@@ -63,14 +66,13 @@ def test_seed_independence():
 
 
 def test_reorth_interval_consistency():
-    _, orbit, coc = _cat_cocycle(20_000, alpha=0.2, name="cat_shear")
-    b = tangent.benettin_spectrum(coc, reorth_interval=8)
+    fam, orbit, emp = _cat_sample(20_000, alpha=0.2, name="cat_shear")
+    b = tangent.benettin_spectrum(emp, reorth_interval=8)
     # both average steps 512 on, after a warm-up of 64 blocks: 8-step
     # blocks from step 0, single steps from step 448
     skip = 7 * tangent._OVERLAP
-    a = tangent.benettin_spectrum(
-        tangent.TangentCocycle(orbit[skip:], coc.jacobians[skip:]),
-        reorth_interval=1)
+    a = tangent.benettin_spectrum(sample_of(fam, 0.2, orbit[None, skip:]),
+                                  reorth_interval=1)
     assert a.n_steps == b.n_steps == 20_000 - 8 * tangent._OVERLAP
     assert np.abs(a.all_exponents - b.all_exponents).max() < 1e-9
 
@@ -83,12 +85,12 @@ def test_benettin_warm_up_forgets_a_one_ulp_change():
     # (seeds 0-3, either direction)
     fam = maps.get_family("coupled_henon")
     emp = measure.srb_sample(fam, 1.4, 10_000, 20_001, 1, 0)
-    coc = tangent.TangentCocycle.from_orbit(fam, 1.4, emp.orbits[0])
-    a = tangent.benettin_spectrum(coc, reorth_interval=4)
+    a = tangent.benettin_spectrum(emp, reorth_interval=4)
     assert a.n_steps == 20_000 - 4 * tangent._OVERLAP
+    J = fam.jacobian(1.4, emp.orbits[:, :-1])
     for direction in (np.inf, -np.inf):
-        b = tangent.benettin_spectrum(tangent.TangentCocycle(
-            coc.orbit, np.nextafter(coc.jacobians, direction)), 4)
+        b = tangent.benettin_spectrum(sample_of(
+            fam, 1.4, emp.orbits, np.nextafter(J, direction)), 4)
         assert np.abs(a.all_exponents - b.all_exponents).max() < 1e-12
 
 
@@ -96,40 +98,30 @@ def test_benettin_pools_a_stack_of_members():
     fam = maps.get_family("cat_shear")
     emp = measure.srb_sample(fam, 0.25, transient=200, length=4001,
                              ensemble=3, seed=4)
-    stack = tangent.benettin_spectrum(
-        tangent.TangentCocycle.from_orbit(fam, 0.25, emp.orbits), 4)
-    alone = [tangent.benettin_spectrum(
-        tangent.TangentCocycle.from_orbit(fam, 0.25, orbit), 4)
-        for orbit in emp.orbits]
+    stack = tangent.benettin_spectrum(emp, 4)
+    alone = [tangent.benettin_spectrum(sample_of(fam, 0.25, orbit[None]), 4)
+             for orbit in emp.orbits]
     assert stack.n_steps == sum(s.n_steps for s in alone) == 3 * 3744
     mean = np.mean([s.all_exponents for s in alone], axis=0)
     assert np.abs(stack.all_exponents - mean).max() < 1e-14
-    one = tangent.benettin_spectrum(
-        tangent.TangentCocycle.from_orbit(fam, 0.25, emp.orbits[:1]), 4)
+    one = tangent.benettin_spectrum(sample_of(fam, 0.25, emp.orbits[:1]), 4)
     _assert_same_spectrum(one, alone[0])
 
 
 def test_benettin_needs_n_batches_blocks_after_the_warm_up():
-    fam, orbit, coc = _cat_cocycle(4 * (tangent._OVERLAP + tangent.N_BATCHES))
-    spec = tangent.benettin_spectrum(coc, reorth_interval=4)
+    fam, orbit, emp = _cat_sample(4 * (tangent._OVERLAP + tangent.N_BATCHES))
+    spec = tangent.benettin_spectrum(emp, reorth_interval=4)
     assert spec.n_steps == 4 * tangent.N_BATCHES
-    short = tangent.TangentCocycle(orbit[:-4], coc.jacobians[:-4])
+    short = sample_of(fam, 0.0, orbit[None, :-4])
     with pytest.raises(InsufficientDataError):
         tangent.benettin_spectrum(short, reorth_interval=4)
     # two members of 74 blocks leave 2 x 10
-    pair = tangent.TangentCocycle.from_orbit(
-        fam, 0.0, np.stack([orbit[:297], orbit[-297:]]))
+    pair = sample_of(fam, 0.0, np.stack([orbit[:297], orbit[-297:]]))
     assert tangent.benettin_spectrum(pair, 4).n_steps == 4 * 20
 
 
-def _cat_stack(n):
-    """The cocycle of _cat_cocycle(n) as a stack of one member."""
-    _, orbit, coc = _cat_cocycle(n)
-    return tangent.TangentCocycle(orbit[None], coc.jacobians[None])
-
-
 def test_cat_clvs_are_constant_eigenvectors():
-    sp = tangent.compute_clvs(_cat_stack(6000), warmup=1000)
+    sp = tangent.compute_clvs(_cat_sample(6000)[2], warmup=1000)
     w, v = np.linalg.eigh(CAT)
     vu, vs = v[:, 1], v[:, 0]
     assert np.abs(np.abs(sp.clvs[..., 0] @ vu) - 1).max() < 1e-10
@@ -137,29 +129,27 @@ def test_cat_clvs_are_constant_eigenvectors():
 
 
 def test_clv_covariance_linear():
-    coc = _cat_stack(6000)
-    sp = tangent.compute_clvs(coc, warmup=1000)
-    ru, rs = tangent.covariance_residuals(sp, coc)
+    fam, _, emp = _cat_sample(6000)
+    sp = tangent.compute_clvs(emp, warmup=1000)
+    ru, rs = tangent.covariance_residuals(sp, fam, 0.0)
     assert max(ru.max(), rs.max()) < 1e-6
 
 
-def test_clv_covariance_henon(henon_splitting):
-    coc, sp = henon_splitting
-    ru, rs = tangent.covariance_residuals(sp, coc)
+def test_clv_covariance_henon(henon_family, henon_splitting):
+    ru, rs = tangent.covariance_residuals(henon_splitting, henon_family, 1.4)
     # interior points: discard a margin at both ends of the window
     assert max(ru[0, 1000:-1000].max(), rs[0, 1000:-1000].max()) < 1e-3
 
 
 def test_splitting_angle_bounds(henon_splitting):
-    _, sp = henon_splitting
+    sp = henon_splitting
     ang = tangent.splitting_angles(sp)
     assert ang.min() >= 0.0 and ang.max() <= np.pi / 2 + 1e-12
     assert sp.n_unstable == 1
 
 
 def test_splitting_basis_orthonormal(henon_splitting):
-    _, sp = henon_splitting
-    bu = sp.basis("u")
+    bu = henon_splitting.basis("u")
     gram = np.einsum("...ia,...ib->...ab", bu, bu)
     assert np.abs(gram - np.eye(bu.shape[-1])).max() < 1e-12
 
@@ -168,9 +158,8 @@ def test_compute_clvs_rejects_near_zero_exponent():
     fam = maps.get_family("standard_map")
     # small kicking: near-integrable, rotation-dominated orbits
     orbit = orbit_of(fam, 0.05, np.array([0.38, 0.12]), 20_000)
-    coc = tangent.TangentCocycle.from_orbit(fam, 0.05, orbit[None])
     with pytest.raises(HyperbolicityError):
-        tangent.compute_clvs(coc, warmup=500)
+        tangent.compute_clvs(sample_of(fam, 0.05, orbit[None]), warmup=500)
 
 
 @pytest.mark.parametrize("name,alpha", [("henon", 1.4), ("cat_shear", 0.25)])
@@ -181,17 +170,30 @@ def test_stack_clvs_equal_each_members_own_sweep(name, alpha):
     fam = maps.get_family(name)
     emp = measure.srb_sample(fam, alpha, transient=2000, length=20_000,
                              ensemble=3, seed=4)
-    coc = tangent.TangentCocycle.from_orbit(fam, alpha, emp.orbits)
-    stack = tangent.compute_clvs(coc, warmup=1000)
+    stack = tangent.compute_clvs(emp, warmup=1000)
     assert stack.spectrum.n_windows == 78
     assert stack.spectrum.boundary_residual == 0.0
     assert stack.spectrum.n_steps == 3 * (19_999 - tangent._OVERLAP)
-    _assert_same_spectrum(stack.spectrum, tangent.benettin_spectrum(coc, 1))
+    _assert_same_spectrum(stack.spectrum, tangent.benettin_spectrum(emp, 1))
     for b, orbit in enumerate(emp.orbits):
-        alone = tangent.compute_clvs(
-            tangent.TangentCocycle.from_orbit(fam, alpha, orbit[None]), 1000)
+        alone = tangent.compute_clvs(sample_of(fam, alpha, orbit[None]), 1000)
         assert np.array_equal(alone.clvs[0], stack.clvs[b])
         assert np.array_equal(alone.points[0], stack.points[b])
+
+
+def test_clv_sweep_builds_the_clvs_in_the_forward_frames(henon_family,
+                                                         henon_orbit):
+    # the forward pass keeps every frame Q and every R, each about the
+    # Jacobian stack's size, and the CLVs overwrite Q's window in place:
+    # traced peak 3.51 x the stack's bytes (4.41 x with a copied window)
+    J = henon_family.jacobian(1.4, henon_orbit[None, :20_000])
+    tracemalloc.start()
+    try:
+        tangent._clv_sweep(J, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * J.nbytes
 
 
 # The windowed sweeps against their one-window run, which is the sequential
@@ -215,10 +217,9 @@ def test_windowed_clvs_bitwise_on_henon(monkeypatch, henon_family,
                                         henon_orbit):
     # det Df = -0.3: windows started from the identity come out with flipped
     # column signs, which the alignment must undo exactly
-    coc = tangent.TangentCocycle.from_orbit(henon_family, 1.4,
-                                            henon_orbit[None, :30_001])
-    windowed = tangent.compute_clvs(coc, warmup=1000)
-    single = _one_window(monkeypatch, tangent.compute_clvs, coc, warmup=1000)
+    emp = sample_of(henon_family, 1.4, henon_orbit[None, :30_001])
+    windowed = tangent.compute_clvs(emp, warmup=1000)
+    single = _one_window(monkeypatch, tangent.compute_clvs, emp, warmup=1000)
     assert windowed.spectrum.n_windows > 100
     assert single.spectrum.n_windows == 1
     assert windowed.spectrum.boundary_residual == 0.0
@@ -241,9 +242,9 @@ def test_windowed_batched_sweep_bitwise_on_cat_shear(monkeypatch):
 
 @pytest.mark.parametrize("reorth_interval", [1, 8])
 def test_windowed_benettin_bitwise(monkeypatch, reorth_interval):
-    _, _, coc = _cat_cocycle(20_000, alpha=0.2, name="cat_shear")
-    a = tangent.benettin_spectrum(coc, reorth_interval=reorth_interval)
-    b = _one_window(monkeypatch, tangent.benettin_spectrum, coc,
+    _, _, emp = _cat_sample(20_000, alpha=0.2, name="cat_shear")
+    a = tangent.benettin_spectrum(emp, reorth_interval=reorth_interval)
+    b = _one_window(monkeypatch, tangent.benettin_spectrum, emp,
                     reorth_interval=reorth_interval)
     assert a.n_windows > 1 and b.n_windows == 1
     _assert_same_spectrum(a, b)
@@ -252,14 +253,14 @@ def test_windowed_benettin_bitwise(monkeypatch, reorth_interval):
 @pytest.mark.parametrize("steps", [300, 321, 5077])
 def test_windowed_sweep_any_length(monkeypatch, steps):
     # 300 fits one window; 321 leaves the second window a single step
-    _, orbit, coc = _cat_cocycle(6000, alpha=0.2, name="cat_shear")
-    coc = tangent.TangentCocycle(orbit[:steps + 1], coc.jacobians[:steps])
-    a = tangent.benettin_spectrum(coc, reorth_interval=1)
-    b = _one_window(monkeypatch, tangent.benettin_spectrum, coc,
+    fam, orbit, _ = _cat_sample(6000, alpha=0.2, name="cat_shear")
+    emp = sample_of(fam, 0.2, orbit[None, :steps + 1])
+    a = tangent.benettin_spectrum(emp, reorth_interval=1)
+    b = _one_window(monkeypatch, tangent.benettin_spectrum, emp,
                     reorth_interval=1)
     assert a.n_steps == steps - tangent._OVERLAP
     _assert_same_spectrum(a, b)
-    J = coc.jacobians[None]
+    J = fam.jacobian(0.2, orbit[None, :steps])
     clvs, logs, _, _ = tangent._clv_sweep(J, 100)
     clvs1, logs1, _, _ = _one_window(monkeypatch, tangent._clv_sweep, J, 100)
     assert np.array_equal(clvs, clvs1)
@@ -269,14 +270,15 @@ def test_windowed_sweep_any_length(monkeypatch, steps):
 def test_window_fallback_on_near_integrable_map(monkeypatch):
     fam = maps.get_family("standard_map")
     orbit = orbit_of(fam, 0.05, np.array([0.38, 0.12]), 20_000)
-    coc = tangent.TangentCocycle.from_orbit(fam, 0.05, orbit)
-    spec = tangent.benettin_spectrum(coc, reorth_interval=1)
+    emp = sample_of(fam, 0.05, orbit[None])
+    spec = tangent.benettin_spectrum(emp, reorth_interval=1)
     # frames do not converge across the overlap: rerun as one window
     assert spec.boundary_residual > tangent._MAX_RESIDUAL
     assert spec.n_windows == 1
     _assert_same_spectrum(spec, _one_window(
-        monkeypatch, tangent.benettin_spectrum, coc, reorth_interval=1))
-    _, _, n_windows, residual = tangent._clv_sweep(coc.jacobians[None], 500)
+        monkeypatch, tangent.benettin_spectrum, emp, reorth_interval=1))
+    _, _, n_windows, residual = tangent._clv_sweep(
+        fam.jacobian(0.05, orbit[None, :-1]), 500)
     assert n_windows == 1
     assert residual > tangent._MAX_RESIDUAL
 
@@ -288,13 +290,12 @@ def test_overlap_ladder_keeps_coupled_henon_windowed(monkeypatch):
     fam = maps.get_family("coupled_henon")
     emp = measure.srb_sample(fam, 1.4, transient=2000, length=3000,
                              ensemble=1, seed=100)
-    coc = tangent.TangentCocycle.from_orbit(fam, 1.4, emp.orbits[0])
-    spec = tangent.benettin_spectrum(coc, reorth_interval=1)
+    spec = tangent.benettin_spectrum(emp, reorth_interval=1)
     assert spec.n_windows > 1
     assert spec.boundary_residual > tangent._MAX_RESIDUAL
     _assert_same_spectrum(spec, _one_window(
-        monkeypatch, tangent.benettin_spectrum, coc, reorth_interval=1))
-    J = coc.jacobians[None]
+        monkeypatch, tangent.benettin_spectrum, emp, reorth_interval=1))
+    J = fam.jacobian(1.4, emp.orbits[:, :-1])
     clvs, logs, n_windows, residual = tangent._clv_sweep(J, 500)
     assert n_windows > 1 and residual > tangent._MAX_RESIDUAL
     clvs1, logs1, _, _ = _one_window(monkeypatch, tangent._clv_sweep, J, 500)
@@ -304,10 +305,10 @@ def test_overlap_ladder_keeps_coupled_henon_windowed(monkeypatch):
 
 @pytest.mark.parametrize("reorth_interval", [1, 4])
 def test_rank_loss_reports_global_step(reorth_interval):
-    _, orbit, coc = _cat_cocycle(4000)
-    J = coc.jacobians[None].copy()
+    fam, orbit, _ = _cat_sample(4000)
+    J = fam.jacobian(0.0, orbit[None, :-1])
     J[0, 1000] = 0.0                     # inside the fourth window's core
-    bad = tangent.TangentCocycle(orbit[None], J)
+    bad = sample_of(fam, 0.0, orbit[None], J)
     with pytest.raises(NumericalDegeneracyError) as exc:
         tangent.benettin_spectrum(bad, reorth_interval=reorth_interval)
     assert exc.value.step == 1000
@@ -451,12 +452,11 @@ def test_recurrence_clvs_match_ginelli(seed, d):
 def test_rank_loss_names_the_reorth_interval(henon_family, henon_orbit):
     # Henon's exponent gap of about 2 squeezes the second column of a
     # 50-step block product by about e^-100, below working precision
-    coc = tangent.TangentCocycle.from_orbit(henon_family, 1.4,
-                                            henon_orbit[:20_001])
+    emp = sample_of(henon_family, 1.4, henon_orbit[None, :20_001])
     with pytest.raises(NumericalDegeneracyError,
                        match="block products of reorth_interval = 50 "
                              "steps lost rank") as exc:
-        tangent.benettin_spectrum(coc, reorth_interval=50)
+        tangent.benettin_spectrum(emp, reorth_interval=50)
     assert exc.value.step % 50 == 0
 
 
@@ -467,14 +467,14 @@ def test_rank_loss_step_without_warnings(seed, d, step, reorth_interval):
     rng = np.random.default_rng(seed)
     J = rng.standard_normal((1, 1500, d, d))
     J[0, step] = 0.0
-    coc = tangent.TangentCocycle(np.zeros((1, 1501, d)), J)
+    emp = sample_of(maps.get_family("henon"), 0.0, np.zeros((1, 1501, d)), J)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalDegeneracyError) as exc:
-            tangent.benettin_spectrum(coc, reorth_interval=reorth_interval)
+            tangent.benettin_spectrum(emp, reorth_interval=reorth_interval)
         assert exc.value.step == step // reorth_interval * reorth_interval
         with pytest.raises(NumericalDegeneracyError) as exc:
-            tangent.compute_clvs(coc, warmup=100)
+            tangent.compute_clvs(emp, warmup=100)
         assert exc.value.step == step
 
 
