@@ -358,7 +358,8 @@ def cmd_tangency(cfg, outdir):
         if n_folds >= tangency.MIN_FOLD_POINTS:
             frame = tangency.TransversalFrame(tuple(frame_cfg["base"]),
                                               tuple(frame_cfg["direction"]))
-            stable_dirs = splitting.clvs[angles < tc["angle_threshold"], :, 1]
+            folded = angles < tc["angle_threshold"]
+            stable_dirs = splitting.clvs[:, 1][:, folded]
             proj = tangency.project_along_stable(
                 folds.points, stable_dirs, frame,
                 min_angle=tc["min_projection_angle"], chart=family.chart)

@@ -11,10 +11,14 @@ on component planes, the arrays x[..., i], for a larger batch and for the
 rest of an orbit after math refuses a value (sin or floor of a non-finite
 number).  Both do the same IEEE operations in the same order, so they
 give the same bits as long as math.sin and numpy.sin agree, which the
-tests check on every family.  The four derivatives are
-written in the same component form, as tuples of entries, or of rows of
-entries, over the components of their points; one builder, _components,
-assembles them into arrays.
+tests check on every family.  The four derivatives are written in the same
+component form, as tuples of entries, or of rows of entries, over the
+components of their points; one builder, _components, assembles them.
+
+One layout holds for all data along orbits: points and histories are
+(..., d), and every vector or matrix derived from them, here and in tangent
+and response, is component planes (d, ...) or (d, d, ...), one contiguous
+array per entry over the points' leading shape.
 
 Torus coordinates are reduced by floor subtraction u - floor(u) after every
 step.  The result lies in [0, 1] rather than [0, 1): a tiny negative u, such
@@ -52,7 +56,9 @@ class Chart:
         return x - np.floor(x) if self.any_wrap else x
 
     def difference(self, a, b):
-        """Minimal-image a - b (wrapped coordinates mapped to [-1/2, 1/2))."""
+        """Minimal-image a - b, wrapped coordinates mapped to [-1/2, 1/2]:
+        np.round rounds half to even, so a difference of 0.5 or 2.5 gives
+        +0.5 and one of -0.5 or 1.5 gives -0.5."""
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
         return d - np.round(d) if self.any_wrap else d
 
@@ -70,12 +76,13 @@ class MapFamily:
     """A parametrized diffeomorphism family alpha -> f_alpha.
 
     step(m, a, x0, ..., x{d-1}) is the map in component form (see the
-    module docstring).  jacobian and param_derivative take (alpha, x) with
-    x of shape (..., d); the built-in ones are assembled by _components.
-    A family maps forward only.  hessian(alpha, x, a, b), when present, is
-    the second derivative D^2 f(x)[a, b] of shape (..., d), and
-    param_jacobian(alpha, x) the mixed derivative d/dalpha Df(x) of shape
-    (..., d, d); the stable/unstable split needs both.
+    module docstring).  The derivatives take (alpha, x), x points (..., d),
+    and return planes: jacobian Df(x) (d, d, ...), J[a, b] row a, column b,
+    and param_derivative (d, ...); the built-in ones are assembled by
+    _components.  A family maps forward only.  hessian(alpha, x, u, w), when
+    present, is D^2 f(x)[u, w] (d, ...) for directions u, w as planes, and
+    param_jacobian(alpha, x) the mixed derivative d/dalpha Df(x) as
+    (d, d, ...); the stable/unstable split needs both.
     """
 
     name: str
@@ -99,19 +106,21 @@ class MapFamily:
 
 def _components(fn):
     """The array function (a, x, *directions) of a component-form fn, which
-    takes each point as the tuple of its d components p[..., i] and returns
-    a tuple of entries, or of rows of entries, as numbers or arrays.  They
+    takes each point as the tuple of its d components x[..., i] and each
+    direction, planes (d, ...), as the tuple of its planes, and returns a
+    tuple of entries, or of rows of entries, as numbers or arrays.  They
     are assembled over the leading shape of x, which the directions
-    broadcast against, into an array of shape (..., d) or (..., d, d)."""
+    broadcast against, into contiguous planes (d, ...) or (d, d, ...)."""
     def array_fn(a, x, *directions):
         x = np.asarray(x, dtype=float)
-        y = fn(a, *(tuple(np.asarray(p)[..., i] for i in range(x.shape[-1]))
-                    for p in (x,) + directions))
+        d = x.shape[-1]
+        y = fn(a, tuple(x[..., i] for i in range(d)),
+               *(tuple(np.asarray(u)) for u in directions))
         rows = isinstance(y[0], tuple)
-        out = np.empty(x.shape + x.shape[-1:] * rows)
-        flat = out.reshape(x.shape[:-1] + (x.shape[-1] ** 2,)) if rows else out
+        out = np.empty((d,) * (1 + rows) + x.shape[:-1])
+        flat = out.reshape((-1,) + x.shape[:-1])
         for k, entry in enumerate(sum(y, ()) if rows else y):
-            flat[..., k] = entry
+            flat[k] = entry
         return out
 
     return array_fn
@@ -402,6 +411,8 @@ def get_family(name, params=None):
 
 @dataclass(frozen=True)
 class Observable:
+    """phi: value(x) (...) and gradient(x) as planes (d, ...), x (..., d)."""
+
     name: str
     value: Callable
     gradient: Callable
@@ -415,9 +426,8 @@ def fourier_mode(p):
         return np.cos(TWO_PI * np.asarray(x) @ p)
 
     def gradient(x):
-        x = np.asarray(x)
-        s = -TWO_PI * np.sin(TWO_PI * x @ p)
-        return s[..., None] * p
+        s = -TWO_PI * np.sin(TWO_PI * np.asarray(x) @ p)
+        return np.multiply.outer(p, s)
 
     tag = "_".join(f"{int(c)}" for c in p)
     return Observable(f"cos_{tag}", value, gradient)
@@ -428,9 +438,8 @@ def coordinate(i):
         return np.asarray(x)[..., i]
 
     def gradient(x):
-        x = np.asarray(x)
-        out = np.zeros(x.shape)
-        out[..., i] = 1.0
+        out = np.zeros(np.shape(x)[-1:] + np.shape(x)[:-1])
+        out[i] = 1.0
         return out
 
     return Observable(f"coord_{i}", value, gradient)
@@ -443,9 +452,9 @@ def product_x1x2():
 
     def gradient(x):
         x = np.asarray(x)
-        out = np.zeros(x.shape)
-        out[..., 0] = x[..., 1]
-        out[..., 1] = x[..., 0]
+        out = np.zeros(x.shape[-1:] + x.shape[:-1])
+        out[0] = x[..., 1]
+        out[1] = x[..., 0]
         return out
 
     return Observable("x1x2", value, gradient)
@@ -467,8 +476,9 @@ def bump(center, width):
         s = np.einsum("...i,...i->...", diff, diff) / width**2
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             f = -np.exp(-1.0 / (1.0 - s)) / (1.0 - s) ** 2
-            return np.where((s < 1.0)[..., None],
-                            f[..., None] * (2.0 * diff / width**2), 0.0)
+            return np.stack([
+                np.where(s < 1.0, f * (2.0 * diff[..., i] / width**2), 0.0)
+                for i in range(center.size)])
 
     return Observable("bump", value, gradient)
 
@@ -479,8 +489,7 @@ def constant():
         return np.ones(x.shape[:-1])
 
     def gradient(x):
-        x = np.asarray(x)
-        return np.zeros(x.shape)
+        return np.zeros(np.shape(x)[-1:] + np.shape(x)[:-1])
 
     return Observable("const", value, gradient)
 

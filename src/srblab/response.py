@@ -18,7 +18,7 @@ from .pade import robust_pade
 from .stats import (batch_means, batch_sums, linear_fit, merge_batch_sums,
                     sigma_units)
 from .tangent import (_OVERLAP, _affine_recurrence, _clv_sweep, _clv_window,
-                      _dot)
+                      _dot, _matvec)
 
 N_BATCHES = 25
 NOISE_FACTOR = 2.0
@@ -39,23 +39,6 @@ class SusceptibilitySeries:
     def truncated_sum(self):
         """Psi(1) = sum of kappa_n over n = 0..N, with its standard error."""
         return np.sum(self.coeffs), float(np.sqrt(np.sum(self.stderr ** 2)))
-
-
-def _matvec(J, V):
-    """J @ V on component planes, J[a][b] and V[b] broadcast over points
-    (a stack of fields V[b] (F, ...) reads each J[a][b] once): row a adds
-    J[a][0] V[0] + J[a][1] V[1] + ... in that order."""
-    out = np.empty((len(J),) + np.broadcast(J[0][0], V[0]).shape)
-    for row, J_row in zip(out, J):
-        np.multiply(J_row[0], V[0], out=row)
-        for J_ab, V_b in zip(J_row[1:], V[1:]):
-            row += J_ab * V_b
-    return out
-
-
-def _planes(a, k=1):
-    """The component planes (d[, d], ...), a view, of entries (..., d[, d])."""
-    return np.moveaxis(a, range(-k, 0), range(k))
 
 
 def _check_order(N):
@@ -120,17 +103,17 @@ def susceptibility_coefficients(measure, obs, N):
 
 
 def _field_series(measure, X, obs, N):
-    """kappa_n for n = 0..N along the field X, given at orbit indices
-    1..L-1 of the sample's orbits."""
+    """kappa_n for n = 0..N along the field X, planes (d, m, L-1) given at
+    orbit indices 1..L-1 of the sample's m orbits."""
     _check_order(N)
     orbits = measure.orbits
     m, L, d = orbits.shape
     S = L - 1 - N
     if S < N_BATCHES:
         raise InsufficientDataError("orbit too short for requested N")
-    J = _planes(measure.family.jacobian(measure.alpha, orbits[:, :-1]), 2)
-    (parts,), trunc = _kappa_series(J, _planes(X[:, :S])[:, None], _planes(
-        obs.gradient(orbits)).copy(), N, 1, None, m)
+    J = measure.family.jacobian(measure.alpha, orbits[:, :-1])
+    (parts,), trunc = _kappa_series(J, X[..., :S][:, None],
+                                    obs.gradient(orbits), N, 1, None, m)
     return _merged_series([parts], {
         "system": measure.family.name,
         "alpha": measure.alpha,
@@ -337,13 +320,15 @@ class VolumeIdentityReport:
 def volume_preserving_identity(measure, field, divergence, obs, N):
     """Check kappa_n + rho(div X . phi o f^n) = 0 per n on a
     volume-preserving system, for the field X given in closed form by
-    field(points) -> (..., d) and its divergence(points) -> (...).
+    field(points) -> (..., d) and its divergence(points) -> (...); the
+    field is the one tangent input taken as entries, turned to planes here.
     """
     if not measure.family.volume_preserving:
         raise ParameterError(
             f"family {measure.family.name} is not flagged volume-preserving")
     orbits = measure.orbits
-    direct = _field_series(measure, field(orbits[:, 1:]), obs, N)
+    direct = _field_series(measure, np.moveaxis(field(orbits[:, 1:]), -1, 0),
+                           obs, N)
     S = orbits.shape[1] - 1 - N
     divv = divergence(orbits[:, 1:1 + S])
     phiv = obs.value(orbits)
@@ -396,8 +381,9 @@ class SplitResult:
 # at most this many bytes (at least one member): the layout follows the
 # input's shape, never the CPU count.  On the shipped split config it is 2
 # of 16 members.  Split stage there, fresh processes on a 2-CPU x86 VM,
-# median of 5: 1/2/4/8 members per block took 0.94/0.69/0.71/0.64 s at
-# peak RSS 71/91/131/213 MB; the whole stack on one thread 1.21 s, 213 MB.
+# median of 5: 1/2/4/8 members per block took 0.93/0.68/0.60/0.52 s at
+# peak RSS 70/90/130/211 MB; the whole stack on one thread 0.94 s, 217 MB.
+# Larger blocks trade 40 MB or more of peak RSS for under 0.2 s.
 _SPLIT_BLOCK = 2**22
 
 
@@ -466,29 +452,28 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
 
     def geometry(orb):
         """Jacobian planes, X and X^s on planes (2, 2, m, S), div^u X^u, the
-        angle mask, its least angle, window count and residual; each stack
-        is dropped once copied to planes, the rest when this returns."""
-        jac = family.jacobian(alpha, orb[:, :-1])
-        clv, logs, sweep_windows, sweep_res = _clv_sweep(jac, lo)
-        n_unstable = int(np.sum(logs.sum(axis=(0, 1)) > 0))
+        angle mask, its least angle, window count and residual; the logs
+        are dropped once counted, the frames and the rest on return."""
+        J = family.jacobian(alpha, orb[:, :-1])
+        clv, logs, sweep_windows, sweep_res = _clv_sweep(J, lo)
+        n_unstable = int(np.sum(logs.sum(axis=(1, 2)) > 0))
+        del logs
         if n_unstable != 1:
             raise UnsupportedDimensionError(
                 f"split requires one unstable direction, found {n_unstable}")
-        J = _planes(jac, 2).copy()
-        V, E = _planes(clv, 2).copy().swapaxes(0, 1)
-        del jac, clv, logs
+        V, E = clv[:, 0], clv[:, 1]
         xs = orb[:, lo:hi - 1]
         r, k, g, b, windows, res = _manifold_recurrences(
             family, alpha, xs, J[..., lo:hi - 1], V, E)
         # d_v X(x_j) = d_alpha Df(x_{j-1}) v_{j-1} / r_{j-1}; with
         # p = rot90(e), d_v u = (d_v X x e + b X.e + u (k - b) v.e) / (v x e)
         # from n x e = -v.e, v x p = v.e and X x p = X.e
-        dX = _matvec(_planes(family.param_jacobian(alpha, xs[:, prev]), 2),
+        dX = _matvec(family.param_jacobian(alpha, xs[:, prev]),
                      V[..., prev]) / r[:, prev]
         # the fields X and X^s at x_j, stacked for one cocycle pass
         X = np.empty((2, 2, len(orb), S))
         Xj = X[:, 0]
-        Xj[...] = _planes(family.param_derivative(alpha, xs[:, prev]))
+        Xj[...] = family.param_derivative(alpha, xs[:, prev])
         eu, es = V[..., frames], E[..., frames]
         det = _cross(eu, es)
         angles = _line_angle(eu, es)
@@ -513,7 +498,7 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
                                N_BATCHES, m, mask) for n in range(N + 1)]
         del div_u, phiv
         (direct, stable), trunc = _kappa_series(
-            J, X, _planes(obs.gradient(orb)).copy(), N, j_lo, mask, m)
+            J, X, obs.gradient(orb), N, j_lo, mask, m)
         if trunc is not None:
             raise NumericalDegeneracyError(
                 "tangent vectors overflowed in the split's cocycle "
@@ -573,8 +558,7 @@ def _manifold_recurrences(family, alpha, xs, J, V, E):
     JN = _matvec(J, _rot90(Vj))
     r = _dot(V1, _matvec(J, Vj))
     s = _dot(E1, _matvec(J, Ej))
-    Vp = np.moveaxis(Vj, 0, -1)           # the hessian takes (m, w-1, 2)
-    Hvv = _planes(family.hessian(alpha, xs, Vp, Vp))
+    Hvv = family.hessian(alpha, xs, Vj, Vj)
     N1 = _rot90(V1)
     k, wk, rk = _affine_recurrence(_dot(N1, JN) / r**2, _dot(N1, Hvv) / r**2)
     dr = _dot(V1, Hvv + k[:, :-1] * JN)
@@ -585,7 +569,7 @@ def _manifold_recurrences(family, alpha, xs, J, V, E):
     detJ = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
     q = ((J[1, 1] * Pj[0] - J[1, 0] * Pj[1]) / detJ,
          (J[0, 0] * Pj[1] - J[0, 1] * Pj[0]) / detJ)
-    Hve = _planes(family.hessian(alpha, xs, Vp, np.moveaxis(Ej, 0, -1)))
+    Hve = family.hessian(alpha, xs, Vj, Ej)
     b, wb, rb = _affine_recurrence((s * r * _dot(q, _rot90(E1)))[:, ::-1],
                                    -_dot(q, Hve)[:, ::-1])
     return r, k, g, b[:, ::-1], min(wk, wg, wb), max(rk, rg, rb)

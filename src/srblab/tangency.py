@@ -79,7 +79,7 @@ class Projection:
 def project_along_stable(points, stable_dirs, frame, min_angle, chart):
     """First-order projection of each sample along its local stable line
     onto the frame line; returns theta coordinates with the samples' equal
-    weights.
+    weights.  stable_dirs are planes (2, k), as the CLVs' columns are.
 
     Samples whose stable line is nearly parallel to the frame are excluded
     and counted; more than MAX_EXCLUDED of the mass excluded raises
@@ -92,17 +92,17 @@ def project_along_stable(points, stable_dirs, frame, min_angle, chart):
     weights = np.full(points.shape[0], 1.0 / points.shape[0])
     ell = frame.unit()
     base = np.asarray(frame.base, dtype=float)
-    s = s / np.linalg.norm(s, axis=1, keepdims=True)
+    s = s / np.linalg.norm(s, axis=0)
     # x + t s = base + theta ell  =>  [s, -ell] [t, theta]^T = base - x
     rhs = -chart.difference(points, base)
-    det = -s[:, 0] * ell[1] + s[:, 1] * ell[0]
+    det = -s[0] * ell[1] + s[1] * ell[0]
     ok = np.abs(det) >= np.sin(min_angle)
     excluded_weight = float(weights[~ok].sum())
     if excluded_weight > MAX_EXCLUDED * weights.sum():
         raise FrameMisalignmentError(
             f"{excluded_weight:.1%} of the mass has stable direction nearly "
             "parallel to the frame line")
-    theta = (s[ok, 0] * rhs[ok, 1] - s[ok, 1] * rhs[ok, 0]) / det[ok]
+    theta = (s[0, ok] * rhs[ok, 1] - s[1, ok] * rhs[ok, 0]) / det[ok]
     return Projection(theta=theta, weights=weights[ok].copy())
 
 

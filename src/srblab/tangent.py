@@ -1,8 +1,11 @@
 """Tangent-cocycle computations along orbits: Lyapunov spectra (QR method),
 covariant Lyapunov vectors (forward/backward sweep) and splitting angles.
 
-Every spectrum takes its standard errors from N_BATCHES = 20 batch means,
-and every QR sweep starts its frame at the identity.
+Tangent data is component planes, as the maps derivatives return it: a
+Jacobian, frame, R factor or CLV matrix along B orbits is (d, d, B, n) and a
+vector (d, B, n); points stay (B, n, d).  Every spectrum takes its standard
+errors from N_BATCHES = 20 batch means, and every QR sweep starts its frame
+at the identity.
 """
 from __future__ import annotations
 
@@ -18,11 +21,11 @@ N_BATCHES = 20
 
 
 # Small-matrix kernels.  The sweeps factor thousands of d x d matrices per
-# step, so these loop over the d rows and columns and act elementwise on all
-# leading axes at once, where a LAPACK routine would be called once per
-# matrix.  Only + - * / and sqrt touch the entries, each correctly rounded, so
-# a matrix's result does not depend on the stack it sits in, which the
-# bitwise equality of windowed and sequential sweeps relies on.
+# step, so these loop over the d rows and columns and act elementwise on the
+# planes of all matrices at once, where a LAPACK routine would be called once
+# per matrix.  Only + - * / and sqrt touch the entries, each correctly
+# rounded, so a matrix's result does not depend on the stack it sits in,
+# which the bitwise equality of windowed and sequential sweeps relies on.
 
 
 def _dot(u, v):
@@ -33,10 +36,22 @@ def _dot(u, v):
     return s
 
 
-def _qr_pos(A):
-    """QR with positive diagonal of a stack A (..., m, k), m >= k.
+def _matvec(J, V):
+    """J V on planes: rows J[a][b], and V[b] of a vector, a matrix or a
+    stack of fields, broadcast over points; row a adds J[a][0] V[0] + ...
+    in order, reading each J[a][b] once.  A^T's rows are list(zip(*A))."""
+    out = np.empty((len(J),) + np.broadcast(J[0][0], V[0]).shape)
+    for row, J_row in zip(out, J):
+        np.multiply(J_row[0], V[0], out=row)
+        for J_ab, V_b in zip(J_row[1:], V[1:]):
+            row += J_ab * V_b
+    return out
 
-    Returns Q (..., m, k) with orthonormal columns and R (..., k, k) upper
+
+def _qr_pos(A):
+    """QR with positive diagonal of the planes A (m, k, ...), m >= k.
+
+    Returns Q (m, k, ...) with orthonormal columns and R (k, k, ...) upper
     triangular with R[j, j] >= 0, A = Q R.  Classical Gram-Schmidt run twice
     on each column: two passes keep Q orthonormal to working precision while
     cond(A) stays well below 1/eps (Giraud, Langou, Rozloznik & van den
@@ -52,33 +67,21 @@ def _qr_pos(A):
     1e154; with |det A| <= 1, as on the shipped families' cocycles, cond(A)
     is then beyond 1/eps as well.
     """
-    m, k = A.shape[-2:]
+    k = A.shape[1]
     Q = np.empty(A.shape)
-    R = np.zeros(A.shape[:-2] + (k, k))
-    q = []                              # columns of Q as lists of rows
+    R = np.zeros((k, k) + A.shape[2:])
     with np.errstate(all="ignore"):
         for j in range(k):
-            v = [A[..., i, j] for i in range(m)]
+            v = list(A[:, j])
             for _ in range(2):
-                r = [_dot(q[l], v) for l in range(j)]
+                r = [_dot(Q[:, l], v) for l in range(j)]
                 for l in range(j):
-                    v = [a - r[l] * b for a, b in zip(v, q[l])]
-                    R[..., l, j] += r[l]
+                    v = [a - r[l] * b for a, b in zip(v, Q[:, l])]
+                    R[l, j] += r[l]
             norm = np.sqrt(_dot(v, v))
-            R[..., j, j] = norm
-            q.append([a / norm for a in v])
-            for i in range(m):
-                Q[..., i, j] = q[j][i]
+            R[j, j] = norm
+            np.divide(v, norm, out=Q[:, j])
     return Q, R
-
-
-def _unit_columns(X):
-    """X (..., d, k) with each column scaled to unit norm, in place."""
-    d, k = X.shape[-2:]
-    for c in range(k):
-        col = [X[..., i, c] for i in range(d)]
-        X[..., c] /= np.sqrt(_dot(col, col))[..., None]
-    return X
 
 
 @dataclass
@@ -135,17 +138,18 @@ def _group_exponents(vals, ses):
 
 
 def _spectrum(logs, interval, n_windows, residual):
-    """Spectrum from the log stretches logs (B, n, d) of blocks of
+    """Spectrum from the log stretches logs (d, B, n) of blocks of
     `interval` steps, the B members pooled, each member's first _OVERLAP
     blocks left out while its frame forgets the identity it started from;
     standard errors from batch means over at least N_BATCHES blocks."""
-    logs = logs[:, _OVERLAP:]
-    if logs.shape[0] * logs.shape[1] < N_BATCHES:
+    logs = logs[..., _OVERLAP:]
+    d, B, n = logs.shape
+    if B * n < N_BATCHES:
         raise InsufficientDataError(f"fewer than {N_BATCHES} blocks of "
                                     f"{interval} steps after the "
                                     f"{_OVERLAP}-block warm-up")
-    used = logs.shape[0] * logs.shape[1] * interval
-    per_step = logs.transpose(2, 0, 1).reshape(logs.shape[2], 1, -1) / interval
+    used = B * n * interval
+    per_step = logs.reshape(d, 1, -1) / interval
     means, ses = batch_means(per_step, n_batches=N_BATCHES)
     order = np.argsort(means)[::-1]
     vals, errs = means[order], ses[order]
@@ -155,13 +159,13 @@ def _spectrum(logs, interval, n_windows, residual):
 
 
 def _block_products(J, interval):
-    """Products of `interval` consecutive jacobians of each member of a
-    stack J (B, n, d, d): (B, nb, d, d)."""
-    nb = J.shape[1] // interval
-    blocks = J[:, :nb * interval].reshape(len(J), nb, interval, *J.shape[2:])
-    P = blocks[:, :, 0]
+    """Products of `interval` consecutive jacobians J (d, d, B, n) of each
+    member: (d, d, B, nb)."""
+    nb = J.shape[-1] // interval
+    blocks = J[..., :nb * interval].reshape(J.shape[:-1] + (nb, interval))
+    P = blocks[..., 0]
     for i in range(1, interval):
-        P = blocks[:, :, i] @ P
+        P = _matvec(blocks[..., i], P)
     return P, nb
 
 
@@ -236,53 +240,51 @@ def _affine_recurrence(c, d):
 
 
 def _forward_qr(J, core, overlap, interval=1):
-    """Windowed QR sweep of a batch of cocycles J (B, n, d, d).
+    """Windowed QR sweep of a batch of cocycles J (d, d, B, n).
 
-    Returns ((Qs (B, n+1, d, d), Rs (B, n, d, d), logs (B, n, d)), residual)
-    with Qs[:, j+1] Rs[:, j] = J[:, j] Qs[:, j] and Qs[:, 0] the identity.
-    Every window starts from the identity, so the column signs of windows
-    other than 0 are arbitrary; they are chained across the hand-over
-    frames (Q <- Q S, R <- S R S).  The residual is the largest mismatch of
-    aligned hand-over frames.  Rank loss raises with the global step index,
-    counted in units of `interval` steps.
+    Returns ((Qs (d, d, B, n+1), Rs (d, d, B, n), logs (d, B, n)),
+    residual) with Qs[..., j+1] Rs[..., j] = J[..., j] Qs[..., j] and
+    Qs[..., 0] the identity.  Every window starts from the identity, so the
+    column signs of windows other than 0 are arbitrary; they are chained
+    across the hand-over frames (Q <- Q S, R <- S R S).  The residual is the
+    largest mismatch of aligned hand-over frames.  Rank loss raises with the
+    global step index, counted in units of `interval` steps.
     """
-    B, n, d, _ = J.shape
+    d, _, B, n = J.shape
     K, core, overlap = _windows(n, core, overlap)
     span = K * core
-    Q = np.broadcast_to(np.eye(d), (B, K, d, d)).copy()
-    Qs = np.zeros((B, span + overlap + 1, d, d))
-    Rs = np.zeros((B, span + overlap, d, d))
-    Qs[:, 0] = Q[:, 0]
+    Q = np.broadcast_to(np.eye(d)[..., None, None], (d, d, B, K)).copy()
+    Qs = np.zeros((d, d, B, span + overlap + 1))
+    Rs = np.zeros((d, d, B, span + overlap))
+    Qs[..., 0] = Q[..., 0]
     hand = Q
     for t in range(core + overlap):
-        P = J[:, t:t + span:core]
-        m = P.shape[1]
-        Q[:, :m], R = _qr_pos(P @ Q[:, :m])
-        Qs[:, t + 1:t + 1 + m * core:core] = Q[:, :m]
-        Rs[:, t:t + m * core:core] = R
+        P = J[..., t:t + span:core]
+        m = P.shape[-1]
+        Q[..., :m], R = _qr_pos(_matvec(P, Q[..., :m]))
+        Qs[..., t + 1:t + 1 + m * core:core] = Q[..., :m]
+        Rs[..., t:t + m * core:core] = R
         if t == overlap - 1:
             hand = Q.copy()
     # window k's stored values: frames k*core + overlap + 1 .. + core
-    S = np.ones((B, K, d))
-    S[:, 1:] = np.cumprod(np.where(
-        np.einsum("bkij,bkij->bkj", Q[:, :-1], hand[:, 1:]) < 0, -1.0, 1.0),
-        axis=1)
-    mismatch = Q[:, :-1] * S[:, :-1, None, :] - hand[:, 1:] * S[:, 1:, None, :]
+    S = np.ones((d, B, K))
+    S[..., 1:] = np.cumprod(np.where(
+        _dot(Q[..., :-1], hand[..., 1:]) < 0, -1.0, 1.0), axis=-1)
+    mismatch = Q[..., :-1] * S[..., :-1] - hand[..., 1:] * S[..., 1:]
     residual = float(np.abs(mismatch).max(initial=0.0))
-    S = S[:, :, None]
-    Qs[:, overlap + 1:].reshape(B, K, core, d, d)[...] *= S[..., None, :]
-    Rs[:, overlap:].reshape(B, K, core, d, d)[...] *= (
-        S[..., :, None] * S[..., None, :])
-    Qs, Rs = Qs[:, :n + 1], Rs[:, :n]
-    diag = np.diagonal(Rs, axis1=-2, axis2=-1)
+    Qs[..., overlap + 1:].reshape(d, d, B, K, core)[...] *= S[..., None]
+    Rs[..., overlap:].reshape(d, d, B, K, core)[...] *= (
+        S[:, None] * S)[..., None]
+    Qs, Rs = Qs[..., :n + 1], Rs[..., :n]
+    diag = np.array([Rs[i, i] for i in range(d)])
     bad = ~(np.isfinite(diag) & (diag > 0.0))
     if bad.any():
-        j = int(np.argmax(bad.any(axis=(0, 2)))) * interval
+        j = int(np.argmax(bad.any(axis=(0, 1)))) * interval
         cause = ("" if interval == 1 else f": block products of "
                  f"reorth_interval = {interval} steps lost rank")
         raise NumericalDegeneracyError(f"QR rank loss at step {j}{cause}",
                                        step=j)
-    return (Qs, Rs, np.log(diag)), residual
+    return (Qs, Rs, np.log(diag, out=diag)), residual
 
 
 def _check_reorth(interval):
@@ -307,21 +309,22 @@ def benettin_spectrum(measure, reorth_interval):
 class OseledetsSplitting:
     """Covariant Lyapunov vectors on a window of each member's orbit.
 
-    clvs[b, j] has the CLVs as columns, ordered by descending exponent; the
-    first n_unstable columns span E^u, the rest E^s.  Window index j
-    corresponds to orbit index j + offset.
+    clvs[..., b, j] has the CLVs of member b as columns, on planes, ordered
+    by descending exponent; the first n_unstable columns span E^u, the rest
+    E^s.  Window index j corresponds to orbit index j + offset.
     """
 
     points: np.ndarray       # (B, w, d)
-    clvs: np.ndarray         # (B, w, d, d)
+    clvs: np.ndarray         # (d, d, B, w)
     n_unstable: int
     offset: int
     spectrum: LyapunovSpectrum
 
     def basis(self, which):
-        """Orthonormal per-point basis of E^u ('u') or E^s ('s')."""
-        cols = (self.clvs[..., :self.n_unstable] if which == "u"
-                else self.clvs[..., self.n_unstable:])
+        """Orthonormal per-point basis of E^u ('u') or E^s ('s'), planes
+        (d, k, B, w)."""
+        cols = (self.clvs[:, :self.n_unstable] if which == "u"
+                else self.clvs[:, self.n_unstable:])
         return _qr_pos(cols)[0]
 
 
@@ -338,7 +341,7 @@ def _clv_window(n, warmup):
 def _clv_sweep(J, warmup):
     """Ginelli forward/backward sweep for a batch of cocycles.
 
-    J has shape (B, n, d, d); returns (clvs (B, w, d, d), logs (B, n, d),
+    J has shape (d, d, B, n); returns (clvs (d, d, B, w), logs (d, B, n),
     n_windows, residual): the CLVs of frames _clv_window(n, warmup), the
     log stretches of the forward QR pass, whose pooled spectrum is
     _spectrum, and the least window count and largest boundary residual
@@ -352,25 +355,26 @@ def _clv_sweep(J, warmup):
     run from y_i(n) = 0 for i = c-1 down to 0; it contracts at the rate
     e^(lambda_c - lambda_i).  The CLVs are built in the forward frames Qs
     themselves, column d-1 first: column c reads only the columns i < c,
-    which still hold Q.
+    which still hold Q, and is scaled to unit norm once built.
     """
-    B, n, d, _ = J.shape
+    d, _, B, n = J.shape
     lo, hi = _clv_window(n, warmup)
     (Qs, Rs, logs), n_windows, residual = _windowed(
         lambda core, overlap: _forward_qr(J, core, overlap), n)
-    R = Rs[:, ::-1]                     # index t is step n - 1 - t
-    V = Qs[:, lo:hi]
+    R = Rs[..., ::-1]                   # index t is step n - 1 - t
+    V = Qs[..., lo:hi]
     for c in range(d - 1, -1, -1):
         y = {}                          # y[l][:, t] is y_l at frame n - t
         for i in range(c - 1, -1, -1):
-            s = R[..., i, c]
+            s = R[i, c]
             for l in range(i + 1, c):
-                s = s + R[..., i, l] * y[l][:, 1:]
-            y[i], windows, res = _affine_recurrence(
-                R[..., c, c] / R[..., i, i], -s / R[..., i, i])
+                s = s + R[i, l] * y[l][:, 1:]
+            y[i], windows, res = _affine_recurrence(R[c, c] / R[i, i],
+                                                    -s / R[i, i])
             n_windows, residual = min(n_windows, windows), max(residual, res)
-            V[..., c] += V[..., i] * y[i][:, ::-1][:, lo:hi, None]
-    return _unit_columns(V), logs, n_windows, residual
+            V[:, c] += V[:, i] * y[i][:, ::-1][:, lo:hi]
+        V[:, c] /= np.sqrt(_dot(V[:, c], V[:, c]))
+    return V, logs, n_windows, residual
 
 
 def compute_clvs(measure, warmup):
@@ -386,7 +390,7 @@ def compute_clvs(measure, warmup):
     spectrum = _spectrum(logs, 1, n_windows, residual)
     spectrum.require_hyperbolic()
     return OseledetsSplitting(
-        points=measure.orbits[:, warmup:warmup + clvs.shape[1]], clvs=clvs,
+        points=measure.orbits[:, warmup:warmup + clvs.shape[-1]], clvs=clvs,
         n_unstable=int(np.sum(spectrum.all_exponents > 0)), offset=warmup,
         spectrum=spectrum)
 
@@ -399,19 +403,21 @@ def splitting_angles(splitting):
     the lower-dimensional subspace and B_b of the other (Knyazev & Argentati,
     SIAM J. Sci. Comput. 23, 2002).  arccos(cos) alone keeps only about half
     the digits of a small angle.  When B_a is one column, both singular values
-    are column norms.
+    are column norms; otherwise the SVD runs on them as stacked matrices.
     """
     a, b = splitting.basis("u"), splitting.basis("s")
-    if a.shape[-1] > b.shape[-1]:
+    if a.shape[1] > b.shape[1]:
         a, b = b, a
-    C = np.swapaxes(b, -2, -1) @ a
-    S = a - b @ C
-    if a.shape[-1] == 1:
-        cos = np.linalg.norm(C[..., 0], axis=-1)
-        sin = np.linalg.norm(S[..., 0], axis=-1)
+    C = _matvec(list(zip(*b)), a)       # b^T a: b's columns are its rows
+    S = a - _matvec(b, C)
+    if a.shape[1] == 1:
+        cos = np.sqrt(_dot(C[:, 0], C[:, 0]))
+        sin = np.sqrt(_dot(S[:, 0], S[:, 0]))
     else:
-        cos = np.linalg.svd(C, compute_uv=False)[..., 0]
-        sin = np.linalg.svd(S, compute_uv=False)[..., -1]
+        cos = np.linalg.svd(np.moveaxis(C, (0, 1), (-2, -1)),
+                            compute_uv=False)[..., 0]
+        sin = np.linalg.svd(np.moveaxis(S, (0, 1), (-2, -1)),
+                            compute_uv=False)[..., -1]
     return np.arctan2(sin, cos)
 
 
@@ -427,11 +433,10 @@ def covariance_residuals(splitting, family, alpha):
     out = []
     for which in ("u", "s"):
         basis = splitting.basis(which)
-        V = J @ basis[:, :-1]
-        Pn = basis[:, 1:]
-        resid = V - Pn @ (np.swapaxes(Pn, -2, -1) @ V)
-        num = np.linalg.norm(resid, axis=(-2, -1))
-        den = np.linalg.norm(V, axis=(-2, -1))
-        out.append(num / den)
+        V = _matvec(J, basis[..., :-1])
+        Pn = basis[..., 1:]
+        resid = V - _matvec(Pn, _matvec(list(zip(*Pn)), V))
+        out.append(np.linalg.norm(resid, axis=(0, 1))
+                   / np.linalg.norm(V, axis=(0, 1)))
     return out[0], out[1]
 

@@ -18,12 +18,26 @@ def orbit_of(family, alpha, x0, n):
     return hist
 
 
+def planes_of(entries, k=1):
+    """The contiguous component planes (d[, d], ...) of a stack of vectors
+    (..., d) or, with k = 2, of matrices (..., d, d)."""
+    return np.ascontiguousarray(np.moveaxis(entries, range(-k, 0), range(k)))
+
+
+def stack_of(planes, k=1):
+    """The stack of vectors (..., d) or, with k = 2, of matrices
+    (..., d, d) held by component planes (d[, d], ...)."""
+    return np.moveaxis(planes, range(k), range(-k, 0))
+
+
 def sample_of(family, alpha, orbits, jacobians=None):
     """An EmpiricalMeasure of the member orbits (B, n+1, d), the input of
     the tangent estimators; given a stack jacobians (B, n, d, d), its
-    family's jacobian returns that stack in place of Df along the orbits."""
+    family's jacobian returns that stack's planes in place of Df along the
+    orbits."""
     if jacobians is not None:
-        family = dataclasses.replace(family, jacobian=lambda a, x: jacobians)
+        J = planes_of(jacobians, 2)
+        family = dataclasses.replace(family, jacobian=lambda a, x: J)
     return measure.EmpiricalMeasure(family, alpha, orbits, 0)
 
 
@@ -40,9 +54,10 @@ def src_env():
 @pytest.fixture(scope="session")
 def array_step():
     """fam -> fam's step on arrays, (alpha, x) -> (..., d) for points x of
-    shape (..., d), assembled by maps._components."""
+    shape (..., d), assembled by maps._components as planes."""
     def build(fam):
-        return maps._components(lambda a, x: fam.step(np, a, *x))
+        step = maps._components(lambda a, x: fam.step(np, a, *x))
+        return lambda a, x: stack_of(step(a, x))
     return build
 
 

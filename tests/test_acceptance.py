@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import orbit_of, sample_of
+from conftest import orbit_of, sample_of, stack_of
 from srblab import cli, maps, measure, response, tangency, tangent
 from srblab.response import SusceptibilitySeries
 
@@ -77,8 +77,9 @@ def test_03_chain_rule_transported_gradients(capsys):
         P = np.broadcast_to(np.eye(fam.dimension),
                             (100, fam.dimension, fam.dimension)).copy()
         for n in range(1, 11):
-            P = np.einsum("sab,sbc->sac", fam.jacobian(alpha, hist[n - 1]), P)
-            grad = np.einsum("sba,sb->sa", P, phi.gradient(hist[n]))
+            P = np.einsum("sab,sbc->sac",
+                          stack_of(fam.jacobian(alpha, hist[n - 1]), 2), P)
+            grad = np.einsum("sba,sb->sa", P, stack_of(phi.gradient(hist[n])))
             h = 1e-6 / np.maximum(np.linalg.norm(P, axis=(1, 2)), 1.0)
             fd = np.empty_like(grad)
             for i in range(fam.dimension):
@@ -105,9 +106,10 @@ def test_04_clv_covariance_and_cat_eigenvectors(capsys, henon_family,
     ru_c, rs_c = tangent.covariance_residuals(sp, fam, 0.0)
     cat_resid = max(ru_c.max(), rs_c.max())
     _, v = np.linalg.eigh(np.array([[2.0, 1.0], [1.0, 1.0]]))
+    clvs = stack_of(sp.clvs, 2)
     eig_err = max(
-        np.abs(np.abs(sp.clvs[..., 0] @ v[:, 1]) - 1.0).max(),
-        np.abs(np.abs(sp.clvs[..., 1] @ v[:, 0]) - 1.0).max())
+        np.abs(np.abs(clvs[..., 0] @ v[:, 1]) - 1.0).max(),
+        np.abs(np.abs(clvs[..., 1] @ v[:, 0]) - 1.0).max())
     ok = cat_resid < 1e-6 and henon_resid < 1e-3 and eig_err < 1e-10
     _report(capsys, 4, "CLV covariance + cat eigenvectors", ok,
             f"cat={cat_resid:.1e}, henon={henon_resid:.1e}, "

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import orbit_of
+from conftest import orbit_of, planes_of, stack_of
 from srblab import maps, measure
 from srblab.errors import ParameterError
 
@@ -47,7 +47,7 @@ def test_param_derivative_matches_finite_differences(name, array_step):
     rng = np.random.default_rng(8)
     pts = _random_points(fam, rng, 50)
     h = 1e-6
-    X = fam.param_derivative(alpha, pts)
+    X = stack_of(fam.param_derivative(alpha, pts))
     fd = fam.chart.difference(step(alpha + h, pts),
                               step(alpha - h, pts)) / (2 * h)
     assert np.abs(X - fd).max() < 1e-5
@@ -63,42 +63,49 @@ def test_second_derivatives_match_finite_differences(name):
     pts = _random_points(fam, rng, 50)
     a, b = rng.standard_normal((2, 50, 2))
     h = 1e-5
-    H = fam.hessian(alpha, pts, a, b)
-    dJ = fam.jacobian(alpha, pts + h * b) - fam.jacobian(alpha, pts - h * b)
+    H = stack_of(fam.hessian(alpha, pts, planes_of(a), planes_of(b)))
+    dJ = stack_of(fam.jacobian(alpha, pts + h * b)
+                  - fam.jacobian(alpha, pts - h * b), 2)
     fd = np.einsum("sij,sj->si", dJ, a) / (2 * h)
     assert H.shape == pts.shape
     assert np.abs(H - fd).max() <= 1e-6 * np.abs(fd).max()
-    dJa = fam.param_jacobian(alpha, pts)
-    fd = (fam.jacobian(alpha + h, pts) - fam.jacobian(alpha - h, pts)) / (2 * h)
+    dJa = stack_of(fam.param_jacobian(alpha, pts), 2)
+    fd = stack_of(fam.jacobian(alpha + h, pts)
+                  - fam.jacobian(alpha - h, pts), 2) / (2 * h)
     assert dJa.shape == pts.shape + (2,)
     assert np.abs(dJa - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 @pytest.mark.parametrize("name", sorted(ALPHAS))
 def test_component_callables_assemble_pointwise(name):
-    """Every callable maps._components builds gives a (3, 7, d) batch the
-    bits each point gets alone, in shape (..., d) or (..., d, d); a hessian
-    direction pair of shape (d,) broadcasts over the batch.  So does the
-    orbit loop: on component planes for the batch, on floats alone."""
+    """Every callable maps._components builds, and the gradient of every
+    catalogue observable, gives a (3, 7, d) batch of points as contiguous
+    component planes (d[, d], 3, 7) holding the bits each point gets alone;
+    hessian directions are planes (d, 3, 7), and a direction pair of shape
+    (d,) broadcasts over the batch.  So does the orbit loop: on component
+    planes for the batch, on floats alone."""
     fam = maps.get_family(name)
     alpha, d = ALPHAS[name], fam.dimension
     rng = np.random.default_rng(31)
     x = _random_points(fam, rng, 21).reshape(3, 7, d)
-    u, w = rng.standard_normal((2, 3, 7, d))
+    u, w = np.moveaxis(rng.standard_normal((2, 3, 7, d)), -1, 1)
     a, b = rng.standard_normal((2, d))
-    cases = [(fam.jacobian, (x,), (d, d)),
-             (fam.param_derivative, (x,), (d,))]
+    at = functools.partial
+    cases = [(at(fam.jacobian, alpha), (), (d, d)),
+             (at(fam.param_derivative, alpha), (), (d,))]
     if fam.hessian is not None:
-        cases += [(fam.hessian, (x, u, w), (d,)),
-                  (fam.hessian, (x, a, b), (d,)),
-                  (fam.param_jacobian, (x,), (d, d))]
-    for fn, points, core in cases:
-        batch = fn(alpha, *points)
-        assert batch.shape == (3, 7) + core
+        cases += [(at(fam.hessian, alpha), (u, w), (d,)),
+                  (at(fam.hessian, alpha), (a, b), (d,)),
+                  (at(fam.param_jacobian, alpha), (), (d, d))]
+    cases += [(obs.gradient, (), (d,)) for obs in maps.observable_catalog(d)]
+    for fn, directions, core in cases:
+        batch = fn(x, *directions)
+        assert batch.shape == core + (3, 7) and batch.flags.c_contiguous
         for i in np.ndindex(3, 7):
-            alone = fn(alpha, *[p[i] if p.ndim == 3 else p for p in points])
+            alone = fn(x[i], *[v[(slice(None),) + i] if v.ndim == 3 else v
+                               for v in directions])
             assert alone.shape == core
-            assert alone.tobytes() == batch[i].tobytes()
+            assert alone.tobytes() == batch[(...,) + i].tobytes()
     hist, bad = maps._orbit(fam, alpha, x, 50)
     assert hist.shape == (3, 7, 51, d) and not bad.any()
     for i in np.ndindex(3, 7):
@@ -110,14 +117,14 @@ def test_jacobian_determinant_nonzero_everywhere():
     rng = np.random.default_rng(10)
     for name, alpha in ALPHAS.items():
         fam = maps.get_family(name)
-        J = fam.jacobian(alpha, _random_points(fam, rng))
+        J = stack_of(fam.jacobian(alpha, _random_points(fam, rng)), 2)
         assert np.abs(np.linalg.det(J)).min() > 1e-12
 
 
 def test_henon_determinant_constant():
     fam = maps.get_family("henon", {"b": 0.25})
     rng = np.random.default_rng(11)
-    J = fam.jacobian(1.4, rng.uniform(-1.5, 1.5, (200, 2)))
+    J = stack_of(fam.jacobian(1.4, rng.uniform(-1.5, 1.5, (200, 2))), 2)
     assert np.abs(np.linalg.det(J) + 0.25).max() < 1e-12
 
 
@@ -321,6 +328,9 @@ def test_float_batch_with_escapes_matches_array_path():
 def test_torus_reduction_of_a_tiny_negative_gives_one():
     """u - floor(u) is 1.0, not in [0, 1), for u in (-2**-54, 0)."""
     assert np.array_equal(maps.torus().reduce([-1e-17, 0.5]), [1.0, 0.5])
+    # np.round rounds half to even: differences of 0.5 and 2.5 give +0.5
+    assert np.array_equal(maps.torus().difference([0.5, -0.5, 2.5], 0.0),
+                          [0.5, -0.5, 0.5])
     fam = maps.get_family("cat_translate")
     # (0, 0) -> (alpha, alpha * 0) with alpha = -1e-17
     orbit = orbit_of(fam, -1e-17, np.array([0.0, 0.0]), 1)
@@ -358,7 +368,7 @@ def test_observable_gradient_matches_finite_differences():
     pts = rng.random((100, 2))
     h = 1e-6
     for obs in maps.observable_catalog(2):
-        g = obs.gradient(pts)
+        g = stack_of(obs.gradient(pts))
         for i in range(2):
             e = np.zeros(2)
             e[i] = h

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import orbit_of
+from conftest import orbit_of, planes_of, stack_of
 from srblab import maps, measure, pade, response, stats, tangent
 from srblab.errors import (InsufficientDataError, NumericalDegeneracyError,
                            PadeDegeneracyError, ParameterError,
@@ -31,14 +31,14 @@ def _quadrature_kappa(fam, step, alpha, X_fn, obs, N, grid=400):
     t = (np.arange(grid) + 0.5) / grid
     xx, yy = np.meshgrid(t, t, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    X = X_fn(pts)
+    X = stack_of(X_fn(pts))
     out = np.empty(N + 1)
     cur = pts
     V = X.copy()
     for n in range(N + 1):
-        g = obs.gradient(cur)
+        g = stack_of(obs.gradient(cur))
         out[n] = np.mean(np.sum(V * g, axis=-1))
-        J = fam.jacobian(alpha, cur)
+        J = stack_of(fam.jacobian(alpha, cur), 2)
         V = np.einsum("sab,sb->sa", J, V)
         cur = fam.chart.reduce(step(alpha, cur))
     return out
@@ -65,17 +65,15 @@ def kappa_adjoint(measure, obs, N):
     orbits = measure.orbits
     m, L, d = orbits.shape
     S = L - 1 - N
-    jacT = np.moveaxis(measure.family.jacobian(measure.alpha,
-                                               orbits[:, 1:-1]),
-                       (-1, -2), (0, 1))
-    Xs = np.moveaxis(measure.family.param_derivative(measure.alpha,
-                                                     orbits[:, :S]), -1, 0)
+    jacT = np.swapaxes(measure.family.jacobian(measure.alpha,
+                                               orbits[:, 1:-1]), 0, 1)
+    Xs = measure.family.param_derivative(measure.alpha, orbits[:, :S])
     # W_n at orbit indices 1..L-1-n
-    W = np.moveaxis(obs.gradient(orbits)[:, 1:], -1, 0)
+    W = obs.gradient(orbits)[..., 1:]
     out = np.empty(N + 1)
     for n in range(N + 1):
         if n > 0:
-            W = response._matvec(jacT[..., :W.shape[-1] - 1], W[..., 1:])
+            W = tangent._matvec(jacT[..., :W.shape[-1] - 1], W[..., 1:])
         out[n] = np.einsum("dms,dms->ms", Xs, W[..., :S]).mean()
     return out
 
@@ -107,10 +105,10 @@ def test_kappa_linearity_in_field(cat_translate_measure):
 
     a, b = 0.7, -1.3
     pts = emp.orbits[:, 1:]
-    k1 = response._field_series(emp, f1(pts), phi, 5).coeffs
-    k2 = response._field_series(emp, f2(pts), phi, 5).coeffs
-    k12 = response._field_series(emp, a * f1(pts) + b * f2(pts), phi,
-                                 5).coeffs
+    k1 = response._field_series(emp, planes_of(f1(pts)), phi, 5).coeffs
+    k2 = response._field_series(emp, planes_of(f2(pts)), phi, 5).coeffs
+    k12 = response._field_series(emp, planes_of(a * f1(pts) + b * f2(pts)),
+                                 phi, 5).coeffs
     assert np.abs(k12 - (a * k1 + b * k2)).max() < 1e-10
 
 
@@ -474,7 +472,7 @@ def test_split_error_in_a_worker_leaves_no_thread(monkeypatch,
                                                   small_catshear):
     fam, emp = small_catshear
     broken = dataclasses.replace(
-        fam, hessian=lambda a, x, u, w: np.full(np.shape(x), np.nan))
+        fam, hessian=lambda a, x, u, w: np.full(np.shape(u), np.nan))
     emp = dataclasses.replace(emp, family=broken)
     before = set(threading.enumerate())
     with pytest.raises(NumericalDegeneracyError):
@@ -553,7 +551,7 @@ def test_split_needs_second_derivatives(small_catshear, missing):
 def test_split_non_finite_divergence_raises(small_catshear):
     fam, emp = small_catshear
     broken = dataclasses.replace(
-        fam, hessian=lambda a, x, u, w: np.full(np.shape(x), np.nan))
+        fam, hessian=lambda a, x, u, w: np.full(np.shape(u), np.nan))
     emp = dataclasses.replace(emp, family=broken)
     with pytest.raises(NumericalDegeneracyError):
         response.stable_unstable_split(
@@ -567,13 +565,14 @@ def test_kappa_series_slices_bitwise_equal_gathers(small_catshear):
     fam, emp = small_catshear
     orbits = emp.orbits
     m = orbits.shape[0]
-    jac = fam.jacobian(0.25, orbits[:, :-1])
-    grads = maps.get_observable("bump", 2).gradient(orbits)
+    J = fam.jacobian(0.25, orbits[:, :-1])
+    G = maps.get_observable("bump", 2).gradient(orbits)
+    jac, grads = stack_of(J, 2), stack_of(G)
     js = np.arange(700, 2400)
     rng = np.random.default_rng(0)
     mask = rng.random((m, js.size)) > 0.1
     rows = np.arange(m)[:, None]
-    for V0 in (fam.param_derivative(0.25, orbits[:, :-1])[:, js - 1],
+    for V0 in (stack_of(fam.param_derivative(0.25, orbits[:, :-1]))[:, js - 1],
                rng.standard_normal((m, js.size, 2))):
         V = V0.copy()
         ref_c, ref_e = np.empty(9), np.empty(9)
@@ -584,8 +583,7 @@ def test_kappa_series_slices_bitwise_equal_gathers(small_catshear):
             ref_c[n], ref_e[n] = stats.merge_batch_sums(
                 [stats.batch_sums(c, 25, m, mask)])
         (parts,), trunc = response._kappa_series(
-            response._planes(jac, 2).copy(), response._planes(V0)[:, None],
-            response._planes(grads).copy(), 8, js[0], mask, m)
+            J, planes_of(V0)[:, None], G, 8, js[0], mask, m)
         assert trunc is None
         ser = response._merged_series([parts], {})
         assert np.array_equal(ser.coeffs, ref_c)
@@ -598,13 +596,11 @@ def test_kappa_series_stacked_fields_match_single_passes(small_catshear):
     fam, emp = small_catshear
     orbits = emp.orbits
     m = orbits.shape[0]
-    J = response._planes(fam.jacobian(0.25, orbits[:, :-1]), 2).copy()
-    grads = response._planes(
-        maps.get_observable("bump", 2).gradient(orbits)).copy()
+    J = fam.jacobian(0.25, orbits[:, :-1])
+    grads = maps.get_observable("bump", 2).gradient(orbits)
     rng = np.random.default_rng(1)
-    X = np.stack([response._planes(
-        fam.param_derivative(0.25, orbits[:, 699:2399])),
-        rng.standard_normal((2, m, 1700))], axis=1)
+    X = np.stack([fam.param_derivative(0.25, orbits[:, 699:2399]),
+                  rng.standard_normal((2, m, 1700))], axis=1)
     for mask in (None, rng.random((m, 1700)) > 0.1):
         both, trunc = response._kappa_series(J, X, grads, 8, 700, mask, m)
         assert trunc is None and len(both) == 2
@@ -655,15 +651,14 @@ def test_manifold_recurrences_match_pushed_segments(array_step):
     alpha, back = 0.25, 12
     x0 = orbit_of(fam, alpha, np.array([0.3, 0.6]), 300)[-1]
     orbit = orbit_of(fam, alpha, x0, 2000)
-    jac = fam.jacobian(alpha, orbit[:-1])
+    jac = fam.jacobian(alpha, orbit[None, :-1])
     lo = 300
-    clvs = tangent._clv_sweep(jac[None], lo)[0]
-    w = clvs.shape[1]
-    V, E = clvs[..., 0], clvs[..., 1]
+    clvs = tangent._clv_sweep(jac, lo)[0]
+    w = clvs.shape[-1]
     r, k, g, b, _, _ = response._manifold_recurrences(
-        fam, alpha, orbit[None, lo:lo + w - 1],
-        response._planes(jac[None, lo:lo + w - 1], 2), response._planes(V),
-        response._planes(E))
+        fam, alpha, orbit[None, lo:lo + w - 1], jac[..., lo:lo + w - 1],
+        clvs[:, 0], clvs[:, 1])
+    V, E = stack_of(clvs[:, 0]), stack_of(clvs[:, 1])
 
     def segment(t, halfwidth, nodes):
         """Offsets from x_t of points about nodes x halfwidth along the

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import planes_of
 from srblab import maps, tangency, tangent
 from srblab.errors import (FrameMisalignmentError, InsufficientDataError,
                            ParameterError)
@@ -192,8 +193,9 @@ def test_project_along_stable_recovers_line_geometry():
     pts = np.stack([theta, 2 * theta], axis=-1)
     s = np.array([0.0, 1.0])
     frame = tangency.TransversalFrame((0.0, 0.0), (1.0, 0.0))
-    proj = tangency.project_along_stable(pts, np.tile(s, (200, 1)), frame,
-                                         min_angle=1e-3, chart=maps.flat())
+    proj = tangency.project_along_stable(pts, planes_of(np.tile(s, (200, 1))),
+                                         frame, min_angle=1e-3,
+                                         chart=maps.flat())
     assert np.abs(proj.theta - theta).max() < 1e-12
 
 
@@ -202,8 +204,8 @@ def test_project_along_stable_rejects_parallel_frame():
     s = np.tile(np.array([1.0, 0.0]), (100, 1))
     frame = tangency.TransversalFrame((0.0, 0.0), (1.0, 0.0))
     with pytest.raises(FrameMisalignmentError):
-        tangency.project_along_stable(pts, s, frame, min_angle=1e-3,
-                                      chart=maps.flat())
+        tangency.project_along_stable(pts, planes_of(s), frame,
+                                      min_angle=1e-3, chart=maps.flat())
 
 
 def test_make_sigma_rejects_unknown_kind():

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import orbit_of, sample_of
+from conftest import orbit_of, planes_of, sample_of, stack_of
 from srblab import maps, measure, response, tangent
 from srblab.errors import (HyperbolicityError, InsufficientDataError,
                            NumericalDegeneracyError)
@@ -56,7 +56,7 @@ def test_seed_independence():
     q0, _ = np.linalg.qr(rng.standard_normal((2, 2)))
     # the sweep from the identity on q0^T J q0 is the sweep from q0 on J,
     # its frames turned by q0^T
-    J = fam.jacobian(0.2, orbit[None, :-1])
+    J = stack_of(fam.jacobian(0.2, orbit[None, :-1]), 2)
     turned = sample_of(fam, 0.2, orbit[None], q0.T @ J @ q0)
     a = tangent.benettin_spectrum(emp, reorth_interval=4)
     b = tangent.benettin_spectrum(turned, reorth_interval=4)
@@ -87,7 +87,7 @@ def test_benettin_warm_up_forgets_a_one_ulp_change():
     emp = measure.srb_sample(fam, 1.4, 10_000, 20_001, 1, 0)
     a = tangent.benettin_spectrum(emp, reorth_interval=4)
     assert a.n_steps == 20_000 - 4 * tangent._OVERLAP
-    J = fam.jacobian(1.4, emp.orbits[:, :-1])
+    J = stack_of(fam.jacobian(1.4, emp.orbits[:, :-1]), 2)
     for direction in (np.inf, -np.inf):
         b = tangent.benettin_spectrum(sample_of(
             fam, 1.4, emp.orbits, np.nextafter(J, direction)), 4)
@@ -124,8 +124,9 @@ def test_cat_clvs_are_constant_eigenvectors():
     sp = tangent.compute_clvs(_cat_sample(6000)[2], warmup=1000)
     w, v = np.linalg.eigh(CAT)
     vu, vs = v[:, 1], v[:, 0]
-    assert np.abs(np.abs(sp.clvs[..., 0] @ vu) - 1).max() < 1e-10
-    assert np.abs(np.abs(sp.clvs[..., 1] @ vs) - 1).max() < 1e-10
+    clvs = stack_of(sp.clvs, 2)
+    assert np.abs(np.abs(clvs[..., 0] @ vu) - 1).max() < 1e-10
+    assert np.abs(np.abs(clvs[..., 1] @ vs) - 1).max() < 1e-10
 
 
 def test_clv_covariance_linear():
@@ -149,7 +150,7 @@ def test_splitting_angle_bounds(henon_splitting):
 
 
 def test_splitting_basis_orthonormal(henon_splitting):
-    bu = henon_splitting.basis("u")
+    bu = stack_of(henon_splitting.basis("u"), 2)
     gram = np.einsum("...ia,...ib->...ab", bu, bu)
     assert np.abs(gram - np.eye(bu.shape[-1])).max() < 1e-12
 
@@ -177,7 +178,7 @@ def test_stack_clvs_equal_each_members_own_sweep(name, alpha):
     _assert_same_spectrum(stack.spectrum, tangent.benettin_spectrum(emp, 1))
     for b, orbit in enumerate(emp.orbits):
         alone = tangent.compute_clvs(sample_of(fam, alpha, orbit[None]), 1000)
-        assert np.array_equal(alone.clvs[0], stack.clvs[b])
+        assert np.array_equal(alone.clvs[..., 0, :], stack.clvs[..., b, :])
         assert np.array_equal(alone.points[0], stack.points[b])
 
 
@@ -235,7 +236,7 @@ def test_windowed_batched_sweep_bitwise_on_cat_shear(monkeypatch):
     clvs, logs, n_windows, _ = tangent._clv_sweep(J, 500)
     clvs1, logs1, n_windows1, _ = _one_window(monkeypatch,
                                               tangent._clv_sweep, J, 500)
-    assert J.shape[0] == 16 and n_windows > 1 and n_windows1 == 1
+    assert J.shape[2] == 16 and n_windows > 1 and n_windows1 == 1
     assert np.array_equal(clvs, clvs1)
     assert np.array_equal(logs, logs1)
 
@@ -306,7 +307,7 @@ def test_overlap_ladder_keeps_coupled_henon_windowed(monkeypatch):
 @pytest.mark.parametrize("reorth_interval", [1, 4])
 def test_rank_loss_reports_global_step(reorth_interval):
     fam, orbit, _ = _cat_sample(4000)
-    J = fam.jacobian(0.0, orbit[None, :-1])
+    J = stack_of(fam.jacobian(0.0, orbit[None, :-1]), 2)
     J[0, 1000] = 0.0                     # inside the fourth window's core
     bad = sample_of(fam, 0.0, orbit[None], J)
     with pytest.raises(NumericalDegeneracyError) as exc:
@@ -358,6 +359,13 @@ def _lapack_qr_pos(A):
     return Q * sign[..., None, :], R * sign[..., :, None]
 
 
+def _qr_stack(A):
+    """tangent._qr_pos of a stack A (..., m, k), as stacks; the planes are
+    a view of A, so a strided stack gives strided planes."""
+    Q, R = tangent._qr_pos(np.moveaxis(A, (-2, -1), (0, 1)))
+    return stack_of(Q, 2), stack_of(R, 2)
+
+
 def _same_bits_alone_and_strided(kernel, *stacks):
     """kernel on the stack gives the bits it gives on each matrix alone and
     on every other row of a stack twice as tall."""
@@ -385,7 +393,7 @@ def test_qr_kernel_properties(seed, d, k, n, log_cond):
     k = min(k, d)                      # square, or tall as for basis()
     A = _conditioned(seed, n, d, k, log_cond)
     cond = np.linalg.cond(A).max()
-    Q, R = tangent._qr_pos(A)
+    Q, R = _qr_stack(A)
     assert Q.shape == (n, d, k) and R.shape == (n, k, k)
     gram = np.swapaxes(Q, -2, -1) @ Q
     assert np.abs(gram - np.eye(k)).max() <= 1e-14
@@ -397,7 +405,7 @@ def test_qr_kernel_properties(seed, d, k, n, log_cond):
     Q0, R0 = _lapack_qr_pos(A)
     assert np.abs(Q - Q0).max() <= 20 * cond * EPS
     assert np.abs(R - R0).max() <= 20 * cond * EPS * scale
-    _same_bits_alone_and_strided(tangent._qr_pos, A)
+    _same_bits_alone_and_strided(_qr_stack, A)
 
 
 def _ginelli_reference(J, warmup):
@@ -434,9 +442,10 @@ def test_recurrence_clvs_match_ginelli(seed, d):
     T = np.exp(lam)[:, None] * (np.eye(d)
                                 + rng.uniform(-0.5, 0.5, (n, d, d)) / d)
     J = O[1:] @ T @ np.swapaxes(O[:-1], -2, -1)
-    clvs, _, n_windows, residual = tangent._clv_sweep(J[None], warmup)
+    clvs, _, n_windows, residual = tangent._clv_sweep(planes_of(J[None], 2),
+                                                      warmup)
     assert n_windows > 1 and residual <= tangent._MAX_RESIDUAL
-    V = clvs[0]
+    V = stack_of(clvs, 2)[0]
     # both passes give CLV c a positive component along Q's column c, so
     # no sign is aligned; on 120 draws they agreed to 6e-16, and the
     # covariance below held to 2e-15
@@ -484,7 +493,8 @@ def test_splitting_angle_keeps_its_digits():
     theta = 1e-7
     c, s = math.cos(theta), math.sin(theta)
     sp = tangent.OseledetsSplitting(
-        points=np.zeros((1, 2)), clvs=np.array([[[1.0, c], [0.0, s]]]),
+        points=np.zeros((1, 2)),
+        clvs=planes_of(np.array([[[1.0, c], [0.0, s]]]), 2),
         n_unstable=1, offset=0, spectrum=None)
     assert abs(tangent.splitting_angles(sp)[0] - theta) <= 1e-14 * theta
     line = response._line_angle(np.array([1.0, 0.0]), np.array([c, s]))
@@ -495,7 +505,8 @@ def test_splitting_angle_keeps_its_digits():
 def test_splitting_angles_match_scipy(n_unstable):
     clvs = np.random.default_rng(n_unstable).standard_normal((20, 4, 4))
     sp = tangent.OseledetsSplitting(
-        points=np.zeros((20, 4)), clvs=clvs, n_unstable=n_unstable,
+        points=np.zeros((20, 4)), clvs=planes_of(clvs, 2),
+        n_unstable=n_unstable,
         offset=0, spectrum=None)
     ref = [scipy.linalg.subspace_angles(V[:, :n_unstable],
                                         V[:, n_unstable:]).min()
