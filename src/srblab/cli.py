@@ -280,6 +280,7 @@ def cmd_radius(cfg, outdir):
         "fit_window": est.fit_window, "indeterminate": est.indeterminate,
         "flag": est.flag, "poles": est.poles,
         "screened_poles": est.screened_poles,
+        "truncated_at": series.meta["truncated_at"],
     })
     return {"coefficients": int(series.coeffs.size)}
 
@@ -299,6 +300,7 @@ def cmd_response_check(cfg, outdir):
         "discrepancy_sigma": sigma,
         "h": cfg.get("response.h"),
         "agrees_3sigma": sigma < 3.0,
+        "truncated_at": series.meta["truncated_at"],
     })
     return {"coefficients": int(series.coeffs.size)}
 
@@ -459,6 +461,7 @@ def _report_row(cfg, i, entry):
         "psi_one_status": (
             "resolved" if stats.sigma_units(psi_one, psi_err) > 3
             else "consistent-with-zero"),
+        "truncated_at": series.meta["truncated_at"],
     }
 
 

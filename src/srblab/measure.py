@@ -136,14 +136,20 @@ def _check_lag(n_max):
 def correlation(measure, psi, phi, n_max):
     """Centered cross-correlations C_n = rho((psi - <psi>)(phi o f^n - <phi>))
     for lags 0..n_max, with an exponential decay fit over the lags that sit
-    above the noise floor of twice their standard error."""
+    above the noise floor of twice their standard error.  An observable
+    passed as both psi and phi is evaluated once."""
     _check_lag(n_max)
     if measure.length <= n_max:
         raise InsufficientDataError("orbit shorter than requested max lag")
-    a = psi.value(measure.orbits)
-    b = phi.value(measure.orbits)
-    a = a - a.mean()
-    b = b - b.mean()
+    def centred(obs):
+        # in place, but a value that is a view of the orbits, as a
+        # coordinate's is, is copied first
+        x = np.require(obs.value(measure.orbits), float, "OW")
+        x -= x.mean()
+        return x
+
+    a = centred(psi)
+    b = a if phi is psi else centred(phi)
     L = a.shape[1]
     lags = np.arange(n_max + 1)
     vals = np.empty(n_max + 1)

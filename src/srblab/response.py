@@ -71,8 +71,8 @@ def _kappa_series(J, V, grads, N, j0, mask, members):
     for n in range(N + 1):
         if n > 0:
             V = _matvec(J[..., j0 + n - 1:j0 + n - 1 + S], V)
-            # one pass: a nan fails the comparison as an inf does
-            if not np.abs(V).max() <= 1e150:
+            # a nan fails either comparison as an inf does
+            if not (V.max() <= 1e150 and V.min() >= -1e150):
                 return parts, n
         # grad . V as the one-row matrix grad^T times V, summed in place
         for p, c in zip(parts, _matvec([grads[..., j0 + n:j0 + n + S]], V)[0]):
@@ -82,7 +82,7 @@ def _kappa_series(J, V, grads, N, j0, mask, members):
 
 def _merged_series(blocks, meta):
     """The series whose coefficient n merges the n-th batch sums of each
-    block, given in member order."""
+    block, given in member order, up to the shortest block's order."""
     coeffs, errs = zip(*(merge_batch_sums(list(parts))
                          for parts in zip(*blocks)))
     return SusceptibilitySeries(np.array(coeffs), np.array(errs), meta)
@@ -98,30 +98,46 @@ def susceptibility_coefficients(measure, obs, N):
     overflow the series is truncated at the last finite n and the truncation
     recorded in the metadata.
     """
-    X = measure.family.param_derivative(measure.alpha, measure.orbits[:, :-1])
-    return _field_series(measure, X, obs, N)
+    family, alpha = measure.family, measure.alpha
+    return _field_series(
+        measure, lambda orb: family.param_derivative(alpha, orb[:, :-1]),
+        obs, N)
 
 
-def _field_series(measure, X, obs, N):
-    """kappa_n for n = 0..N along the field X, planes (d, m, L-1) given at
-    orbit indices 1..L-1 of the sample's m orbits."""
+def _field_series(measure, field, obs, N):
+    """kappa_n for n = 0..N along the field X, where field(orb) gives its
+    planes (d, 1, L-1) at orbit indices 1..L-1 of one member's orbit orb
+    (1, L, d).
+
+    Each member runs _kappa_series on its own Jacobians, field and gradient
+    planes, in the whole sample's batch layout, so no tangent array spans
+    the sample.  The members' batch sums merge in member order, and the series
+    stops at the least order at which any member's tangent vectors
+    overflow.  Every standard error is the whole sample's bit for bit; a
+    mean adds the members' totals, which moves it by rounding only."""
     _check_order(N)
-    orbits = measure.orbits
+    family, alpha, orbits = measure.family, measure.alpha, measure.orbits
     m, L, d = orbits.shape
     S = L - 1 - N
     if S < N_BATCHES:
         raise InsufficientDataError("orbit too short for requested N")
-    J = measure.family.jacobian(measure.alpha, orbits[:, :-1])
-    (parts,), trunc = _kappa_series(J, X[..., :S][:, None],
-                                    obs.gradient(orbits), N, 1, None, m)
-    return _merged_series([parts], {
-        "system": measure.family.name,
-        "alpha": measure.alpha,
+    members, truncs = [], []
+    for orb in np.split(orbits, m):
+        (parts,), trunc = _kappa_series(
+            family.jacobian(alpha, orb[:, :-1]), field(orb)[..., :S][:, None],
+            obs.gradient(orb), N, 1, None, m)
+        members.append(parts)
+        if trunc is not None:
+            truncs.append(trunc)
+    # zip in _merged_series stops at the shortest member's series
+    return _merged_series(members, {
+        "system": family.name,
+        "alpha": alpha,
         "observable": obs.name,
         "N": N,
         "n_samples": int(m * S),
         "ensemble": m,
-        "truncated_at": trunc,
+        "truncated_at": min(truncs, default=None),
     })
 
 
@@ -327,8 +343,8 @@ def volume_preserving_identity(measure, field, divergence, obs, N):
         raise ParameterError(
             f"family {measure.family.name} is not flagged volume-preserving")
     orbits = measure.orbits
-    direct = _field_series(measure, np.moveaxis(field(orbits[:, 1:]), -1, 0),
-                           obs, N)
+    direct = _field_series(
+        measure, lambda orb: np.moveaxis(field(orb[:, 1:]), -1, 0), obs, N)
     S = orbits.shape[1] - 1 - N
     divv = divergence(orbits[:, 1:1 + S])
     phiv = obs.value(orbits)

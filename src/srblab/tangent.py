@@ -160,13 +160,13 @@ def _spectrum(logs, interval, n_windows, residual):
 
 def _block_products(J, interval):
     """Products of `interval` consecutive jacobians J (d, d, B, n) of each
-    member: (d, d, B, nb)."""
+    member: (d, d, B, n // interval)."""
     nb = J.shape[-1] // interval
     blocks = J[..., :nb * interval].reshape(J.shape[:-1] + (nb, interval))
     P = blocks[..., 0]
     for i in range(1, interval):
         P = _matvec(blocks[..., i], P)
-    return P, nb
+    return P
 
 
 # Windowed sweeps.  A QR frame and a Ginelli backward vector forget where
@@ -294,11 +294,17 @@ def _check_reorth(interval):
 
 def benettin_spectrum(measure, reorth_interval):
     """Lyapunov spectrum of an EmpiricalMeasure by QR reorthonormalization
-    over blocks of `reorth_interval` steps, its members pooled; the
-    Jacobians along the orbits are evaluated here."""
+    over blocks of `reorth_interval` steps, its members pooled.  The block
+    products are filled in member by member, each from that member's
+    Jacobians, evaluated here, so no Jacobian array spans the sample."""
     _check_reorth(reorth_interval)
-    P, nb = _block_products(measure.family.jacobian(
-        measure.alpha, measure.orbits[:, :-1]), reorth_interval)
+    family, alpha, orbits = measure.family, measure.alpha, measure.orbits
+    B, L, d = orbits.shape
+    nb = (L - 1) // reorth_interval
+    P = np.empty((d, d, B, nb))
+    for b, orb in enumerate(np.split(orbits, B)):
+        P[:, :, b:b + 1] = _block_products(
+            family.jacobian(alpha, orb[:, :-1]), reorth_interval)
     (_, _, logs), n_windows, residual = _windowed(
         lambda core, overlap: _forward_qr(P, core, overlap,
                                           reorth_interval), nb)

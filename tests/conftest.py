@@ -32,9 +32,9 @@ def stack_of(planes, k=1):
 
 def sample_of(family, alpha, orbits, jacobians=None):
     """An EmpiricalMeasure of the member orbits (B, n+1, d), the input of
-    the tangent estimators; given a stack jacobians (B, n, d, d), its
-    family's jacobian returns that stack's planes in place of Df along the
-    orbits."""
+    the tangent estimators; given the stack jacobians (1, n, d, d) of a
+    one-member sample, its family's jacobian returns that stack's planes in
+    place of Df along the orbit."""
     if jacobians is not None:
         J = planes_of(jacobians, 2)
         family = dataclasses.replace(family, jacobian=lambda a, x: J)

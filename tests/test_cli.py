@@ -354,8 +354,9 @@ def test_conjecture_report_carries_radius_flag(tmp_path):
 
 
 def test_conjecture_report_rows_reproduce_single_runs(tmp_path):
-    """Report row 0 at seed s holds the radius of `radius` and the d_s of
-    `lyapunov`, each run at seed s + 200 on the same settings."""
+    """Report row 0 at seed s holds the radius and truncation order of
+    `radius` and the d_s of `lyapunov`, each run at seed s + 200 on the
+    same settings."""
     common = {
         "observable": "bump",
         "orbit": {"transient": 200, "length": 3000, "ensemble": 4},
@@ -385,6 +386,7 @@ def test_conjecture_report_rows_reproduce_single_runs(tmp_path):
     assert row["radius"] == radius["value"]
     assert row["radius_ci"] == radius["ci"]
     assert row["radius_flag"] == radius["flag"]
+    assert row["truncated_at"] is radius["truncated_at"] is None
 
 
 SHORT_HENON = {"system": {"name": "henon"}, "alpha": 1.4,
@@ -539,6 +541,7 @@ def test_response_check_counts_an_exact_agreement_as_agreement(tmp_path):
     assert result["psi_one_err"] == result["derivative_err"] == 0.0
     assert result["discrepancy_sigma"] == 0.0
     assert result["agrees_3sigma"] is True
+    assert result["truncated_at"] is None
 
 
 def test_tangency_says_when_its_frame_goes_unused(tmp_path):

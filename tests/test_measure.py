@@ -121,6 +121,21 @@ def test_correlation_constant_observable_vanishes(henon_measure):
     assert np.abs(corr.values).max() < 1e-12
 
 
+def test_correlation_of_one_observable_leaves_the_orbits(henon_measure):
+    """An observable passed as psi and phi is evaluated once and centred in
+    place, with the bits of two evaluations; a coordinate's values, a view
+    of the orbits, are centred in a copy."""
+    orbits = henon_measure.orbits.copy()
+    for name in ("cos_1_0", "coord_0"):
+        phi = maps.get_observable(name, 2)
+        once = measure.correlation(henon_measure, phi, phi, 5)
+        twice = measure.correlation(henon_measure, phi,
+                                    maps.get_observable(name, 2), 5)
+        assert np.array_equal(once.values, twice.values)
+        assert np.array_equal(once.stderr, twice.stderr)
+    assert np.array_equal(henon_measure.orbits, orbits)
+
+
 def test_correlation_noise_floor_flag():
     rng = np.random.default_rng(5)
     fam = maps.get_family("cat_translate")

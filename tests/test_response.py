@@ -104,11 +104,13 @@ def test_kappa_linearity_in_field(cat_translate_measure):
                          np.cos(two_pi * x[..., 0])], axis=-1)
 
     a, b = 0.7, -1.3
-    pts = emp.orbits[:, 1:]
-    k1 = response._field_series(emp, planes_of(f1(pts)), phi, 5).coeffs
-    k2 = response._field_series(emp, planes_of(f2(pts)), phi, 5).coeffs
-    k12 = response._field_series(emp, planes_of(a * f1(pts) + b * f2(pts)),
-                                 phi, 5).coeffs
+
+    def series(f):
+        return response._field_series(
+            emp, lambda orb: planes_of(f(orb[:, 1:])), phi, 5).coeffs
+
+    k1, k2 = series(f1), series(f2)
+    k12 = series(lambda x: a * f1(x) + b * f2(x))
     assert np.abs(k12 - (a * k1 + b * k2)).max() < 1e-10
 
 
@@ -128,13 +130,66 @@ def test_kappa_overflow_truncates():
     assert ser.meta["truncated_at"] is not None
     assert np.all(np.isfinite(ser.coeffs))
     # a nan or an inf entry truncates where it enters, as an overflow does
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, -np.inf):
         J = np.broadcast_to(np.eye(2)[..., None, None], (2, 2, 2, 50)).copy()
         J[0, 0, 1, 42] = bad               # last sample's step 4 from j0 = 10
         (parts,), trunc = response._kappa_series(J, np.ones((2, 1, 2, 30)),
                                                  np.ones((2, 2, 50)), 8, 10,
                                                  None, 2)
         assert trunc == 4 and len(parts) == 4
+
+
+def _whole_stack_series(emp, obs, N):
+    """(kappa_n series, overflow order) from one _kappa_series pass over
+    the whole sample's Jacobian, field and gradient planes."""
+    fam, alpha, orbits = emp.family, emp.alpha, emp.orbits
+    m, L, _ = orbits.shape
+    X = fam.param_derivative(alpha, orbits[:, :-1])[..., :L - 1 - N]
+    (parts,), trunc = response._kappa_series(
+        fam.jacobian(alpha, orbits[:, :-1]), X[:, None], obs.gradient(orbits),
+        N, 1, None, m)
+    return response._merged_series([parts], {}), trunc
+
+
+def test_kappa_member_passes_match_the_whole_stack(henon_measure):
+    """Each member's pass, in the whole sample's batch layout, gives the
+    whole-stack pass's standard errors bit for bit; a mean adds the
+    members' totals, which moves it by rounding only.  The move is measured
+    against the series' largest |kappa_n|: a coefficient near zero moves by
+    more relative to itself.  A member whose tangent vectors overflow stops
+    the pooled series at its order."""
+    def check(emp, obs, truncated_at):
+        phi = maps.get_observable(obs, 2)
+        ser = response.susceptibility_coefficients(emp, phi, 12)
+        ref, trunc = _whole_stack_series(emp, phi, 12)
+        assert trunc == ser.meta["truncated_at"] == truncated_at
+        assert ser.coeffs.size == ref.coeffs.size == (truncated_at or 13)
+        assert np.array_equal(ser.stderr, ref.stderr)
+        scale = np.abs(ref.coeffs).max()
+        assert np.abs(ser.coeffs - ref.coeffs).max() <= 1e-14 * scale
+
+    check(henon_measure, "cos_1_0", None)
+    # an infinite x in member 2 is first reached by its Jacobians at order
+    # 7, past its field (orbit indices 1..S); coord_0's gradient is finite
+    # there
+    orbits = henon_measure.orbits.copy()
+    S = orbits.shape[1] - 1 - 12
+    orbits[2, S - 1 + 7, 0] = np.inf
+    check(dataclasses.replace(henon_measure, orbits=orbits), "coord_0", 7)
+
+
+def test_kappa_holds_one_member_at_a_time(henon_measure):
+    """kappa_n holds one member's tangent arrays at a time: on 8 members of
+    20,000 points the traced peak stays under 4 times one member's Jacobian
+    bytes, 2 x 2 x 19,999 x 8 (3.1 times here; the whole stack took 28)."""
+    phi = maps.get_observable("cos_1_0", 2)
+    tracemalloc.start()
+    try:
+        response.susceptibility_coefficients(henon_measure, phi, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 * 2 * 19_999 * 8
 
 
 def test_radius_requires_enough_coefficients():

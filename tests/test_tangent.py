@@ -108,6 +108,35 @@ def test_benettin_pools_a_stack_of_members():
     _assert_same_spectrum(one, alone[0])
 
 
+@pytest.mark.parametrize("reorth_interval", [1, 8])
+def test_benettin_fills_block_products_member_by_member(henon_measure,
+                                                        reorth_interval):
+    """The block products filled in member by member give the spectrum of
+    the whole sample's products bit for bit.  At reorth 8 the traced peak
+    stays below the whole sample's Jacobian bytes, 8 x 2 x 2 x 19,999 x 8
+    (5.1 MB), which the whole stack alone took (peak 6.8 MB; 2.8 MB filled
+    member by member)."""
+    emp = henon_measure
+    P = tangent._block_products(
+        emp.family.jacobian(emp.alpha, emp.orbits[:, :-1]), reorth_interval)
+    (_, _, logs), n_windows, residual = tangent._windowed(
+        lambda core, overlap: tangent._forward_qr(P, core, overlap,
+                                                  reorth_interval),
+        P.shape[-1])
+    ref = tangent._spectrum(logs, reorth_interval, n_windows, residual)
+    del P, logs
+    tracemalloc.start()
+    try:
+        spec = tangent.benettin_spectrum(emp, reorth_interval)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _assert_same_spectrum(spec, ref)
+    assert (spec.n_windows, spec.boundary_residual) == (n_windows, residual)
+    if reorth_interval == 8:
+        assert peak < 8 * 2 * 2 * 19_999 * 8
+
+
 def test_benettin_needs_n_batches_blocks_after_the_warm_up():
     fam, orbit, emp = _cat_sample(4 * (tangent._OVERLAP + tangent.N_BATCHES))
     spec = tangent.benettin_spectrum(emp, reorth_interval=4)
