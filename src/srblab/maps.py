@@ -462,23 +462,43 @@ def product_x1x2():
 
 def bump(center, width):
     """Smooth bump exp(-1/(1 - r^2)) supported on |x - c| < width, its
-    formulas kept where r < 1 (their overflow and 0/0 outside silenced)."""
+    formulas kept where r < 1 (their overflow and 0/0 outside silenced).
+    Both are built on component planes, in place, from r^2 summed over the
+    components in order, with no difference array of the points' size."""
     center = np.asarray(center, dtype=float)
 
+    def scaled_square(x):
+        """(r^2 = |x - c|^2 / width^2, a scratch plane) on planes."""
+        s, diff = np.zeros(x.shape[:-1]), np.empty(x.shape[:-1])
+        for i, c in enumerate(center):
+            s += np.square(np.subtract(x[..., i], c, out=diff), out=diff)
+        s /= width**2
+        return s, diff
+
     def value(x):
-        diff = np.asarray(x, dtype=float) - center
-        s = np.einsum("...i,...i->...", diff, diff) / width**2
+        s, _ = scaled_square(np.asarray(x, dtype=float))
+        outside = ~(s < 1.0)
         with np.errstate(divide="ignore", over="ignore"):
-            return np.where(s < 1.0, np.exp(-1.0 / (1.0 - s)), 0.0)
+            np.exp(np.divide(-1.0, np.subtract(1.0, s, out=s), out=s), out=s)
+        s[outside] = 0.0
+        return s
 
     def gradient(x):
-        diff = np.asarray(x, dtype=float) - center
-        s = np.einsum("...i,...i->...", diff, diff) / width**2
+        x = np.asarray(x, dtype=float)
+        s, f = scaled_square(x)
+        outside = ~(s < 1.0)
+        out = np.empty(center.shape + s.shape)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            f = -np.exp(-1.0 / (1.0 - s)) / (1.0 - s) ** 2
-            return np.stack([
-                np.where(s < 1.0, f * (2.0 * diff[..., i] / width**2), 0.0)
-                for i in range(center.size)])
+            t = np.subtract(1.0, s, out=s)
+            np.negative(np.exp(np.divide(-1.0, t, out=f), out=f), out=f)
+            f /= np.square(t, out=t)
+            for i, c in enumerate(center):
+                row = np.subtract(x[..., i], c, out=out[i, ...])
+                row *= 2.0
+                row /= width**2
+                row *= f
+                row[outside] = 0.0
+        return out
 
     return Observable("bump", value, gradient)
 

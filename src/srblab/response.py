@@ -75,7 +75,8 @@ def _kappa_series(J, V, grads, N, j0, mask, members):
             if not (V.max() <= 1e150 and V.min() >= -1e150):
                 return parts, n
         # grad . V as the one-row matrix grad^T times V, summed in place
-        for p, c in zip(parts, _matvec([grads[..., j0 + n:j0 + n + S]], V)[0]):
+        for p, c in zip(parts,
+                        _matvec(grads[None, ..., j0 + n:j0 + n + S], V)[0]):
             p.append(batch_sums(c, N_BATCHES, members, mask))
     return parts, None
 
@@ -395,12 +396,13 @@ class SplitResult:
 
 # The split's blocks are runs of consecutive members whose Jacobians take
 # at most this many bytes (at least one member): the layout follows the
-# input's shape, never the CPU count.  On the shipped split config it is 2
+# input's shape, never the CPU count.  On the shipped split config it is 1
 # of 16 members.  Split stage there, fresh processes on a 2-CPU x86 VM,
-# median of 5: 1/2/4/8 members per block took 0.93/0.68/0.60/0.52 s at
-# peak RSS 70/90/130/211 MB; the whole stack on one thread 0.94 s, 217 MB.
-# Larger blocks trade 40 MB or more of peak RSS for under 0.2 s.
-_SPLIT_BLOCK = 2**22
+# median of 10: 1/2/4/8 members per block took 0.95/0.77/0.66/0.61 s at
+# peak RSS 70/90/131/211 MB; the whole stack on one thread 0.85 s, 217 MB.
+# Each block pays a fixed cost in its sweeps' per-step calls; one-member
+# blocks buy 20 MB of peak RSS for 0.05 to 0.2 s (two rounds).
+_SPLIT_BLOCK = 2**21
 
 
 def _block_map(fn, blocks):

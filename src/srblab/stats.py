@@ -51,13 +51,18 @@ def batch_sums(x, n_batches, members, mask):
         x = np.where(mask, x, 0.0)
     per_member = max(1, min(L, int(np.ceil(n_batches / members))))
     b = L // per_member
-    batches = (m * per_member, b)
-    sums = x[..., : per_member * b].reshape(x.shape[:-2] + batches).sum(
-        axis=-1)
+    batches = m * per_member
+
+    def batch_totals(a):
+        # a view: the time axis of a slice cut in (per_member, b)
+        a = a[..., :per_member * b]
+        return a.reshape(a.shape[:-1] + (per_member, b)).sum(
+            axis=-1).reshape(a.shape[:-2] + (batches,))
+
+    sums = batch_totals(x)
     if mask is None:
-        return sums, np.full(batches[0], b), x.sum(axis=(-2, -1)), m * L
-    counts = mask[:, : per_member * b].reshape(batches).sum(axis=-1)
-    return sums, counts, x.sum(axis=(-2, -1)), int(mask.sum())
+        return sums, np.full(batches, b), x.sum(axis=(-2, -1)), m * L
+    return sums, batch_totals(mask), x.sum(axis=(-2, -1)), int(mask.sum())
 
 
 def merge_batch_sums(parts):

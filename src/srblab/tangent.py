@@ -21,11 +21,14 @@ N_BATCHES = 20
 
 
 # Small-matrix kernels.  The sweeps factor thousands of d x d matrices per
-# step, so these loop over the d rows and columns and act elementwise on the
-# planes of all matrices at once, where a LAPACK routine would be called once
-# per matrix.  Only + - * / and sqrt touch the entries, each correctly
-# rounded, so a matrix's result does not depend on the stack it sits in,
-# which the bitwise equality of windowed and sequential sweeps relies on.
+# step, so these loop over the d rows or columns and act elementwise on
+# the planes of all matrices at once, where a LAPACK routine would be
+# called once per matrix.  Only + - * / and sqrt touch the entries, each
+# correctly rounded, and a sum over components adds them in index order,
+# so a matrix's result does not depend on the stack it sits in, which the
+# bitwise equality of windowed and sequential sweeps relies on.  numpy
+# reduces fewer than 8 terms over the outer axis in index order, and the
+# families have d <= 4.
 
 
 def _dot(u, v):
@@ -37,14 +40,23 @@ def _dot(u, v):
 
 
 def _matvec(J, V):
-    """J V on planes: rows J[a][b], and V[b] of a vector, a matrix or a
-    stack of fields, broadcast over points; row a adds J[a][0] V[0] + ...
-    in order, reading each J[a][b] once.  A^T's rows are list(zip(*A))."""
-    out = np.empty((len(J),) + np.broadcast(J[0][0], V[0]).shape)
+    """J V on planes: J (r, c, ...) and V[b] of a vector, a matrix or a
+    stack of fields, broadcast over points; row a adds J[a, 0] V[0] + ...
+    in order, each product made in one row-sized scratch that every term
+    reuses.  A^T is A.swapaxes(0, 1).
+
+    A scratch for all rows at once is as large as the result, and freeing
+    it hands the top of the heap back to the system, to be faulted in
+    again by the next call: in the shipped split's stage on one-member
+    blocks that took 98,000 page faults against 42,000, and 13% more CPU
+    time."""
+    shape = np.broadcast(J[0, 0], V[0]).shape
+    out = np.empty((len(J),) + shape)
+    scratch = np.empty(shape)
     for row, J_row in zip(out, J):
         np.multiply(J_row[0], V[0], out=row)
-        for J_ab, V_b in zip(J_row[1:], V[1:]):
-            row += J_ab * V_b
+        for b in range(1, len(J_row)):
+            row += np.multiply(J_row[b], V[b], out=scratch)
     return out
 
 
@@ -57,30 +69,35 @@ def _qr_pos(A):
     cond(A) stays well below 1/eps (Giraud, Langou, Rozloznik & van den
     Eshof, Numer. Math. 101, 2005), where one pass loses orthogonality with
     the condition number; Benettin's 8-step block products reach about 1e7.
-    The diagonal is a norm, so it is positive without sign fixing.
+    The diagonal is a norm, so it is positive without sign fixing.  Each
+    projection is one product and one reduce over the component axis, each
+    update one product per earlier column, on whole component arrays.
 
     A rank-deficient or non-finite matrix gives a zero or non-finite
-    diagonal entry and no warning; callers check the diagonal.  Columns
-    dependent to working precision (cond(A) beyond 1/eps) can also give an
-    exact zero, where a Householder QR returns a diagonal entry made of
-    rounding errors.  The squared norms overflow for entries beyond about
+    diagonal entry, and the warnings of its 0/0 or overflow are the
+    caller's to silence, once per sweep; callers check the diagonal.
+    Columns dependent to working precision (cond(A) beyond 1/eps) can also
+    give an exact zero, where a Householder QR returns a diagonal entry made
+    of rounding errors.  The squared norms overflow for entries beyond about
     1e154; with |det A| <= 1, as on the shipped families' cocycles, cond(A)
     is then beyond 1/eps as well.
     """
     k = A.shape[1]
     Q = np.empty(A.shape)
     R = np.zeros((k, k) + A.shape[2:])
-    with np.errstate(all="ignore"):
-        for j in range(k):
-            v = list(A[:, j])
-            for _ in range(2):
-                r = [_dot(Q[:, l], v) for l in range(j)]
-                for l in range(j):
-                    v = [a - r[l] * b for a, b in zip(v, Q[:, l])]
-                    R[l, j] += r[l]
-            norm = np.sqrt(_dot(v, v))
-            R[j, j] = norm
-            np.divide(v, norm, out=Q[:, j])
+    w, scratch = np.empty((2,) + A[:, 0].shape)
+    for j in range(k):
+        v = A[:, j]                     # updated into w from here on
+        for _ in range(2):
+            r = [np.add.reduce(np.multiply(Q[:, l], v, out=scratch))
+                 for l in range(j)]
+            for l in range(j):
+                v = np.subtract(v, np.multiply(r[l], Q[:, l], out=scratch),
+                                out=w)
+                R[l, j] += r[l]
+        norm = np.sqrt(np.add.reduce(np.multiply(v, v, out=scratch)))
+        R[j, j] = norm
+        np.divide(v, norm, out=Q[:, j])
     return Q, R
 
 
@@ -149,7 +166,7 @@ def _spectrum(logs, interval, n_windows, residual):
                                     f"{interval} steps after the "
                                     f"{_OVERLAP}-block warm-up")
     used = B * n * interval
-    per_step = logs.reshape(d, 1, -1) / interval
+    per_step = np.divide(logs, interval).reshape(d, 1, -1)
     means, ses = batch_means(per_step, n_batches=N_BATCHES)
     order = np.argsort(means)[::-1]
     vals, errs = means[order], ses[order]
@@ -227,8 +244,10 @@ def _affine_recurrence(c, d):
         for t in range(core + overlap):
             ct, dt = c[:, t:t + span:core], d[:, t:t + span:core]
             m = ct.shape[1]
-            y[:, :m] = ct * y[:, :m] + dt
-            ys[:, t + 1:t + 1 + m * core:core] = y[:, :m]
+            yt = y[:, :m]
+            yt *= ct
+            yt += dt
+            ys[:, t + 1:t + 1 + m * core:core] = yt
             if t == overlap - 1:
                 hand = y.copy()
         ys = ys[:, :n + 1]
@@ -239,44 +258,54 @@ def _affine_recurrence(c, d):
     return _windowed(sweep, n)
 
 
-def _forward_qr(J, core, overlap, interval=1):
+def _forward_qr(J, core, overlap, interval=1, frames=False):
     """Windowed QR sweep of a batch of cocycles J (d, d, B, n).
 
     Returns ((Qs (d, d, B, n+1), Rs (d, d, B, n), logs (d, B, n)),
     residual) with Qs[..., j+1] Rs[..., j] = J[..., j] Qs[..., j] and
-    Qs[..., 0] the identity.  Every window starts from the identity, so the
-    column signs of windows other than 0 are arbitrary; they are chained
-    across the hand-over frames (Q <- Q S, R <- S R S).  The residual is the
-    largest mismatch of aligned hand-over frames.  Rank loss raises with the
-    global step index, counted in units of `interval` steps.
+    Qs[..., 0] the identity; Qs and Rs are kept only with `frames`, and are
+    None otherwise, as Benettin reads only the log diagonals.  Every window
+    starts from the identity, so the column signs of windows other than 0
+    are arbitrary; they are chained across the hand-over frames
+    (Q <- Q S, R <- S R S), which leaves the diagonal of R as it is.  The
+    residual is the largest mismatch of aligned hand-over frames.  Rank
+    loss raises with the global step index, counted in units of `interval`
+    steps.
     """
     d, _, B, n = J.shape
     K, core, overlap = _windows(n, core, overlap)
     span = K * core
     Q = np.broadcast_to(np.eye(d)[..., None, None], (d, d, B, K)).copy()
-    Qs = np.zeros((d, d, B, span + overlap + 1))
-    Rs = np.zeros((d, d, B, span + overlap))
-    Qs[..., 0] = Q[..., 0]
+    diag = np.empty((d, B, n))
+    steps = np.moveaxis(diag, 0, -1)    # (B, n, d), as np.diagonal gives
+    Qs = Rs = None
+    if frames:
+        Qs = np.zeros((d, d, B, span + overlap + 1))
+        Rs = np.zeros((d, d, B, span + overlap))
+        Qs[..., 0] = Q[..., 0]
     hand = Q
-    for t in range(core + overlap):
-        P = J[..., t:t + span:core]
-        m = P.shape[-1]
-        Q[..., :m], R = _qr_pos(_matvec(P, Q[..., :m]))
-        Qs[..., t + 1:t + 1 + m * core:core] = Q[..., :m]
-        Rs[..., t:t + m * core:core] = R
-        if t == overlap - 1:
-            hand = Q.copy()
+    with np.errstate(all="ignore"):
+        for t in range(core + overlap):
+            P = J[..., t:t + span:core]
+            m = P.shape[-1]
+            Q[..., :m], R = _qr_pos(_matvec(P, Q[..., :m]))
+            steps[:, t:t + m * core:core] = np.diagonal(R)
+            if frames:
+                Qs[..., t + 1:t + 1 + m * core:core] = Q[..., :m]
+                Rs[..., t:t + m * core:core] = R
+            if t == overlap - 1:
+                hand = Q.copy()
     # window k's stored values: frames k*core + overlap + 1 .. + core
     S = np.ones((d, B, K))
     S[..., 1:] = np.cumprod(np.where(
         _dot(Q[..., :-1], hand[..., 1:]) < 0, -1.0, 1.0), axis=-1)
     mismatch = Q[..., :-1] * S[..., :-1] - hand[..., 1:] * S[..., 1:]
     residual = float(np.abs(mismatch).max(initial=0.0))
-    Qs[..., overlap + 1:].reshape(d, d, B, K, core)[...] *= S[..., None]
-    Rs[..., overlap:].reshape(d, d, B, K, core)[...] *= (
-        S[:, None] * S)[..., None]
-    Qs, Rs = Qs[..., :n + 1], Rs[..., :n]
-    diag = np.array([Rs[i, i] for i in range(d)])
+    if frames:
+        Qs[..., overlap + 1:].reshape(d, d, B, K, core)[...] *= S[..., None]
+        Rs[..., overlap:].reshape(d, d, B, K, core)[...] *= (
+            S[:, None] * S)[..., None]
+        Qs, Rs = Qs[..., :n + 1], Rs[..., :n]
     bad = ~(np.isfinite(diag) & (diag > 0.0))
     if bad.any():
         j = int(np.argmax(bad.any(axis=(0, 1)))) * interval
@@ -331,7 +360,8 @@ class OseledetsSplitting:
         (d, k, B, w)."""
         cols = (self.clvs[:, :self.n_unstable] if which == "u"
                 else self.clvs[:, self.n_unstable:])
-        return _qr_pos(cols)[0]
+        with np.errstate(all="ignore"):
+            return _qr_pos(cols)[0]
 
 
 def _clv_window(n, warmup):
@@ -366,7 +396,8 @@ def _clv_sweep(J, warmup):
     d, _, B, n = J.shape
     lo, hi = _clv_window(n, warmup)
     (Qs, Rs, logs), n_windows, residual = _windowed(
-        lambda core, overlap: _forward_qr(J, core, overlap), n)
+        lambda core, overlap: _forward_qr(J, core, overlap, frames=True),
+        n)
     R = Rs[..., ::-1]                   # index t is step n - 1 - t
     V = Qs[..., lo:hi]
     for c in range(d - 1, -1, -1):
@@ -414,7 +445,7 @@ def splitting_angles(splitting):
     a, b = splitting.basis("u"), splitting.basis("s")
     if a.shape[1] > b.shape[1]:
         a, b = b, a
-    C = _matvec(list(zip(*b)), a)       # b^T a: b's columns are its rows
+    C = _matvec(b.swapaxes(0, 1), a)    # b^T a
     S = a - _matvec(b, C)
     if a.shape[1] == 1:
         cos = np.sqrt(_dot(C[:, 0], C[:, 0]))
@@ -441,7 +472,7 @@ def covariance_residuals(splitting, family, alpha):
         basis = splitting.basis(which)
         V = _matvec(J, basis[..., :-1])
         Pn = basis[..., 1:]
-        resid = V - _matvec(Pn, _matvec(list(zip(*Pn)), V))
+        resid = V - _matvec(Pn, _matvec(Pn.swapaxes(0, 1), V))
         out.append(np.linalg.norm(resid, axis=(0, 1))
                    / np.linalg.norm(V, axis=(0, 1)))
     return out[0], out[1]

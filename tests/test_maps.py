@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,56 @@ def test_observable_gradient_matches_finite_differences():
             e[i] = h
             fd = (obs.value(pts + e) - obs.value(pts - e)) / (2 * h)
             assert np.abs(g[:, i] - fd).max() < 1e-5
+
+
+def _bump_reference(center, width, x):
+    """bump's value and gradient from the sample-sized difference, its
+    squared norm taken by einsum."""
+    diff = x - center
+    s = np.einsum("...i,...i->...", diff, diff) / width**2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        value = np.where(s < 1.0, np.exp(-1.0 / (1.0 - s)), 0.0)
+        f = -np.exp(-1.0 / (1.0 - s)) / (1.0 - s) ** 2
+        grad = np.stack([np.where(s < 1.0, f * (2.0 * diff[..., i]
+                                                / width**2), 0.0)
+                         for i in range(center.size)])
+    return value, grad
+
+
+def test_bump_on_planes_is_bitwise_and_holds_few_values():
+    # the split's observable: on 2-D points, value and gradient are the
+    # einsum form's bit for bit, and each peaks at fewer value arrays
+    # (2.1 and 4.1 here; 5.1 and 8.0 from the sample-sized difference)
+    x = np.random.default_rng(4).random((16, 20_000, 2))
+    obs = maps.get_observable("bump", 2)
+    value, grad = _bump_reference(np.full(2, 0.5), 0.4, x)
+    assert 0.0 < np.mean(value > 0.0) < 1.0
+    assert np.array_equal(obs.value(x), value)
+    assert np.array_equal(obs.gradient(x), grad)
+    for fn, values in ((obs.value, 3), (obs.gradient, 5)):
+        tracemalloc.start()
+        try:
+            fn(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < values * value.nbytes
+
+
+def test_bump_sums_its_components_in_order():
+    # beyond 2-D the squared norm adds the components' squares in index
+    # order, where einsum's order is its own
+    x = np.random.default_rng(5).uniform(0.2, 0.8, (300, 4))
+    diff = x - 0.5
+    s = diff[:, 0] * diff[:, 0]
+    for i in range(1, 4):
+        s = s + diff[:, i] * diff[:, i]
+    s = s / 0.4**2
+    inside = s < 1.0
+    assert 0 < inside.sum() < s.size
+    expect = np.zeros_like(s)
+    expect[inside] = np.exp(-1.0 / (1.0 - s[inside]))
+    assert np.array_equal(maps.get_observable("bump", 4).value(x), expect)
 
 
 def test_observable_catalog_rejects_low_dimension():

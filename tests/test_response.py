@@ -523,6 +523,31 @@ def test_split_blocks_move_means_by_rounding_only(monkeypatch,
         assert getattr(blocks, key) == getattr(whole, key)
 
 
+def test_split_block_is_one_shipped_member_and_moves_means_by_rounding(
+        monkeypatch):
+    # _SPLIT_BLOCK holds one member of the shipped 50,000-step split, and
+    # halving it from two changes only the blocks the means add up: se and
+    # the sweeps' fields bitwise, means within 1e-14 of the largest
+    # |kappa_n| (3.4e-15 on the shipped config)
+    emp = measure.srb_sample(maps.get_family("cat_shear"), 0.25,
+                             transient=500, length=50_000, ensemble=4, seed=5)
+    L = emp.orbits.shape[1]
+    assert response._SPLIT_BLOCK // ((L - 1) * 32) == 1
+    phi = maps.get_observable("bump", 2)
+    one = response.stable_unstable_split(emp, phi, 12, clv_warmup=1000,
+                                         angle_threshold=1e-3)
+    monkeypatch.setattr(response, "_SPLIT_BLOCK", 2 * response._SPLIT_BLOCK)
+    two = response.stable_unstable_split(emp, phi, 12, clv_warmup=1000,
+                                         angle_threshold=1e-3)
+    for term in ("direct", "stable", "unstable"):
+        a, b = getattr(one, term), getattr(two, term)
+        assert np.array_equal(a.stderr, b.stderr)
+        np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=0,
+                                   atol=1e-14 * np.abs(b.coeffs).max())
+    for key in _SPLIT_FIELDS:
+        assert getattr(one, key) == getattr(two, key)
+
+
 def test_split_error_in_a_worker_leaves_no_thread(monkeypatch,
                                                   small_catshear):
     fam, emp = small_catshear

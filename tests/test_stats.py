@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,42 @@ def test_stacked_bitwise_equal_per_slice(shape):
     assert mu.shape == se.shape == (3,)
     for k in range(3):
         assert stats.batch_means(x[k], 25) == (mu[k], se[k])
+
+
+@pytest.mark.parametrize("shape, members", [((3, 1001), 3),
+                                             ((2, 3, 1003), 5)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_batch_sums_match_the_reshape_copy(shape, members, masked):
+    # a layout with a remainder per member, against the copying reshape of
+    # the whole block the sums used to take
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(shape)
+    m, L = shape[-2:]
+    mask = rng.random((m, L)) < 0.9 if masked else None
+    per_member = max(1, min(L, int(np.ceil(25 / members))))
+    b = L // per_member
+    assert L % per_member
+    kept = np.where(mask, x, 0.0) if masked else x
+    ref = kept[..., :per_member * b].reshape(
+        shape[:-2] + (m * per_member, b)).sum(axis=-1)
+    sums, counts, _, _ = stats.batch_sums(x, 25, members, mask)
+    assert np.array_equal(sums, ref)
+    if masked:
+        assert np.array_equal(counts, mask[:, :per_member * b].reshape(
+            m * per_member, b).sum(axis=-1))
+
+
+def test_batch_sums_copies_no_input():
+    # 4 members of 100,003 with 7 batches each leave a remainder, which
+    # made the reshape copy the whole 3.2 MB input
+    x = np.random.default_rng(3).standard_normal((4, 100_003))
+    tracemalloc.start()
+    try:
+        stats.batch_sums(x, 25, 4, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 4
 
 
 def test_single_series_returns_floats():

@@ -359,6 +359,18 @@ def test_affine_recurrence_windows_match_sequential_loop():
     # over the overlap
     assert np.abs(out - y).max() < 1e-12 * np.abs(y).max()
     assert n_windows > 1 and residual <= tangent._MAX_RESIDUAL
+    # bit for bit the windows' schedule as a loop: window k runs from 0 at
+    # step k*core over core + overlap steps, and a lower window overwrites
+    # the steps it shares with the next
+    K, core, overlap = tangent._windows(1500, tangent._CORE,
+                                        tangent._OVERLAP)
+    ref = np.zeros((3, 1501))
+    for k in range(K - 1, -1, -1):
+        y = np.zeros(3)
+        for t in range(k * core, min(1500, k * core + core + overlap)):
+            y = c[:, t] * y + d[:, t]
+            ref[:, t + 1] = y
+    assert n_windows == K and np.array_equal(out, ref)
     # no contraction: the windows disagree and the one-window rerun is the
     # sequential sum
     ones = np.ones((3, 1500))
@@ -435,6 +447,103 @@ def test_qr_kernel_properties(seed, d, k, n, log_cond):
     assert np.abs(Q - Q0).max() <= 20 * cond * EPS
     assert np.abs(R - R0).max() <= 20 * cond * EPS * scale
     _same_bits_alone_and_strided(_qr_stack, A)
+
+
+# Per-component references of the kernels, as they read before they acted
+# on whole component arrays: one plane at a time, every sum over components
+# in index order.  Entries spread over six decades, so a sum taken in
+# another order changes low bits.
+
+
+def _dot_reference(u, v):
+    s = u[0] * v[0]
+    for i in range(1, len(u)):
+        s = s + u[i] * v[i]
+    return s
+
+
+def _qr_reference(A):
+    m, k = A.shape[:2]
+    Q = np.empty(A.shape)
+    R = np.zeros((k, k) + A.shape[2:])
+    for j in range(k):
+        v = [A[i, j] for i in range(m)]
+        for _ in range(2):
+            r = [_dot_reference([Q[i, l] for i in range(m)], v)
+                 for l in range(j)]
+            for l in range(j):
+                v = [v[i] - r[l] * Q[i, l] for i in range(m)]
+                R[l, j] += r[l]
+        norm = np.sqrt(_dot_reference(v, v))
+        R[j, j] = norm
+        for i in range(m):
+            Q[i, j] = v[i] / norm
+    return Q, R
+
+
+def _matvec_reference(J, V):
+    rows = []
+    for a in range(J.shape[0]):
+        row = J[a, 0] * V[0]
+        for b in range(1, J.shape[1]):
+            row = row + J[a, b] * V[b]
+        rows.append(row)
+    return np.array(rows)
+
+
+def _spread(rng, shape):
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("k", [1, 2, None])
+@pytest.mark.parametrize("points", [(), (3, 70)])
+def test_qr_kernel_bitwise_against_per_component_reference(d, k, points):
+    A = _spread(np.random.default_rng(d), (d, k or d) + points)
+    Q, R = tangent._qr_pos(A)
+    Q0, R0 = _qr_reference(A)
+    assert np.array_equal(Q, Q0) and np.array_equal(R, R0)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("points, operand", [
+    ((2, 70), (2, 70)),                 # a vector
+    ((2, 70), (3, 2, 70)),              # a matrix of 3 columns
+    ((4, 70), (2, 4, 70)),              # 2 stacked fields of 4 members
+])
+def test_matvec_bitwise_against_per_component_reference(d, points, operand):
+    rng = np.random.default_rng(d + len(operand))
+    J = _spread(rng, (d, d) + points)
+    V = _spread(rng, (d,) + operand)
+    # J, its transpose as a view, and one row as _kappa_series's gradient
+    for M in (J, J.swapaxes(0, 1), J[None, 0]):
+        assert np.array_equal(tangent._matvec(M, V),
+                              _matvec_reference(M, V))
+
+
+def test_benettin_keeps_only_its_log_diagonals(henon_measure):
+    """_forward_qr keeps its frames and R factors only for the CLV sweep,
+    and its logs are those of the kept R's diagonal bit for bit.  Benettin
+    at reorth 1 then peaks under three times its block products, here the
+    Jacobians, 8 x 2 x 2 x 19,999 x 8 bytes (5.1 MB): 10.2 MB, where the
+    frames and R factors took it to 20.7 MB."""
+    emp = henon_measure
+    J = emp.family.jacobian(emp.alpha, emp.orbits[:, :-1])
+    (Qs, Rs, logs), residual = tangent._forward_qr(J, tangent._CORE,
+                                                   tangent._OVERLAP)
+    assert Qs is None and Rs is None
+    (Qs, Rs, kept), kept_residual = tangent._forward_qr(
+        J, tangent._CORE, tangent._OVERLAP, frames=True)
+    assert np.array_equal(logs, kept) and residual == kept_residual
+    assert np.array_equal(logs, np.log([Rs[i, i] for i in range(2)]))
+    del J, Qs, Rs, logs, kept
+    tracemalloc.start()
+    try:
+        tangent.benettin_spectrum(emp, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * 2 * 2 * 19_999 * 8
 
 
 def _ginelli_reference(J, warmup):
@@ -514,6 +623,17 @@ def test_rank_loss_step_without_warnings(seed, d, step, reorth_interval):
         with pytest.raises(NumericalDegeneracyError) as exc:
             tangent.compute_clvs(emp, warmup=100)
         assert exc.value.step == step
+
+
+def test_basis_of_a_degenerate_splitting_warns_nothing():
+    # _qr_pos leaves the warnings of its 0/0 to its callers, and basis
+    # silences them as the sweeps do
+    sp = tangent.OseledetsSplitting(
+        points=np.zeros((1, 1, 2)), clvs=np.zeros((2, 2, 1, 1)),
+        n_unstable=1, offset=0, spectrum=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(sp.basis("u")).all()
 
 
 def test_splitting_angle_keeps_its_digits():
