@@ -288,7 +288,8 @@ def cmd_radius(cfg, outdir):
 def cmd_response_check(cfg, outdir):
     family, alpha = _system(cfg)
     response._check_step(cfg.get("response.h"))
-    series, _, phi = _series(cfg, family, alpha)
+    series, emp, phi = _series(cfg, family, alpha)
+    del emp  # freed before the finite difference draws two samples
     psi_one, psi_err = series.truncated_sum()
     deriv, deriv_err = response.finite_difference_response(
         family, alpha, cfg.get("response.h"), phi,

@@ -4,7 +4,6 @@ and the stable/unstable decomposition of the response series.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -394,31 +393,6 @@ class SplitResult:
             self.stable.stderr, self.unstable.stderr, self.direct.stderr)
 
 
-# The split's blocks are runs of consecutive members whose Jacobians take
-# at most this many bytes (at least one member): the layout follows the
-# input's shape, never the CPU count.  On the shipped split config it is 1
-# of 16 members.  Split stage there, fresh processes on a 2-CPU x86 VM,
-# median of 10: 1/2/4/8 members per block took 0.95/0.77/0.66/0.61 s at
-# peak RSS 70/90/131/211 MB; the whole stack on one thread 0.85 s, 217 MB.
-# Each block pays a fixed cost in its sweeps' per-step calls; one-member
-# blocks buy 20 MB of peak RSS for 0.05 to 0.2 s (two rounds).
-_SPLIT_BLOCK = 2**21
-
-
-def _block_map(fn, blocks):
-    """[fn(block) for block in blocks] on a pool of threads, one per CPU
-    this process may use and at most one per block; only large-array stages
-    overlap, as the sweeps' small per-step operations hold the GIL.  An
-    error raises the first failing block's, after cancelling the blocks not
-    started and waiting for the running ones, so no worker outlives it."""
-    from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(blocks)))
-    try:
-        return list(pool.map(fn, blocks))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
     """Decompose the susceptibility series along X = X^s + X^u, where
     X(f x) = d f_alpha(x) / d alpha is the perturbation of the sample's
@@ -435,16 +409,15 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
     side, over which the recurrences converge.  Near-tangency points (angle
     below angle_threshold) are excluded and the excluded mass reported.
 
-    The members are cut into blocks of at most _SPLIT_BLOCK bytes of
-    Jacobians, each run once by _block_map: its CLV sweep, a check that its
-    summed log stretches have one positive entry, then its geometry and
-    series, whose batch sums are merged in block order.  A sweep or
-    recurrence whose windows disagree is rerun on its own (_windowed);
+    The members run one at a time, in member order, as in _field_series:
+    each its CLV sweep, a check that its summed log stretches have one
+    positive entry, then its geometry and series, whose batch sums are
+    merged in member order; an error stops the loop at its member.  A sweep
+    or recurrence whose windows disagree is rerun on its own (_windowed);
     n_windows is the least and boundary_residual the largest over every
-    block's CLV sweep and its k, g and b recurrences.  Where no block falls
-    back, every standard error is the whole ensemble's bit for bit; a mean
-    adds the blocks' totals, which moves it by rounding only.  The number
-    of threads changes no bit.
+    member's CLV sweep and its k, g and b recurrences.  Where no member
+    falls back, every standard error is the whole ensemble's bit for bit; a
+    mean adds the members' totals, which moves it by rounding only.
     """
     _check_order(N)
     family, alpha = measure.family, measure.alpha
@@ -465,11 +438,9 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
     S = j_hi - j_lo
     frames = slice(j_lo - lo, j_hi - lo)
     prev = slice(j_lo - lo - 1, j_hi - lo - 1)
-    size = max(1, _SPLIT_BLOCK // ((L - 1) * d * d * 8))
-    blocks = [orbits[i:i + size] for i in range(0, m, size)]
 
     def geometry(orb):
-        """Jacobian planes, X and X^s on planes (2, 2, m, S), div^u X^u, the
+        """Jacobian planes, X and X^s on planes (2, 2, 1, S), div^u X^u, the
         angle mask, its least angle, window count and residual; the logs
         are dropped once counted, the frames and the rest on return."""
         J = family.jacobian(alpha, orb[:, :-1])
@@ -524,7 +495,7 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
         return direct, stable, unstable, kept, min_angle, windows, res
 
     direct, stable, unstable, kept, min_angle, windows, res = zip(
-        *_block_map(series, blocks))
+        *[series(orb) for orb in np.split(orbits, m)])
     return SplitResult(
         stable=_merged_series(stable, {}),
         unstable=_merged_series(unstable, {}),

@@ -226,12 +226,10 @@ def test_split_reports_its_sweep(tmp_path):
     assert 0.0 <= payload["boundary_residual"] < 1e-12
 
 
-def test_split_reports_a_recurrence_rerun(tmp_path, monkeypatch):
-    # in blocks of two members, as on the shipped split config, the g
-    # recurrence of members 2-3 disagrees by 8.6e-12 where its windows hand
-    # over at overlap 64 and is rerun at twice the overlap; every CLV sweep
-    # passes at overlap 64
-    monkeypatch.setattr(response, "_SPLIT_BLOCK", 2 * 3000 * 2 * 2 * 8)
+def test_split_reports_a_recurrence_rerun(tmp_path):
+    # the g recurrences of members 2 and 3 disagree by 9.1e-12 and 8.6e-12
+    # where their windows hand over at overlap 64 and are rerun at twice the
+    # overlap; every CLV sweep passes at overlap 64
     cfg = _write_cfg(tmp_path, {
         "system": {"name": "henon"}, "alpha": 1.4, "seed": 2,
         "observable": "cos_1_0",

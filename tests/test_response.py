@@ -1,5 +1,4 @@
 import dataclasses
-import threading
 import tracemalloc
 import warnings
 
@@ -467,97 +466,10 @@ def test_split_rejects_a_short_window_before_its_sweep(monkeypatch,
                                        angle_threshold=1e-3)
 
 
-def _split_with(monkeypatch, emp, members_per_block, cpus):
-    """The split of emp with blocks of members_per_block members, on a
-    pool sized for `cpus` CPUs."""
-    L = emp.orbits.shape[1]
-    with monkeypatch.context() as m:
-        m.setattr(response, "_SPLIT_BLOCK", members_per_block * (L - 1) * 32)
-        m.setattr(response.os, "sched_getaffinity",
-                  lambda pid: set(range(cpus)))
-        return response.stable_unstable_split(
-            emp, maps.get_observable("bump", 2), 4, clv_warmup=300,
-            angle_threshold=1e-3)
-
-
-@pytest.fixture(scope="module")
-def small_henon():
-    return measure.srb_sample(maps.get_family("henon"), 1.4, transient=1000,
-                              length=3000, ensemble=5, seed=2)
-
-
-_SPLIT_FIELDS = ("excluded_fraction", "min_angle", "n_windows",
-                 "boundary_residual")
-
-
-@pytest.mark.parametrize("sample", ["small_catshear", "small_henon"])
-def test_split_is_bitwise_on_any_thread_count(monkeypatch, request, sample):
-    emp = request.getfixturevalue(sample)
-    if sample == "small_catshear":
-        emp = emp[1]
-    one = _split_with(monkeypatch, emp, 1, 1)
-    two = _split_with(monkeypatch, emp, 1, 2)
-    for term in ("direct", "stable", "unstable"):
-        a, b = getattr(one, term), getattr(two, term)
-        assert np.array_equal(a.coeffs, b.coeffs)
-        assert np.array_equal(a.stderr, b.stderr)
-    for key in _SPLIT_FIELDS:
-        assert getattr(one, key) == getattr(two, key)
-
-
-def test_split_blocks_move_means_by_rounding_only(monkeypatch,
-                                                  small_catshear):
-    # every window of the sweep and of the recurrences converges on
-    # cat_shear, so no block falls back to a sequential sweep; on Henon a
-    # block can (its residual is relative to its own largest value), which
-    # moves its values at the level of _MAX_RESIDUAL
-    _, emp = small_catshear
-    whole = _split_with(monkeypatch, emp, 2, 2)
-    blocks = _split_with(monkeypatch, emp, 1, 2)
-    for term in ("direct", "stable", "unstable"):
-        a, b = getattr(blocks, term), getattr(whole, term)
-        assert np.array_equal(a.stderr, b.stderr)
-        np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=0,
-                                   atol=1e-13 * np.abs(b.coeffs).max())
-    for key in _SPLIT_FIELDS:
-        assert getattr(blocks, key) == getattr(whole, key)
-
-
-def test_split_block_is_one_shipped_member_and_moves_means_by_rounding(
-        monkeypatch):
-    # _SPLIT_BLOCK holds one member of the shipped 50,000-step split, and
-    # halving it from two changes only the blocks the means add up: se and
-    # the sweeps' fields bitwise, means within 1e-14 of the largest
-    # |kappa_n| (3.4e-15 on the shipped config)
-    emp = measure.srb_sample(maps.get_family("cat_shear"), 0.25,
-                             transient=500, length=50_000, ensemble=4, seed=5)
-    L = emp.orbits.shape[1]
-    assert response._SPLIT_BLOCK // ((L - 1) * 32) == 1
-    phi = maps.get_observable("bump", 2)
-    one = response.stable_unstable_split(emp, phi, 12, clv_warmup=1000,
-                                         angle_threshold=1e-3)
-    monkeypatch.setattr(response, "_SPLIT_BLOCK", 2 * response._SPLIT_BLOCK)
-    two = response.stable_unstable_split(emp, phi, 12, clv_warmup=1000,
-                                         angle_threshold=1e-3)
-    for term in ("direct", "stable", "unstable"):
-        a, b = getattr(one, term), getattr(two, term)
-        assert np.array_equal(a.stderr, b.stderr)
-        np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=0,
-                                   atol=1e-14 * np.abs(b.coeffs).max())
-    for key in _SPLIT_FIELDS:
-        assert getattr(one, key) == getattr(two, key)
-
-
-def test_split_error_in_a_worker_leaves_no_thread(monkeypatch,
-                                                  small_catshear):
-    fam, emp = small_catshear
-    broken = dataclasses.replace(
-        fam, hessian=lambda a, x, u, w: np.full(np.shape(u), np.nan))
-    emp = dataclasses.replace(emp, family=broken)
-    before = set(threading.enumerate())
-    with pytest.raises(NumericalDegeneracyError):
-        _split_with(monkeypatch, emp, 1, 2)
-    assert set(threading.enumerate()) <= before
+def _split(emp):
+    return response.stable_unstable_split(
+        emp, maps.get_observable("bump", 2), 4, clv_warmup=300,
+        angle_threshold=1e-3)
 
 
 def test_split_rejects_a_sink_before_any_recurrence(monkeypatch):
@@ -577,11 +489,11 @@ def test_split_rejects_a_sink_before_any_recurrence(monkeypatch):
                 angle_threshold=1e-3)
 
 
-def test_split_memory_is_bounded_by_one_block(monkeypatch):
-    # 32 members in blocks of one on one CPU: the split's peak stays below
-    # one 2x2 matrix per step of every member, 32 x 2999 x 32 bytes, so no
-    # stack of all members' CLVs or Jacobians is held; each block
-    # evaluates its Jacobians once
+def test_split_memory_is_bounded_by_one_block():
+    # 32 members, one at a time: the split's peak stays below one 2x2
+    # matrix per step of every member, 32 x 2999 x 32 bytes, so no stack of
+    # all members' CLVs or Jacobians is held; each member evaluates its
+    # Jacobians once
     fam = maps.get_family("cat_shear")
     calls = []
 
@@ -594,7 +506,7 @@ def test_split_memory_is_bounded_by_one_block(monkeypatch):
         emp, family=dataclasses.replace(fam, jacobian=jacobian))
     tracemalloc.start()
     try:
-        _split_with(monkeypatch, emp, 1, 1)
+        _split(emp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -602,20 +514,37 @@ def test_split_memory_is_bounded_by_one_block(monkeypatch):
     assert calls == [1] * 32
 
 
-def test_split_block_drops_its_stacks_once_read(monkeypatch, small_catshear):
-    # one block of both members on one CPU: each stack is dropped once its
-    # planes are taken, and the recurrence and geometry arrays before the
-    # cocycle pass, so the traced peak stays below seven 2x2 matrices per
-    # step of each member, 2 x 2999 x 224 bytes (1.14 MB here; 1.56 MB when
-    # the block held its Jacobian and CLV stacks to the end)
+def test_split_stops_at_its_first_failing_member(small_catshear):
+    # a nan hessian fails the first member's geometry, and no later member
+    # evaluates its Jacobians
+    fam, emp = small_catshear
+    calls = []
+
+    def jacobian(alpha, x):
+        calls.append(x.shape[0])
+        return fam.jacobian(alpha, x)
+    broken = dataclasses.replace(
+        fam, jacobian=jacobian,
+        hessian=lambda a, x, u, w: np.full(np.shape(u), np.nan))
+    with pytest.raises(NumericalDegeneracyError):
+        _split(dataclasses.replace(emp, family=broken))
+    assert calls == [1]
+
+
+def test_split_block_drops_its_stacks_once_read(small_catshear):
+    # two members, one at a time: each member's stacks are dropped once
+    # their planes are taken, and its recurrence and geometry arrays before
+    # the cocycle pass, so the traced peak stays below seven 2x2 matrices
+    # per step of one member, 2999 x 224 bytes (0.57 MB here; 1.14 MB for
+    # one block of both members)
     _, emp = small_catshear
     tracemalloc.start()
     try:
-        _split_with(monkeypatch, emp, 2, 1)
+        _split(emp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2999 * 224
+    assert peak < 2999 * 224
 
 
 @pytest.mark.parametrize("missing", ["hessian", "param_jacobian"])
