@@ -120,19 +120,14 @@ def _observable(cfg, family):
 
 def _sampling(cfg, family, seed_shift):
     """The sampling settings of a run: orbit.*, sampler and the seed."""
-    oc, sc = cfg.get("orbit"), cfg.get("sampler")
-    if sc is not None and any(len(sc.get(k, ())) != family.dimension
-                              for k in ("low", "high")):
-        raise ConfigError(f"sampler.low and sampler.high need "
-                          f"{family.dimension} entries each")
-    seed = int(cfg.get("seed")) + seed_shift
-    if seed < 0:
-        raise ConfigError(f"the sampling seed must be at least 0, got {seed}")
-    sampler = (measure.default_sampler(family) if sc is None else
-               measure.BoxSampler(tuple(sc["low"]), tuple(sc["high"])))
+    oc = cfg.get("orbit")
+    sampler = (measure.default_sampler(family) if cfg.get("sampler") is None
+               else measure.BoxSampler(tuple(cfg.require("sampler.low")),
+                                       tuple(cfg.require("sampler.high"))))
     return response.SamplingConfig(
         transient=oc["transient"], length=oc["length"],
-        ensemble=oc["ensemble"], sampler=sampler, seed=seed)
+        ensemble=oc["ensemble"], sampler=sampler,
+        seed=cfg.get("seed") + seed_shift)
 
 
 def _srb(cfg, family, alpha, seed_shift=0):
@@ -335,13 +330,9 @@ def cmd_split(cfg, outdir):
 def cmd_tangency(cfg, outdir):
     family, alpha = _system(cfg)
     tc = cfg.get("tangency")
-    frame_cfg = tc.get("frame")
-    if frame_cfg is not None and not (
-            {"base", "direction"} <= frame_cfg.keys()
-            and len(frame_cfg["base"]) == len(frame_cfg["direction"]) == 2
-            and any(frame_cfg["direction"])):
-        raise ConfigError("tangency.frame needs a base and a nonzero "
-                          "direction of 2 entries each")
+    frame = None if tc.get("frame") is None else tangency.TransversalFrame(
+        tuple(cfg.require("tangency.frame.base")),
+        tuple(cfg.require("tangency.frame.direction")))
     splitting, angles = _splitting(cfg, family, alpha)
     folds = tangency.detect_folds(splitting.points, angles,
                                   tc["angle_threshold"], chart=family.chart,
@@ -356,11 +347,9 @@ def cmd_tangency(cfg, outdir):
         "n_clusters": int(folds.representatives.shape[0]),
         "spectrum": _spectrum_payload(splitting.spectrum),
     }
-    if frame_cfg is not None:
+    if frame is not None:
         n_used = n_folds
         if n_folds >= tangency.MIN_FOLD_POINTS:
-            frame = tangency.TransversalFrame(tuple(frame_cfg["base"]),
-                                              tuple(frame_cfg["direction"]))
             folded = angles < tc["angle_threshold"]
             stable_dirs = splitting.clvs[:, 1][:, folded]
             proj = tangency.project_along_stable(
@@ -382,46 +371,12 @@ def cmd_tangency(cfg, outdir):
     return {"points": int(angles.size)}
 
 
-# synthetic.sigma keys each kind takes; atoms needs both of its keys
-_SIGMA_KEYS = {"uniform": set(), "cantor": {"ratio", "level"},
-               "atoms": {"positions", "weights"}}
-
-
-def _sigma_from_cfg(scfg):
-    kind = scfg.get("kind")
-    kwargs = {k: v for k, v in scfg.items() if k != "kind"}
-    if kind not in _SIGMA_KEYS:
-        raise ConfigError(f"unknown synthetic.sigma.kind {kind!r}")
-    extra = sorted(set(kwargs) - _SIGMA_KEYS[kind])
-    if extra:
-        raise ConfigError(f"synthetic.sigma keys {extra} do not apply to "
-                          f"kind {kind!r}")
-    if "ratio" in kwargs and not 0.0 < kwargs["ratio"] <= 0.5:
-        raise ConfigError("synthetic.sigma.ratio must lie in (0, 1/2]")
-    if "level" in kwargs and not kwargs["level"] >= 1:
-        raise ConfigError("synthetic.sigma.level must be at least 1")
-    if kind == "atoms":
-        missing = sorted(_SIGMA_KEYS[kind] - set(kwargs))
-        if missing:
-            raise ConfigError(
-                f"synthetic.sigma of kind 'atoms' needs {missing}")
-        if len(kwargs["positions"]) != len(kwargs["weights"]):
-            raise ConfigError("synthetic.sigma positions and weights differ "
-                              "in length")
-        kwargs = {k: tuple(v) for k, v in kwargs.items()}
-    return tangency.make_sigma(kind, **kwargs)
-
-
 def cmd_fold_synthetic(cfg, outdir):
-    syn = cfg.get("synthetic")
-    if "sigma" not in syn:
-        raise ConfigError("missing required configuration key: synthetic.sigma")
-    sigma = _sigma_from_cfg(syn["sigma"])
-    domain = syn["domain"]
-    if not (len(domain) == 2 and domain[0] < domain[1]):
-        raise ConfigError("synthetic.domain needs 2 entries lo < hi")
+    syn, kind = cfg.get("synthetic"), cfg.require("synthetic.sigma.kind")
+    sigma = tangency.make_sigma(
+        kind, **{k: v for k, v in syn["sigma"].items() if k != "kind"})
     profile = tangency.synthetic_fold_convolution(
-        sigma, syn["grid"], side=syn["side"], domain=tuple(domain))
+        sigma, syn["grid"], side=syn["side"], domain=tuple(syn["domain"]))
     spacing = profile.grid[1] - profile.grid[0]
     est = tangency.holder_exponent(profile.values, spacing)
     write_csv(outdir / "profile.csv", ["theta", "value"],

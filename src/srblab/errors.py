@@ -9,11 +9,14 @@ class SrbLabError(Exception):
 
 
 class ConfigError(SrbLabError):
-    """Invalid or incomplete experiment configuration."""
+    """A config file that cannot be read, an unknown, ill-typed or missing
+    schema key, an unknown subcommand or an output directory that cannot be
+    made; any other rejected value is a ParameterError."""
 
 
 class ParameterError(SrbLabError):
-    """A function argument violates its precondition."""
+    """A function argument violates its precondition, raised by the code
+    that takes it, whether a library call or a configured run passed it."""
 
 
 class BasinEscapeError(SrbLabError):

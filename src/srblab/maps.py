@@ -386,22 +386,29 @@ def _finite(value):
                and math.isfinite(v) for v in values)
 
 
+def _checked_call(factory, params, what):
+    """factory(**params) if the names bind to its parameters and every value
+    is a finite number or a list of them; else ParameterError on `what`."""
+    signature = inspect.signature(factory)
+    try:
+        signature.bind(**params)
+    except TypeError as exc:
+        raise ParameterError(f"{what}: {exc}; it takes "
+                             f"{sorted(signature.parameters)}") from None
+    for key, value in params.items():
+        if not _finite(value):
+            raise ParameterError(f"parameter {key!r} of {what} must be a "
+                                 f"finite number or a list of them")
+    return factory(**params)
+
+
 def get_family(name, params=None):
-    """The built-in family `name`, its factory called with `params`: finite
-    numbers, or lists of them, under names the factory takes."""
+    """The built-in family `name`, built by _checked_call from `params`."""
     if name not in _FACTORIES:
         raise ParameterError(f"unknown map family {name!r}; "
                              f"known: {sorted(_FACTORIES)}")
-    factory, params = _FACTORIES[name], params or {}
-    accepted = inspect.signature(factory).parameters
-    for key, value in params.items():
-        if key not in accepted:
-            raise ParameterError(f"map family {name!r} has no parameter "
-                                 f"{key!r}; it takes {sorted(accepted)}")
-        if not _finite(value):
-            raise ParameterError(f"parameter {key!r} of map family {name!r} "
-                                 f"must be a finite number or a list of them")
-    return factory(**params)
+    return _checked_call(_FACTORIES[name], params or {},
+                         f"map family {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,14 @@ N_BATCHES = 20
 class BoxSampler:
     """Uniform law on a coordinate box (absolutely continuous w.r.t.
     Lebesgue); the smooth initial density pushed forward to sample the SRB
-    measure."""
+    measure.  low and high have equal lengths."""
 
     low: tuple
     high: tuple
+
+    def __post_init__(self):
+        if np.shape(self.low) != np.shape(self.high):
+            raise ParameterError("the sampler's low and high differ in length")
 
     def draw(self, rng, size):
         lo = np.asarray(self.low, dtype=float)
@@ -76,7 +80,8 @@ def srb_sample(family, alpha, transient, length, ensemble, seed,
     post-transient orbit segments.
 
     Escaped orbits are dropped and counted; more than 50% escapes raises
-    BasinEscapeError.
+    BasinEscapeError.  The seed must be at least 0, and the sampler's
+    points must have the family's dimension.
     """
     if length < 1:
         raise ParameterError("length must be >= 1")
@@ -84,10 +89,15 @@ def srb_sample(family, alpha, transient, length, ensemble, seed,
         raise ParameterError("ensemble must be >= 1")
     if transient < 0:
         raise ParameterError("transient must be >= 0")
+    if seed < 0:
+        raise ParameterError(f"the sampling seed must be >= 0, got {seed}")
     if sampler is None:
         sampler = default_sampler(family)
     rng = np.random.default_rng(seed)
     x = sampler.draw(rng, ensemble)
+    if x.shape[-1] != family.dimension:
+        raise ParameterError(f"the sampler's points have {x.shape[-1]} "
+                             f"entries, not {family.dimension}")
     gone = np.zeros(ensemble, dtype=bool)
     for done in range(0, transient, TRANSIENT_CHUNK):
         head, bad = _orbit(family, alpha, x,

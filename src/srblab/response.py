@@ -311,31 +311,11 @@ def finite_difference_response(family, alpha0, h, obs, sampling):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IdentityRow:
-    kappa: float
-    kappa_se: float
-    vp_term: float
-    vp_se: float
-
-    @property
-    def sigma_units(self):
-        return sigma_units(self.kappa + self.vp_term, self.kappa_se,
-                           self.vp_se)
-
-
-@dataclass
-class VolumeIdentityReport:
-    rows: list
-
-    @property
-    def passed(self):
-        return all(r.sigma_units < 3.0 for r in self.rows)
-
-
 def volume_preserving_identity(measure, field, divergence, obs, N):
-    """Check kappa_n + rho(div X . phi o f^n) = 0 per n on a
-    volume-preserving system, for the field X given in closed form by
+    """The two terms of the identity kappa_n + rho(div X . phi o f^n) = 0
+    of a volume-preserving system: the series kappa_n along the field X,
+    and the series rho(div X . phi o f^n) to the same order.  Callers
+    compare their sum with stats.sigma_units.  X is given in closed form by
     field(points) -> (..., d) and its divergence(points) -> (...); the
     field is the one tangent input taken as entries, turned to planes here.
     """
@@ -348,13 +328,10 @@ def volume_preserving_identity(measure, field, divergence, obs, N):
     S = orbits.shape[1] - 1 - N
     divv = divergence(orbits[:, 1:1 + S])
     phiv = obs.value(orbits)
-    rows = []
-    for n in range(direct.coeffs.size):
-        c = divv * phiv[:, 1 + n:1 + n + S]
-        mu, se = batch_means(c, n_batches=N_BATCHES)
-        rows.append(IdentityRow(float(direct.coeffs[n]),
-                                float(direct.stderr[n]), float(mu), float(se)))
-    return VolumeIdentityReport(rows)
+    coeffs, errs = zip(*(batch_means(divv * phiv[:, 1 + n:1 + n + S],
+                                     n_batches=N_BATCHES)
+                         for n in range(direct.coeffs.size)))
+    return direct, SusceptibilitySeries(np.array(coeffs), np.array(errs), {})
 
 
 # ---------------------------------------------------------------------------

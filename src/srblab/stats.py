@@ -72,16 +72,14 @@ def merge_batch_sums(parts):
 
     Every batch mean, and so the se, is bitwise that of the whole ensemble;
     the mean adds the blocks' totals in order, which moves it by rounding
-    only.  One part is used as it is, because the se's reduction order
-    follows the memory layout of its sums.
+    only.
     """
-    sums, counts, total, count = parts[0]
-    if len(parts) > 1:
-        sums = np.concatenate([p[0] for p in parts], axis=-1)
-        counts = np.concatenate([p[1] for p in parts])
-        for _, _, t, c in parts[1:]:
-            total = total + t
-            count += c
+    sums = np.concatenate([p[0] for p in parts], axis=-1)
+    counts = np.concatenate([p[1] for p in parts])
+    _, _, total, count = parts[0]
+    for _, _, t, c in parts[1:]:
+        total = total + t
+        count += c
     if count == 0:
         raise InsufficientDataError("no samples to average")
     full = np.flatnonzero(counts)

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import (FrameMisalignmentError, InsufficientDataError,
                      ParameterError)
+from .maps import _checked_call, _finite
 from .stats import linear_fit
 
 MAX_EXCLUDED = 0.2       # share of the mass project_along_stable may exclude
@@ -60,10 +61,17 @@ def detect_folds(points, angles, angle_threshold, chart, cluster_radius):
 @dataclass(frozen=True)
 class TransversalFrame:
     """A line through `base` with unit direction, parametrized by arc
-    length theta."""
+    length theta: 2 finite entries each, the direction nonzero."""
 
     base: tuple
     direction: tuple
+
+    def __post_init__(self):
+        if not (all(np.shape(v) == (2,) and _finite(list(v))
+                    for v in (self.base, self.direction))
+                and any(self.direction)):
+            raise ParameterError("a transversal frame needs a base and a "
+                                 "nonzero direction of 2 finite entries each")
 
     def unit(self):
         d = np.asarray(self.direction, dtype=float)
@@ -132,10 +140,17 @@ class SigmaUniform:
 @dataclass(frozen=True)
 class SigmaCantor:
     """Two-piece self-similar Cantor measure on [0, 1] with contraction
-    `ratio`; Hausdorff dimension log 2 / log(1/ratio)."""
+    `ratio` in (0, 1/2], cut `level` >= 1 times; Hausdorff dimension
+    log 2 / log(1/ratio)."""
 
     ratio: float = 1.0 / 3.0
     level: int = 12
+
+    def __post_init__(self):
+        if not (0.0 < self.ratio <= 0.5 and isinstance(self.level, int)
+                and self.level >= 1):
+            raise ParameterError("a Cantor sigma needs a ratio in (0, 1/2] "
+                                 "and an integer level of at least 1")
 
     @property
     def dimension(self):
@@ -156,8 +171,16 @@ class SigmaCantor:
 
 @dataclass(frozen=True)
 class SigmaAtoms:
+    """Point masses `weights` at `positions`, lists of equal length."""
+
     positions: tuple
     weights: tuple
+
+    def __post_init__(self):
+        if not (np.ndim(self.positions) == np.ndim(self.weights) == 1
+                and len(self.positions) == len(self.weights)):
+            raise ParameterError("a sigma's atom positions and weights must "
+                                 "be lists of equal length")
 
     @property
     def dimension(self):
@@ -169,12 +192,15 @@ class SigmaAtoms:
         return np.empty((0, 3)), atoms
 
 
+_SIGMA_KINDS = {"uniform": SigmaUniform, "cantor": SigmaCantor,
+                "atoms": SigmaAtoms}
+
+
 def make_sigma(kind, **kwargs):
-    kinds = {"uniform": SigmaUniform, "cantor": SigmaCantor,
-             "atoms": SigmaAtoms}
-    if kind not in kinds:
+    """The sigma of `kind`, built by maps._checked_call from kwargs."""
+    if kind not in _SIGMA_KINDS:
         raise ParameterError(f"unknown sigma kind {kind!r}")
-    return kinds[kind](**kwargs)
+    return _checked_call(_SIGMA_KINDS[kind], kwargs, f"sigma kind {kind!r}")
 
 
 # synthetic_fold_convolution takes blocks of grid rows of about this many
@@ -203,12 +229,15 @@ def synthetic_fold_convolution(sigma, grid_size, side, domain):
     cell and 1 / (sqrt(theta - a) + sqrt(theta - b)), free of cancellation,
     past it.  Atoms contribute the bare 1/sqrt singularity.  side selects
     tau < theta only ("one") or adds the mirror image ("two"), for which an
-    atom on a grid point is an error.
+    atom on a grid point is an error.  domain is (lo, hi), finite, lo < hi.
     """
     if grid_size < 2**10:
         raise ParameterError("grid resolution must be at least 2^10")
     if side not in ("one", "two"):
         raise ParameterError("side must be 'one' or 'two'")
+    if not (np.shape(domain) == (2,) and _finite(list(domain))
+            and domain[0] < domain[1]):
+        raise ParameterError("the domain needs 2 finite entries lo < hi")
     lo, hi = domain
     grid = lo + (hi - lo) * (np.arange(grid_size) + 0.5) / grid_size
     cells, atoms = sigma.cells()

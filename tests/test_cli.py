@@ -193,7 +193,7 @@ def test_diagnostics_follow_config_output_dir(tmp_path, monkeypatch):
     assert cli.run("fold-synthetic", cfg, None) == cli.EXIT_CONFIG
     assert (target / "resolved_config.json").exists()
     diag = json.loads((target / "diagnostics.json").read_text())
-    assert diag["error_type"] == "ConfigError"
+    assert diag["error_type"] == "ParameterError"
     assert not (tmp_path / "out").exists()
 
 
@@ -282,24 +282,33 @@ def test_manifest_lists_only_this_runs_files(tmp_path):
     assert listed == ["profile.csv", "resolved_config.json", "synthetic.json"]
 
 
-@pytest.mark.parametrize("sigma", [
-    {"kind": "atoms", "positions": [0.2, 0.7]},
-    {"kind": "atoms", "positions": [0.2, 0.7], "weights": [1.0]},
-    {"kind": "uniform", "ratio": 0.3},
-    {"kind": "cantor", "weights": [1.0]},
-    {"kind": "cantor", "ratio": 0.0},
-    {"kind": "cantor", "ratio": 0.7},
-    {"kind": "cantor", "level": 0},
-    {"kind": "cantor", "level": -3},
-    {"kind": "atoms", "positions": ["a"], "weights": [1.0]},
-])
-def test_bad_sigma_is_a_config_error(tmp_path, sigma):
+# A config error is exit code 2, EXIT_CONFIG, with a ConfigError for the
+# file's own structure and a ParameterError from the code that takes any
+# other value.  Explicit ids keep each case's name whatever error it expects.
+BAD_SIGMA = [
+    ({"kind": "atoms", "positions": [0.2, 0.7]}, "ParameterError"),
+    ({"kind": "atoms", "positions": [0.2, 0.7], "weights": [1.0]},
+     "ParameterError"),
+    ({"kind": "uniform", "ratio": 0.3}, "ParameterError"),
+    ({"kind": "cantor", "weights": [1.0]}, "ParameterError"),
+    ({"kind": "cantor", "ratio": 0.0}, "ParameterError"),
+    ({"kind": "cantor", "ratio": 0.7}, "ParameterError"),
+    ({"kind": "cantor", "level": 0}, "ParameterError"),
+    ({"kind": "cantor", "level": -3}, "ParameterError"),
+    # not a list of numbers: the schema's
+    ({"kind": "atoms", "positions": ["a"], "weights": [1.0]}, "ConfigError"),
+]
+
+
+@pytest.mark.parametrize("sigma, error", BAD_SIGMA,
+                         ids=[f"sigma{i}" for i in range(len(BAD_SIGMA))])
+def test_bad_sigma_is_a_config_error(tmp_path, sigma, error):
     cfg = _write_cfg(tmp_path, {"synthetic": {**FOLD_UNIFORM["synthetic"],
                                               "sigma": sigma}})
     out = tmp_path / "out"
     assert cli.run("fold-synthetic", cfg, out) == cli.EXIT_CONFIG
     diag = json.loads((out / "diagnostics.json").read_text())
-    assert diag["error_type"] == "ConfigError"
+    assert diag["error_type"] == error
 
 
 # an atom at 2^-11, which is grid point 0 of 1024 cells on [0, 1]
@@ -393,41 +402,57 @@ SMALL_SRB = {"system": {"name": "cat_shear"}, "alpha": 0.2,
              "orbit": {"transient": 10, "length": 100, "ensemble": 2}}
 
 
-@pytest.mark.parametrize("subcommand,payload", [
-    ("conjecture-report", {"report": {"systems": [{"name": "cat_shear"}]}}),
+BAD_ENTRIES = [
+    ("conjecture-report", {"report": {"systems": [{"name": "cat_shear"}]}},
+     "ConfigError"),
     ("tangency", {"system": {"name": "henon"}, "alpha": 1.4,
-                  "tangency": {"frame": {"direction": [1.0, 0.0]}}}),
+                  "tangency": {"frame": {"direction": [1.0, 0.0]}}},
+     "ConfigError"),
     ("tangency", {**SHORT_HENON, "tangency": {"frame": {
-        "base": [0.0, 0.2, 0.0], "direction": [1.0, 0.0]}}}),
+        "base": [0.0, 0.2, 0.0], "direction": [1.0, 0.0]}}},
+     "ParameterError"),
     ("tangency", {**SHORT_HENON, "tangency": {"frame": {
-        "base": [0.0, 0.2], "direction": [0.0, 0.0]}}}),
+        "base": [0.0, 0.2], "direction": [0.0, 0.0]}}}, "ParameterError"),
     ("fold-synthetic", {"synthetic": {**FOLD_UNIFORM["synthetic"],
-                                      "domain": [0.0, 0.5, 1.0]}}),
+                                      "domain": [0.0, 0.5, 1.0]}},
+     "ParameterError"),
     ("fold-synthetic", {"synthetic": {**FOLD_UNIFORM["synthetic"],
-                                      "domain": [1.0, 0.0]}}),
-    ("srb", {**SMALL_SRB, "sampler": {"low": [0, 0, 0], "high": [1, 1, 1]}}),
-    ("srb", {**SMALL_SRB, "sampler": {"low": [0, 0], "high": [1, 1, 1]}}),
+                                      "domain": [1.0, 0.0]}},
+     "ParameterError"),
+    ("srb", {**SMALL_SRB, "sampler": {"low": [0, 0, 0], "high": [1, 1, 1]}},
+     "ParameterError"),
+    ("srb", {**SMALL_SRB, "sampler": {"low": [0, 0], "high": [1, 1, 1]}},
+     "ParameterError"),
     ("fold-synthetic", {"synthetic": {**FOLD_UNIFORM["synthetic"],
-                                      "domain": ["a", "b"]}}),
-    ("srb", {**SMALL_SRB, "sampler": {"low": ["a", 0], "high": [1, 1]}}),
+                                      "domain": ["a", "b"]}}, "ConfigError"),
+    ("srb", {**SMALL_SRB, "sampler": {"low": ["a", 0], "high": [1, 1]}},
+     "ConfigError"),
     ("srb", {**SMALL_SRB, "sampler": {"low": [0, 0],
-                                      "high": [1, float("inf")]}}),
+                                      "high": [1, float("inf")]}},
+     "ConfigError"),
     ("tangency", {**SHORT_HENON, "tangency": {"frame": {
-        "base": ["a", 0.2], "direction": [1.0, 0.0]}}}),
+        "base": ["a", 0.2], "direction": [1.0, 0.0]}}}, "ConfigError"),
     # a sampling seed below 0
-    ("srb", {**SMALL_LYAPUNOV, "seed": -3}),
-    ("lyapunov", {**SMALL_LYAPUNOV, "seed": -3}),
+    ("srb", {**SMALL_LYAPUNOV, "seed": -3}, "ParameterError"),
+    ("lyapunov", {**SMALL_LYAPUNOV, "seed": -3}, "ParameterError"),
     # removed keys
-    ("response-check", {**SMALL_SRB, "response": {"richardson": True}}),
-    ("split", {**SMALL_SRB, "split": {"n_max": 4}}),
-    ("lyapunov", {**SMALL_LYAPUNOV, "spectrum": {"steps": 3000}}),
-])
-def test_incomplete_entries_are_config_errors(tmp_path, subcommand, payload):
+    ("response-check", {**SMALL_SRB, "response": {"richardson": True}},
+     "ConfigError"),
+    ("split", {**SMALL_SRB, "split": {"n_max": 4}}, "ConfigError"),
+    ("lyapunov", {**SMALL_LYAPUNOV, "spectrum": {"steps": 3000}},
+     "ConfigError"),
+]
+
+
+@pytest.mark.parametrize("subcommand,payload,error", BAD_ENTRIES, ids=[
+    f"{sub}-payload{i}" for i, (sub, _, _) in enumerate(BAD_ENTRIES)])
+def test_incomplete_entries_are_config_errors(tmp_path, subcommand, payload,
+                                              error):
     cfg = _write_cfg(tmp_path, payload)
     out = tmp_path / "out"
     assert cli.run(subcommand, cfg, out) == cli.EXIT_CONFIG
     diag = json.loads((out / "diagnostics.json").read_text())
-    assert diag["error_type"] == "ConfigError"
+    assert diag["error_type"] == error
 
 
 @pytest.mark.parametrize("subcommand,payload", [

@@ -1,11 +1,12 @@
 import ast
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 import yaml
 
-from srblab import cli
+from srblab import cli, tangency
 from srblab.config import DEFAULTS, SCHEMA, ExperimentConfig
 from srblab.errors import ConfigError
 
@@ -115,12 +116,16 @@ def _leaves(schema, path=""):
 
 
 def test_every_accepted_key_is_read():
-    # a key the CLI never names is validated and defaulted for nothing
+    # a key the CLI never names is validated and defaulted for nothing; the
+    # CLI passes synthetic.sigma's other keys to make_sigma by name, so a
+    # sigma kind must take each of them
     tree = ast.parse(Path(cli.__file__).read_text())
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.update(node.value.split("."))
-    unread = [leaf for leaf in _leaves(SCHEMA)
-              if leaf.rsplit(".", 1)[-1] not in names]
+    taken = {f"synthetic.sigma.{p}" for kind in tangency._SIGMA_KINDS.values()
+             for p in inspect.signature(kind).parameters}
+    unread = [leaf for leaf in _leaves(SCHEMA) if leaf not in taken
+              and leaf.rsplit(".", 1)[-1] not in names]
     assert unread == []

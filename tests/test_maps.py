@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import orbit_of, planes_of, stack_of
-from srblab import maps, measure
+from srblab import maps, measure, tangency
 from srblab.errors import ParameterError
 
 ALPHAS = {"cat_translate": 0.1, "cat_shear": 0.1, "henon": 1.4,
@@ -362,6 +362,49 @@ def test_catalog_contents():
 def test_family_parameters_are_checked(name, params):
     with pytest.raises(ParameterError):
         maps.get_family(name, params)
+
+
+def _sample(**kwargs):
+    return measure.srb_sample(maps.get_family("henon"), 1.4, **{
+        "transient": 10, "length": 20, "ensemble": 2, "seed": 0, **kwargs})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tangency.make_sigma("uniform", ratio=0.3),
+    lambda: tangency.make_sigma("atoms", positions=(0.2,)),
+    lambda: tangency.make_sigma("cantor", weights=(1.0,)),
+    lambda: tangency.make_sigma("cantor", ratio="x"),
+    lambda: tangency.make_sigma("cantor", ratio=float("nan")),
+    lambda: tangency.make_sigma("cantor", ratio=0.7, level=3),
+    lambda: tangency.make_sigma("cantor", ratio=0.0),
+    lambda: tangency.make_sigma("cantor", level=0),
+    lambda: tangency.make_sigma("cantor", level=2.5),
+    lambda: tangency.make_sigma("atoms", positions=(0.2, 0.7),
+                                weights=(1.0,)),
+    lambda: tangency.make_sigma("atoms", positions=0.2, weights=1.0),
+    lambda: tangency.TransversalFrame((0.0, 0.2), (0.0, 0.0)),
+    lambda: tangency.TransversalFrame((0.0, 0.2, 0.0), (1.0, 0.0)),
+    lambda: tangency.TransversalFrame((0.0, 0.2), (1.0, float("nan"))),
+    lambda: tangency.synthetic_fold_convolution(
+        tangency.make_sigma("uniform"), 1024, "one", (1.0, 0.0)),
+    lambda: tangency.synthetic_fold_convolution(
+        tangency.make_sigma("uniform"), 1024, "one", (0.0, 0.5, 1.0)),
+    lambda: measure.BoxSampler((0.0, 0.0), (1.0, 1.0, 1.0)),
+    lambda: _sample(sampler=measure.BoxSampler((0.0,) * 3, (0.1,) * 3)),
+    lambda: _sample(seed=-1),
+], ids=["uniform-ratio", "atoms-no-weights", "cantor-weights",
+        "ratio-text", "ratio-nan", "ratio-above-half", "ratio-zero",
+        "level-zero", "level-fraction", "atoms-lengths", "atoms-scalars",
+        "frame-zero-direction", "frame-3-entries", "frame-nan",
+        "domain-reversed", "domain-3-entries", "box-lengths",
+        "sampler-dimension", "seed-negative"])
+def test_values_are_checked_by_their_owner(monkeypatch, call):
+    def step(*args):
+        raise AssertionError("an orbit step was taken")
+
+    monkeypatch.setattr(measure, "_orbit", step)
+    with pytest.raises(ParameterError):
+        call()
 
 
 def test_observable_gradient_matches_finite_differences():

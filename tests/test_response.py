@@ -340,42 +340,6 @@ def test_finite_difference_translate_family_zero_response():
     assert abs(psi1) < 3 * err1
 
 
-def test_volume_identity_two_analytic_fields():
-    two_pi = 2 * np.pi
-    fam = maps.get_family("cat_translate")
-    emp = measure.srb_sample(fam, 0.0, transient=200, length=20_000,
-                             ensemble=8, seed=11)
-    phi = maps.get_observable("cos_1_0", 2)
-
-    def f1(x):
-        return np.stack([np.sin(two_pi * x[..., 1]),
-                         np.cos(two_pi * x[..., 0])], axis=-1) / two_pi
-
-    def f2(x):
-        return np.stack([np.sin(two_pi * x[..., 0]),
-                         np.cos(two_pi * x[..., 1])], axis=-1) / two_pi
-
-    def d2(x):
-        return np.cos(two_pi * x[..., 0]) - np.sin(two_pi * x[..., 1])
-
-    for field, div in ((f1, lambda x: np.zeros(x.shape[:-1])), (f2, d2)):
-        rep = response.volume_preserving_identity(emp, field, div, phi, 10)
-        assert rep.passed
-        assert max(r.sigma_units for r in rep.rows) < 3.0
-
-
-def test_identity_row_with_zero_errors():
-    # a difference with no error bar is infinitely many sigma off, unless
-    # it is exactly 0
-    off = response.IdentityRow(kappa=1.0, kappa_se=0.0, vp_term=0.5, vp_se=0.0)
-    exact = response.IdentityRow(kappa=0.5, kappa_se=0.0, vp_term=-0.5,
-                                 vp_se=0.0)
-    assert off.sigma_units == float("inf")
-    assert exact.sigma_units == 0.0
-    assert not response.VolumeIdentityReport([exact, off]).passed
-    assert response.VolumeIdentityReport([exact]).passed
-
-
 def test_volume_identity_rejects_dissipative_family(henon_measure):
     phi = maps.get_observable("coord_0", 2)
     with pytest.raises(ParameterError):
