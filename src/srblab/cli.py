@@ -304,7 +304,8 @@ def cmd_response_check(cfg, outdir):
 def cmd_split(cfg, outdir):
     family, alpha = _system(cfg)
     n_max = cfg.get("susceptibility.n_max")
-    response._check_order(n_max)
+    response._split_window(cfg.get("orbit.length"), n_max,
+                           cfg.get("clv.warmup"))       # before sampling
     emp = _srb(cfg, family, alpha)
     phi = _observable(cfg, family)
     result = response.stable_unstable_split(
@@ -424,14 +425,17 @@ def _report_row(cfg, i, entry):
 def cmd_conjecture_report(cfg, outdir):
     """One row per system, from the sample at seed + 200 + i: row i
     reproduces `susceptibility`, `radius` and `lyapunov` run at that seed.
-    Settings the rows share are checked before the first sample is drawn."""
+    Settings the rows share are checked before the first sample is drawn.
+    The rows run under response._process_map, bit for bit the serial loop's
+    report or first failing row's error on any number of workers."""
     systems = cfg.require("report.systems")
     for i, entry in enumerate(systems):
         if not (isinstance(entry, dict) and {"name", "alpha"} <= entry.keys()):
             raise ConfigError(f"report.systems[{i}] needs a name and an alpha")
     measure._check_lag(cfg.get("correlation.n_max"))
     _check_reorth(cfg.get("spectrum.reorth_interval"))
-    rows = [_report_row(cfg, i, entry) for i, entry in enumerate(systems)]
+    rows = response._process_map(lambda row: _report_row(cfg, *row),
+                                 enumerate(systems))
     write_json(outdir / "report.json", {"systems": rows})
     return {"systems": len(rows)}
 

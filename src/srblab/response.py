@@ -4,6 +4,9 @@ and the stable/unstable decomposition of the response series.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +24,7 @@ from .tangent import (_OVERLAP, _affine_recurrence, _clv_sweep, _clv_window,
 
 N_BATCHES = 25
 NOISE_FACTOR = 2.0
+_mapping = False                # inside a _process_map: maps run serially
 
 
 @dataclass
@@ -339,6 +343,79 @@ def volume_preserving_identity(measure, field, divergence, obs, N):
 # ---------------------------------------------------------------------------
 
 
+def _process_map(fn, items):
+    """[fn(item) for item in items], bit for bit, on k = min(CPUs in the
+    affinity mask, items) processes: the caller runs items 0, k, ...; forked
+    worker w runs w, w+k, ... up to its first error and pickles its results
+    back.  The first failing item's error is raised once every worker is
+    reaped; a worker that ends without results is an error.  A map inside a
+    map runs serially, so forks never nest."""
+    global _mapping
+    items = list(items)
+    k = 1 if _mapping else min(len(os.sched_getaffinity(0)), len(items))
+    if k <= 1:
+        return [fn(item) for item in items]
+
+    def share(w):
+        done = []
+        for item in items[w::k]:
+            try:
+                done.append(fn(item))
+            except Exception as exc:
+                return done, exc
+        return done, None
+
+    workers, _mapping = {}, True
+    try:
+        for w in range(1, k):
+            r, wr = os.pipe()
+            with warnings.catch_warnings():  # Python >= 3.12 warns of
+                # OpenBLAS's threads, which its own fork handler stops
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                try:
+                    with os.fdopen(wr, "wb") as fh:
+                        pickle.dump(share(w), fh, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(wr)
+            workers[pid] = os.fdopen(r, "rb")
+        shares = [share(0)]
+        for pid in list(workers):
+            data = workers[pid].read()
+            workers.pop(pid).close()
+            if os.waitpid(pid, 0)[1] != 0:
+                raise RuntimeError(f"worker {pid} ended without its results")
+            shares.append(pickle.loads(data))
+    finally:
+        _mapping = False
+        for pid, fh in workers.items():     # left by an error in the parent
+            fh.close()
+            os.kill(pid, 9)                 # SIGKILL
+            os.waitpid(pid, 0)
+    failed = [(w + k * len(done), exc) for w, (done, exc) in enumerate(shares)
+              if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [shares[i % k][0][i // k] for i in range(len(items))]
+
+
+def _split_window(length, N, clv_warmup):
+    """(lo, hi, j_lo, j_hi): the split's CLV frames and samples on orbits
+    of `length` points, after checking the order, warmup and sample count."""
+    _check_order(N)
+    # a warmup below 1 goes to _clv_window as it is, which rejects it
+    lo, hi = _clv_window(length - 1,
+                         max(min(1, clv_warmup), clv_warmup - _OVERLAP))
+    j_lo = lo + _OVERLAP
+    j_hi = min(hi - _OVERLAP, length - 1 - N)
+    if j_hi - j_lo < 10 * N_BATCHES:
+        raise InsufficientDataError("orbit too short for split estimation")
+    return lo, hi, j_lo, j_hi
+
+
 @dataclass
 class SplitResult:
     stable: SusceptibilitySeries
@@ -386,32 +463,27 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
     side, over which the recurrences converge.  Near-tangency points (angle
     below angle_threshold) are excluded and the excluded mass reported.
 
-    The members run one at a time, in member order, as in _field_series:
-    each its CLV sweep, a check that its summed log stretches have one
+    The members run under _process_map, so the result, or the first
+    failing member's error, is the serial member loop's bit for bit: each
+    member its CLV sweep, a check that its summed log stretches have one
     positive entry, then its geometry and series, whose batch sums are
-    merged in member order; an error stops the loop at its member.  A sweep
-    or recurrence whose windows disagree is rerun on its own (_windowed);
-    n_windows is the least and boundary_residual the largest over every
-    member's CLV sweep and its k, g and b recurrences.  Where no member
-    falls back, every standard error is the whole ensemble's bit for bit; a
-    mean adds the members' totals, which moves it by rounding only.
+    merged in member order.  A sweep or recurrence whose windows disagree
+    is rerun on its own (_windowed); n_windows is the least and
+    boundary_residual the largest over every member's CLV sweep and its k,
+    g and b recurrences.  Where no member falls back, every standard error
+    is the whole ensemble's bit for bit; a mean adds the members' totals,
+    which moves it by rounding only.
     """
-    _check_order(N)
+    orbits = measure.orbits
+    lo, hi, j_lo, j_hi = _split_window(orbits.shape[1], N, clv_warmup)
     family, alpha = measure.family, measure.alpha
     if family.hessian is None or family.param_jacobian is None:
         raise ParameterError(
             f"family {family.name} has no hessian/param_jacobian")
-    orbits = measure.orbits
-    m, L, d = orbits.shape
+    m, _, d = orbits.shape
     if d != 2:
         raise UnsupportedDimensionError(
             "stable/unstable split implemented for 2-dimensional phase space")
-    # a warmup below 1 goes to _clv_window as it is, which rejects it
-    lo, hi = _clv_window(L - 1, max(min(1, clv_warmup), clv_warmup - _OVERLAP))
-    j_lo = lo + _OVERLAP
-    j_hi = min(hi - _OVERLAP, L - 1 - N)
-    if j_hi - j_lo < 10 * N_BATCHES:
-        raise InsufficientDataError("orbit too short for split estimation")
     S = j_hi - j_lo
     frames = slice(j_lo - lo, j_hi - lo)
     prev = slice(j_lo - lo - 1, j_hi - lo - 1)
@@ -472,7 +544,7 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
         return direct, stable, unstable, kept, min_angle, windows, res
 
     direct, stable, unstable, kept, min_angle, windows, res = zip(
-        *[series(orb) for orb in np.split(orbits, m)])
+        *_process_map(series, np.split(orbits, m)))
     return SplitResult(
         stable=_merged_series(stable, {}),
         unstable=_merged_series(unstable, {}),

@@ -42,6 +42,18 @@ def sample_of(family, alpha, orbits, jacobians=None):
 
 
 @pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) sets the affinity mask that response._process_map reads to
+    n CPUs; the test fails if it leaves a worker process behind."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)))
+    yield set_cpus
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
 def src_env():
     """The environment with src/ on PYTHONPATH, for a child interpreter."""
     env = dict(os.environ)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -396,6 +397,53 @@ def test_conjecture_report_rows_reproduce_single_runs(tmp_path):
     assert row["truncated_at"] is radius["truncated_at"] is None
 
 
+TWO_ROW_REPORT = {
+    "seed": 1, "observable": "cos_1_0",
+    "orbit": {"transient": 200, "length": 3000, "ensemble": 4},
+    "spectrum": {"reorth_interval": 4},
+    "susceptibility": {"n_max": 8}, "correlation": {"n_max": 8},
+    "report": {"systems": [{"name": "cat_shear", "alpha": 0.25},
+                           {"name": "henon", "alpha": 1.4}]},
+}
+
+
+def test_conjecture_report_is_bitwise_on_any_number_of_workers(tmp_path,
+                                                               cpus):
+    cfg = _write_cfg(tmp_path, TWO_ROW_REPORT)
+    artifacts = []
+    for n in (1, 2):
+        cpus(n)
+        out = tmp_path / f"out{n}"
+        assert cli.run("conjecture-report", cfg, out) == 0
+        artifacts.append([(out / name).read_bytes()
+                          for name in ("report.json", "manifest.json")])
+    assert artifacts[1] == artifacts[0]
+
+
+def test_report_row_that_escapes_in_a_worker_exits_4(tmp_path, monkeypatch,
+                                                     cpus):
+    # Henon at alpha 1.9 has no attractor; its row, row 1, runs in the
+    # worker, and its error reaches the exit code and diagnostics.json
+    draw = measure.srb_sample
+
+    def sample(family, alpha, **kwargs):
+        (tmp_path / f"{family.name}.pid").write_text(str(os.getpid()))
+        return draw(family, alpha, **kwargs)
+    monkeypatch.setattr(measure, "srb_sample", sample)
+    cpus(2)
+    payload = {**TWO_ROW_REPORT, "report": {"systems": [
+        {"name": "cat_shear", "alpha": 0.25},
+        {"name": "henon", "alpha": 1.9}]}}
+    out = tmp_path / "out"
+    assert cli.run("conjecture-report", _write_cfg(tmp_path, payload),
+                   out) == cli.EXIT_BASIN
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["error_type"] == "BasinEscapeError"
+    assert "henon at alpha = 1.9 " in diag["message"]
+    assert int((tmp_path / "cat_shear.pid").read_text()) == os.getpid()
+    assert int((tmp_path / "henon.pid").read_text()) != os.getpid()
+
+
 SHORT_HENON = {"system": {"name": "henon"}, "alpha": 1.4,
                "orbit": {"transient": 200, "length": 3000, "ensemble": 1}}
 SMALL_SRB = {"system": {"name": "cat_shear"}, "alpha": 0.2,
@@ -551,6 +599,24 @@ def test_run_settings_are_checked_before_sampling(tmp_path, monkeypatch,
                    out) == cli.EXIT_CONFIG
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["error_type"] == "ParameterError"
+
+
+@pytest.mark.parametrize("warmup, code, error", [
+    (0, cli.EXIT_CONFIG, "ParameterError"),
+    (1600, cli.EXIT_CONFIG, "ParameterError"),     # no converged CLV frame
+    # 200 sample frames of the 250 needed
+    (1400, cli.EXIT_INSUFFICIENT, "InsufficientDataError")])
+def test_split_window_is_checked_before_sampling(tmp_path, monkeypatch,
+                                                 warmup, code, error):
+    def sample(*args, **kwargs):
+        raise AssertionError("an SRB sample was drawn")
+
+    monkeypatch.setattr(measure, "srb_sample", sample)
+    payload = {**SHORT_CATSHEAR, "clv": {"warmup": warmup}}
+    out = tmp_path / "out"
+    assert cli.run("split", _write_cfg(tmp_path, payload), out) == code
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["error_type"] == error
 
 
 def test_response_check_counts_an_exact_agreement_as_agreement(tmp_path):

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import pickle
+import signal
+import time
 import tracemalloc
 import warnings
 
@@ -453,11 +457,12 @@ def test_split_rejects_a_sink_before_any_recurrence(monkeypatch):
                 angle_threshold=1e-3)
 
 
-def test_split_memory_is_bounded_by_one_block():
+def test_split_memory_is_bounded_by_one_block(cpus):
     # 32 members, one at a time: the split's peak stays below one 2x2
     # matrix per step of every member, 32 x 2999 x 32 bytes, so no stack of
     # all members' CLVs or Jacobians is held; each member evaluates its
-    # Jacobians once
+    # Jacobians once.  One CPU, so every member runs in this process
+    cpus(1)
     fam = maps.get_family("cat_shear")
     calls = []
 
@@ -478,9 +483,10 @@ def test_split_memory_is_bounded_by_one_block():
     assert calls == [1] * 32
 
 
-def test_split_stops_at_its_first_failing_member(small_catshear):
+def test_split_stops_at_its_first_failing_member(cpus, small_catshear):
     # a nan hessian fails the first member's geometry, and no later member
-    # evaluates its Jacobians
+    # evaluates its Jacobians (one CPU, so no member runs in a worker)
+    cpus(1)
     fam, emp = small_catshear
     calls = []
 
@@ -495,12 +501,13 @@ def test_split_stops_at_its_first_failing_member(small_catshear):
     assert calls == [1]
 
 
-def test_split_block_drops_its_stacks_once_read(small_catshear):
-    # two members, one at a time: each member's stacks are dropped once
-    # their planes are taken, and its recurrence and geometry arrays before
-    # the cocycle pass, so the traced peak stays below seven 2x2 matrices
-    # per step of one member, 2999 x 224 bytes (0.57 MB here; 1.14 MB for
-    # one block of both members)
+def test_split_block_drops_its_stacks_once_read(cpus, small_catshear):
+    # two members, one at a time in this process (one CPU): each member's
+    # stacks are dropped once their planes are taken, and its recurrence
+    # and geometry arrays before the cocycle pass, so the traced peak stays
+    # below seven 2x2 matrices per step of one member, 2999 x 224 bytes
+    # (0.57 MB here; 1.14 MB for one block of both members)
+    cpus(1)
     _, emp = small_catshear
     tracemalloc.start()
     try:
@@ -509,6 +516,100 @@ def test_split_block_drops_its_stacks_once_read(small_catshear):
     finally:
         tracemalloc.stop()
     assert peak < 2999 * 224
+
+
+@pytest.mark.parametrize("sample", ["small_catshear", "cat_translate"])
+def test_split_is_bitwise_on_any_number_of_workers(cpus, small_catshear,
+                                                   sample):
+    if sample == "small_catshear":
+        emp, phi, warmup = small_catshear[1], "bump", 300
+    else:
+        emp, phi, warmup = measure.srb_sample(
+            maps.get_family("cat_translate"), 0.1, transient=500,
+            length=4000, ensemble=8, seed=5), "cos_1_0", 1000
+
+    def split(n):
+        cpus(n)
+        return pickle.dumps(response.stable_unstable_split(
+            emp, maps.get_observable(phi, 2), 4, clv_warmup=warmup,
+            angle_threshold=1e-3))
+    assert split(2) == split(1)
+
+
+def test_process_map_raises_the_first_failing_items_error(cpus):
+    # item 1 fails in the worker, item 2 in this process: item 1's error,
+    # with its step, is the one the serial loop would raise
+    def fail(i):
+        if i >= 1:
+            raise NumericalDegeneracyError(f"item {i}", step=i)
+        return i
+    cpus(2)
+    with pytest.raises(NumericalDegeneracyError, match="item 1") as err:
+        response._process_map(fail, range(4))
+    assert err.value.step == 1
+
+
+def test_process_map_returns_in_item_order(cpus):
+    cpus(2)
+    got = response._process_map(lambda i: (i, os.getpid()), range(5))
+    assert [i for i, _ in got] == list(range(5))
+    assert {pid for i, pid in got if i % 2 == 0} == {os.getpid()}
+    assert len({pid for i, pid in got if i % 2 == 1} - {os.getpid()}) == 1
+
+
+def test_process_map_inside_a_map_forks_nothing(cpus):
+    cpus(2)
+    got = response._process_map(
+        lambda i: response._process_map(lambda j: os.getpid(), range(3)),
+        range(2))
+    assert got[0] == [os.getpid()] * 3
+    assert got[1] == [got[1][0]] * 3 and got[1][0] != os.getpid()
+
+
+def test_process_map_reaps_its_worker_when_this_process_stops(cpus):
+    # the worker would sleep for a minute; it is killed and reaped at once
+    class Stop(BaseException):
+        pass
+
+    def item(i):
+        if i == 0:
+            raise Stop
+        time.sleep(60)
+    cpus(2)
+    t0 = time.monotonic()
+    with pytest.raises(Stop):
+        response._process_map(item, range(2))
+    assert time.monotonic() - t0 < 30
+
+
+def test_process_map_worker_that_dies_is_an_error(cpus):
+    parent = os.getpid()
+    cpus(2)
+    with pytest.raises(RuntimeError, match="ended without its results"):
+        response._process_map(
+            lambda i: os._exit(3) if os.getpid() != parent else i, range(2))
+
+
+def test_process_map_after_blas_in_this_process(cpus):
+    # numpy's OpenBLAS has started its thread pool before the fork, and the
+    # worker calls it again; an alarm ends the test if the worker hangs
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((200, 200)), rng.standard_normal(200)
+    np.linalg.solve(a, b)
+
+    def hung(signum, frame):
+        raise TimeoutError("the map did not finish")
+    cpus(2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        got = response._process_map(lambda i: np.linalg.solve(a, b * i),
+                                     range(1, 3))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for i, x in zip(range(1, 3), got):
+        assert np.allclose(a @ x, b * i)
 
 
 @pytest.mark.parametrize("missing", ["hessian", "param_jacobian"])
