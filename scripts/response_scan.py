@@ -33,11 +33,9 @@ def main():
             defaults["split"]["angle_threshold"])
         ser = split.combined()
         psi, perr = ser.truncated_sum()
-        sampling = response.SamplingConfig(
-            transient=500, length=args.length, ensemble=2 * args.ensemble,
-            seed=args.seed + 72)
         deriv, deriv_err = response.finite_difference_response(
-            fam, alpha, args.h, phi, sampling)
+            fam, alpha, args.h, phi, seed=args.seed + 72, transient=500,
+            length=args.length, ensemble=2 * args.ensemble)
         sigma = stats.sigma_units(psi - deriv, perr, deriv_err)
         est = response.radius_estimate(ser, defaults["radius"]["method"])
         print(f"{alpha:>6.2f} {psi:>12.3e} {perr:>9.1e} "

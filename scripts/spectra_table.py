@@ -22,7 +22,7 @@ def main():
         fam = maps.get_family(name)
         try:
             emp = measure.srb_sample(fam, alpha, 2000, args.steps + 1, 1,
-                                     args.seed, measure.default_sampler(fam))
+                                     args.seed)
         except BasinEscapeError:
             print(f"{name:<15}{alpha:>7.2f}  orbit escaped")
             continue

@@ -118,21 +118,20 @@ def _observable(cfg, family):
     return maps.get_observable(cfg.require("observable"), family.dimension)
 
 
-def _sampling(cfg, family, seed_shift):
-    """The sampling settings of a run: orbit.*, sampler and the seed."""
+def _sampling(cfg, seed_shift):
+    """srb_sample's keywords for a run: orbit.*, the seed, and the sampler,
+    None for the family's default."""
     oc = cfg.get("orbit")
-    sampler = (measure.default_sampler(family) if cfg.get("sampler") is None
+    sampler = (None if cfg.get("sampler") is None
                else measure.BoxSampler(tuple(cfg.require("sampler.low")),
                                        tuple(cfg.require("sampler.high"))))
-    return response.SamplingConfig(
-        transient=oc["transient"], length=oc["length"],
-        ensemble=oc["ensemble"], sampler=sampler,
-        seed=cfg.get("seed") + seed_shift)
+    return dict(transient=oc["transient"], length=oc["length"],
+                ensemble=oc["ensemble"], sampler=sampler,
+                seed=cfg.get("seed") + seed_shift)
 
 
 def _srb(cfg, family, alpha, seed_shift=0):
-    return measure.srb_sample(family, alpha,
-                              **vars(_sampling(cfg, family, seed_shift)))
+    return measure.srb_sample(family, alpha, **_sampling(cfg, seed_shift))
 
 
 def _spectrum(cfg, emp):
@@ -243,10 +242,8 @@ def cmd_correlate(cfg, outdir):
     family, alpha = _system(cfg)
     measure._check_lag(cfg.get("correlation.n_max"))
     emp = _srb(cfg, family, alpha)
-    phi = _observable(cfg, family)
-    psi = (maps.get_observable(cfg.get("observable2"), family.dimension)
-           if cfg.get("observable2") else phi)
-    series = measure.correlation(emp, psi, phi, cfg.get("correlation.n_max"))
+    series = measure.correlation(emp, _observable(cfg, family),
+                                 cfg.get("correlation.n_max"))
     write_csv(outdir / "correlation.csv", ["lag", "value", "stderr"],
               zip(series.lags, series.values, series.stderr))
     write_json(outdir / "correlation.json", {
@@ -288,7 +285,7 @@ def cmd_response_check(cfg, outdir):
     psi_one, psi_err = series.truncated_sum()
     deriv, deriv_err = response.finite_difference_response(
         family, alpha, cfg.get("response.h"), phi,
-        _sampling(cfg, family, seed_shift=1))
+        **_sampling(cfg, seed_shift=1))
     sigma = stats.sigma_units(psi_one - deriv, psi_err, deriv_err)
     write_json(outdir / "response.json", {
         "psi_one": psi_one, "psi_one_err": psi_err,
@@ -394,21 +391,15 @@ def cmd_fold_synthetic(cfg, outdir):
     return {"grid": int(profile.grid.size)}
 
 
-def _report_row(cfg, i, entry):
+def _report_row(i, sub, family, alpha):
     """Row i of the report, from one sample; it is freed with the row."""
-    sub = ExperimentConfig({**{k: v for k, v in cfg.resolved().items()
-                               if k not in ("report", "system", "alpha")},
-                            "system": {"name": entry["name"],
-                                       "params": entry.get("params", {})},
-                            "alpha": entry["alpha"]})
-    family, alpha = _system(sub)
     series, emp, phi = _series(sub, family, alpha, 200 + i, radius=True)
     spec = _spectrum_payload(_spectrum(sub, emp))
-    corr = measure.correlation(emp, phi, phi, sub.get("correlation.n_max"))
+    corr = measure.correlation(emp, phi, sub.get("correlation.n_max"))
     est = _radius(sub, series)
     psi_one, psi_err = series.truncated_sum()
     return {
-        "system": entry["name"], "alpha": alpha,
+        "system": sub.get("system.name"), "alpha": alpha,
         "d_s": spec.get("d_s"), "d_s_method": spec["d_s_method"],
         "mixing_rate": corr.decay_rate,
         "mixing_fit_undefined": corr.fit_undefined,
@@ -425,17 +416,26 @@ def _report_row(cfg, i, entry):
 def cmd_conjecture_report(cfg, outdir):
     """One row per system, from the sample at seed + 200 + i: row i
     reproduces `susceptibility`, `radius` and `lyapunov` run at that seed.
-    Settings the rows share are checked before the first sample is drawn.
-    The rows run under response._process_map, bit for bit the serial loop's
-    report or first failing row's error on any number of workers."""
-    systems = cfg.require("report.systems")
-    for i, entry in enumerate(systems):
-        if not (isinstance(entry, dict) and {"name", "alpha"} <= entry.keys()):
-            raise ConfigError(f"report.systems[{i}] needs a name and an alpha")
+    Every entry, and the settings the rows share, are checked before the
+    first sample is drawn.  The rows run under response._process_map, bit
+    for bit the serial loop's report or first failing row's error on any
+    number of workers."""
+    rows = []
+    for i, entry in enumerate(cfg.require("report.systems")):
+        if not (isinstance(entry, dict) and {"name", "alpha"} <= entry.keys()
+                <= {"name", "alpha", "params"}):
+            raise ConfigError(f"report.systems[{i}] needs a name and an "
+                              "alpha, and takes no key but params besides")
+        sub = ExperimentConfig({
+            **{k: v for k, v in cfg.resolved().items()
+               if k not in ("report", "system", "alpha")},
+            "system": {"name": entry["name"],
+                       "params": entry.get("params", {})},
+            "alpha": entry["alpha"]})
+        rows.append((i, sub, *_system(sub)))
     measure._check_lag(cfg.get("correlation.n_max"))
     _check_reorth(cfg.get("spectrum.reorth_interval"))
-    rows = response._process_map(lambda row: _report_row(cfg, *row),
-                                 enumerate(systems))
+    rows = response._process_map(lambda row: _report_row(*row), rows)
     write_json(outdir / "report.json", {"systems": rows})
     return {"systems": len(rows)}
 

@@ -23,7 +23,6 @@ SCHEMA = {
     "seed": int,
     "output_dir": str,
     "observable": str,
-    "observable2": str,
     "sampler": {"low": NUMBERS, "high": NUMBERS},
     "orbit": {"transient": int, "length": int, "ensemble": int},
     "spectrum": {"reorth_interval": int},

@@ -194,19 +194,6 @@ def _orbit(family, alpha, x, n):
     return hist, family.escaped(hist)
 
 
-def iterate_batch(family, alpha, x, n):
-    """Advance a batch of points n steps; returns (n+1, m, d) history.
-
-    Escaped members are nan from the escape step onward; the first row is
-    the input, even for a member that starts escaped.
-    """
-    hist, bad = _orbit(family, alpha, x, n)
-    dead = np.logical_or.accumulate(bad, axis=-1)
-    dead[..., 0] = False
-    hist[dead] = np.nan
-    return np.moveaxis(hist, -2, 0)
-
-
 # ---------------------------------------------------------------------------
 # Built-in families
 # ---------------------------------------------------------------------------

@@ -143,29 +143,23 @@ def _check_lag(n_max):
         raise ParameterError("n_max must be >= 0")
 
 
-def correlation(measure, psi, phi, n_max):
-    """Centered cross-correlations C_n = rho((psi - <psi>)(phi o f^n - <phi>))
+def correlation(measure, phi, n_max):
+    """Centered autocorrelations C_n = rho((phi - <phi>)(phi o f^n - <phi>))
     for lags 0..n_max, with an exponential decay fit over the lags that sit
-    above the noise floor of twice their standard error.  An observable
-    passed as both psi and phi is evaluated once."""
+    above the noise floor of twice their standard error."""
     _check_lag(n_max)
     if measure.length <= n_max:
         raise InsufficientDataError("orbit shorter than requested max lag")
-    def centred(obs):
-        # in place, but a value that is a view of the orbits, as a
-        # coordinate's is, is copied first
-        x = np.require(obs.value(measure.orbits), float, "OW")
-        x -= x.mean()
-        return x
-
-    a = centred(psi)
-    b = a if phi is psi else centred(phi)
+    # centred in place, but a value that is a view of the orbits, as a
+    # coordinate's is, is copied first
+    a = np.require(phi.value(measure.orbits), float, "OW")
+    a -= a.mean()
     L = a.shape[1]
     lags = np.arange(n_max + 1)
     vals = np.empty(n_max + 1)
     errs = np.empty(n_max + 1)
     for n in lags:
-        prod = a[:, : L - n] * b[:, n:]
+        prod = a[:, : L - n] * a[:, n:]
         vals[n], errs[n] = batch_means(prod, n_batches=N_BATCHES)
     above = np.abs(vals[1:]) > 2.0 * errs[1:]
     idx = lags[1:][above]

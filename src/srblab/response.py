@@ -284,29 +284,19 @@ def radius_estimate(series, method):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SamplingConfig:
-    transient: int
-    length: int
-    ensemble: int
-    seed: int
-    sampler: Optional[object] = None
-
-
-def finite_difference_response(family, alpha0, h, obs, sampling):
+def finite_difference_response(family, alpha0, h, obs, seed, **sampling):
     """Central difference (rho_{a0+h}(phi) - rho_{a0-h}(phi)) / (2h) with
     independently seeded SRB samples on each side, from seeds 8s+1 and 8s+2
-    for the sampling seed s; returns (derivative, stderr)."""
+    for the sampling seed s, and srb_sample's other keywords as given;
+    returns (derivative, stderr)."""
     _check_step(h)
 
-    def side(alpha, seed):
-        m = measure_mod.srb_sample(family, alpha,
-                                   **{**vars(sampling), "seed": seed})
+    def side(alpha, side_seed):
+        m = measure_mod.srb_sample(family, alpha, seed=side_seed, **sampling)
         return measure_mod.birkhoff_average(m, obs)
 
-    base = int(sampling.seed)
-    mp, sp = side(alpha0 + h, base * 8 + 1)
-    mm, sm = side(alpha0 - h, base * 8 + 2)
+    mp, sp = side(alpha0 + h, seed * 8 + 1)
+    mm, sm = side(alpha0 - h, seed * 8 + 2)
     return (mp - mm) / (2.0 * h), float(np.sqrt(sp**2 + sm**2) / (2.0 * h))
 
 
@@ -349,10 +339,12 @@ def _process_map(fn, items):
     worker w runs w, w+k, ... up to its first error and pickles its results
     back.  The first failing item's error is raised once every worker is
     reaped; a worker that ends without results is an error.  A map inside a
-    map runs serially, so forks never nest."""
+    map runs serially, so forks never nest, and so does a map on a platform
+    without os.sched_getaffinity (Linux only)."""
     global _mapping
     items = list(items)
-    k = 1 if _mapping else min(len(os.sched_getaffinity(0)), len(items))
+    k = (1 if _mapping or not hasattr(os, "sched_getaffinity")
+         else min(len(os.sched_getaffinity(0)), len(items)))
     if k <= 1:
         return [fn(item) for item in items]
 

@@ -11,8 +11,8 @@ HENON_A = 1.4
 
 
 def orbit_of(family, alpha, x0, n):
-    """[x0, f(x0), ..., f^n(x0)] as an (n+1, d) array, through the one orbit
-    loop; the start must not escape."""
+    """[x0, f(x0), ..., f^n(x0)] as an (n+1, d) array, or (m, n+1, d) for m
+    starts x0 (m, d), through the one orbit loop; no start may escape."""
     hist, bad = maps._orbit(family, alpha, x0, n)
     assert not bad.any(), f"orbit escaped at step {int(np.argmax(bad))}"
     return hist

@@ -73,20 +73,21 @@ def test_03_chain_rule_transported_gradients(capsys):
         pts = _chain_rule_points(fam, alpha, rng, 100)
         phi = maps.get_observable("cos_1_0" if fam.chart.any_wrap
                                   else "coord_0", fam.dimension)
-        hist = maps.iterate_batch(fam, alpha, pts, 10)
+        hist = orbit_of(fam, alpha, pts, 10)
         P = np.broadcast_to(np.eye(fam.dimension),
                             (100, fam.dimension, fam.dimension)).copy()
         for n in range(1, 11):
-            P = np.einsum("sab,sbc->sac",
-                          stack_of(fam.jacobian(alpha, hist[n - 1]), 2), P)
-            grad = np.einsum("sba,sb->sa", P, stack_of(phi.gradient(hist[n])))
+            J = stack_of(fam.jacobian(alpha, hist[:, n - 1]), 2)
+            P = np.einsum("sab,sbc->sac", J, P)
+            grad = np.einsum("sba,sb->sa", P,
+                             stack_of(phi.gradient(hist[:, n])))
             h = 1e-6 / np.maximum(np.linalg.norm(P, axis=(1, 2)), 1.0)
             fd = np.empty_like(grad)
             for i in range(fam.dimension):
                 e = np.zeros((100, fam.dimension))
                 e[:, i] = h
-                up = maps.iterate_batch(fam, alpha, pts + e, n)[-1]
-                dn = maps.iterate_batch(fam, alpha, pts - e, n)[-1]
+                up = orbit_of(fam, alpha, pts + e, n)[:, -1]
+                dn = orbit_of(fam, alpha, pts - e, n)[:, -1]
                 fd[:, i] = (phi.value(up) - phi.value(dn)) / (2 * h)
             scale = np.linalg.norm(grad, axis=1)
             rel = np.linalg.norm(grad - fd, axis=1) / np.maximum(scale, 1e-12)
@@ -148,10 +149,9 @@ def test_06_linear_response_nonlinear_cat(capsys, catshear_split):
     fam, alpha, phi, split = catshear_split
     ser = split.combined()
     psi_one, psi_err = ser.truncated_sum()
-    sampling = response.SamplingConfig(transient=500, length=50_000,
-                                       ensemble=32, seed=77)
     deriv, deriv_err = response.finite_difference_response(
-        fam, alpha, 0.1, phi, sampling)
+        fam, alpha, 0.1, phi, seed=77, transient=500, length=50_000,
+        ensemble=32)
     sigma = abs(psi_one - deriv) / np.hypot(psi_err, deriv_err)
     est = response.radius_estimate(ser, method="root-test")
     radius_ok = (not est.indeterminate and est.value > 1.0

@@ -18,7 +18,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 ORACLES = {
     "response.volume_preserving_identity",     # criterion 05
-    "maps.iterate_batch",       # criterion 03's finite differences
 }
 
 

@@ -444,6 +444,30 @@ def test_report_row_that_escapes_in_a_worker_exits_4(tmp_path, monkeypatch,
     assert int((tmp_path / "henon.pid").read_text()) != os.getpid()
 
 
+@pytest.mark.parametrize("entry, error", [
+    ({"name": "cat_shear", "alpha": 0.25, "observable": "bump", "seed": 3},
+     "ConfigError"),
+    ({"name": "henon", "alpha": "big"}, "ConfigError"),
+    ({"name": "henon", "alpha": 1.4, "params": {"c": 1}}, "ParameterError"),
+    ({"name": "no_such_map", "alpha": 1.4}, "ParameterError"),
+], ids=["unknown_key", "alpha", "params", "name"])
+def test_report_entries_are_checked_before_any_row_samples(
+        tmp_path, monkeypatch, entry, error):
+    # the bad entry is row 1; row 0 would sample first if rows were checked
+    # one by one as they run
+    def sample(*args, **kwargs):
+        raise AssertionError("an SRB sample was drawn")
+
+    monkeypatch.setattr(measure, "srb_sample", sample)
+    payload = {**TWO_ROW_REPORT, "report": {"systems": [
+        {"name": "cat_shear", "alpha": 0.25}, entry]}}
+    out = tmp_path / "out"
+    assert cli.run("conjecture-report", _write_cfg(tmp_path, payload),
+                   out) == cli.EXIT_CONFIG
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["error_type"] == error
+
+
 SHORT_HENON = {"system": {"name": "henon"}, "alpha": 1.4,
                "orbit": {"transient": 200, "length": 3000, "ensemble": 1}}
 SMALL_SRB = {"system": {"name": "cat_shear"}, "alpha": 0.2,
@@ -489,6 +513,7 @@ BAD_ENTRIES = [
     ("split", {**SMALL_SRB, "split": {"n_max": 4}}, "ConfigError"),
     ("lyapunov", {**SMALL_LYAPUNOV, "spectrum": {"steps": 3000}},
      "ConfigError"),
+    ("correlate", {**SMALL_SRB, "observable2": "coord_0"}, "ConfigError"),
 ]
 
 

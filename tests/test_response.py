@@ -331,11 +331,10 @@ def test_finite_difference_translate_family_zero_response():
     """Affine torus family: the invariant measure never moves, so both the
     derivative and the truncated series sum vanish within errors."""
     fam = maps.get_family("cat_translate")
-    sampling = response.SamplingConfig(transient=500, length=20_000,
-                                       ensemble=8, seed=11)
     phi = maps.get_observable("bump", 2)
     deriv, deriv_err = response.finite_difference_response(
-        fam, 0.1, 0.05, phi, sampling)
+        fam, 0.1, 0.05, phi, seed=11, transient=500, length=20_000,
+        ensemble=8)
     assert abs(deriv) < 3 * deriv_err
     emp = measure.srb_sample(fam, 0.1, transient=500, length=20_000,
                              ensemble=8, seed=12)
@@ -547,6 +546,15 @@ def test_process_map_raises_the_first_failing_items_error(cpus):
     with pytest.raises(NumericalDegeneracyError, match="item 1") as err:
         response._process_map(fail, range(4))
     assert err.value.step == 1
+
+
+def test_process_map_runs_serially_without_an_affinity_mask(monkeypatch):
+    # os.sched_getaffinity is Linux only; elsewhere no worker is forked
+    monkeypatch.delattr(os, "sched_getaffinity")
+    got = response._process_map(lambda i: (i, os.getpid()), range(3))
+    assert got == [(i, os.getpid()) for i in range(3)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_process_map_returns_in_item_order(cpus):
