@@ -346,21 +346,17 @@ def cmd_tangency(cfg, outdir):
         "spectrum": _spectrum_payload(splitting.spectrum),
     }
     if frame is not None:
-        n_used = n_folds
-        if n_folds >= tangency.MIN_FOLD_POINTS:
-            folded = angles < tc["angle_threshold"]
-            stable_dirs = splitting.clvs[:, 1][:, folded]
-            proj = tangency.project_along_stable(
-                folds.points, stable_dirs, frame,
-                min_angle=tc["min_projection_angle"], chart=family.chart)
-            n_used = proj.theta.size
-        if n_used < tangency.MIN_FOLD_POINTS:
-            projected = f", {n_used} projected" if n_used < n_folds else ""
+        theta = tangency.project_along_stable(
+            folds.points, splitting.clvs[:, 1][:, folds.selected], frame,
+            min_angle=tc["min_projection_angle"], chart=family.chart)
+        if theta.size < tangency.MIN_FOLD_POINTS:
+            projected = (f", {theta.size} projected" if theta.size < n_folds
+                         else "")
             payload.update(frame_used=False, frame_reason=(
                 f"{n_folds} fold points{projected}, fewer than the "
                 f"{tangency.MIN_FOLD_POINTS} the counting function needs"))
         else:
-            counting = tangency.counting_function(proj.theta, proj.weights)
+            counting = tangency.counting_function(theta)
             payload.update(d_bar=counting.exponent,
                            d_bar_ci=counting.exponent_ci,
                            holder_constant=counting.holder_constant,
@@ -422,10 +418,8 @@ def cmd_conjecture_report(cfg, outdir):
     number of workers."""
     rows = []
     for i, entry in enumerate(cfg.require("report.systems")):
-        if not (isinstance(entry, dict) and {"name", "alpha"} <= entry.keys()
-                <= {"name", "alpha", "params"}):
-            raise ConfigError(f"report.systems[{i}] needs a name and an "
-                              "alpha, and takes no key but params besides")
+        if not {"name", "alpha"} <= entry.keys():
+            raise ConfigError(f"report.systems[{i}] needs a name and an alpha")
         sub = ExperimentConfig({
             **{k: v for k, v in cfg.resolved().items()
                if k not in ("report", "system", "alpha")},
@@ -467,7 +461,7 @@ def run(subcommand, config_path, output_dir):
         cfg = ExperimentConfig.load(config_path)
         outpath = outpath or cfg.get("output_dir")
         outdir = OutputDir(outpath)
-        cfg.dump_resolved(outdir / "resolved_config.json")
+        write_json(outdir / "resolved_config.json", cfg.resolved())
         counts = COMMANDS[subcommand](cfg, outdir)
     except SrbLabError as exc:
         code = EXIT_CONFIG

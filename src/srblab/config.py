@@ -6,8 +6,6 @@ results.
 from __future__ import annotations
 
 import copy
-import json
-from pathlib import Path
 
 import yaml
 
@@ -16,7 +14,8 @@ from .maps import _finite
 
 NUMBERS = "a list of finite numbers"
 
-# key -> (type | sub-schema | NUMBERS). A tuple of types means any of them.
+# key -> (type | sub-schema | NUMBERS | [entry spec]). A tuple of types means
+# any of them, and a float scalar must be finite.
 SCHEMA = {
     "system": {"name": str, "params": dict},
     "alpha": (int, float),
@@ -40,7 +39,8 @@ SCHEMA = {
                             "level": int, "positions": NUMBERS,
                             "weights": NUMBERS},
                   "grid": int, "side": str, "domain": NUMBERS},
-    "report": {"systems": list},
+    "report": {"systems": [{"name": str, "alpha": (int, float),
+                            "params": dict}]},
 }
 
 DEFAULTS = {
@@ -61,28 +61,33 @@ DEFAULTS = {
 }
 
 
-def _validate(data, schema, path=""):
-    if not isinstance(data, dict):
-        raise ConfigError(f"expected a mapping at {path or 'top level'}")
-    for key, value in data.items():
-        where = f"{path}.{key}" if path else key
-        if key not in schema:
-            raise ConfigError(f"unknown configuration key: {where}")
-        spec = schema[key]
-        if isinstance(spec, dict):
-            _validate(value, spec, where)
-        elif spec is NUMBERS:
-            if not (isinstance(value, list) and _finite(value)):
-                raise ConfigError(f"{where} must be {NUMBERS}")
-        else:
-            types = spec if isinstance(spec, tuple) else (spec,)
-            # bool subclasses int, but `seed: true` is not a seed
-            if (not isinstance(value, types)
-                    or isinstance(value, bool) and bool not in types):
-                names = "/".join(t.__name__ for t in types)
-                raise ConfigError(
-                    f"{where} must be of type {names}, "
-                    f"got {type(value).__name__}")
+def _validate(value, spec, where=""):
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"expected a mapping at {where or 'top level'}")
+        for key, item in value.items():
+            inner = f"{where}.{key}" if where else key
+            if key not in spec:
+                raise ConfigError(f"unknown configuration key: {inner}")
+            _validate(item, spec[key], inner)
+    elif spec is NUMBERS:
+        if not (isinstance(value, list) and _finite(value)):
+            raise ConfigError(f"{where} must be {NUMBERS}")
+    elif isinstance(spec, list):
+        _validate(value, list, where)
+        for i, entry in enumerate(value):
+            _validate(entry, spec[0], f"{where}[{i}]")
+    else:
+        types = spec if isinstance(spec, tuple) else (spec,)
+        # bool subclasses int, but `seed: true` is not a seed
+        if (not isinstance(value, types)
+                or isinstance(value, bool) and bool not in types):
+            names = "/".join(t.__name__ for t in types)
+            raise ConfigError(
+                f"{where} must be of type {names}, "
+                f"got {type(value).__name__}")
+        if float in types and not _finite(value):
+            raise ConfigError(f"{where} must be a finite number")
 
 
 def _merge(defaults, data):
@@ -131,7 +136,3 @@ class ExperimentConfig:
 
     def resolved(self):
         return copy.deepcopy(self.data)
-
-    def dump_resolved(self, path):
-        Path(path).write_text(
-            json.dumps(self.resolved(), indent=2, sort_keys=True) + "\n")

@@ -310,15 +310,14 @@ def volume_preserving_identity(measure, field, divergence, obs, N):
     of a volume-preserving system: the series kappa_n along the field X,
     and the series rho(div X . phi o f^n) to the same order.  Callers
     compare their sum with stats.sigma_units.  X is given in closed form by
-    field(points) -> (..., d) and its divergence(points) -> (...); the
-    field is the one tangent input taken as entries, turned to planes here.
+    field(points) -> planes (d, ...), as family.param_derivative gives, and
+    its divergence(points) -> (...).
     """
     if not measure.family.volume_preserving:
         raise ParameterError(
             f"family {measure.family.name} is not flagged volume-preserving")
     orbits = measure.orbits
-    direct = _field_series(
-        measure, lambda orb: np.moveaxis(field(orb[:, 1:]), -1, 0), obs, N)
+    direct = _field_series(measure, lambda orb: field(orb[:, 1:]), obs, N)
     S = orbits.shape[1] - 1 - N
     divv = divergence(orbits[:, 1:1 + S])
     phiv = obs.value(orbits)

@@ -15,7 +15,7 @@ from .errors import (FrameMisalignmentError, InsufficientDataError,
 from .maps import _checked_call, _finite
 from .stats import linear_fit
 
-MAX_EXCLUDED = 0.2       # share of the mass project_along_stable may exclude
+MAX_EXCLUDED = 0.2       # share of the points project_along_stable may exclude
 MIN_FOLD_POINTS = 100    # fewest fold parameters counting_function accepts
 
 
@@ -26,6 +26,7 @@ MIN_FOLD_POINTS = 100    # fewest fold parameters counting_function accepts
 
 @dataclass
 class FoldSet:
+    selected: np.ndarray        # the fold mask over the input points
     points: np.ndarray          # all sub-threshold points
     angles: np.ndarray
     representatives: np.ndarray  # per-cluster minimal-angle point
@@ -39,8 +40,6 @@ def detect_folds(points, angles, angle_threshold, chart, cluster_radius):
     sel = angles < angle_threshold
     pts = points[sel]
     ang = angles[sel]
-    if pts.shape[0] == 0:
-        return FoldSet(pts, ang, pts.copy())
     reps = []
     assigned = np.zeros(pts.shape[0], dtype=bool)
     for i in np.argsort(ang):
@@ -50,7 +49,7 @@ def detect_folds(points, angles, angle_threshold, chart, cluster_radius):
         members = (dist < cluster_radius) & ~assigned
         assigned |= members
         reps.append(pts[i])
-    return FoldSet(pts, ang, np.asarray(reps))
+    return FoldSet(sel, pts, ang, np.reshape(reps, (-1, pts.shape[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -78,26 +77,19 @@ class TransversalFrame:
         return d / np.linalg.norm(d)
 
 
-@dataclass
-class Projection:
-    theta: np.ndarray
-    weights: np.ndarray
-
-
 def project_along_stable(points, stable_dirs, frame, min_angle, chart):
     """First-order projection of each sample along its local stable line
-    onto the frame line; returns theta coordinates with the samples' equal
-    weights.  stable_dirs are planes (2, k), as the CLVs' columns are.
+    onto the frame line; returns the theta coordinates of the samples kept.
+    stable_dirs are planes (2, k), as the CLVs' columns are.
 
     Samples whose stable line is nearly parallel to the frame are excluded
-    and counted; more than MAX_EXCLUDED of the mass excluded raises
+    and counted; more than MAX_EXCLUDED of the points excluded raises
     FrameMisalignmentError.
     """
     points = np.asarray(points, dtype=float)
     s = np.asarray(stable_dirs, dtype=float)
     if points.shape[1] != 2:
         raise ParameterError("projection implemented for the planar case")
-    weights = np.full(points.shape[0], 1.0 / points.shape[0])
     ell = frame.unit()
     base = np.asarray(frame.base, dtype=float)
     s = s / np.linalg.norm(s, axis=0)
@@ -105,13 +97,12 @@ def project_along_stable(points, stable_dirs, frame, min_angle, chart):
     rhs = -chart.difference(points, base)
     det = -s[0] * ell[1] + s[1] * ell[0]
     ok = np.abs(det) >= np.sin(min_angle)
-    excluded_weight = float(weights[~ok].sum())
-    if excluded_weight > MAX_EXCLUDED * weights.sum():
+    excluded = np.count_nonzero(~ok)
+    if excluded > MAX_EXCLUDED * ok.size:
         raise FrameMisalignmentError(
-            f"{excluded_weight:.1%} of the mass has stable direction nearly "
+            f"{excluded} of {ok.size} points have a stable direction nearly "
             "parallel to the frame line")
-    theta = (s[0, ok] * rhs[ok, 1] - s[1, ok] * rhs[ok, 0]) / det[ok]
-    return Projection(theta=theta, weights=weights[ok].copy())
+    return (s[0, ok] * rhs[ok, 1] - s[1, ok] * rhs[ok, 0]) / det[ok]
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +333,17 @@ class CountingFunction:
     flag: Optional[str]
 
 
-def counting_function(theta, weights):
-    """Scaling exponent of the weighted empirical CDF psi of fold
-    parameters, from the dyadic maximal increments max_t psi(t+delta) -
+def counting_function(theta):
+    """Scaling exponent of the empirical CDF psi of fold parameters, each of
+    mass 1/n, from the dyadic maximal increments max_t psi(t+delta) -
     psi(t)."""
     theta = np.asarray(theta, dtype=float)
     if theta.size < MIN_FOLD_POINTS:
         raise InsufficientDataError(
             f"need at least {MIN_FOLD_POINTS} fold parameters, "
             f"got {theta.size}")
-    weights = np.asarray(weights, dtype=float)
-    order = np.argsort(theta)
-    pos = theta[order]
-    cum = np.cumsum(weights[order])
+    pos = np.sort(theta)
+    cum = np.cumsum(np.full(theta.size, 1.0 / theta.size))
     span = pos[-1] - pos[0]
     if span == 0.0:
         return CountingFunction(0.0, (0.0, 0.0), float(cum[-1]),

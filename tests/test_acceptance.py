@@ -126,11 +126,11 @@ def test_05_volume_preserving_identity(capsys):
 
     def f1(x):
         return np.stack([np.sin(two_pi * x[..., 1]),
-                         np.cos(two_pi * x[..., 0])], axis=-1) / two_pi
+                         np.cos(two_pi * x[..., 0])], axis=0) / two_pi
 
     def f2(x):
         return np.stack([np.sin(two_pi * x[..., 0]),
-                         np.cos(two_pi * x[..., 1])], axis=-1) / two_pi
+                         np.cos(two_pi * x[..., 1])], axis=0) / two_pi
 
     def d2(x):
         return np.cos(two_pi * x[..., 0]) - np.sin(two_pi * x[..., 1])

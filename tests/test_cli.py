@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from conftest import sample_of
-from srblab import cli, maps, measure, response, tangent
+from srblab import cli, maps, measure, response, tangency, tangent
 
 
 def _write_cfg(tmp_path, payload, name="cfg.yaml"):
@@ -444,15 +444,17 @@ def test_report_row_that_escapes_in_a_worker_exits_4(tmp_path, monkeypatch,
     assert int((tmp_path / "henon.pid").read_text()) != os.getpid()
 
 
-@pytest.mark.parametrize("entry, error", [
+@pytest.mark.parametrize("entry, error, message", [
     ({"name": "cat_shear", "alpha": 0.25, "observable": "bump", "seed": 3},
-     "ConfigError"),
-    ({"name": "henon", "alpha": "big"}, "ConfigError"),
-    ({"name": "henon", "alpha": 1.4, "params": {"c": 1}}, "ParameterError"),
-    ({"name": "no_such_map", "alpha": 1.4}, "ParameterError"),
+     "ConfigError", "report.systems[1].observable"),
+    ({"name": "henon", "alpha": "big"}, "ConfigError",
+     "report.systems[1].alpha must be of type int/float, got str"),
+    ({"name": "henon", "alpha": 1.4, "params": {"c": 1}}, "ParameterError",
+     "henon"),
+    ({"name": "no_such_map", "alpha": 1.4}, "ParameterError", "no_such_map"),
 ], ids=["unknown_key", "alpha", "params", "name"])
 def test_report_entries_are_checked_before_any_row_samples(
-        tmp_path, monkeypatch, entry, error):
+        tmp_path, monkeypatch, entry, error, message):
     # the bad entry is row 1; row 0 would sample first if rows were checked
     # one by one as they run
     def sample(*args, **kwargs):
@@ -466,6 +468,7 @@ def test_report_entries_are_checked_before_any_row_samples(
                    out) == cli.EXIT_CONFIG
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["error_type"] == error
+    assert message in diag["message"]
 
 
 SHORT_HENON = {"system": {"name": "henon"}, "alpha": 1.4,
@@ -514,6 +517,10 @@ BAD_ENTRIES = [
     ("lyapunov", {**SMALL_LYAPUNOV, "spectrum": {"steps": 3000}},
      "ConfigError"),
     ("correlate", {**SMALL_SRB, "observable2": "coord_0"}, "ConfigError"),
+    # a non-finite scalar
+    ("srb", {**SMALL_SRB, "alpha": float("inf")}, "ConfigError"),
+    ("response-check", {**SMALL_SRB, "response": {"h": float("nan")}},
+     "ConfigError"),
 ]
 
 
@@ -690,6 +697,34 @@ def test_tangency_counts_the_projected_fold_points(tmp_path):
     assert payload["frame_reason"].startswith("107 fold points, 94 projected")
     assert "d_bar" not in payload
     assert (out / "manifest.json").exists()
+
+
+def test_tangency_counts_only_the_projected_fold_points(tmp_path):
+    # 145 fold points, of which the frame's angle bound leaves out fewer
+    # than a fifth: the counting function takes the projected ones alone,
+    # each of mass 1/n for the n it counts
+    frame = {"base": [0.0, 0.2], "direction": [0.4006, 0.9163]}
+    cfg = _write_cfg(tmp_path, {**SHORT_HENON, "seed": 1,
+                                "orbit": {"transient": 2000, "length": 60_000,
+                                          "ensemble": 1},
+                                "tangency": {"min_projection_angle": 0.01,
+                                             "frame": frame}})
+    out = tmp_path / "out"
+    assert cli.run("tangency", cfg, out) == cli.EXIT_OK
+    payload = json.loads((out / "tangency.json").read_text())
+    family = maps.get_family("henon")
+    sp = tangent.compute_clvs(
+        measure.srb_sample(family, 1.4, 2000, 60_000, 1, seed=1), 1000)
+    folded = tangent.splitting_angles(sp) < 0.01
+    theta = tangency.project_along_stable(
+        sp.points[folded], sp.clvs[:, 1][:, folded],
+        tangency.TransversalFrame(tuple(frame["base"]),
+                                  tuple(frame["direction"])),
+        min_angle=0.01, chart=family.chart)
+    assert 100 <= theta.size < payload["n_fold_points"] == 145
+    counting = tangency.counting_function(theta)
+    assert payload["d_bar"] == counting.exponent
+    assert payload["holder_constant"] == counting.holder_constant
 
 
 def test_tangency_pools_its_members_fold_points(tmp_path):

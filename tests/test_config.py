@@ -1,6 +1,5 @@
 import ast
 import inspect
-import json
 from pathlib import Path
 
 import pytest
@@ -80,13 +79,10 @@ def test_load_roundtrip_and_resolved_dump(tmp_path):
     p = tmp_path / "cfg.yaml"
     p.write_text(yaml.safe_dump({"system": {"name": "cat_shear"},
                                  "alpha": 0.25, "seed": 7}))
-    cfg = ExperimentConfig.load(p)
-    out = tmp_path / "resolved.json"
-    cfg.dump_resolved(out)
-    resolved = json.loads(out.read_text())
+    resolved = ExperimentConfig.load(p).resolved()
     assert resolved["alpha"] == 0.25
     assert resolved["seed"] == 7
-    # defaults present in the resolved dump
+    # defaults present in the resolved config
     assert resolved["spectrum"]["reorth_interval"] == 1
 
 

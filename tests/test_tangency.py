@@ -115,10 +115,10 @@ def test_counting_function_uniform():
     # equispaced parameters: the maximal increment is exactly proportional
     # to the window, so the fitted exponent is 1 with no sampling noise
     tau = (np.arange(40_000) + 0.5) / 40_000
-    cf = tangency.counting_function(tau, np.ones(tau.size))
+    cf = tangency.counting_function(tau)
     assert cf.exponent == pytest.approx(1.0, abs=0.02)
     rng = np.random.default_rng(1)
-    cf2 = tangency.counting_function(rng.random(40_000), np.ones(40_000))
+    cf2 = tangency.counting_function(rng.random(40_000))
     assert 0.8 <= cf2.exponent <= 1.0
 
 
@@ -140,13 +140,13 @@ def test_counting_function_cantor():
     sig = tangency.make_sigma("cantor", ratio=1.0 / 3.0, level=20)
     rng = np.random.default_rng(2)
     tau = _cantor_sample(sig, rng, 60_000)
-    cf = tangency.counting_function(tau, np.ones(tau.size))
+    cf = tangency.counting_function(tau)
     assert cf.exponent == pytest.approx(np.log(2) / np.log(3), abs=0.07)
 
 
 def test_counting_function_atom():
     tau = np.concatenate([np.full(5000, 0.37), np.full(5000, 0.62)])
-    cf = tangency.counting_function(tau, np.ones(tau.size))
+    cf = tangency.counting_function(tau)
     assert cf.exponent == pytest.approx(0.0, abs=0.05)
     assert cf.flag == "atomic-measure"
 
@@ -154,13 +154,13 @@ def test_counting_function_atom():
 def test_counting_function_exponent_bounds():
     rng = np.random.default_rng(3)
     tau = rng.standard_normal(5000)
-    cf = tangency.counting_function(tau, np.ones(tau.size))
+    cf = tangency.counting_function(tau)
     assert 0.0 <= cf.exponent <= 1.0
 
 
 def test_counting_function_needs_points():
     with pytest.raises(InsufficientDataError):
-        tangency.counting_function(np.arange(10.0), np.ones(10))
+        tangency.counting_function(np.arange(10.0))
 
 
 @given(st.floats(0.1, 0.45), st.integers(3, 10))
@@ -186,6 +186,15 @@ def test_detect_folds_clusters(henon_splitting):
     assert folds.representatives.shape[0] <= folds.points.shape[0]
 
 
+def test_detect_folds_without_a_fold():
+    pts = np.random.default_rng(5).random((50, 2))
+    folds = tangency.detect_folds(pts, np.full(50, 0.5), 0.01,
+                                  chart=maps.flat(), cluster_radius=0.05)
+    assert not folds.selected.any()
+    assert folds.points.shape == (0, 2)
+    assert folds.representatives.shape == (0, 2)
+
+
 def test_project_along_stable_recovers_line_geometry():
     # points on the line y = 2 theta, projected along a fixed stable
     # direction onto the x-axis frame
@@ -196,7 +205,7 @@ def test_project_along_stable_recovers_line_geometry():
     proj = tangency.project_along_stable(pts, planes_of(np.tile(s, (200, 1))),
                                          frame, min_angle=1e-3,
                                          chart=maps.flat())
-    assert np.abs(proj.theta - theta).max() < 1e-12
+    assert np.abs(proj - theta).max() < 1e-12
 
 
 def test_project_along_stable_rejects_parallel_frame():
@@ -206,6 +215,24 @@ def test_project_along_stable_rejects_parallel_frame():
     with pytest.raises(FrameMisalignmentError):
         tangency.project_along_stable(pts, planes_of(s), frame,
                                       min_angle=1e-3, chart=maps.flat())
+
+
+@pytest.mark.parametrize("parallel", [20, 21])
+def test_project_along_stable_excludes_up_to_a_fifth_of_the_points(parallel):
+    # of 100 points, the first `parallel` have stable lines along the frame
+    pts = np.random.default_rng(6).random((100, 2))
+    s = np.tile(np.array([0.0, 1.0]), (100, 1))
+    s[:parallel] = [1.0, 0.0]
+    frame = tangency.TransversalFrame((0.0, 0.0), (1.0, 0.0))
+    if parallel > tangency.MAX_EXCLUDED * 100:
+        with pytest.raises(FrameMisalignmentError):
+            tangency.project_along_stable(pts, planes_of(s), frame,
+                                          min_angle=1e-3, chart=maps.flat())
+    else:
+        theta = tangency.project_along_stable(pts, planes_of(s), frame,
+                                              min_angle=1e-3,
+                                              chart=maps.flat())
+        assert np.array_equal(theta, pts[parallel:, 0])
 
 
 def test_make_sigma_rejects_unknown_kind():
