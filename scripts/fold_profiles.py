@@ -9,15 +9,20 @@ import argparse
 import numpy as np
 
 from srblab import tangency
+from srblab.errors import SrbLabError
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--grid", type=int, default=8192)
     args = ap.parse_args()
-    if args.grid < 2**10:
-        ap.error("--grid must be at least 1024: the fold convolution needs "
-                 "2^10 grid points")
+    try:
+        tabulate(args.grid)
+    except SrbLabError as exc:
+        ap.error(f"{type(exc).__name__}: {exc}")
+
+
+def tabulate(grid):
     cases = [("uniform", tangency.make_sigma("uniform"))]
     for ratio in (1.0 / 3.0, 0.25, 0.4):
         cases.append((f"cantor r={ratio:.3f}",
@@ -25,7 +30,7 @@ def main():
     print(f"{'sigma':<16}{'dim':>7}{'predicted':>11}{'estimated':>11}"
           f"{'ci':>20}  flag")
     for label, sigma in cases:
-        prof = tangency.synthetic_fold_convolution(sigma, args.grid,
+        prof = tangency.synthetic_fold_convolution(sigma, grid,
                                                    side="one",
                                                    domain=(0.0, 1.0))
         est = tangency.holder_exponent(prof.values,

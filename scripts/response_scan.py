@@ -7,6 +7,7 @@ Usage: python scripts/response_scan.py [--alphas 0.1 0.25 0.5] [--length N]
 import argparse
 
 from srblab import config, maps, measure, response, stats
+from srblab.errors import SrbLabError
 
 
 def main():
@@ -19,6 +20,13 @@ def main():
     ap.add_argument("--h", type=float, default=0.1)
     ap.add_argument("--seed", type=int, default=5)
     args = ap.parse_args()
+    try:
+        scan(args)
+    except SrbLabError as exc:
+        ap.error(f"{type(exc).__name__}: {exc}")
+
+
+def scan(args):
     defaults = config.DEFAULTS
     fam = maps.get_family("cat_shear")
     phi = maps.get_observable("bump", 2)

@@ -6,7 +6,7 @@ Usage: python scripts/spectra_table.py [--steps N] [--seed S]
 import argparse
 
 from srblab import maps, measure, tangent
-from srblab.errors import BasinEscapeError, HyperbolicityError
+from srblab.errors import BasinEscapeError, HyperbolicityError, SrbLabError
 
 SYSTEMS = [("cat_translate", 0.1), ("cat_shear", 0.25), ("henon", 1.4),
            ("standard_map", 6.0), ("coupled_henon", 1.4)]
@@ -17,12 +17,18 @@ def main():
     ap.add_argument("--steps", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    try:
+        tabulate(args.steps, args.seed)
+    except SrbLabError as exc:
+        ap.error(f"{type(exc).__name__}: {exc}")
+
+
+def tabulate(steps, seed):
     print(f"{'system':<15}{'alpha':>7}  exponents / d_s / Kaplan-Yorke")
     for name, alpha in SYSTEMS:
         fam = maps.get_family(name)
         try:
-            emp = measure.srb_sample(fam, alpha, 2000, args.steps + 1, 1,
-                                     args.seed)
+            emp = measure.srb_sample(fam, alpha, 2000, steps + 1, 1, seed)
         except BasinEscapeError:
             print(f"{name:<15}{alpha:>7.2f}  orbit escaped")
             continue

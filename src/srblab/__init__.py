@@ -17,8 +17,7 @@ from .measure import (EmpiricalMeasure, birkhoff_average, correlation,
                       dimension_estimates, kaplan_yorke, srb_sample)
 from .pade import PadeApproximant, robust_pade
 from .response import (finite_difference_response, radius_estimate,
-                       stable_unstable_split, susceptibility_coefficients,
-                       volume_preserving_identity)
+                       stable_unstable_split, susceptibility_coefficients)
 from .tangent import benettin_spectrum, compute_clvs, splitting_angles
 from .tangency import (counting_function, detect_folds, holder_exponent,
                        make_sigma, project_along_stable,
@@ -38,5 +37,5 @@ __all__ = [
     "make_sigma", "observable_catalog", "project_along_stable",
     "radius_estimate", "robust_pade", "srb_sample", "stable_unstable_split",
     "splitting_angles", "susceptibility_coefficients",
-    "synthetic_fold_convolution", "volume_preserving_identity",
+    "synthetic_fold_convolution",
 ]

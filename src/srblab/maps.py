@@ -91,7 +91,6 @@ class MapFamily:
     step: Callable
     jacobian: Callable
     param_derivative: Callable
-    volume_preserving: bool = False
     hessian: Optional[Callable] = None
     param_jacobian: Optional[Callable] = None
 
@@ -118,7 +117,7 @@ def _components(fn):
                *(tuple(np.asarray(u)) for u in directions))
         rows = isinstance(y[0], tuple)
         out = np.empty((d,) * (1 + rows) + x.shape[:-1])
-        flat = out.reshape((-1,) + x.shape[:-1])
+        flat = out.reshape((d ** (1 + rows),) + x.shape[:-1])
         for k, entry in enumerate(sum(y, ()) if rows else y):
             flat[k] = entry
         return out
@@ -228,8 +227,7 @@ def cat_translate(v=(1.0, 0.0)):
         return (0.0, 0.0), (0.0, 0.0)
 
     return MapFamily("cat_translate", 2, chart, step, jac, d_alpha,
-                     volume_preserving=True, hessian=hessian,
-                     param_jacobian=d_jac)
+                     hessian=hessian, param_jacobian=d_jac)
 
 
 def cat_shear():
@@ -317,8 +315,7 @@ def standard_map():
         return (0.0, c), (0.0, c)
 
     return MapFamily("standard_map", 2, chart, step, jac, d_alpha,
-                     volume_preserving=True, hessian=hessian,
-                     param_jacobian=d_jac)
+                     hessian=hessian, param_jacobian=d_jac)
 
 
 def coupled_henon(b=0.3, c=0.3):

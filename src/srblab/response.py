@@ -1,6 +1,6 @@
 """Susceptibility coefficients, radius of convergence estimation, the
-finite-difference linear-response oracle, the volume-preserving identity,
-and the stable/unstable decomposition of the response series.
+finite-difference linear-response oracle, and the stable/unstable
+decomposition of the response series.
 """
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from .errors import (InsufficientDataError, NumericalDegeneracyError,
                      PadeDegeneracyError, ParameterError,
                      UnsupportedDimensionError)
 from .pade import robust_pade
-from .stats import (batch_means, batch_sums, linear_fit, merge_batch_sums,
-                    sigma_units)
+from .stats import batch_sums, linear_fit, merge_batch_sums, sigma_units
 from .tangent import (_OVERLAP, _affine_recurrence, _clv_sweep, _clv_window,
                       _dot, _matvec)
 
@@ -98,27 +97,15 @@ def susceptibility_coefficients(measure, obs, N):
     and alpha.
 
     Tangent vectors are propagated by the exact cocycle (never by orbit
-    finite differences); batch-means standard errors are attached.  On
-    overflow the series is truncated at the last finite n and the truncation
+    finite differences).  Each member runs _kappa_series on its own
+    Jacobians, field and gradient planes, in the whole sample's batch
+    layout, so no tangent array spans the sample; param_derivative at
+    x_{k-1} is X at x_k.  The members' batch sums merge in member order.
+    Every standard error is the whole sample's bit for bit; a mean adds the
+    members' totals, which moves it by rounding only.  On overflow in any
+    member the series is truncated at the last finite n and the truncation
     recorded in the metadata.
     """
-    family, alpha = measure.family, measure.alpha
-    return _field_series(
-        measure, lambda orb: family.param_derivative(alpha, orb[:, :-1]),
-        obs, N)
-
-
-def _field_series(measure, field, obs, N):
-    """kappa_n for n = 0..N along the field X, where field(orb) gives its
-    planes (d, 1, L-1) at orbit indices 1..L-1 of one member's orbit orb
-    (1, L, d).
-
-    Each member runs _kappa_series on its own Jacobians, field and gradient
-    planes, in the whole sample's batch layout, so no tangent array spans
-    the sample.  The members' batch sums merge in member order, and the series
-    stops at the least order at which any member's tangent vectors
-    overflow.  Every standard error is the whole sample's bit for bit; a
-    mean adds the members' totals, which moves it by rounding only."""
     _check_order(N)
     family, alpha, orbits = measure.family, measure.alpha, measure.orbits
     m, L, d = orbits.shape
@@ -128,7 +115,8 @@ def _field_series(measure, field, obs, N):
     members, truncs = [], []
     for orb in np.split(orbits, m):
         (parts,), trunc = _kappa_series(
-            family.jacobian(alpha, orb[:, :-1]), field(orb)[..., :S][:, None],
+            family.jacobian(alpha, orb[:, :-1]),
+            family.param_derivative(alpha, orb[:, :-1])[..., :S][:, None],
             obs.gradient(orb), N, 1, None, m)
         members.append(parts)
         if trunc is not None:
@@ -298,33 +286,6 @@ def finite_difference_response(family, alpha0, h, obs, seed, **sampling):
     mp, sp = side(alpha0 + h, seed * 8 + 1)
     mm, sm = side(alpha0 - h, seed * 8 + 2)
     return (mp - mm) / (2.0 * h), float(np.sqrt(sp**2 + sm**2) / (2.0 * h))
-
-
-# ---------------------------------------------------------------------------
-# Volume-preserving identity
-# ---------------------------------------------------------------------------
-
-
-def volume_preserving_identity(measure, field, divergence, obs, N):
-    """The two terms of the identity kappa_n + rho(div X . phi o f^n) = 0
-    of a volume-preserving system: the series kappa_n along the field X,
-    and the series rho(div X . phi o f^n) to the same order.  Callers
-    compare their sum with stats.sigma_units.  X is given in closed form by
-    field(points) -> planes (d, ...), as family.param_derivative gives, and
-    its divergence(points) -> (...).
-    """
-    if not measure.family.volume_preserving:
-        raise ParameterError(
-            f"family {measure.family.name} is not flagged volume-preserving")
-    orbits = measure.orbits
-    direct = _field_series(measure, lambda orb: field(orb[:, 1:]), obs, N)
-    S = orbits.shape[1] - 1 - N
-    divv = divergence(orbits[:, 1:1 + S])
-    phiv = obs.value(orbits)
-    coeffs, errs = zip(*(batch_means(divv * phiv[:, 1 + n:1 + n + S],
-                                     n_batches=N_BATCHES)
-                         for n in range(direct.coeffs.size)))
-    return direct, SusceptibilitySeries(np.array(coeffs), np.array(errs), {})
 
 
 # ---------------------------------------------------------------------------

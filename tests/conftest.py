@@ -74,6 +74,20 @@ def array_step():
 
 
 @pytest.fixture(scope="session")
+def along_field(array_step):
+    """(sample, field) -> the sample whose family perturbs along the field
+    X, given as field(points) -> planes (d, ...): its param_derivative at
+    x_{k-1} is X at x_k = f(x_{k-1}), the index convention of
+    response.susceptibility_coefficients."""
+    def build(emp, field):
+        step = array_step(emp.family)
+        family = dataclasses.replace(
+            emp.family, param_derivative=lambda a, x: field(step(a, x)))
+        return dataclasses.replace(emp, family=family)
+    return build
+
+
+@pytest.fixture(scope="session")
 def henon_family():
     return maps.get_family("henon")
 

@@ -1,8 +1,7 @@
 """The library's surface is what a run, a script or a workload uses.
 
 Callers are counted in src/ and scripts/ only: code that only a test reaches
-belongs in that test.  The exceptions are the acceptance oracles below,
-library code that exists for the acceptance criteria to call.
+belongs in that test.
 
 The rules: every top-level function has a caller; every dataclass member is
 read; every parameter of a function, method or constructor is read in its
@@ -15,11 +14,6 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-ORACLES = {
-    "response.volume_preserving_identity",     # criterion 05
-}
-
 
 def _modules():
     """module name -> syntax tree, over src/srblab and scripts/."""
@@ -281,7 +275,7 @@ def _signatures(modules):
                 else:
                     out.append((f"{mod}.{node.name}.{item.name}", item.name,
                                 params, item))
-    return [s for s in out if s[0] not in ORACLES]
+    return out
 
 
 def _defaults():
@@ -330,8 +324,7 @@ def test_every_function_has_a_caller():
     uncalled = sorted(
         f"{mod}.{node.name}" for mod in _library()
         for node in modules[mod].body
-        if isinstance(node, ast.FunctionDef) and (mod, node.name) not in refs
-        and f"{mod}.{node.name}" not in ORACLES)
+        if isinstance(node, ast.FunctionDef) and (mod, node.name) not in refs)
     assert uncalled == []
 
 
@@ -340,6 +333,5 @@ def test_every_dataclass_member_is_read():
     unread = sorted(
         f"{mod}.{name}.{member}"
         for name, (mod, members, _) in classes.items()
-        for member in members if (name, member) not in reads
-        and f"{mod}.{name}.{member}" not in ORACLES)
+        for member in members if (name, member) not in reads)
     assert unread == []

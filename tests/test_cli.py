@@ -162,6 +162,17 @@ def test_short_spectrum_exits_5(tmp_path):
     assert diag["error_type"] == "InsufficientDataError"
 
 
+def test_one_point_orbit_exits_5(tmp_path):
+    # a one-point orbit has no steps, and its empty Jacobian stack is no
+    # error of its own
+    cfg = _write_cfg(tmp_path, {**SMALL_LYAPUNOV, "orbit": {
+        "transient": 200, "length": 1, "ensemble": 1}})
+    out = tmp_path / "out"
+    assert cli.run("lyapunov", cfg, out) == cli.EXIT_INSUFFICIENT
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["error_type"] == "InsufficientDataError"
+
+
 def test_output_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {
         "synthetic": {"sigma": {"kind": "uniform"}, "grid": 4096,

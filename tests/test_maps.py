@@ -114,6 +114,21 @@ def test_component_callables_assemble_pointwise(name):
         assert alone.tobytes() == hist[i].tobytes()
 
 
+@pytest.mark.parametrize("name", sorted(ALPHAS))
+def test_derivatives_take_an_empty_batch(name):
+    """The tangent data of a one-point orbit, points (1, 0, d), are empty
+    planes (d[, d], 1, 0), not an error."""
+    fam = maps.get_family(name)
+    alpha, d = ALPHAS[name], fam.dimension
+    x = np.empty((1, 0, d))
+    u = np.empty((d, 1, 0))
+    assert fam.jacobian(alpha, x).shape == (d, d, 1, 0)
+    assert fam.param_derivative(alpha, x).shape == (d, 1, 0)
+    if fam.hessian is not None:
+        assert fam.hessian(alpha, x, u, u).shape == (d, 1, 0)
+        assert fam.param_jacobian(alpha, x).shape == (d, d, 1, 0)
+
+
 def test_jacobian_determinant_nonzero_everywhere():
     rng = np.random.default_rng(10)
     for name, alpha in ALPHAS.items():

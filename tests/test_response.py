@@ -92,7 +92,7 @@ def test_kappa_adjoint_identity(cat_translate_measure, small_catshear):
         assert np.abs(ser.coeffs - adj).max() < 1e-10 * max(scale, 1.0)
 
 
-def test_kappa_linearity_in_field(cat_translate_measure):
+def test_kappa_linearity_in_field(cat_translate_measure, along_field):
     """kappa is linear in X: scaling and adding fields act coefficient-wise."""
     _, emp = cat_translate_measure
     phi = maps.get_observable("cos_1_0", 2)
@@ -109,8 +109,8 @@ def test_kappa_linearity_in_field(cat_translate_measure):
     a, b = 0.7, -1.3
 
     def series(f):
-        return response._field_series(
-            emp, lambda orb: planes_of(f(orb[:, 1:])), phi, 5).coeffs
+        return response.susceptibility_coefficients(
+            along_field(emp, lambda x: planes_of(f(x))), phi, 5).coeffs
 
     k1, k2 = series(f1), series(f2)
     k12 = series(lambda x: a * f1(x) + b * f2(x))
@@ -341,14 +341,6 @@ def test_finite_difference_translate_family_zero_response():
     ser = response.susceptibility_coefficients(emp, phi, 8)
     psi1, err1 = ser.truncated_sum()
     assert abs(psi1) < 3 * err1
-
-
-def test_volume_identity_rejects_dissipative_family(henon_measure):
-    phi = maps.get_observable("coord_0", 2)
-    with pytest.raises(ParameterError):
-        response.volume_preserving_identity(
-            henon_measure, np.zeros_like, lambda x: np.zeros(x.shape[:-1]),
-            phi, 5)
 
 
 def test_split_reconstruction_and_stable_decay(catshear_split):

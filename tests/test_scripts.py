@@ -1,5 +1,6 @@
 """Smoke tests: each driver script in scripts/ runs to completion on small
-inputs."""
+inputs and rejects a bad argument with a usage line, and the shipped runs
+still write the artifacts GOLDEN.json records."""
 import subprocess
 import sys
 from pathlib import Path
@@ -20,11 +21,22 @@ def test_script_runs(src_env, script, args):
     assert proc.stdout.strip()
 
 
-def test_fold_profiles_rejects_a_coarse_grid(src_env):
-    proc = _run(src_env, "fold_profiles.py", ["--grid", "256"])
+@pytest.mark.parametrize("script, args", [
+    ("spectra_table.py", ["--steps", "-5"]),
+    ("response_scan.py", ["--ensemble", "0"]),
+    ("fold_profiles.py", ["--grid", "256"]),
+])
+def test_script_rejects_a_bad_argument(src_env, script, args):
+    proc = _run(src_env, script, args)
     assert proc.returncode == 2
     assert "usage:" in proc.stderr
+    assert "ParameterError" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_shipped_runs_match_their_golden_hashes(src_env):
+    proc = _run(src_env, "golden.py", [])
+    assert proc.returncode == 0, proc.stderr
 
 
 def _run(env, script, args):
