@@ -9,6 +9,9 @@ import argparse
 from srblab import config, maps, measure, response, stats
 from srblab.errors import SrbLabError
 
+HEADER = (f"{'alpha':>6} {'Psi(1)':>12} {'err':>9} {'FD':>12} {'err':>9} "
+          f"{'sigma':>6} {'radius':>8}  flag")
+
 
 def main():
     ap = argparse.ArgumentParser()
@@ -21,17 +24,19 @@ def main():
     ap.add_argument("--seed", type=int, default=5)
     args = ap.parse_args()
     try:
-        scan(args)
+        lines = rows(args)
+        print(HEADER, next(lines), sep="\n")     # no header before a row
+        for line in lines:
+            print(line)
     except SrbLabError as exc:
         ap.error(f"{type(exc).__name__}: {exc}")
 
 
-def scan(args):
+def rows(args):
+    """The table's rows, one line per alpha, each computed when asked."""
     defaults = config.DEFAULTS
     fam = maps.get_family("cat_shear")
     phi = maps.get_observable("bump", 2)
-    print(f"{'alpha':>6} {'Psi(1)':>12} {'err':>9} {'FD':>12} {'err':>9} "
-          f"{'sigma':>6} {'radius':>8}  flag")
     for alpha in args.alphas:
         emp = measure.srb_sample(fam, alpha, transient=500,
                                  length=args.length, ensemble=args.ensemble,
@@ -46,9 +51,9 @@ def scan(args):
             length=args.length, ensemble=2 * args.ensemble)
         sigma = stats.sigma_units(psi - deriv, perr, deriv_err)
         est = response.radius_estimate(ser, defaults["radius"]["method"])
-        print(f"{alpha:>6.2f} {psi:>12.3e} {perr:>9.1e} "
-              f"{deriv:>12.3e} {deriv_err:>9.1e} {sigma:>6.2f} "
-              f"{est.value:>8.2f}  {est.flag}")
+        yield (f"{alpha:>6.2f} {psi:>12.3e} {perr:>9.1e} "
+               f"{deriv:>12.3e} {deriv_err:>9.1e} {sigma:>6.2f} "
+               f"{est.value:>8.2f}  {est.flag}")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ from srblab.errors import BasinEscapeError, HyperbolicityError, SrbLabError
 SYSTEMS = [("cat_translate", 0.1), ("cat_shear", 0.25), ("henon", 1.4),
            ("standard_map", 6.0), ("coupled_henon", 1.4)]
 
+HEADER = f"{'system':<15}{'alpha':>7}  exponents / d_s / Kaplan-Yorke"
+
 
 def main():
     ap = argparse.ArgumentParser()
@@ -18,19 +20,22 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     try:
-        tabulate(args.steps, args.seed)
+        lines = rows(args.steps, args.seed)
+        print(HEADER, next(lines), sep="\n")     # no header before a row
+        for line in lines:
+            print(line)
     except SrbLabError as exc:
         ap.error(f"{type(exc).__name__}: {exc}")
 
 
-def tabulate(steps, seed):
-    print(f"{'system':<15}{'alpha':>7}  exponents / d_s / Kaplan-Yorke")
+def rows(steps, seed):
+    """The table's rows, one line per system, each computed when asked."""
     for name, alpha in SYSTEMS:
         fam = maps.get_family(name)
         try:
             emp = measure.srb_sample(fam, alpha, 2000, steps + 1, 1, seed)
         except BasinEscapeError:
-            print(f"{name:<15}{alpha:>7.2f}  orbit escaped")
+            yield f"{name:<15}{alpha:>7.2f}  orbit escaped"
             continue
         spec = tangent.benettin_spectrum(emp, reorth_interval=8)
         lams = "  ".join(f"{v:+.4f}" for v in spec.all_exponents)
@@ -39,7 +44,7 @@ def tabulate(steps, seed):
             extra = f"d_s={dims.d_s:.3f} ({dims.method}), KY={dims.kaplan_yorke:.3f}"
         except HyperbolicityError:
             extra = "non-hyperbolic"
-        print(f"{name:<15}{alpha:>7.2f}  [{lams}]  {extra}")
+        yield f"{name:<15}{alpha:>7.2f}  [{lams}]  {extra}"
 
 
 if __name__ == "__main__":

@@ -11,8 +11,7 @@ from .errors import (BasinEscapeError, ConfigError, FrameMisalignmentError,
                      HyperbolicityError, InsufficientDataError,
                      NumericalDegeneracyError, PadeDegeneracyError,
                      ParameterError, SrbLabError, UnsupportedDimensionError)
-from .maps import (MapFamily, Observable, get_family, get_observable,
-                   observable_catalog)
+from .maps import MapFamily, Observable, get_family, get_observable
 from .measure import (EmpiricalMeasure, birkhoff_average, correlation,
                       dimension_estimates, kaplan_yorke, srb_sample)
 from .pade import PadeApproximant, robust_pade
@@ -34,7 +33,7 @@ __all__ = [
     "compute_clvs", "correlation", "counting_function",
     "detect_folds", "dimension_estimates", "finite_difference_response",
     "get_family", "get_observable", "holder_exponent", "kaplan_yorke",
-    "make_sigma", "observable_catalog", "project_along_stable",
+    "make_sigma", "project_along_stable",
     "radius_estimate", "robust_pade", "srb_sample", "stable_unstable_split",
     "splitting_angles", "susceptibility_coefficients",
     "synthetic_fold_convolution",

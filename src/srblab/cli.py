@@ -149,15 +149,15 @@ def _splitting(cfg, family, alpha):
 
 
 def _series(cfg, family, alpha, seed_shift=0, radius=False):
-    """(kappa_n series, the SRB sample, the observable).  The order, and
-    the radius settings if a radius is to be fitted, are checked before the
-    sample is drawn."""
+    """(kappa_n series, the SRB sample, the observable).  The order, the
+    radius settings if a radius is to be fitted, and the observable are
+    checked before the sample is drawn."""
     n_max = cfg.get("susceptibility.n_max")
     response._check_order(n_max)
     if radius:
         response._check_radius(n_max, cfg.get("radius.method"))
-    emp = _srb(cfg, family, alpha, seed_shift)
     phi = _observable(cfg, family)
+    emp = _srb(cfg, family, alpha, seed_shift)
     series = response.susceptibility_coefficients(emp, phi, n_max)
     return series, emp, phi
 
@@ -241,9 +241,9 @@ def cmd_srb(cfg, outdir):
 def cmd_correlate(cfg, outdir):
     family, alpha = _system(cfg)
     measure._check_lag(cfg.get("correlation.n_max"))
+    phi = _observable(cfg, family)
     emp = _srb(cfg, family, alpha)
-    series = measure.correlation(emp, _observable(cfg, family),
-                                 cfg.get("correlation.n_max"))
+    series = measure.correlation(emp, phi, cfg.get("correlation.n_max"))
     write_csv(outdir / "correlation.csv", ["lag", "value", "stderr"],
               zip(series.lags, series.values, series.stderr))
     write_json(outdir / "correlation.json", {
@@ -301,10 +301,10 @@ def cmd_response_check(cfg, outdir):
 def cmd_split(cfg, outdir):
     family, alpha = _system(cfg)
     n_max = cfg.get("susceptibility.n_max")
-    response._split_window(cfg.get("orbit.length"), n_max,
+    response._split_window(family, cfg.get("orbit.length"), n_max,
                            cfg.get("clv.warmup"))       # before sampling
-    emp = _srb(cfg, family, alpha)
     phi = _observable(cfg, family)
+    emp = _srb(cfg, family, alpha)
     result = response.stable_unstable_split(
         emp, phi, n_max, clv_warmup=cfg.get("clv.warmup"),
         angle_threshold=cfg.get("split.angle_threshold"))
@@ -328,9 +328,12 @@ def cmd_split(cfg, outdir):
 def cmd_tangency(cfg, outdir):
     family, alpha = _system(cfg)
     tc = cfg.get("tangency")
-    frame = None if tc.get("frame") is None else tangency.TransversalFrame(
-        tuple(cfg.require("tangency.frame.base")),
-        tuple(cfg.require("tangency.frame.direction")))
+    frame = None
+    if tc.get("frame") is not None:                     # before sampling
+        tangency._check_planar(family.dimension)
+        frame = tangency.TransversalFrame(
+            tuple(cfg.require("tangency.frame.base")),
+            tuple(cfg.require("tangency.frame.direction")))
     splitting, angles = _splitting(cfg, family, alpha)
     folds = tangency.detect_folds(splitting.points, angles,
                                   tc["angle_threshold"], chart=family.chart,
@@ -426,7 +429,9 @@ def cmd_conjecture_report(cfg, outdir):
             "system": {"name": entry["name"],
                        "params": entry.get("params", {})},
             "alpha": entry["alpha"]})
-        rows.append((i, sub, *_system(sub)))
+        family, alpha = _system(sub)
+        _observable(sub, family)
+        rows.append((i, sub, family, alpha))
     measure._check_lag(cfg.get("correlation.n_max"))
     _check_reorth(cfg.get("spectrum.reorth_interval"))
     rows = response._process_map(lambda row: _report_row(*row), rows)

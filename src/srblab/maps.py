@@ -370,9 +370,15 @@ def _finite(value):
                and math.isfinite(v) for v in values)
 
 
-def _checked_call(factory, params, what):
-    """factory(**params) if the names bind to its parameters and every value
-    is a finite number or a list of them; else ParameterError on `what`."""
+def _checked_call(factories, name, params, what):
+    """factories[name](**params) if `name` is one of the factories, the
+    names in params bind to its parameters and every value is a finite
+    number or a list of them; else ParameterError on the `what` `name`.
+    An unknown name's error lists the known ones."""
+    if name not in factories:
+        raise ParameterError(f"unknown {what} {name!r}; "
+                             f"known: {sorted(factories)}")
+    factory, what = factories[name], f"{what} {name!r}"
     signature = inspect.signature(factory)
     try:
         signature.bind(**params)
@@ -388,11 +394,7 @@ def _checked_call(factory, params, what):
 
 def get_family(name, params=None):
     """The built-in family `name`, built by _checked_call from `params`."""
-    if name not in _FACTORIES:
-        raise ParameterError(f"unknown map family {name!r}; "
-                             f"known: {sorted(_FACTORIES)}")
-    return _checked_call(_FACTORIES[name], params or {},
-                         f"map family {name!r}")
+    return _checked_call(_FACTORIES, name, params or {}, "map family")
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +411,12 @@ class Observable:
     gradient: Callable
 
 
-def fourier_mode(p):
-    """cos(2 pi p.x) with its exact gradient."""
-    p = np.asarray(p, dtype=float)
+def fourier_mode(p, dimension):
+    """cos(2 pi p.x) with its exact gradient, p padded with zeros to
+    `dimension` entries; the name spells p as given, so cos_1_0 names the
+    same mode in every dimension."""
+    name = "cos_" + "_".join(f"{int(c)}" for c in p)
+    p = np.concatenate([p, np.zeros(dimension - len(p))])
 
     def value(x):
         return np.cos(TWO_PI * np.asarray(x) @ p)
@@ -420,8 +425,7 @@ def fourier_mode(p):
         s = -TWO_PI * np.sin(TWO_PI * np.asarray(x) @ p)
         return np.multiply.outer(p, s)
 
-    tag = "_".join(f"{int(c)}" for c in p)
-    return Observable(f"cos_{tag}", value, gradient)
+    return Observable(name, value, gradient)
 
 
 def coordinate(i):
@@ -505,29 +509,23 @@ def constant():
     return Observable("const", value, gradient)
 
 
-def observable_catalog(dimension):
-    if dimension < 2:
-        raise ParameterError("dimension must be >= 2")
-    p1 = np.zeros(dimension)
-    p1[0] = 1.0
-    p11 = np.zeros(dimension)
-    p11[0] = 1.0
-    p11[1] = 1.0
-    obs = [
-        fourier_mode(p1),
-        fourier_mode(p11),
-        coordinate(0),
-        coordinate(1),
-        product_x1x2(),
-        bump(np.full(dimension, 0.5), 0.4),
-        constant(),
-    ]
-    return obs
+# the observables a config names, each built for points of `dimension`
+# components
+_OBSERVABLES = {
+    "cos_1_0": lambda dimension: fourier_mode((1, 0), dimension),
+    "cos_1_1": lambda dimension: fourier_mode((1, 1), dimension),
+    "coord_0": lambda dimension: coordinate(0),
+    "coord_1": lambda dimension: coordinate(1),
+    "x1x2": lambda dimension: product_x1x2(),
+    "bump": lambda dimension: bump(np.full(dimension, 0.5), 0.4),
+    "const": lambda dimension: constant(),
+}
 
 
 def get_observable(name, dimension):
-    for obs in observable_catalog(dimension):
-        if obs.name == name:
-            return obs
-    raise ParameterError(f"unknown observable {name!r} for dimension {dimension}")
-
+    """The observable `name` on points of `dimension` >= 2 components, built
+    by _checked_call."""
+    if dimension < 2:
+        raise ParameterError("dimension must be >= 2")
+    return _checked_call(_OBSERVABLES, name, {"dimension": dimension},
+                         "observable")

@@ -354,9 +354,10 @@ def _process_map(fn, items):
     return [shares[i % k][0][i // k] for i in range(len(items))]
 
 
-def _split_window(length, N, clv_warmup):
+def _split_window(family, length, N, clv_warmup):
     """(lo, hi, j_lo, j_hi): the split's CLV frames and samples on orbits
-    of `length` points, after checking the order, warmup and sample count."""
+    of `length` points, after checking the order, warmup and sample count,
+    and that the family is planar with second derivatives."""
     _check_order(N)
     # a warmup below 1 goes to _clv_window as it is, which rejects it
     lo, hi = _clv_window(length - 1,
@@ -365,6 +366,12 @@ def _split_window(length, N, clv_warmup):
     j_hi = min(hi - _OVERLAP, length - 1 - N)
     if j_hi - j_lo < 10 * N_BATCHES:
         raise InsufficientDataError("orbit too short for split estimation")
+    if family.hessian is None or family.param_jacobian is None:
+        raise ParameterError(
+            f"family {family.name} has no hessian/param_jacobian")
+    if family.dimension != 2:
+        raise UnsupportedDimensionError(
+            "stable/unstable split implemented for 2-dimensional phase space")
     return lo, hi, j_lo, j_hi
 
 
@@ -427,15 +434,10 @@ def stable_unstable_split(measure, obs, N, clv_warmup, angle_threshold):
     which moves it by rounding only.
     """
     orbits = measure.orbits
-    lo, hi, j_lo, j_hi = _split_window(orbits.shape[1], N, clv_warmup)
     family, alpha = measure.family, measure.alpha
-    if family.hessian is None or family.param_jacobian is None:
-        raise ParameterError(
-            f"family {family.name} has no hessian/param_jacobian")
-    m, _, d = orbits.shape
-    if d != 2:
-        raise UnsupportedDimensionError(
-            "stable/unstable split implemented for 2-dimensional phase space")
+    lo, hi, j_lo, j_hi = _split_window(family, orbits.shape[1], N,
+                                       clv_warmup)
+    m = len(orbits)
     S = j_hi - j_lo
     frames = slice(j_lo - lo, j_hi - lo)
     prev = slice(j_lo - lo - 1, j_hi - lo - 1)

@@ -77,6 +77,13 @@ class TransversalFrame:
         return d / np.linalg.norm(d)
 
 
+def _check_planar(dimension):
+    """ParameterError unless the phase space is a plane, the one case
+    project_along_stable implements."""
+    if dimension != 2:
+        raise ParameterError("projection implemented for the planar case")
+
+
 def project_along_stable(points, stable_dirs, frame, min_angle, chart):
     """First-order projection of each sample along its local stable line
     onto the frame line; returns the theta coordinates of the samples kept.
@@ -88,8 +95,7 @@ def project_along_stable(points, stable_dirs, frame, min_angle, chart):
     """
     points = np.asarray(points, dtype=float)
     s = np.asarray(stable_dirs, dtype=float)
-    if points.shape[1] != 2:
-        raise ParameterError("projection implemented for the planar case")
+    _check_planar(points.shape[1])
     ell = frame.unit()
     base = np.asarray(frame.base, dtype=float)
     s = s / np.linalg.norm(s, axis=0)
@@ -117,81 +123,59 @@ class DensityProfile:
 
 
 @dataclass(frozen=True)
-class SigmaUniform:
+class Sigma:
+    """A transverse measure on [0, 1] for the fold oracle: uniform cells as
+    rows (a, b, mass) of cells (k, 3), point masses as rows (position,
+    mass) of atoms (j, 2), and its dimension."""
+
+    cells: np.ndarray
+    atoms: np.ndarray
+    dimension: float
+
+
+def sigma_uniform():
     """Lebesgue measure on [0, 1]."""
-
-    @property
-    def dimension(self):
-        return 1.0
-
-    def cells(self):
-        return np.array([[0.0, 1.0, 1.0]]), np.empty((0, 2))
+    return Sigma(np.array([[0.0, 1.0, 1.0]]), np.empty((0, 2)), 1.0)
 
 
-@dataclass(frozen=True)
-class SigmaCantor:
+def sigma_cantor(ratio=1.0 / 3.0, level=12):
     """Two-piece self-similar Cantor measure on [0, 1] with contraction
-    `ratio` in (0, 1/2], cut `level` >= 1 times; Hausdorff dimension
-    log 2 / log(1/ratio)."""
-
-    ratio: float = 1.0 / 3.0
-    level: int = 12
-
-    def __post_init__(self):
-        if not (0.0 < self.ratio <= 0.5 and isinstance(self.level, int)
-                and self.level >= 1):
-            raise ParameterError("a Cantor sigma needs a ratio in (0, 1/2] "
-                                 "and an integer level of at least 1")
-
-    @property
-    def dimension(self):
-        return float(np.log(2.0) / np.log(1.0 / self.ratio))
-
-    def cells(self):
-        intervals = np.array([[0.0, 1.0]])
-        for _ in range(self.level):
-            a, b = intervals[:, 0], intervals[:, 1]
-            w = (b - a) * self.ratio
-            intervals = np.concatenate(
-                [np.stack([a, a + w], axis=1),
-                 np.stack([b - w, b], axis=1)], axis=0)
-            intervals = intervals[np.argsort(intervals[:, 0])]
-        mass = np.full(intervals.shape[0], 1.0 / intervals.shape[0])
-        return np.concatenate([intervals, mass[:, None]], axis=1), np.empty((0, 2))
+    `ratio` in (0, 1/2], cut `level` >= 1 times into 2^level cells of equal
+    mass; Hausdorff dimension log 2 / log(1/ratio)."""
+    if not (0.0 < ratio <= 0.5 and isinstance(level, int) and level >= 1):
+        raise ParameterError("a Cantor sigma needs a ratio in (0, 1/2] "
+                             "and an integer level of at least 1")
+    intervals = np.array([[0.0, 1.0]])
+    for _ in range(level):
+        a, b = intervals[:, 0], intervals[:, 1]
+        w = (b - a) * ratio
+        intervals = np.concatenate(
+            [np.stack([a, a + w], axis=1),
+             np.stack([b - w, b], axis=1)], axis=0)
+        intervals = intervals[np.argsort(intervals[:, 0])]
+    mass = np.full(intervals.shape[0], 1.0 / intervals.shape[0])
+    return Sigma(np.concatenate([intervals, mass[:, None]], axis=1),
+                 np.empty((0, 2)), float(np.log(2.0) / np.log(1.0 / ratio)))
 
 
-@dataclass(frozen=True)
-class SigmaAtoms:
+def sigma_atoms(positions, weights):
     """Point masses `weights` at `positions`, lists of equal length."""
-
-    positions: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        if not (np.ndim(self.positions) == np.ndim(self.weights) == 1
-                and len(self.positions) == len(self.weights)):
-            raise ParameterError("a sigma's atom positions and weights must "
-                                 "be lists of equal length")
-
-    @property
-    def dimension(self):
-        return 0.0
-
-    def cells(self):
-        atoms = np.stack([np.asarray(self.positions, dtype=float),
-                          np.asarray(self.weights, dtype=float)], axis=1)
-        return np.empty((0, 3)), atoms
+    if not (np.ndim(positions) == np.ndim(weights) == 1
+            and len(positions) == len(weights)):
+        raise ParameterError("a sigma's atom positions and weights must "
+                             "be lists of equal length")
+    return Sigma(np.empty((0, 3)),
+                 np.stack([np.asarray(positions, dtype=float),
+                           np.asarray(weights, dtype=float)], axis=1), 0.0)
 
 
-_SIGMA_KINDS = {"uniform": SigmaUniform, "cantor": SigmaCantor,
-                "atoms": SigmaAtoms}
+_SIGMA_KINDS = {"uniform": sigma_uniform, "cantor": sigma_cantor,
+                "atoms": sigma_atoms}
 
 
 def make_sigma(kind, **kwargs):
     """The sigma of `kind`, built by maps._checked_call from kwargs."""
-    if kind not in _SIGMA_KINDS:
-        raise ParameterError(f"unknown sigma kind {kind!r}")
-    return _checked_call(_SIGMA_KINDS[kind], kwargs, f"sigma kind {kind!r}")
+    return _checked_call(_SIGMA_KINDS, kind, kwargs, "sigma kind")
 
 
 # synthetic_fold_convolution takes blocks of grid rows of about this many
@@ -231,7 +215,7 @@ def synthetic_fold_convolution(sigma, grid_size, side, domain):
         raise ParameterError("the domain needs 2 finite entries lo < hi")
     lo, hi = domain
     grid = lo + (hi - lo) * (np.arange(grid_size) + 0.5) / grid_size
-    cells, atoms = sigma.cells()
+    cells, atoms = sigma.cells, sigma.atoms
     on_grid = atoms[np.isin(atoms[:, 0], grid), 0].tolist()
     if side == "two" and on_grid:
         i = np.flatnonzero(grid == on_grid[0])[0]

@@ -626,6 +626,17 @@ def test_series_order_is_checked_before_sampling(tmp_path, monkeypatch,
     ("conjecture-report", {"correlation": {"n_max": -1}}),
     ("lyapunov", {"spectrum": {"reorth_interval": 0}}),
     ("conjecture-report", {"spectrum": {"reorth_interval": 0}}),
+    ("susceptibility", {"observable": "nope"}),
+    ("radius", {"observable": "nope"}),
+    ("response-check", {"observable": "nope"}),
+    ("split", {"observable": "nope"}),
+    ("correlate", {"observable": "nope"}),
+    ("conjecture-report", {"observable": "nope"}),
+    # the split needs second derivatives, which coupled_henon lacks
+    ("split", {"system": {"name": "coupled_henon"}}),
+    # the frame's projection is planar, coupled_henon 4-dimensional
+    ("tangency", {"system": {"name": "coupled_henon"}, "tangency": {
+        "frame": {"base": [0.0, 0.2], "direction": [1.0, 0.0]}}}),
 ])
 def test_run_settings_are_checked_before_sampling(tmp_path, monkeypatch,
                                                   subcommand, payload):
@@ -660,6 +671,19 @@ def test_split_window_is_checked_before_sampling(tmp_path, monkeypatch,
     assert cli.run("split", _write_cfg(tmp_path, payload), out) == code
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["error_type"] == error
+
+
+def test_default_observable_runs_in_four_dimensions(tmp_path):
+    # cos_1_0 is the same mode in every dimension, so the default
+    # observable exists on the 4-dimensional coupled_henon
+    cfg = _write_cfg(tmp_path, {"system": {"name": "coupled_henon"},
+                                "alpha": 1.4, "orbit": {
+                                    "transient": 200, "length": 3000,
+                                    "ensemble": 2}})
+    out = tmp_path / "out"
+    assert cli.run("susceptibility", cfg, out) == cli.EXIT_OK
+    meta = json.loads((out / "susceptibility.json").read_text())
+    assert meta["observable"] == "cos_1_0"
 
 
 def test_response_check_counts_an_exact_agreement_as_agreement(tmp_path):

@@ -98,7 +98,8 @@ def test_component_callables_assemble_pointwise(name):
         cases += [(at(fam.hessian, alpha), (u, w), (d,)),
                   (at(fam.hessian, alpha), (a, b), (d,)),
                   (at(fam.param_jacobian, alpha), (), (d, d))]
-    cases += [(obs.gradient, (), (d,)) for obs in maps.observable_catalog(d)]
+    cases += [(maps.get_observable(obs, d).gradient, (), (d,))
+              for obs in maps._OBSERVABLES]
     for fn, directions, core in cases:
         batch = fn(x, *directions)
         assert batch.shape == core + (3, 7) and batch.flags.c_contiguous
@@ -418,7 +419,8 @@ def test_observable_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     pts = rng.random((100, 2))
     h = 1e-6
-    for obs in maps.observable_catalog(2):
+    for name in maps._OBSERVABLES:
+        obs = maps.get_observable(name, 2)
         g = stack_of(obs.gradient(pts))
         for i in range(2):
             e = np.zeros(2)
@@ -478,5 +480,30 @@ def test_bump_sums_its_components_in_order():
 
 
 def test_observable_catalog_rejects_low_dimension():
-    with pytest.raises(ParameterError):
-        maps.observable_catalog(1)
+    for name in maps._OBSERVABLES:
+        with pytest.raises(ParameterError):
+            maps.get_observable(name, 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_every_observable_has_the_name_it_is_looked_up_by(d):
+    # a Fourier mode is padded with zeros, so cos_1_0 is one mode in every
+    # dimension
+    for name in maps._OBSERVABLES:
+        assert maps.get_observable(name, d).name == name
+    x = np.random.default_rng(6).random((5, d))
+    for name in ("cos_1_0", "cos_1_1"):
+        assert np.allclose(maps.get_observable(name, d).value(x),
+                           maps.get_observable(name, 2).value(x[:, :2]),
+                           rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("lookup, known", [
+    (lambda: maps.get_family("nope"), maps._FACTORIES),
+    (lambda: tangency.make_sigma("nope"), tangency._SIGMA_KINDS),
+    (lambda: maps.get_observable("nope", 2), maps._OBSERVABLES),
+], ids=["family", "sigma", "observable"])
+def test_an_unknown_name_lists_the_known_ones(lookup, known):
+    with pytest.raises(ParameterError, match="unknown .* 'nope'") as err:
+        lookup()
+    assert f"known: {sorted(known)}" in str(err.value)

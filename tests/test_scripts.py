@@ -1,6 +1,8 @@
 """Smoke tests: each driver script in scripts/ runs to completion on small
-inputs and rejects a bad argument with a usage line, and the shipped runs
-still write the artifacts GOLDEN.json records."""
+inputs and rejects a bad argument with a usage line and no table, and the
+shipped runs, one or more per shipped config, still write the artifacts
+GOLDEN.json records."""
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -32,11 +34,22 @@ def test_script_rejects_a_bad_argument(src_env, script, args):
     assert "usage:" in proc.stderr
     assert "ParameterError" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_shipped_runs_match_their_golden_hashes(src_env):
     proc = _run(src_env, "golden.py", [])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_golden_runs_cover_every_shipped_config():
+    # a config shipped outside RUNS would escape the byte-identity check
+    tree = ast.parse((ROOT / "scripts" / "golden.py").read_text())
+    runs = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and node.targets[0].id == "RUNS")
+    assert ({config for _, config, _ in runs}
+            == {p.name for p in (ROOT / "configs").glob("*.yaml")})
 
 
 def _run(env, script, args):

@@ -20,16 +20,14 @@ def test_uniform_convolution_is_exact_sqrt():
     np.testing.assert_array_max_ulp(two.values, exact, maxulp=2)
 
 
-class _NarrowCell:
-    """The single cell [0, 1e-9] of mass 1."""
-
-    def cells(self):
-        return np.array([[0.0, 1e-9, 1.0]]), np.empty((0, 2))
+# the single cell [0, 1e-9] of mass 1
+_NARROW_CELL = tangency.Sigma(np.array([[0.0, 1e-9, 1.0]]), np.empty((0, 2)),
+                              1.0)
 
 
 def test_convolution_past_a_narrow_cell_does_not_cancel():
     # 2 (sqrt(theta) - sqrt(theta - eps)) / eps loses about 7 digits here
-    prof = tangency.synthetic_fold_convolution(_NarrowCell(), 1024,
+    prof = tangency.synthetic_fold_convolution(_NARROW_CELL, 1024,
                                                side="one", domain=(0.0, 1.0))
     x = 1e-9 / prof.grid
     ref = (1.0 + x / 4.0 + x**2 / 8.0) / np.sqrt(prof.grid)
@@ -53,7 +51,7 @@ def test_convolution_blocks_change_nothing(monkeypatch, sigma, side):
     # one block of all 1500 rows against blocks of 7 rows, the last of 2
     whole = tangency.synthetic_fold_convolution(sigma, 1500, side=side,
                                                 domain=(0.0, 1.0))
-    n = max(len(part) for part in sigma.cells())
+    n = max(len(sigma.cells), len(sigma.atoms))
     monkeypatch.setattr(tangency, "_FOLD_BLOCK", 7 * n)
     blocked = tangency.synthetic_fold_convolution(sigma, 1500, side=side,
                                                   domain=(0.0, 1.0))
@@ -122,24 +120,23 @@ def test_counting_function_uniform():
     assert 0.8 <= cf2.exponent <= 1.0
 
 
-def _cantor_sample(sigma, rng, size):
-    """Exact draws from the Cantor measure sigma via random base-2 digit
-    choices."""
+def _cantor_sample(ratio, rng, size):
+    """Exact draws from the Cantor measure of contraction `ratio` via random
+    base-2 digit choices."""
     x = np.zeros(size)
     scale = 1.0
     for _ in range(60):
         right = rng.random(size) < 0.5
-        x = x + right * (scale * (1.0 - sigma.ratio))
-        scale *= sigma.ratio
+        x = x + right * (scale * (1.0 - ratio))
+        scale *= ratio
         if scale < 1e-18:
             break
     return x
 
 
 def test_counting_function_cantor():
-    sig = tangency.make_sigma("cantor", ratio=1.0 / 3.0, level=20)
     rng = np.random.default_rng(2)
-    tau = _cantor_sample(sig, rng, 60_000)
+    tau = _cantor_sample(1.0 / 3.0, rng, 60_000)
     cf = tangency.counting_function(tau)
     assert cf.exponent == pytest.approx(np.log(2) / np.log(3), abs=0.07)
 
@@ -167,7 +164,7 @@ def test_counting_function_needs_points():
 @settings(max_examples=25, deadline=None)
 def test_cantor_sigma_cells_partition_mass(ratio, level):
     sig = tangency.make_sigma("cantor", ratio=ratio, level=level)
-    cells, atoms = sig.cells()
+    cells, atoms = sig.cells, sig.atoms
     widths = cells[:, 1] - cells[:, 0]
     assert np.all(widths > 0)
     assert len(cells) == 2**level
